@@ -108,7 +108,7 @@ def train_config_from(cfg: dict, seed: int) -> TR.TrainConfig:
         return TR.TrainConfig(
             initial_lr=cfg["initial_lr"], decay_steps=cfg["decay_steps"],
             decay_rate=cfg["decay_rate"], batch_size=cfg["batch_size"],
-            epochs=cfg["epochs"], dropout=cfg["dropout"],
+            epochs=cfg["epochs"],
             adam_beta1=cfg["adam_beta1"], adam_beta2=cfg["adam_beta2"],
             adam_eps=cfg["adam_eps"], seed=seed)
     except ValueError as exc:
@@ -198,6 +198,8 @@ def cmd_synth(args) -> int:
 
 def cmd_select(args) -> int:
     started = time.time()
+    if args.slices < 1:
+        raise UsageError(f"--slices must be >= 1, got {args.slices}")
     records = _load_manifest(args.manifest)
     rois = _parse_rois(args.roi)
     instances = []

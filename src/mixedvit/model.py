@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass
-from math import prod, sqrt
+from math import prod
 from typing import Optional
 
 import numpy as np
@@ -19,17 +19,15 @@ import numpy as np
 from .tensor import (
     Tensor,
     add,
-    bmm,
+    attention,
     concat,
     dropout,
     gelu,
     layer_norm,
     matmul,
-    mul,
     narrow,
     reshape,
     softmax,
-    transpose,
 )
 
 MODE_MIXED = "mixed"
@@ -226,26 +224,9 @@ def attention_block(x: Tensor, p: dict[str, Tensor], prefix: str, heads: int,
                     dropout_rate: float, training: bool,
                     rng: Optional[np.random.Generator]) -> Tensor:
     """Pre-norm residual block: x + MHSA(LN(x)), then x + MLP(LN(x))."""
-    B, M, d = x.shape
-    dh = d // heads
-    scale = Tensor(1.0 / sqrt(dh))
-
     h = layer_norm(x, p[f"{prefix}.ln1.gamma"], p[f"{prefix}.ln1.beta"])
-    q = matmul(h, p[f"{prefix}.attn.wq"])
-    k = matmul(h, p[f"{prefix}.attn.wk"])
-    v = matmul(h, p[f"{prefix}.attn.wv"])
-
-    def split_heads(t: Tensor) -> Tensor:
-        t = reshape(t, (B, M, heads, dh))
-        return reshape(transpose(t, (0, 2, 1, 3)), (B * heads, M, dh))
-
-    q, k, v = split_heads(q), split_heads(k), split_heads(v)
-    scores = mul(bmm(q, transpose(k, (0, 2, 1))), scale)
-    attn = softmax(scores, axis=2)
-    attn = dropout(attn, dropout_rate, training, rng)
-    ctx = bmm(attn, v)
-    ctx = reshape(transpose(reshape(ctx, (B, heads, M, dh)), (0, 2, 1, 3)),
-                  (B, M, d))
+    wqkv = concat([p[f"{prefix}.attn.w{proj}"] for proj in "qkv"], axis=1)
+    ctx = attention(matmul(h, wqkv), heads, dropout_rate, training, rng)
     x = add(x, matmul(ctx, p[f"{prefix}.attn.wo"]))
 
     h = layer_norm(x, p[f"{prefix}.ln2.gamma"], p[f"{prefix}.ln2.beta"])
@@ -368,17 +349,26 @@ def load_checkpoint(path) -> dict[str, Tensor]:
         blob = fh.read()
     if blob[:4] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"bad checkpoint magic {blob[:4]!r}")
+    if len(blob) < 8:
+        raise CheckpointError(
+            f"checkpoint of {len(blob)} bytes is shorter than its 8-byte header")
     (mlen,) = struct.unpack("<I", blob[4:8])
     try:
         manifest = json.loads(blob[8:8 + mlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"unreadable checkpoint manifest: {exc}") from exc
+    entries = manifest.get("entries") if isinstance(manifest, dict) else None
+    if not isinstance(entries, list):
+        raise CheckpointError("checkpoint manifest has no 'entries' list")
     payload = blob[8 + mlen:]
     params: dict[str, Tensor] = {}
-    for entry in manifest["entries"]:
+    for entry in entries:
         shape = tuple(entry["shape"])
         n = prod(shape) if shape else 1
         start = entry["offset"]
+        if start < 0:
+            raise CheckpointError(
+                f"negative payload offset {start} for {entry['name']!r}")
         end = start + 8 * n
         if end > len(payload):
             raise CheckpointError(

@@ -24,14 +24,13 @@ __all__ = [
     "sub",
     "mul",
     "matmul",
-    "bmm",
+    "attention",
     "softmax",
     "layer_norm",
     "gelu",
     "dropout",
     "concat",
     "reshape",
-    "transpose",
     "narrow",
     "tsum",
     "tlog",
@@ -201,9 +200,11 @@ def elementwise(op_kind: str, a: Tensor, b: Tensor) -> Tensor:
     elif op_kind == "mul":
         out = a.data * b.data
         ad, bd = a.data, b.data
+        a_grad, b_grad = a.requires_grad, b.requires_grad
 
         def back(g):
-            return _unbroadcast(g * bd, a.shape), _unbroadcast(g * ad, b.shape)
+            return (_unbroadcast(g * bd, a.shape) if a_grad else None,
+                    _unbroadcast(g * ad, b.shape) if b_grad else None)
     else:
         raise ValueError(f"unknown elementwise op {op_kind!r}")
     return _record(op_kind, (a, b), out, back)
@@ -222,7 +223,11 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """(m,k)@(k,n) or batched (B,m,k)@(k,n)."""
+    """(m,k)@(k,n) or batched (B,m,k)@(k,n).
+
+    The backward skips the gradient of an operand without requires_grad,
+    and folds the batch axis into one GEMM for the weight gradient.
+    """
     if a.data.ndim not in (2, 3) or b.data.ndim != 2:
         raise ShapeError(
             f"matmul expects rank-2..3 @ rank-2, got {a.shape} @ {b.shape}")
@@ -231,31 +236,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
     ad, bd = a.data, b.data
     out = ad @ bd
+    a_grad, b_grad = a.requires_grad, b.requires_grad
 
     def back(g):
-        ga = g @ bd.T
-        if ad.ndim == 3:
-            gb = np.einsum("bmk,bmn->kn", ad, g)
-        else:
-            gb = ad.T @ g
+        ga = g @ bd.T if a_grad else None
+        gb = (ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+              if b_grad else None)
         return ga, gb
 
     return _record("matmul", (a, b), out, back)
-
-
-def bmm(a: Tensor, b: Tensor) -> Tensor:
-    """Batched matrix product (B,m,k)@(B,k,n)."""
-    if a.data.ndim != 3 or b.data.ndim != 3:
-        raise ShapeError(f"bmm expects two rank-3 tensors, got {a.shape} @ {b.shape}")
-    if a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
-        raise ShapeError(f"bmm dimensions disagree: {a.shape} @ {b.shape}")
-    ad, bd = a.data, b.data
-    out = ad @ bd
-
-    def back(g):
-        return g @ bd.transpose(0, 2, 1), ad.transpose(0, 2, 1) @ g
-
-    return _record("bmm", (a, b), out, back)
 
 
 def softmax(x: Tensor, axis: int) -> Tensor:
@@ -310,22 +299,80 @@ def gelu(x: Tensor) -> Tensor:
     return _record("gelu", (x,), out, back)
 
 
-def dropout(x: Tensor, rate: float, training: bool,
-            rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Inverted dropout: survivors scaled by 1/(1-rate); inference is identity."""
+def _dropout_keep(shape: tuple, rate: float, training: bool,
+                  rng: Optional[np.random.Generator]) -> Optional[np.ndarray]:
+    """Inverted-dropout multiplier (0 or 1/(1-rate)), or None when off."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
-        return x
+        return None
     if rng is None:
         raise ValueError("dropout in training mode requires an rng")
-    keep = (rng.random(x.shape) >= rate).astype(np.float64) / (1.0 - rate)
+    draw = rng.random(shape)
+    return np.multiply(draw >= rate, 1.0 / (1.0 - rate), out=draw)
+
+
+def dropout(x: Tensor, rate: float, training: bool,
+            rng: Optional[np.random.Generator] = None) -> Tensor:
+    """Inverted dropout: survivors scaled by 1/(1-rate); inference is identity."""
+    keep = _dropout_keep(x.shape, rate, training, rng)
+    if keep is None:
+        return x
     out = x.data * keep
 
     def back(g):
         return (g * keep,)
 
     return _record("dropout", (x,), out, back)
+
+
+def attention(qkv: Tensor, heads: int, rate: float, training: bool,
+              rng: Optional[np.random.Generator] = None) -> Tensor:
+    """Multi-head self-attention: packed q|k|v (B,M,3d) -> context (B,M,d).
+
+    Per head, softmax(q k^T / sqrt(d/heads)) weights, inverted dropout on
+    the weights (one ``rng.random((B*heads, M, M))`` draw), times v; the
+    heads are merged back along the last axis.
+    """
+    if qkv.data.ndim != 3 or heads < 1 or qkv.shape[2] % (3 * heads):
+        raise ShapeError(
+            f"attention expects (B, M, 3*d) with d divisible by {heads} "
+            f"heads, got {qkv.shape}")
+    B, M, d3 = qkv.shape
+    d = d3 // 3
+    dh = d // heads
+    scale = 1.0 / math.sqrt(dh)
+    # Each of q, k, v is a (B, heads, M, dh) view into qkv.
+    q, k, v = qkv.data.reshape(B, M, 3, heads, dh).transpose(2, 0, 3, 1, 4)
+    probs = q @ k.transpose(0, 1, 3, 2)
+    probs *= scale
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    keep = _dropout_keep((B * heads, M, M), rate, training, rng)
+    if keep is not None:
+        keep = keep.reshape(B, heads, M, M)
+        weights = probs * keep
+    else:
+        weights = probs
+    out = (weights @ v).transpose(0, 2, 1, 3).reshape(B, M, d)
+
+    def back(g):
+        g = g.reshape(B, M, heads, dh).transpose(0, 2, 1, 3)
+        gqkv = np.empty((B, M, 3, heads, dh))
+        gq, gk, gv = gqkv.transpose(2, 0, 3, 1, 4)
+        gv[...] = weights.transpose(0, 1, 3, 2) @ g
+        gs = g @ v.transpose(0, 1, 3, 2)
+        if keep is not None:
+            gs *= keep
+        gs -= (gs * probs).sum(axis=-1, keepdims=True)
+        gs *= probs
+        gs *= scale
+        gq[...] = gs @ k
+        gk[...] = gs.transpose(0, 1, 3, 2) @ q
+        return (gqkv.reshape(B, M, d3),)
+
+    return _record("attention", (qkv,), out, back)
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
@@ -356,17 +403,6 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
         return (g.reshape(old),)
 
     return _record("reshape", (x,), out, back)
-
-
-def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
-    axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
-    out = x.data.transpose(axes)
-
-    def back(g):
-        return (g.transpose(inv),)
-
-    return _record("transpose", (x,), out, back)
 
 
 def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:

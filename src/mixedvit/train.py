@@ -24,7 +24,6 @@ class TrainConfig:
     decay_rate: float = 0.9
     batch_size: int = 6
     epochs: int = 250
-    dropout: float = 0.2
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
@@ -35,8 +34,6 @@ class TrainConfig:
             raise ValueError(f"initial_lr {self.initial_lr} outside (0, 1]")
         if not 0.0 < self.decay_rate <= 1.0:
             raise ValueError(f"decay_rate {self.decay_rate} outside (0, 1]")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError(f"dropout {self.dropout} outside [0, 1)")
         if self.epochs < 0 or self.batch_size < 1 or self.decay_steps < 1:
             raise ValueError("epochs >= 0, batch_size >= 1, decay_steps >= 1")
         for beta in (self.adam_beta1, self.adam_beta2):

@@ -78,6 +78,17 @@ def test_select_slices_exceeding_depth_exits_2(dataset):
     assert rc == 2
 
 
+def test_select_slices_below_one_exits_2(dataset, capsys):
+    for slices in ("0", "-1"):
+        rc = main(["select", "--manifest",
+                   str(dataset / "data" / "manifest.jsonl"),
+                   "--roi", "hippocampus_left", "--slices", slices,
+                   "--out", str(dataset / "nope.csv")])
+        assert rc == 2
+        assert "--slices must be >= 1" in capsys.readouterr().err
+    assert not (dataset / "nope.csv").exists()
+
+
 def test_train_and_eval_round_trip(dataset, tmp_path, capsys):
     out = tmp_path / "model"
     rc = main(["train", "--instances", str(dataset / "instances.csv"),
@@ -113,13 +124,14 @@ def test_train_and_eval_round_trip(dataset, tmp_path, capsys):
 def test_eval_bad_checkpoint_exits_1(dataset, tmp_path):
     model = tmp_path / "broken"
     model.mkdir()
-    (model / "checkpoint.mwt").write_bytes(b"JUNKJUNKJUNK")
     (model / "config.json").write_text("{}")
-    rc = main(["eval", "--model", str(model),
-               "--instances", str(dataset / "instances.csv"),
-               "--manifest", str(dataset / "data" / "manifest.jsonl"),
-               "--out", str(tmp_path / "m.json")])
-    assert rc == 1
+    for blob in (b"JUNKJUNKJUNK", b"MWT1x"):  # bad magic, short header
+        (model / "checkpoint.mwt").write_bytes(blob)
+        rc = main(["eval", "--model", str(model),
+                   "--instances", str(dataset / "instances.csv"),
+                   "--manifest", str(dataset / "data" / "manifest.jsonl"),
+                   "--out", str(tmp_path / "m.json")])
+        assert rc == 1
 
 
 def test_cv_summary_and_determinism(dataset, tmp_path, capsys):

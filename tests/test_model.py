@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -378,6 +381,25 @@ def test_checkpoint_truncated(tmp_path):
     save_checkpoint(path, params)
     blob = path.read_bytes()
     path.write_bytes(blob[:len(blob) - 16])
+    with pytest.raises(M.CheckpointError):
+        load_checkpoint(path)
+
+
+def _checkpoint_blob(manifest: dict, payload: bytes = b"") -> bytes:
+    text = json.dumps(manifest).encode("utf-8")
+    return M.CHECKPOINT_MAGIC + struct.pack("<I", len(text)) + text + payload
+
+
+@pytest.mark.parametrize("blob", [
+    b"MWT1x",  # shorter than the 8-byte header
+    _checkpoint_blob({"params": []}),  # no entries list
+    _checkpoint_blob({"entries": {"name": "w"}}),
+    _checkpoint_blob({"entries": [{"name": "w", "shape": [1],
+                                   "offset": -8}]}, b"\0" * 16),
+], ids=["short_header", "no_entries", "entries_not_list", "negative_offset"])
+def test_checkpoint_malformed(tmp_path, blob):
+    path = tmp_path / "bad.mwt"
+    path.write_bytes(blob)
     with pytest.raises(M.CheckpointError):
         load_checkpoint(path)
 

@@ -10,8 +10,8 @@ from mixedvit.tensor import (
     Tape,
     Tensor,
     ShapeError,
+    attention,
     backward,
-    bmm,
     clamp_min,
     concat,
     dropout,
@@ -20,11 +20,11 @@ from mixedvit.tensor import (
     grad_check,
     layer_norm,
     matmul,
+    mul,
     narrow,
     reshape,
     softmax,
     tlog,
-    transpose,
     tsum,
 )
 
@@ -67,8 +67,21 @@ def test_matmul_mismatch():
 
 
 def test_matmul_batched_shape():
-    out = matmul(Tensor(np.zeros((5, 2, 3))), Tensor(np.zeros((3, 4))))
+    rng = np.random.default_rng(4)
+    a = rng.normal(size=(5, 2, 3))
+    b = rng.normal(size=(3, 4))
+    w = rng.normal(size=(5, 2, 4))
+    with Tape():
+        ta = Tensor(a, requires_grad=True)
+        tb = Tensor(b, requires_grad=True)
+        out = matmul(ta, tb)
+        y = tsum(out * Tensor(w))
+    backward(y)
     assert out.shape == (5, 2, 4)
+    np.testing.assert_allclose(ta.grad, np.einsum("bmn,kn->bmk", w, b),
+                               rtol=1e-12)
+    np.testing.assert_allclose(tb.grad, np.einsum("bmk,bmn->kn", a, w),
+                               rtol=1e-12)
 
 
 def test_softmax_symmetry():
@@ -201,14 +214,21 @@ def test_backward_fanout_exact():
 
 
 def test_backward_skips_non_grad_leaves():
-    with Tape() as tape:
-        x = Tensor([2.0], requires_grad=True)
-        c = Tensor([3.0])
-        y = tsum(x * c)
-    grads = backward(y)
-    assert x.grad is not None and c.grad is None
-    assert id(c) not in tape._leaf_ids
-    assert all(nid < len(tape.nodes) for nid in grads)
+    for op in (mul, matmul):
+        for const_first in (False, True):
+            with Tape() as tape:
+                x = Tensor([[2.0]], requires_grad=True)
+                c = Tensor([[3.0]])
+                node = op(c, x) if const_first else op(x, c)
+                y = tsum(node)
+            grads = backward(y)
+            np.testing.assert_array_equal(x.grad, [[3.0]])
+            assert c.grad is None
+            assert id(c) not in tape._leaf_ids
+            assert all(nid < len(tape.nodes) for nid in grads)
+            # The op's backward computes no gradient for the constant.
+            node_grads = tape.nodes[node.node_id].backward_fn(np.ones((1, 1)))
+            assert node_grads[0 if const_first else 1] is None
 
 
 def test_backward_rejects_non_scalar():
@@ -244,6 +264,7 @@ def test_grad_check_every_op_random_shapes(seed):
     a = rng.normal(size=(n, m))
     b = rng.normal(size=(n, m))
     k = rng.normal(size=(m, n))
+    w_qkv = rng.normal(size=(m, 6))
 
     checks = {
         "add": lambda x: tsum(x + Tensor(b)),
@@ -260,7 +281,9 @@ def test_grad_check_every_op_random_shapes(seed):
         "concat": lambda x: tsum(concat([x, Tensor(b)], axis=0) *
                                  Tensor(np.vstack([b, a]))),
         "reshape": lambda x: tsum(reshape(x, (m, n)) * Tensor(k)),
-        "transpose": lambda x: tsum(transpose(x, (1, 0)) * Tensor(k)),
+        "attention": lambda x: tsum(attention(
+            reshape(matmul(x, Tensor(w_qkv)), (1, n, 6)), 1, 0.0, False)
+            * Tensor(b[:, :2])),
         "narrow": lambda x: tsum(narrow(x, 0, 1, n - 1) * Tensor(b[1:])),
         "log": lambda x: tsum(tlog(clamp_min(x * x, 1e-3) + Tensor(np.ones_like(b)))),
         "sum_axis": lambda x: tsum(tsum(x, axis=0) * Tensor(b[0])),
@@ -272,18 +295,50 @@ def test_grad_check_every_op_random_shapes(seed):
         assert err < 1e-5, f"{name} grad check failed: {err}"
 
 
-def test_grad_check_bmm():
-    rng = np.random.default_rng(3)
-    a = rng.normal(size=(2, 3, 4))
-    b = rng.normal(size=(2, 4, 3))
-    w = rng.normal(size=(2, 3, 3))
+def _attention_reference(qkv, heads, rate, rng):
+    """The unfused op sequence: head split, scaled q k^T, softmax, dropout
+    from one (B*heads, M, M) draw, times v, head merge."""
+    B, M, d3 = qkv.shape
+    d = d3 // 3
+    dh = d // heads
 
-    err = grad_check(lambda x: tsum(bmm(x, Tensor(b)) * Tensor(w)),
-                     a)
-    assert err < 1e-5
-    err = grad_check(lambda x: tsum(bmm(Tensor(a), reshape(x, b.shape)) * Tensor(w)),
-                     b.reshape(-1))
-    assert err < 1e-5
+    def split(t):
+        return t.reshape(B, M, heads, dh).transpose(0, 2, 1, 3).reshape(
+            B * heads, M, dh)
+
+    q, k, v = (split(qkv[..., i * d:(i + 1) * d]) for i in range(3))
+    scores = (q @ k.transpose(0, 2, 1)) * (1.0 / math.sqrt(dh))
+    e = np.exp(scores - scores.max(axis=2, keepdims=True))
+    attn = e / e.sum(axis=2, keepdims=True)
+    if rate:
+        attn = attn * ((rng.random(attn.shape) >= rate) / (1.0 - rate))
+    ctx = (attn @ v).reshape(B, heads, M, dh).transpose(0, 2, 1, 3)
+    return ctx.reshape(B, M, d)
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.3])
+def test_attention_matches_unfused_reference(rate):
+    qkv = np.random.default_rng(8).normal(size=(3, 5, 24))
+    out = attention(Tensor(qkv), 4, rate, True, np.random.default_rng(1))
+    ref = _attention_reference(qkv, 4, rate, np.random.default_rng(1))
+    np.testing.assert_allclose(out.data, ref, rtol=0, atol=1e-12)
+
+
+def test_attention_rejects_unpackable_width():
+    with pytest.raises(ShapeError):
+        attention(Tensor(np.zeros((2, 3, 16))), 2, 0.0, False)
+
+
+def test_grad_check_attention():
+    rng = np.random.default_rng(3)
+    qkv = rng.normal(size=(2, 4, 12))
+    w = rng.normal(size=(2, 4, 4))
+    for rate, training in ((0.0, False), (0.3, True)):
+        def f(x):
+            out = attention(x, 2, rate, training, np.random.default_rng(99))
+            return tsum(out * Tensor(w))
+
+        assert grad_check(f, qkv) < 1e-5, (rate, training)
 
 
 def test_determinism_bitwise():

@@ -132,8 +132,7 @@ def test_train_loss_decreases_after_one_step():
                             embed_dim=8, depth=1, heads=2, dropout_rate=0.0,
                             tabular_dim=4, tabular_hidden=(8, 4))
     params = init_params(model_cfg, 5)
-    cfg = TrainConfig(epochs=1, batch_size=6, initial_lr=1e-3, dropout=0.0,
-                      seed=2)
+    cfg = TrainConfig(epochs=1, batch_size=6, initial_lr=1e-3, seed=2)
     loss_before, _ = evaluate(model_cfg, params, samples, 6)
     train(model_cfg, params, samples, samples, cfg)  # mutates params in place
     loss_after, _ = evaluate(model_cfg, params, samples, 6)

@@ -200,7 +200,7 @@ def test_hyperband_retrain_beats_median():
 
     def objective(cfg, epochs):
         tc = TrainConfig(epochs=epochs, batch_size=4,
-                         initial_lr=cfg["initial_lr"], dropout=0.0, seed=5)
+                         initial_lr=cfg["initial_lr"], seed=5)
         params = init_params(model_cfg, 5)
         best, _ = train(model_cfg, params, samples[:12], samples[12:], tc)
         _, acc = evaluate(model_cfg, best, samples[12:], 4)
