@@ -61,6 +61,19 @@ DEFAULT_CONFIG = {
 }
 
 
+def _same_type(value, default) -> bool:
+    """Whether a config value has the type of its default: an int passes
+    for a float, and a list's elements are checked against the default's."""
+    if isinstance(default, list):
+        return isinstance(value, list) and all(
+            _same_type(v, default[0]) for v in value)
+    if isinstance(value, bool):  # JSON true is an int to isinstance
+        return isinstance(default, bool)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, type(default))
+
+
 def load_config(path) -> dict:
     cfg = dict(DEFAULT_CONFIG)
     if path is None:
@@ -72,9 +85,15 @@ def load_config(path) -> dict:
         raise UsageError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"config file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(overrides, dict):
+        raise UsageError(f"config file {path} does not hold a JSON object")
     unknown = set(overrides) - set(cfg)
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in overrides.items():
+        if not _same_type(value, cfg[key]):
+            raise UsageError(f"config key {key!r} must have the type of "
+                             f"{cfg[key]!r}, got {value!r}")
     cfg.update(overrides)
     if cfg["optimizer"] != "adam":
         raise UsageError(f"unsupported optimizer {cfg['optimizer']!r}")
@@ -163,6 +182,8 @@ def _load_instances(path) -> list:
         return D.load_instances(path)
     except FileNotFoundError as exc:
         raise RuntimeFailure(f"instance table not found: {path}") from exc
+    except ValueError as exc:
+        raise RuntimeFailure(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------

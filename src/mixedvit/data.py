@@ -151,15 +151,22 @@ def load_volume(path) -> np.ndarray:
         blob = fh.read()
     if blob[:4] != VOLUME_MAGIC:
         raise FormatError(f"bad magic {blob[:4]!r} in {path}")
+    if len(blob) < 12:
+        raise TruncatedPayloadError(
+            f"{path} is {len(blob)} bytes, shorter than its 12-byte header")
     version, ndim = struct.unpack("<II", blob[4:12])
     if version != VOLUME_VERSION:
         raise FormatError(f"unsupported container version {version}")
     if ndim > 8:
         raise DimOverflowError(f"ndim {ndim} too large")
-    dims = struct.unpack(f"<{ndim}I", blob[12:12 + 4 * ndim])
+    offset = 12 + 4 * ndim
+    if len(blob) < offset + 4:
+        raise TruncatedPayloadError(
+            f"{path} is {len(blob)} bytes, shorter than its "
+            f"{offset + 4}-byte header")
+    dims = struct.unpack(f"<{ndim}I", blob[12:offset])
     if any(d == 0 for d in dims) or math.prod(dims) > _MAX_VOXELS:
         raise DimOverflowError(f"dims {dims} overflow plausible bounds")
-    offset = 12 + 4 * ndim
     (code,) = struct.unpack("<I", blob[offset:offset + 4])
     dtype = _DTYPE_CODES.get(code)
     if dtype is None:
@@ -243,12 +250,18 @@ def load_instances(path) -> list[InstanceRecord]:
         header = fh.readline().strip()
         if header != INSTANCE_HEADER:
             raise ValueError(f"unexpected instance CSV header {header!r}")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
-            sid, cls, roi, start, count, cx, cy = line.strip().split(",")
-            out.append(InstanceRecord(sid, LABEL_CODES[cls], roi, int(start),
-                                      int(count), int(cx), int(cy)))
+            try:
+                sid, cls, roi, start, count, cx, cy = line.strip().split(",")
+                out.append(InstanceRecord(sid, LABEL_CODES[cls], roi,
+                                          int(start), int(count), int(cx),
+                                          int(cy)))
+            except (ValueError, KeyError) as exc:
+                raise ValueError(
+                    f"{path}, line {lineno}: malformed instance row "
+                    f"{line.strip()!r}") from exc
     return out
 
 

@@ -363,16 +363,31 @@ def load_checkpoint(path) -> dict[str, Tensor]:
     payload = blob[8 + mlen:]
     params: dict[str, Tensor] = {}
     for entry in entries:
-        shape = tuple(entry["shape"])
-        n = prod(shape) if shape else 1
-        start = entry["offset"]
-        if start < 0:
-            raise CheckpointError(
-                f"negative payload offset {start} for {entry['name']!r}")
-        end = start + 8 * n
+        name, shape, start = _checkpoint_entry(entry)
+        if name in params:
+            raise CheckpointError(f"checkpoint holds {name!r} twice")
+        end = start + 8 * prod(shape)
         if end > len(payload):
             raise CheckpointError(
-                f"checkpoint payload truncated for {entry['name']!r}")
+                f"checkpoint payload truncated for {name!r}")
         arr = np.frombuffer(payload[start:end], dtype="<f8").reshape(shape)
-        params[entry["name"]] = Tensor(arr.copy(), requires_grad=True)
+        params[name] = Tensor(arr.copy(), requires_grad=True)
     return params
+
+
+def _checkpoint_entry(entry) -> tuple:
+    """(name, shape, offset) of one checkpoint manifest entry, checked."""
+    if not isinstance(entry, dict):
+        raise CheckpointError(f"checkpoint entry {entry!r} is not an object")
+    name, shape, offset = (entry.get(k) for k in ("name", "shape", "offset"))
+
+    def is_count(x) -> bool:
+        return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+    if not isinstance(name, str):
+        raise CheckpointError(f"checkpoint entry {entry!r} has no name")
+    if not isinstance(shape, list) or not all(is_count(d) for d in shape):
+        raise CheckpointError(f"bad shape {shape!r} for {name!r}")
+    if not is_count(offset):
+        raise CheckpointError(f"bad payload offset {offset!r} for {name!r}")
+    return name, tuple(shape), offset

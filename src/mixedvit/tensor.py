@@ -1,8 +1,8 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 A ``Tape`` records every differentiable operation performed while it is
-active (define-by-run); ``backward`` replays it in reverse and returns a
-gradient for every node that was reached. The op inventory is exactly what
+active (define-by-run); ``backward`` replays it in reverse and returns the
+gradient of every leaf that was reached. The op inventory is exactly what
 the two-branch transformer model needs -- nothing more.
 """
 
@@ -107,7 +107,15 @@ def _tape_stack() -> list:
 
 
 class Tape:
-    """Ordered op record for one forward pass. Parents precede children."""
+    """Ordered op record for one forward pass. Parents precede children.
+
+    An op's backward closure captures arrays and shapes only, never a
+    ``Tensor``: an op output points to its tape through ``.tape``, so a
+    captured output would make the tape a reference cycle that only the
+    cyclic garbage collector frees. Kept acyclic, a tape and every
+    activation it saved are freed as soon as the last output referring to
+    it is dropped.
+    """
 
     def __init__(self):
         self.nodes: list[_Node] = []
@@ -185,26 +193,26 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def elementwise(op_kind: str, a: Tensor, b: Tensor) -> Tensor:
-    shape = _check_broadcast(a.shape, b.shape)
-    del shape
+    _check_broadcast(a.shape, b.shape)
+    a_shape, b_shape = a.shape, b.shape
     if op_kind == "add":
         out = a.data + b.data
 
         def back(g):
-            return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+            return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
     elif op_kind == "sub":
         out = a.data - b.data
 
         def back(g):
-            return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+            return _unbroadcast(g, a_shape), _unbroadcast(-g, b_shape)
     elif op_kind == "mul":
         out = a.data * b.data
         ad, bd = a.data, b.data
         a_grad, b_grad = a.requires_grad, b.requires_grad
 
         def back(g):
-            return (_unbroadcast(g * bd, a.shape) if a_grad else None,
-                    _unbroadcast(g * ad, b.shape) if b_grad else None)
+            return (_unbroadcast(g * bd, a_shape) if a_grad else None,
+                    _unbroadcast(g * ad, b_shape) if b_grad else None)
     else:
         raise ValueError(f"unknown elementwise op {op_kind!r}")
     return _record(op_kind, (a, b), out, back)
@@ -272,10 +280,11 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     var = x.data.var(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mean) * inv_std
-    out = gamma.data * xhat + beta.data
+    gd = gamma.data
+    out = gd * xhat + beta.data
 
     def back(g):
-        gg = g * gamma.data
+        gg = g * gd
         dx = inv_std * (gg - gg.mean(axis=-1, keepdims=True)
                         - xhat * (gg * xhat).mean(axis=-1, keepdims=True))
         axes = tuple(range(g.ndim - 1))
@@ -425,9 +434,9 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
 
 
 def tsum(x: Tensor, axis: Optional[int] = None) -> Tensor:
+    shape = x.shape
     if axis is None:
         out = x.data.sum()
-        shape = x.shape
 
         def back(g):
             return (np.broadcast_to(g, shape).copy(),)
@@ -435,7 +444,7 @@ def tsum(x: Tensor, axis: Optional[int] = None) -> Tensor:
         out = x.data.sum(axis=axis)
 
         def back(g):
-            return (np.broadcast_to(np.expand_dims(g, axis), x.shape).copy(),)
+            return (np.broadcast_to(np.expand_dims(g, axis), shape).copy(),)
 
     return _record("sum", (x,), np.asarray(out), back)
 
@@ -461,9 +470,11 @@ def clamp_min(x: Tensor, floor: float) -> Tensor:
 
 
 def backward(root: Tensor) -> dict[int, np.ndarray]:
-    """Reverse sweep from a scalar root. Returns node_id -> gradient.
+    """Reverse sweep from a scalar root. Returns leaf node_id -> gradient.
 
     Leaf tensors with requires_grad also receive the gradient in ``.grad``.
+    Each intermediate gradient is dropped as soon as its node has passed
+    it on to its parents, so at most one frontier of them is alive.
     """
     if root.data.size != 1:
         raise ValueError(f"backward root must be scalar, got shape {root.shape}")
@@ -472,12 +483,10 @@ def backward(root: Tensor) -> dict[int, np.ndarray]:
         raise ValueError("backward root is not attached to a tape")
     grads: dict[int, np.ndarray] = {root.node_id: np.ones_like(root.data)}
     for nid in range(root.node_id, -1, -1):
-        g = grads.get(nid)
-        if g is None:
-            continue
         node = tape.nodes[nid]
-        if node.op == "leaf":
+        if node.op == "leaf" or nid not in grads:
             continue
+        g = grads.pop(nid)
         for pid, pg in zip(node.parents, node.backward_fn(g)):
             if pid is None or pg is None:
                 continue

@@ -91,11 +91,25 @@ def adam_update(params: dict, grads: dict, state: OptimizerState, lr: float,
             raise ValueError(
                 f"gradient shape {g.shape} mismatches parameter "
                 f"{name} {p.data.shape}")
-        state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1.0 - b2) * g * g
-        m_hat = state.m[name] / (1.0 - b1 ** t)
-        v_hat = state.v[name] / (1.0 - b2 ** t)
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        # In place, in the operation order of the textbook form
+        #   m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
+        #   p -= (lr * m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps)
+        # so that every value is bit-identical to it.
+        m, v = state.m[name], state.v[name]
+        buf = np.multiply(g, 1.0 - b1)
+        m *= b1
+        m += buf
+        np.multiply(g, 1.0 - b2, out=buf)
+        buf *= g
+        v *= b2
+        v += buf
+        np.divide(v, 1.0 - b2 ** t, out=buf)
+        np.sqrt(buf, out=buf)
+        buf += eps
+        step = np.divide(m, 1.0 - b1 ** t)
+        step *= lr
+        step /= buf
+        p.data -= step
 
 
 def cross_entropy(probs, label: int) -> float:
@@ -169,12 +183,15 @@ def train(model_cfg: ModelConfig, params: dict,
                                       rng=drop_rng)
                 loss = batch_loss(probs, batch.labels)
             backward(loss)
+            epoch_loss += loss.item() * len(batch.labels)
+            # The last references to this step's tape: drop them so that it
+            # is freed before the next forward pass records another.
+            del probs, loss
             grads = {name: p.grad for name, p in params.items()}
             for p in params.values():
                 p.grad = None
             adam_update(params, grads, state, lr, config)
             step += 1
-            epoch_loss += loss.item() * len(batch.labels)
         val_loss, val_acc = evaluate(model_cfg, params, val_samples,
                                      config.batch_size)
         history.append(EpochStats(epoch=epoch,

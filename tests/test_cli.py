@@ -171,6 +171,39 @@ def test_cv_jobs_matches_serial(dataset, tmp_path):
         (outs[1] / "metrics.json").read_bytes()
 
 
+@pytest.mark.parametrize("config,message", [
+    ({"tubelet": "abc"}, "'tubelet'"),
+    ({"tubelet": [5, "8", 8]}, "'tubelet'"),
+    ({"epochs": 2.5}, "'epochs'"),
+    ({"dropout": True}, "'dropout'"),
+    ({"optimizer": 1}, "'optimizer'"),
+    ([1, 2], "JSON object"),
+], ids=["str_for_list", "str_in_list", "float_for_int", "bool_for_float",
+        "int_for_str", "not_object"])
+def test_cv_config_value_of_wrong_type_exits_2(dataset, tmp_path, capsys,
+                                               config, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(config))
+    rc = main(["cv", "--instances", str(dataset / "instances.csv"),
+               "--manifest", str(dataset / "data" / "manifest.jsonl"),
+               "--config", str(bad), "--rois", "hippocampus_left",
+               "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+
+
+def test_cv_malformed_instance_row_exits_1(dataset, tmp_path, capsys):
+    bad = tmp_path / "instances.csv"
+    bad.write_text((dataset / "instances.csv").read_text()
+                   + "S999,CN,hippocampus_left,3,8\n")
+    rc = main(["cv", "--instances", str(bad),
+               "--manifest", str(dataset / "data" / "manifest.jsonl"),
+               "--config", str(dataset / "config.json"),
+               "--rois", "hippocampus_left", "--out", str(tmp_path / "x")])
+    assert rc == 1
+    assert "malformed instance row" in capsys.readouterr().err
+
+
 def test_cv_unknown_config_key_exits_2(dataset, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"nonsense": 1}))

@@ -364,6 +364,17 @@ def test_volume_truncated(tmp_path):
         load_volume(path)
 
 
+@pytest.mark.parametrize("size", [5, 12, 18])
+def test_volume_shorter_than_header(tmp_path, size):
+    # Magic, version and ndim fill 12 bytes, the 3 dims end at byte 24 and
+    # the dtype code at byte 28.
+    path = tmp_path / "h.vol"
+    save_volume(np.zeros((2, 3, 4), dtype=np.float32), path)
+    path.write_bytes(path.read_bytes()[:size])
+    with pytest.raises(TruncatedPayloadError):
+        load_volume(path)
+
+
 def test_volume_dim_overflow(tmp_path):
     import struct
     path = tmp_path / "o.vol"
@@ -390,6 +401,17 @@ def test_instance_csv_round_trip(tmp_path):
     assert load_instances(path) == rows
     assert path.read_text().splitlines()[0] == \
         "subject_id,class,roi,slice_start,slice_count,cx,cy"
+
+
+@pytest.mark.parametrize("row", ["S2,CN,hip,3,25", "S2,MCI,hip,3,25,10,12",
+                                 "S2,AD,hip,three,25,10,12"])
+def test_instance_csv_malformed_row(tmp_path, row):
+    path = tmp_path / "inst.csv"
+    save_instances([InstanceRecord("S0", CN, "hip", 3, 25, 10, 12)], path)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(row + "\n")
+    with pytest.raises(ValueError, match="line 3"):
+        load_instances(path)
 
 
 # --- batches ----------------------------------------------------------------

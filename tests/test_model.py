@@ -396,7 +396,15 @@ def _checkpoint_blob(manifest: dict, payload: bytes = b"") -> bytes:
     _checkpoint_blob({"entries": {"name": "w"}}),
     _checkpoint_blob({"entries": [{"name": "w", "shape": [1],
                                    "offset": -8}]}, b"\0" * 16),
-], ids=["short_header", "no_entries", "entries_not_list", "negative_offset"])
+    _checkpoint_blob({"entries": [{"name": "w", "shape": [1]}]}, b"\0" * 8),
+    _checkpoint_blob({"entries": [{"name": "w", "shape": [-1],
+                                   "offset": 0}]}, b"\0" * 8),
+    _checkpoint_blob({"entries": [{"name": "w", "shape": [1], "offset": 0},
+                                  {"name": "w", "shape": [1], "offset": 8}]},
+                     b"\0" * 16),
+    _checkpoint_blob({"entries": ["w"]}, b"\0" * 8),
+], ids=["short_header", "no_entries", "entries_not_list", "negative_offset",
+        "no_offset", "negative_dim", "repeated_name", "entry_not_object"])
 def test_checkpoint_malformed(tmp_path, blob):
     path = tmp_path / "bad.mwt"
     path.write_bytes(blob)

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from mixedvit.tensor import (
     narrow,
     reshape,
     softmax,
+    sub,
     tlog,
     tsum,
 )
@@ -225,7 +228,8 @@ def test_backward_skips_non_grad_leaves():
             np.testing.assert_array_equal(x.grad, [[3.0]])
             assert c.grad is None
             assert id(c) not in tape._leaf_ids
-            assert all(nid < len(tape.nodes) for nid in grads)
+            # Only leaf gradients are returned; intermediates are freed.
+            assert list(grads) == [tape._leaf_ids[id(x)]]
             # The op's backward computes no gradient for the constant.
             node_grads = tape.nodes[node.node_id].backward_fn(np.ones((1, 1)))
             assert node_grads[0 if const_first else 1] is None
@@ -369,3 +373,55 @@ def test_tape_topological_order():
     for nid, node in enumerate(tape.nodes):
         for pid in node.parents:
             assert pid is None or pid < nid
+
+
+# Each case applies one op to h, a (4, 6) op output that is itself on the
+# tape, so a backward closure that captured a Tensor would tie the tape into
+# a reference cycle. Keys are "<name in tensor.__all__>[:variant]".
+_TAPE_CASES = {
+    "elementwise": lambda h: elementwise("add", h, h),
+    "add": lambda h: h + h,
+    "sub": lambda h: sub(h, h * h),
+    "mul": lambda h: mul(h, h),
+    "matmul": lambda h: matmul(h, reshape(h, (6, 4))),
+    "attention": lambda h: attention(reshape(h, (1, 4, 6)), 1, 0.3, True,
+                                     np.random.default_rng(2)),
+    "softmax": lambda h: softmax(h, 1),
+    "layer_norm": lambda h: layer_norm(h, reshape(narrow(h, 0, 0, 1), (6,)),
+                                       reshape(narrow(h, 0, 1, 1), (6,))),
+    "gelu": gelu,
+    "dropout": lambda h: dropout(h, 0.5, True, np.random.default_rng(2)),
+    "concat": lambda h: concat([h, h], axis=0),
+    "reshape": lambda h: reshape(h, (6, 4)),
+    "narrow": lambda h: narrow(h, 1, 2, 3),
+    "tsum": tsum,
+    "tsum:axis": lambda h: tsum(h, axis=0),
+    "tlog": tlog,
+    "clamp_min": lambda h: clamp_min(h, 1.0),
+}
+
+
+def test_tape_cases_cover_every_op():
+    not_ops = {"Tensor", "Tape", "ShapeError", "backward", "grad_check"}
+    assert {key.split(":")[0] for key in _TAPE_CASES} == set(T.__all__) - not_ops
+
+
+@pytest.mark.parametrize("case", sorted(_TAPE_CASES))
+def test_tape_freed_by_reference_counting(case):
+    x_data = np.random.default_rng(0).random((4, 6)) + 0.5
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        with Tape() as tape:
+            x = Tensor(x_data, requires_grad=True)
+            out = _TAPE_CASES[case](x * x)
+            root = tsum(out)
+        backward(root)
+        assert x.grad.shape == x.shape
+        alive = weakref.ref(tape)
+        del tape, out, root
+        assert alive() is None
+    finally:
+        if enabled:
+            gc.enable()

@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -77,6 +78,48 @@ def test_adam_shape_mismatch():
     state = OptimizerState.for_params(params)
     with pytest.raises(ValueError):
         adam_update(params, {"w": np.zeros(4)}, state, 0.1, cfg)
+
+
+def _adam_reference(params, grads, state, lr, cfg):
+    """The textbook out-of-place form of the update."""
+    b1, b2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps
+    state.step += 1
+    t = state.step
+    for name, p in params.items():
+        g = grads.get(name, np.zeros(p.shape))
+        state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
+        state.v[name] = b2 * state.v[name] + (1.0 - b2) * g * g
+        m_hat = state.m[name] / (1.0 - b1 ** t)
+        v_hat = state.v[name] / (1.0 - b2 ** t)
+        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def test_adam_in_place_matches_reference_bitwise():
+    cfg = TrainConfig(adam_beta1=0.8, adam_beta2=0.95)
+    rng = np.random.default_rng(6)
+    shapes = {"a": (3, 4), "b": (5,), "c": (2, 2, 2)}
+    init = {k: rng.normal(size=s) for k, s in shapes.items()}
+    runs = []
+    for update in (adam_update, _adam_reference):
+        params = {k: Tensor(v.copy(), requires_grad=True)
+                  for k, v in init.items()}
+        state = OptimizerState.for_params(params)
+        grad_rng = np.random.default_rng(7)
+        for step in range(6):
+            grads = {k: grad_rng.normal(scale=10.0 ** (step - 3), size=s)
+                     for k, s in shapes.items() if (k, step) != ("c", 2)}
+            kept = {k: g.copy() for k, g in grads.items()}
+            # A step as large as the parameters, so no rounding of it hides.
+            update(params, grads, state, 0.5 * 0.9 ** step, cfg)
+            for k in grads:  # the update never writes to a gradient
+                np.testing.assert_array_equal(grads[k], kept[k])
+        runs.append((params, state))
+    (p1, s1), (p2, s2) = runs
+    assert s1.step == s2.step == 6
+    for k in shapes:
+        np.testing.assert_array_equal(p1[k].data, p2[k].data)
+        np.testing.assert_array_equal(s1.m[k], s2.m[k])
+        np.testing.assert_array_equal(s1.v[k], s2.v[k])
 
 
 def test_cross_entropy_values():
@@ -166,6 +209,21 @@ def test_train_determinism_bitwise():
     p2, h2 = run()
     np.testing.assert_array_equal(p1, p2)
     assert h1 == h2
+
+
+def test_train_leaves_no_reference_cycles():
+    samples = make_samples(12, seed=4)
+    params = init_params(SMALL_MODEL, 0)
+    cfg = TrainConfig(initial_lr=1e-2, batch_size=4, epochs=2)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        train(SMALL_MODEL, params, samples[:8], samples[8:], cfg)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_train_best_checkpoint_selection():
