@@ -175,6 +175,8 @@ def _load_manifest(path) -> list:
         return D.load_manifest(path)
     except FileNotFoundError as exc:
         raise RuntimeFailure(f"manifest not found: {path}") from exc
+    except ValueError as exc:
+        raise RuntimeFailure(str(exc)) from exc
 
 
 def _load_instances(path) -> list:
@@ -449,31 +451,49 @@ def _roc_svg(points, auc_value: float) -> str:
         f"</svg>\n")
 
 
+def _load_snapshot(path: Path) -> tuple:
+    """(model config, ROIs, fit ranges, batch size) from the config.json a
+    ``train`` run wrote; a malformed file is a RuntimeFailure naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            snapshot = json.load(fh)
+        m = snapshot["model"]
+        model_cfg = MO.ModelConfig(
+            image_dims=tuple(m["image_dims"]), tubelet=tuple(m["tubelet"]),
+            embed_dim=m["embed_dim"], depth=m["depth"], heads=m["heads"],
+            mlp_ratio=m["mlp_ratio"], dropout_rate=m["dropout_rate"],
+            tabular_dim=m["tabular_dim"],
+            tabular_hidden=tuple(m["tabular_hidden"]),
+            num_branches=m["num_branches"], mode=m["mode"])
+        rois = snapshot["rois"]
+        if len(rois) != model_cfg.num_branches:
+            raise ValueError(f"{len(rois)} rois for "
+                             f"{model_cfg.num_branches} image branches")
+        fit = D.FitStats(**snapshot["fit"])
+        # TrainConfig checks the batch size as it does for a train run.
+        batch_size = TR.TrainConfig(
+            batch_size=snapshot["train"]["batch_size"]).batch_size
+    except (ValueError, KeyError, TypeError) as exc:
+        raise RuntimeFailure(
+            f"{path} is not a usable model config: {exc!r}") from exc
+    return model_cfg, rois, fit, batch_size
+
+
 def cmd_eval(args) -> int:
     started = time.time()
     model_dir = Path(args.model)
     try:
-        with open(model_dir / "config.json", encoding="utf-8") as fh:
-            snapshot = json.load(fh)
         params = MO.load_checkpoint(model_dir / "checkpoint.mwt")
+        model_cfg, rois, fit, batch_size = _load_snapshot(
+            model_dir / "config.json")
     except FileNotFoundError as exc:
         raise RuntimeFailure(f"model directory incomplete: {exc}") from exc
     except MO.CheckpointError as exc:
         raise RuntimeFailure(str(exc)) from exc
-    m = snapshot["model"]
-    model_cfg = MO.ModelConfig(
-        image_dims=tuple(m["image_dims"]), tubelet=tuple(m["tubelet"]),
-        embed_dim=m["embed_dim"], depth=m["depth"], heads=m["heads"],
-        mlp_ratio=m["mlp_ratio"], dropout_rate=m["dropout_rate"],
-        tabular_dim=m["tabular_dim"],
-        tabular_hidden=tuple(m["tabular_hidden"]),
-        num_branches=m["num_branches"], mode=m["mode"])
     expected = {name: shape for name, shape in MO.param_shapes(model_cfg).items()}
     got = {name: p.shape for name, p in params.items()}
     if expected != got:
         raise RuntimeFailure("checkpoint does not match its model config")
-    rois = snapshot["rois"]
-    fit = D.FitStats(**snapshot["fit"])
     records = _load_manifest(args.manifest)
     instances = _load_instances(args.instances)
     have = {(i.subject_id, i.roi_name) for i in instances}
@@ -483,8 +503,7 @@ def cmd_eval(args) -> int:
         raise RuntimeFailure("no subjects with instances for the model's ROIs")
     size, channels = _geometry(model_cfg)
     samples = D.build_samples(records, instances, rois, fit, size, channels)
-    preds = TR.predict(model_cfg, params, samples,
-                       snapshot["train"]["batch_size"])
+    preds = TR.predict(model_cfg, params, samples, batch_size)
     report = ME.evaluate_fold(preds, 0)
 
     out = Path(args.out)

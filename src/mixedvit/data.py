@@ -34,7 +34,7 @@ MIN_SYNTH_DIMS = (25 + SYNTH_MARGIN, 32 + SYNTH_MARGIN, 32 + SYNTH_MARGIN)
 
 
 class FormatError(ValueError):
-    """Volume container has a bad magic or malformed header."""
+    """The volume container has a bad magic or malformed header."""
 
 
 class TruncatedPayloadError(ValueError):
@@ -84,16 +84,6 @@ class InstanceRecord:
     slice_count: int
     cx: int
     cy: int
-
-
-@dataclass(frozen=True)
-class Volume:
-    voxels: np.ndarray  # scaled to [0, 1]
-    intensity_range: tuple  # (min, max) before scaling
-
-    @property
-    def dims(self) -> tuple:
-        return self.voxels.shape
 
 
 @dataclass
@@ -203,25 +193,39 @@ def save_manifest(records: Sequence[SubjectRecord], path) -> None:
 
 
 def load_manifest(path) -> list[SubjectRecord]:
+    """Records of a manifest written by ``save_manifest``. A malformed line
+    (not UTF-8 JSON, a missing key, a value of the wrong type or one
+    ``SubjectRecord`` rejects) raises one ValueError naming file and line."""
     base = Path(path).parent
     records = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            if not raw.strip():
                 continue
-            obj = json.loads(line)
-            records.append(SubjectRecord(
-                subject_id=obj["subject_id"],
-                visit_date=obj["visit_date"],
-                age=float(obj["age"]),
-                mmse=int(obj["mmse"]),
-                gender=obj["gender"],
-                cdr=float(obj["cdr"]),
-                volume_path=str(base / obj["volume"]),
-                roi_masks={name: str(base / p)
-                           for name, p in obj["rois"].items()},
-            ))
+            try:
+                records.append(_subject_record(json.loads(raw.decode("utf-8")),
+                                               base))
+            except (ValueError, KeyError, TypeError, OverflowError) as exc:
+                raise ValueError(
+                    f"{path}, line {lineno}: malformed subject record "
+                    f"({exc!r})") from exc
     return records
+
+
+def _subject_record(obj: dict, base: Path) -> SubjectRecord:
+    rois = obj["rois"]
+    if not isinstance(rois, dict):
+        raise TypeError(f"rois {rois!r} is not an object")
+    return SubjectRecord(
+        subject_id=obj["subject_id"],
+        visit_date=obj["visit_date"],
+        age=float(obj["age"]),
+        mmse=int(obj["mmse"]),
+        gender=obj["gender"],
+        cdr=float(obj["cdr"]),
+        volume_path=str(base / obj["volume"]),
+        roi_masks={name: str(base / p) for name, p in rois.items()},
+    )
 
 
 def _relative(path, base: Path) -> str:
@@ -442,24 +446,23 @@ def select_instances(records: Sequence[SubjectRecord], roi: str,
 # volumes, crops, batches
 
 
-def scale_volume(raw: np.ndarray) -> Volume:
-    """Min-max scale a raw volume to [0,1], recording the original range."""
+def scale_volume(raw: np.ndarray) -> np.ndarray:
+    """Min-max scale a raw volume to [0,1]; a constant volume becomes 0."""
     raw = np.asarray(raw, dtype=np.float64)
     lo, hi = float(raw.min()), float(raw.max())
     if hi > lo:
-        voxels = (raw - lo) / (hi - lo)
-    else:
-        voxels = np.zeros_like(raw)
-    return Volume(voxels=voxels, intensity_range=(lo, hi))
+        return (raw - lo) / (hi - lo)
+    return np.zeros_like(raw)
 
 
-def crop_roi(volume: Volume, instance: InstanceRecord,
+def crop_roi(volume: np.ndarray, instance: InstanceRecord,
              size=(32, 32), channels: int = 3) -> np.ndarray:
-    """Extract the (T, H', W', C) crop centred on the modal centroid.
+    """Extract the (T, H', W', C) crop of a scaled (D, H, W) volume, centred
+    on the modal centroid.
 
     Windows near a border are shifted (not padded) to stay inside the plane.
     """
-    depth, H, W = volume.dims
+    depth, H, W = volume.shape
     hp, wp = size
     if H < hp or W < wp:
         raise ValueError(f"plane {(H, W)} smaller than crop window {size}")
@@ -469,9 +472,9 @@ def crop_roi(volume: Volume, instance: InstanceRecord,
             f"{instance.slice_start + instance.slice_count}) outside depth {depth}")
     top = min(max(instance.cx - hp // 2, 0), H - hp)
     left = min(max(instance.cy - wp // 2, 0), W - wp)
-    stack = volume.voxels[instance.slice_start:
-                          instance.slice_start + instance.slice_count,
-                          top:top + hp, left:left + wp]
+    stack = volume[instance.slice_start:
+                   instance.slice_start + instance.slice_count,
+                   top:top + hp, left:left + wp]
     return np.repeat(stack[..., None], channels, axis=-1)
 
 
@@ -500,8 +503,7 @@ def build_samples(records: Sequence[SubjectRecord],
 
 
 def build_batches(samples: Sequence[MixedSample], batch_size: int,
-                  rng: Optional[np.random.Generator] = None,
-                  drop_last: bool = False) -> list[MixedBatch]:
+                  rng: Optional[np.random.Generator] = None) -> list[MixedBatch]:
     """Seeded shuffle (when rng given), then fixed-size batches."""
     if not samples:
         raise ValueError("no samples to batch")
@@ -512,10 +514,7 @@ def build_batches(samples: Sequence[MixedSample], batch_size: int,
         order = [int(i) for i in rng.permutation(len(samples))]
     batches = []
     for start in range(0, len(order), batch_size):
-        chunk = order[start:start + batch_size]
-        if drop_last and len(chunk) < batch_size:
-            break
-        group = [samples[i] for i in chunk]
+        group = [samples[i] for i in order[start:start + batch_size]]
         n_branches = len(group[0].images)
         batches.append(MixedBatch(
             subject_ids=[s.subject_id for s in group],

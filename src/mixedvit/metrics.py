@@ -1,6 +1,6 @@
 """Evaluation and statistics: stratified k-fold CV, confusion/accuracy,
-ROC/AUC (trapezoid + rank-based oracle), mean±std reporting, pooled t-test
-and one-way ANOVA with exact p-values via the regularized incomplete beta.
+ROC/AUC by the trapezoid rule, mean±std reporting, pooled t-test and
+one-way ANOVA, with p-values from scipy's regularized incomplete beta.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.special import betainc
 
 from .data import (
     AD,
@@ -144,21 +145,6 @@ def auc_trapezoid(points: Sequence[RocPoint]) -> float:
     return total
 
 
-def auc_mannwhitney(scores: Sequence[float], labels: Sequence[int]) -> float:
-    """Rank-statistic AUC: (#{pos>neg} + 0.5 #{ties}) / (n_pos n_neg)."""
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    pos = scores[labels == AD]
-    neg = scores[labels == CN]
-    if pos.size == 0 or neg.size == 0:
-        raise ValueError("AUC needs both classes present")
-    wins = ties = 0
-    for p in pos:
-        wins += int((p > neg).sum())
-        ties += int((p == neg).sum())
-    return (wins + 0.5 * ties) / (pos.size * neg.size)
-
-
 def mean_std(values: Sequence[float]):
     """Mean and sample (n-1) standard deviation; std is 0 for n=1."""
     values = np.asarray(values, dtype=np.float64)
@@ -174,63 +160,7 @@ def format_mean_std(mean: float, std: float) -> str:
 
 
 # ---------------------------------------------------------------------------
-# special function and hypothesis tests
-
-
-def reg_incomplete_beta(x: float, a: float, b: float) -> float:
-    """Regularized incomplete beta I_x(a, b) by continued fraction."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x={x} outside [0, 1]")
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError(f"a={a}, b={b} must be positive")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    ln_front = (math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-                + a * math.log(x) + b * math.log1p(-x))
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_continued_fraction(a, b, x) / a
-    return 1.0 - front * _beta_continued_fraction(b, a, 1.0 - x) / b
-
-
-def _beta_continued_fraction(a: float, b: float, x: float,
-                             max_iter: int = 300, eps: float = 1e-15) -> float:
-    """Modified Lentz evaluation of the incomplete-beta continued fraction."""
-    tiny = 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, max_iter + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < eps:
-            return h
-    raise ArithmeticError(
-        f"incomplete beta continued fraction did not converge (a={a}, b={b})")
+# hypothesis tests
 
 
 def t_test(a: Sequence[float], b: Sequence[float]):
@@ -248,7 +178,7 @@ def t_test(a: Sequence[float], b: Sequence[float]):
         raise DegenerateVarianceError(
             "zero pooled variance with unequal means")
     t = diff / math.sqrt(pooled * (1.0 / a.size + 1.0 / b.size))
-    p = reg_incomplete_beta(df / (df + t * t), df / 2.0, 0.5)
+    p = betainc(df / 2.0, 0.5, df / (df + t * t))
     return float(t), df, float(p)
 
 
@@ -271,13 +201,17 @@ def one_way_anova(groups: Sequence[Sequence[float]]):
             return 0.0, df_between, df_within, 1.0
         return math.inf, df_between, df_within, 0.0
     f = (ss_between / df_between) / (ss_within / df_within)
-    x = df_between * f / (df_between * f + df_within)
-    p = 1.0 - reg_incomplete_beta(x, df_between / 2.0, df_within / 2.0)
+    p = betainc(df_within / 2.0, df_between / 2.0,
+                df_within / (df_within + df_between * f))
     return float(f), df_between, df_within, float(p)
 
 
 # ---------------------------------------------------------------------------
 # cross-validation driver
+
+
+# Share of each fold's training subjects carved out for checkpoint selection.
+VAL_FRACTION = 0.2
 
 
 def _derive_seed(*parts: int) -> int:
@@ -298,11 +232,10 @@ def evaluate_fold(predictions: Sequence[Prediction],
 def cv_run(records: Sequence[SubjectRecord],
            instances: Sequence[InstanceRecord], rois: Sequence[str],
            model_cfg: ModelConfig, train_cfg: TrainConfig, k: int = 7,
-           seed: int = 0, holdout_test: bool = True, jobs: int = 1,
-           val_fraction: float = 0.2):
+           seed: int = 0, holdout_test: bool = True, jobs: int = 1):
     """k-fold CV over pooled train+validation subjects (test split held out).
 
-    Each fold trains on the other k-1 folds, with an inner ``val_fraction``
+    Each fold trains on the other k-1 folds, with an inner ``VAL_FRACTION``
     carve for checkpoint selection, and is scored on the held-out fold.
     Returns the fold reports and a mean±std summary.
     """
@@ -323,7 +256,7 @@ def cv_run(records: Sequence[SubjectRecord],
         held_records = [by_id[sid] for sid in folds[fold_index]]
         fold_seed = _derive_seed(seed, 31, fold_index)
         inner_train, inner_val, _ = split_subjects(
-            train_records, (1.0 - val_fraction, val_fraction, 0.0),
+            train_records, (1.0 - VAL_FRACTION, VAL_FRACTION, 0.0),
             np.random.default_rng([seed, 47, fold_index]))
         fit = FitStats.from_records(inner_train)
         size = tuple(model_cfg.image_dims[1:3])

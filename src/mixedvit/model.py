@@ -172,43 +172,25 @@ def init_params(config: ModelConfig, seed: int) -> dict[str, Tensor]:
     return params
 
 
-def flatten_params(params: dict[str, Tensor]) -> np.ndarray:
-    return np.concatenate([p.data.reshape(-1) for p in params.values()]) \
-        if params else np.zeros(0)
-
-
-def params_from_vector(vec: Tensor, shapes: dict[str, tuple]) -> dict[str, Tensor]:
-    """Differentiable unflatten, for whole-model gradient checks."""
-    out = {}
-    offset = 0
-    for name, shape in shapes.items():
-        n = prod(shape)
-        out[name] = reshape(narrow(vec, 0, offset, n), shape)
-        offset += n
-    return out
-
-
 def extract_tubelet_patches(volume: np.ndarray, tubelet) -> np.ndarray:
-    """Cut a (T,H,W,C) volume (or (B,...) batch) into flattened tubelets.
+    """Cut a (B,T,H,W,C) batch of volumes into (B,N,t*h*w*C) tubelets.
 
     Token order is row-major over (temporal, height, width) block indices;
     each block flattens slice-major, then row, column, channel.
     """
     t, h, w = tubelet
-    batched = volume.ndim == 5
-    vol = volume if batched else volume[None]
-    B, T, H, W, C = vol.shape
+    B, T, H, W, C = volume.shape
     if T % t or H % h or W % w:
-        raise ConfigError(f"tubelet {tubelet} does not divide volume {vol.shape[1:4]}")
-    blocks = vol.reshape(B, T // t, t, H // h, h, W // w, w, C)
+        raise ConfigError(
+            f"tubelet {tubelet} does not divide volume {volume.shape[1:4]}")
+    blocks = volume.reshape(B, T // t, t, H // h, h, W // w, w, C)
     blocks = blocks.transpose(0, 1, 3, 5, 2, 4, 6, 7)
-    patches = blocks.reshape(B, (T // t) * (H // h) * (W // w), t * h * w * C)
-    return patches if batched else patches[0]
+    return blocks.reshape(B, (T // t) * (H // h) * (W // w), t * h * w * C)
 
 
 def tubelet_embed(volume: np.ndarray, weight: Tensor, bias: Tensor,
                   tubelet) -> Tensor:
-    """Project flattened tubelets to tokens: (B,N,d) (or (N,d) unbatched)."""
+    """Project the tubelets of a (B,T,H,W,C) batch to (B,N,d) tokens."""
     patches = extract_tubelet_patches(np.asarray(volume, dtype=np.float64), tubelet)
     return add(matmul(Tensor(patches), weight), bias)
 
@@ -241,8 +223,6 @@ def encode_image_branch(volumes: np.ndarray, params: dict[str, Tensor],
                         rng: Optional[np.random.Generator] = None) -> Tensor:
     """Full image branch: (B,T,H,W,C) volumes -> (B,d) class-token embedding."""
     volumes = np.asarray(volumes, dtype=np.float64)
-    if volumes.ndim == 4:
-        volumes = volumes[None]
     if volumes.shape[1:] != tuple(config.image_dims):
         raise ConfigError(
             f"volume dims {volumes.shape[1:]} do not match config "
@@ -260,16 +240,13 @@ def encode_image_branch(volumes: np.ndarray, params: dict[str, Tensor],
 
 
 def mlp_branch_forward(features: np.ndarray, params: dict[str, Tensor],
-                       config: ModelConfig, training: bool = False,
-                       rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Dense layers with GELU between them; last hidden is the embedding."""
-    del training, rng  # no dropout in the tabular branch
+                       config: ModelConfig) -> Tensor:
+    """(B,F) features through dense layers with GELU between them; the last
+    hidden layer is the embedding. The branch has no dropout."""
     features = np.asarray(features, dtype=np.float64)
-    if features.ndim == 1:
-        features = features[None]
-    if features.shape[1] != config.tabular_dim:
+    if features.ndim != 2 or features.shape[1] != config.tabular_dim:
         raise ConfigError(
-            f"tabular feature count {features.shape[1]} != {config.tabular_dim}")
+            f"tabular features {features.shape} are not (B, {config.tabular_dim})")
     x = Tensor(features)
     last = len(config.tabular_hidden) - 1
     for j in range(len(config.tabular_hidden)):
@@ -304,23 +281,11 @@ def forward_batch(config: ModelConfig, params: dict[str, Tensor],
     if config.mode == MODE_MIXED:
         if tabular is None:
             raise ValueError("mixed mode requires tabular features")
-        embeddings.append(mlp_branch_forward(tabular, params, config,
-                                             training, rng))
+        embeddings.append(mlp_branch_forward(tabular, params, config))
     for i, vol in enumerate(volumes):
         embeddings.append(encode_image_branch(vol, params, i, config,
                                               training, rng))
     return fuse_classify(embeddings, params, config, training, rng)
-
-
-def forward(config: ModelConfig, params: dict[str, Tensor],
-            tabular: Optional[np.ndarray], volumes: list[np.ndarray],
-            training: bool = False,
-            rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Single-sample convenience wrapper: returns probabilities of shape (2,)."""
-    tab = None if tabular is None else np.asarray(tabular)[None]
-    vols = [np.asarray(v)[None] for v in volumes]
-    probs = forward_batch(config, params, tab, vols, training, rng)
-    return reshape(probs, (2,))
 
 
 def save_checkpoint(path, params: dict[str, Tensor]) -> None:
@@ -362,6 +327,7 @@ def load_checkpoint(path) -> dict[str, Tensor]:
         raise CheckpointError("checkpoint manifest has no 'entries' list")
     payload = blob[8 + mlen:]
     params: dict[str, Tensor] = {}
+    spans = []
     for entry in entries:
         name, shape, start = _checkpoint_entry(entry)
         if name in params:
@@ -372,6 +338,12 @@ def load_checkpoint(path) -> dict[str, Tensor]:
                 f"checkpoint payload truncated for {name!r}")
         arr = np.frombuffer(payload[start:end], dtype="<f8").reshape(shape)
         params[name] = Tensor(arr.copy(), requires_grad=True)
+        spans.append((start, end, name))
+    spans.sort()
+    for (_, prev_end, prev), (start, _, name) in zip(spans, spans[1:]):
+        if start < prev_end:
+            raise CheckpointError(
+                f"checkpoint entries {prev!r} and {name!r} overlap")
     return params
 
 

@@ -2,8 +2,9 @@
 
 A ``Tape`` records every differentiable operation performed while it is
 active (define-by-run); ``backward`` replays it in reverse and returns the
-gradient of every leaf that was reached. The op inventory is exactly what
-the two-branch transformer model needs -- nothing more.
+gradient of every leaf that was reached. The ops are exactly those the
+two-branch model and its loss use; ``add`` and ``mul`` broadcast as numpy
+does.
 """
 
 from __future__ import annotations
@@ -19,9 +20,7 @@ __all__ = [
     "Tensor",
     "Tape",
     "ShapeError",
-    "elementwise",
     "add",
-    "sub",
     "mul",
     "matmul",
     "attention",
@@ -75,9 +74,6 @@ class Tensor:
 
     def __add__(self, other: "Tensor") -> "Tensor":
         return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return sub(self, other)
 
     def __mul__(self, other: "Tensor") -> "Tensor":
         return mul(self, other)
@@ -167,21 +163,6 @@ def _record(op: str, inputs: Sequence[Tensor], out_data: np.ndarray,
     return out
 
 
-def _check_broadcast(a_shape: tuple, b_shape: tuple) -> tuple:
-    """Trailing-axis broadcast: size-1 axes stretch. Returns result shape."""
-    out = []
-    for da, db in zip(reversed(a_shape), reversed(b_shape)):
-        if da == db or db == 1:
-            out.append(da)
-        elif da == 1:
-            out.append(db)
-        else:
-            raise ShapeError(
-                f"cannot broadcast shapes {a_shape} and {b_shape}")
-    longer = a_shape if len(a_shape) >= len(b_shape) else b_shape
-    return tuple(longer[:abs(len(a_shape) - len(b_shape))]) + tuple(reversed(out))
-
-
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum a broadcast gradient back down to ``shape``."""
     while grad.ndim > len(shape):
@@ -192,42 +173,37 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
-def elementwise(op_kind: str, a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a.shape, b.shape)
-    a_shape, b_shape = a.shape, b.shape
-    if op_kind == "add":
-        out = a.data + b.data
-
-        def back(g):
-            return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
-    elif op_kind == "sub":
-        out = a.data - b.data
-
-        def back(g):
-            return _unbroadcast(g, a_shape), _unbroadcast(-g, b_shape)
-    elif op_kind == "mul":
-        out = a.data * b.data
-        ad, bd = a.data, b.data
-        a_grad, b_grad = a.requires_grad, b.requires_grad
-
-        def back(g):
-            return (_unbroadcast(g * bd, a_shape) if a_grad else None,
-                    _unbroadcast(g * ad, b_shape) if b_grad else None)
-    else:
-        raise ValueError(f"unknown elementwise op {op_kind!r}")
-    return _record(op_kind, (a, b), out, back)
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
-    return elementwise("add", a, b)
+    try:
+        out = a.data + b.data
+    except ValueError as exc:
+        raise ShapeError(
+            f"cannot broadcast shapes {a.shape} and {b.shape}") from exc
+    a_shape, b_shape = a.shape, b.shape
 
+    def back(g):
+        return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    return elementwise("sub", a, b)
+    return _record("add", (a, b), out, back)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    return elementwise("mul", a, b)
+    """a * b; the backward skips the gradient of an operand without
+    requires_grad."""
+    try:
+        out = a.data * b.data
+    except ValueError as exc:
+        raise ShapeError(
+            f"cannot broadcast shapes {a.shape} and {b.shape}") from exc
+    ad, bd = a.data, b.data
+    a_shape, b_shape = a.shape, b.shape
+    a_grad, b_grad = a.requires_grad, b.requires_grad
+
+    def back(g):
+        return (_unbroadcast(g * bd, a_shape) if a_grad else None,
+                _unbroadcast(g * ad, b_shape) if b_grad else None)
+
+    return _record("mul", (a, b), out, back)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -433,18 +409,13 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     return _record("narrow", (x,), out, back)
 
 
-def tsum(x: Tensor, axis: Optional[int] = None) -> Tensor:
+def tsum(x: Tensor) -> Tensor:
+    """Sum of every element, as a 0-d tensor."""
     shape = x.shape
-    if axis is None:
-        out = x.data.sum()
+    out = x.data.sum()
 
-        def back(g):
-            return (np.broadcast_to(g, shape).copy(),)
-    else:
-        out = x.data.sum(axis=axis)
-
-        def back(g):
-            return (np.broadcast_to(np.expand_dims(g, axis), shape).copy(),)
+    def back(g):
+        return (np.broadcast_to(g, shape).copy(),)
 
     return _record("sum", (x,), np.asarray(out), back)
 

@@ -4,7 +4,6 @@ cross-entropy on softmax probabilities, validation-selected checkpointing.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -110,18 +109,6 @@ def adam_update(params: dict, grads: dict, state: OptimizerState, lr: float,
         step *= lr
         step /= buf
         p.data -= step
-
-
-def cross_entropy(probs, label: int) -> float:
-    """-ln(max(p_label, 1e-12)) for a single 2-class probability vector."""
-    probs = np.asarray(probs, dtype=np.float64)
-    if probs.shape != (2,):
-        raise ValueError(f"expected a 2-vector of probabilities, got {probs.shape}")
-    if abs(probs.sum() - 1.0) > 1e-6:
-        raise ValueError(f"probabilities sum to {probs.sum()}, not 1")
-    if label not in (CN, AD):
-        raise ValueError(f"invalid label {label}")
-    return -math.log(max(float(probs[label]), PROB_FLOOR))
 
 
 def batch_loss(probs: Tensor, labels: np.ndarray) -> Tensor:

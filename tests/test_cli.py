@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -8,6 +9,9 @@ import numpy as np
 import pytest
 
 from mixedvit.cli import main
+from mixedvit.data import FitStats
+from mixedvit.model import ModelConfig, save_checkpoint
+from mixedvit.train import TrainConfig
 
 TINY_CONFIG = {
     "slice_count": 8, "image_size": [16, 16], "channels": 1,
@@ -190,6 +194,71 @@ def test_cv_config_value_of_wrong_type_exits_2(dataset, tmp_path, capsys,
                "--out", str(tmp_path / "x")])
     assert rc == 2
     assert message in capsys.readouterr().err
+
+
+def _snapshot() -> dict:
+    """A config.json as ``train`` writes it, for a one-ROI mixed model."""
+    return {"model": dataclasses.asdict(ModelConfig(
+                image_dims=(8, 16, 16, 1), tubelet=(4, 8, 8), embed_dim=8,
+                depth=1, heads=2, tabular_hidden=(8, 4))),
+            "train": dataclasses.asdict(TrainConfig()),
+            "rois": ["hippocampus_left"], "mode": "mixed",
+            "fit": dataclasses.asdict(FitStats(60.0, 90.0, 10.0, 30.0))}
+
+
+def _without(key, inner=None):
+    def edit(snap):
+        (snap[inner] if inner else snap).pop(key)
+    return edit
+
+
+def _set(value, key, inner=None):
+    def edit(snap):
+        (snap[inner] if inner else snap)[key] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    "{not json", "{}", '{"model": {}}', "[]",
+    _without("fit"), _without("rois"), _without("heads", "model"),
+    _set([3, 8, 8], "tubelet", "model"), _set("x", "embed_dim", "model"),
+    _set(0, "batch_size", "train"), _set({"age": 1}, "fit"),
+    _set(["hippocampus_left", "fornix_right"], "rois"),
+], ids=["not_json", "empty", "empty_model", "not_object", "no_fit", "no_rois",
+        "no_heads", "tubelet_not_dividing", "embed_dim_text", "batch_size_0",
+        "fit_fields", "rois_for_two_branches"])
+def test_eval_malformed_config_exits_1(dataset, tmp_path, capsys, edit):
+    model = tmp_path / "model"
+    model.mkdir()
+    save_checkpoint(model / "checkpoint.mwt", {})
+    argv = ["eval", "--model", str(model),
+            "--instances", str(dataset / "instances.csv"),
+            "--manifest", str(dataset / "data" / "manifest.jsonl"),
+            "--out", str(tmp_path / "m.json")]
+    # The intact snapshot gets past config.json to the empty checkpoint.
+    (model / "config.json").write_text(json.dumps(_snapshot()))
+    assert main(argv) == 1
+    assert "checkpoint does not match" in capsys.readouterr().err
+    if callable(edit):
+        snapshot = _snapshot()
+        edit(snapshot)
+        edit = json.dumps(snapshot)
+    (model / "config.json").write_text(edit)
+    assert main(argv) == 1
+    assert f"{model / 'config.json'} is not a usable model config" in \
+        capsys.readouterr().err
+
+
+def test_select_manifest_line_without_rois_exits_1(dataset, tmp_path, capsys):
+    lines = (dataset / "data" / "manifest.jsonl").read_text().splitlines()
+    obj = json.loads(lines[0])
+    del obj["rois"]
+    bad = tmp_path / "manifest.jsonl"  # line 1 fails before any path is read
+    bad.write_text("\n".join([json.dumps(obj)] + lines[1:]) + "\n")
+    rc = main(["select", "--manifest", str(bad), "--roi", "hippocampus_left",
+               "--slices", "8", "--out", str(tmp_path / "inst.csv")])
+    assert rc == 1
+    assert f"{bad}, line 1: malformed subject record" in capsys.readouterr().err
 
 
 def test_cv_malformed_instance_row_exits_1(dataset, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -289,18 +291,18 @@ def test_crop_centered():
     inst = InstanceRecord("S0", CN, "r", 5, 25, 16, 16)
     crop = crop_roi(vol, inst)
     np.testing.assert_array_equal(
-        crop[..., 0], vol.voxels[5:30, 0:32, 0:32])
+        crop[..., 0], vol[5:30, 0:32, 0:32])
 
 
 def test_crop_clamped_near_border():
     vol = _volume()
     inst = InstanceRecord("S0", CN, "r", 0, 25, 5, 5)
     crop = crop_roi(vol, inst)
-    np.testing.assert_array_equal(crop[..., 0], vol.voxels[0:25, 0:32, 0:32])
+    np.testing.assert_array_equal(crop[..., 0], vol[0:25, 0:32, 0:32])
     inst_far = InstanceRecord("S0", CN, "r", 0, 25, 63, 63)
     crop_far = crop_roi(vol, inst_far)
     np.testing.assert_array_equal(
-        crop_far[..., 0], vol.voxels[0:25, 32:64, 32:64])
+        crop_far[..., 0], vol[0:25, 32:64, 32:64])
 
 
 def test_crop_shape_table_config():
@@ -393,6 +395,34 @@ def test_manifest_round_trip(tmp_path):
     assert loaded == records
 
 
+@pytest.mark.parametrize("edit", [
+    lambda obj: obj.pop("rois"),
+    lambda obj: obj.update(mmse=99),
+    lambda obj: obj.update(rois=["x"]),
+    lambda obj: obj.update(age=None),
+    "{not json",
+    "[1, 2]",
+    b"\xff\xfe",
+], ids=["no_rois", "mmse_99", "rois_not_object", "age_null", "not_json",
+        "not_object", "not_utf8"])
+def test_manifest_malformed_line(tmp_path, edit):
+    path = tmp_path / "manifest.jsonl"
+    save_manifest([SubjectRecord(f"S{i}", "2023-01-01", 70.0, 28, "F", 0.0,
+                                 str(tmp_path / f"S{i}.vol"),
+                                 {"hip": str(tmp_path / f"S{i}.mask")})
+                   for i in range(3)], path)
+    lines = path.read_bytes().splitlines()
+    if callable(edit):
+        obj = json.loads(lines[1])
+        edit(obj)
+        lines[1] = json.dumps(obj).encode()
+    else:
+        lines[1] = edit if isinstance(edit, bytes) else edit.encode()
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(ValueError, match="line 2"):
+        load_manifest(path)
+
+
 def test_instance_csv_round_trip(tmp_path):
     rows = [InstanceRecord("S0", CN, "hip", 3, 25, 10, 12),
             InstanceRecord("S1", AD, "hip", 5, 25, 9, 30)]
@@ -427,12 +457,6 @@ def _tiny_samples(n):
 def test_batch_sizes_14_by_6():
     batches = build_batches(_tiny_samples(14), 6, np.random.default_rng(1))
     assert [len(b.subject_ids) for b in batches] == [6, 6, 2]
-
-
-def test_batch_drop_last():
-    batches = build_batches(_tiny_samples(14), 6, np.random.default_rng(1),
-                            drop_last=True)
-    assert [len(b.subject_ids) for b in batches] == [6, 6]
 
 
 def test_batch_seeded_shuffle_repeats():

@@ -1,0 +1,63 @@
+"""Truncated and bit-flipped copies of each container format: a loader
+either returns or raises one of its documented errors, never KeyError,
+struct.error, IndexError, TypeError or another stray exception."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mixedvit import data as D
+from mixedvit import model as M
+from mixedvit.tensor import Tensor
+
+
+def _volume(path):
+    D.save_volume(np.arange(60, dtype=np.float32).reshape(3, 4, 5), path)
+
+
+def _checkpoint(path):
+    M.save_checkpoint(path, {"a": Tensor(np.ones((2, 3))),
+                             "b": Tensor(np.zeros(4)), "c": Tensor(np.ones(()))})
+
+
+def _manifest(path):
+    D.save_manifest([D.SubjectRecord(
+        f"S{i}", f"2023-0{i + 1}-01", 70.5 + i, 28 - 9 * i, "FM"[i % 2],
+        float(i), str(path.parent / f"v{i}.vol"),
+        {"hip": str(path.parent / f"m{i}.mask")}) for i in range(3)], path)
+
+
+def _instances(path):
+    D.save_instances([D.InstanceRecord(f"S{i}", i % 2, "hip", 3 + i, 25,
+                                       10 * i, 12) for i in range(3)], path)
+
+
+# format -> (writer of a valid file, loader, the errors it documents)
+FORMATS = {
+    "volume": (_volume, D.load_volume,
+               (D.FormatError, D.TruncatedPayloadError, D.DimOverflowError)),
+    "checkpoint": (_checkpoint, M.load_checkpoint, (M.CheckpointError,)),
+    "manifest": (_manifest, D.load_manifest, (ValueError,)),
+    "instances": (_instances, D.load_instances, (ValueError,)),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_damaged_file_raises_only_documented_errors(tmp_path_factory, fmt,
+                                                    data):
+    write, load, errors = FORMATS[fmt]
+    path = tmp_path_factory.mktemp(fmt) / "file"
+    write(path)
+    blob = bytearray(path.read_bytes())
+    for bit in data.draw(st.lists(st.integers(0, 8 * len(blob) - 1),
+                                  max_size=3)):
+        blob[bit // 8] ^= 1 << (bit % 8)
+    cut = data.draw(st.one_of(st.just(len(blob)), st.integers(0, len(blob))))
+    path.write_bytes(bytes(blob[:cut]))
+    try:
+        load(path)
+    except errors:
+        pass

@@ -11,18 +11,18 @@ from mixedvit.metrics import (
     ConfusionMatrix,
     DegenerateVarianceError,
     accuracy,
-    auc_mannwhitney,
     auc_trapezoid,
     confusion,
     format_mean_std,
     mean_std,
     one_way_anova,
-    reg_incomplete_beta,
     roc_points,
     stratified_kfold,
     t_test,
 )
 from mixedvit.train import Prediction
+
+from helpers import auc_mannwhitney
 
 
 def preds(pairs):
@@ -189,45 +189,6 @@ def test_mean_std_empty_errors():
         mean_std([])
 
 
-# --- incomplete beta ----------------------------------------------------------
-
-
-def test_incbeta_endpoints():
-    assert reg_incomplete_beta(0.0, 2.0, 3.0) == 0.0
-    assert reg_incomplete_beta(1.0, 2.0, 3.0) == 1.0
-
-
-def test_incbeta_uniform_cdf():
-    assert abs(reg_incomplete_beta(0.5, 1.0, 1.0) - 0.5) < 1e-12
-
-
-def test_incbeta_symmetry_grid():
-    for a in (0.5, 1.0, 2.0, 5.0, 10.0):
-        for b in (0.5, 1.0, 2.0, 5.0, 10.0):
-            for x in np.linspace(0.01, 0.99, 25):
-                lhs = reg_incomplete_beta(x, a, b)
-                rhs = 1.0 - reg_incomplete_beta(1.0 - x, b, a)
-                assert abs(lhs - rhs) < 1e-10
-
-
-def test_incbeta_against_mpmath_oracle():
-    mp.mp.dps = 30
-    rng = np.random.default_rng(6)
-    for _ in range(100):
-        a = float(rng.uniform(0.3, 20.0))
-        b = float(rng.uniform(0.3, 20.0))
-        x = float(rng.uniform(0.001, 0.999))
-        want = float(mp.betainc(a, b, 0, x, regularized=True))
-        assert abs(reg_incomplete_beta(x, a, b) - want) < 1e-10
-
-
-def test_incbeta_domain_errors():
-    with pytest.raises(ValueError):
-        reg_incomplete_beta(-0.1, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        reg_incomplete_beta(0.5, 0.0, 1.0)
-
-
 # --- t-test / ANOVA -----------------------------------------------------------
 
 
@@ -257,6 +218,58 @@ def test_t_test_degenerate_variance():
     assert t_test([2.0, 2.0], [2.0, 2.0]) == (0.0, 2, 1.0)
     with pytest.raises(DegenerateVarianceError):
         t_test([2.0, 2.0], [3.0, 3.0])
+
+
+def _mp_groups(rng):
+    """2-4 random groups of 2-12 values at random locations, and the same
+    values as 40-digit mpmath numbers."""
+    groups = [rng.normal(loc=rng.normal(scale=0.5), size=int(rng.integers(2, 13)))
+              for _ in range(int(rng.integers(2, 5)))]
+    return groups, [[mp.mpf(float(v)) for v in g] for g in groups]
+
+
+def _mp_mean_ss(g):
+    mean = mp.fsum(g) / len(g)
+    return mean, mp.fsum((v - mean) ** 2 for v in g)
+
+
+def test_t_test_p_matches_mpmath():
+    mp.mp.dps = 40
+    rng = np.random.default_rng(6)
+    for _ in range(100):
+        (a, b, *_), (ma, mb, *_) = _mp_groups(rng)
+        (mean_a, ss_a), (mean_b, ss_b) = _mp_mean_ss(ma), _mp_mean_ss(mb)
+        df = len(a) + len(b) - 2
+        t = (mean_a - mean_b) / mp.sqrt(
+            (ss_a + ss_b) / df * (mp.mpf(1) / len(a) + mp.mpf(1) / len(b)))
+        want = mp.betainc(mp.mpf(df) / 2, mp.mpf(1) / 2, 0, df / (df + t * t),
+                          regularized=True)
+        got_t, got_df, got_p = t_test(a, b)
+        assert got_df == df
+        assert abs(got_t - float(t)) <= 1e-12 * max(1.0, abs(float(t)))
+        assert abs(got_p - float(want)) < 1e-12
+
+
+def test_anova_p_matches_mpmath():
+    mp.mp.dps = 40
+    rng = np.random.default_rng(7)
+    for _ in range(100):
+        groups, mgroups = _mp_groups(rng)
+        stats = [_mp_mean_ss(g) for g in mgroups]
+        n = sum(len(g) for g in groups)
+        dfb, dfw = len(groups) - 1, n - len(groups)
+        grand = mp.fsum(v for g in mgroups for v in g) / n
+        ss_between = mp.fsum(len(g) * (mean - grand) ** 2
+                             for g, (mean, _) in zip(mgroups, stats))
+        f = (ss_between / dfb) / (mp.fsum(ss for _, ss in stats) / dfw)
+        # Upper tail of the F distribution, the complement of the form
+        # one_way_anova evaluates.
+        want = mp.betainc(mp.mpf(dfb) / 2, mp.mpf(dfw) / 2,
+                          dfb * f / (dfb * f + dfw), 1, regularized=True)
+        got_f, got_dfb, got_dfw, got_p = one_way_anova(groups)
+        assert (got_dfb, got_dfw) == (dfb, dfw)
+        assert abs(got_f - float(f)) <= 1e-12 * max(1.0, float(f))
+        assert abs(got_p - float(want)) < 1e-12
 
 
 def test_anova_identical_groups():

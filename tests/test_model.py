@@ -14,18 +14,17 @@ from mixedvit.model import (
     count_tokens,
     encode_image_branch,
     extract_tubelet_patches,
-    flatten_params,
-    forward,
     forward_batch,
     fuse_classify,
     init_params,
     load_checkpoint,
     mlp_branch_forward,
     param_shapes,
-    params_from_vector,
     save_checkpoint,
     tubelet_embed,
 )
+
+from helpers import flatten_params, forward, params_from_vector
 
 TINY = ModelConfig(image_dims=(2, 4, 4, 1), tubelet=(2, 2, 2), embed_dim=8,
                    depth=1, heads=2, mlp_ratio=2.0, dropout_rate=0.0,
@@ -70,14 +69,15 @@ def test_tubelet_embed_zero_volume_gives_bias():
     rng = np.random.default_rng(0)
     weight = Tensor(rng.normal(size=(cfg.patch_dim, cfg.embed_dim)))
     bias = Tensor(rng.normal(size=cfg.embed_dim))
-    tokens = tubelet_embed(np.zeros(cfg.image_dims), weight, bias, cfg.tubelet)
+    tokens = tubelet_embed(np.zeros((2, *cfg.image_dims)), weight, bias,
+                           cfg.tubelet)
     np.testing.assert_allclose(
-        tokens.data, np.tile(bias.data, (tokens.shape[0], 1)))
+        tokens.data, np.tile(bias.data, (2, tokens.shape[1], 1)))
 
 
 def test_tubelet_embed_identity_projection():
     cfg = TINY  # patch_dim == embed_dim == 8
-    vol = np.random.default_rng(1).normal(size=cfg.image_dims)
+    vol = np.random.default_rng(1).normal(size=(2, *cfg.image_dims))
     tokens = tubelet_embed(vol, Tensor(np.eye(8)), Tensor(np.zeros(8)),
                            cfg.tubelet)
     np.testing.assert_allclose(tokens.data,
@@ -92,7 +92,8 @@ def test_tubelet_embed_matches_conv3d_oracle(seed):
     vol = rng.normal(size=cfg.image_dims)
     weight = rng.normal(size=(cfg.patch_dim, cfg.embed_dim))
     bias = rng.normal(size=cfg.embed_dim)
-    tokens = tubelet_embed(vol, Tensor(weight), Tensor(bias), cfg.tubelet).data
+    tokens = tubelet_embed(vol[None], Tensor(weight), Tensor(bias),
+                           cfg.tubelet).data[0]
     np.testing.assert_allclose(tokens, conv3d_oracle(vol, weight, bias,
                                                      cfg.tubelet), atol=1e-10)
 
@@ -156,7 +157,7 @@ def test_mlp_branch_zero_weights():
               for j, s in enumerate([(4, 16), (16, 8)])}
     params |= {f"tabular.layer{j}.bias": Tensor(np.zeros(s))
                for j, s in enumerate([(16,), (8,)])}
-    out = mlp_branch_forward(np.ones(4), params, cfg)
+    out = mlp_branch_forward(np.ones((1, 4)), params, cfg)
     np.testing.assert_array_equal(out.data, np.zeros((1, 8)))
     assert out.shape == (1, 8)
 
@@ -257,11 +258,11 @@ def test_permutation_invariance_with_zero_pos():
                                    requires_grad=True)
     rng = np.random.default_rng(12)
     vol = rng.normal(size=cfg.image_dims)
-    patches = extract_tubelet_patches(vol, cfg.tubelet)
+    patches = extract_tubelet_patches(vol[None], cfg.tubelet)[0]
     perm = rng.permutation(patches.shape[0])
     permuted = _volume_from_patches(patches[perm], cfg.image_dims, cfg.tubelet)
-    a = encode_image_branch(vol, params, 0, cfg).data
-    b = encode_image_branch(permuted, params, 0, cfg).data
+    a = encode_image_branch(vol[None], params, 0, cfg).data
+    b = encode_image_branch(permuted[None], params, 0, cfg).data
     np.testing.assert_allclose(a, b, atol=1e-9)
 
 
@@ -277,7 +278,7 @@ def _volume_from_patches(patches, image_dims, tubelet):
 def test_volume_patch_round_trip():
     rng = np.random.default_rng(13)
     vol = rng.normal(size=(4, 6, 6, 2))
-    patches = extract_tubelet_patches(vol, (2, 3, 2))
+    patches = extract_tubelet_patches(vol[None], (2, 3, 2))[0]
     np.testing.assert_array_equal(
         _volume_from_patches(patches, (4, 6, 6, 2), (2, 3, 2)), vol)
 
@@ -403,8 +404,12 @@ def _checkpoint_blob(manifest: dict, payload: bytes = b"") -> bytes:
                                   {"name": "w", "shape": [1], "offset": 8}]},
                      b"\0" * 16),
     _checkpoint_blob({"entries": ["w"]}, b"\0" * 8),
+    _checkpoint_blob({"entries": [{"name": "a", "shape": [2], "offset": 0},
+                                  {"name": "b", "shape": [2], "offset": 8}]},
+                     b"\0" * 24),
 ], ids=["short_header", "no_entries", "entries_not_list", "negative_offset",
-        "no_offset", "negative_dim", "repeated_name", "entry_not_object"])
+        "no_offset", "negative_dim", "repeated_name", "entry_not_object",
+        "overlapping_entries"])
 def test_checkpoint_malformed(tmp_path, blob):
     path = tmp_path / "bad.mwt"
     path.write_bytes(blob)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mixedvit.data import AD, CN, MixedSample
-from mixedvit.model import ModelConfig, init_params, flatten_params, forward_batch
+from mixedvit.model import ModelConfig, init_params, forward_batch
 from mixedvit.tensor import Tape, Tensor, backward
 from mixedvit.train import (
     EpochStats,
@@ -13,13 +13,14 @@ from mixedvit.train import (
     TrainConfig,
     adam_update,
     batch_loss,
-    cross_entropy,
     evaluate,
     lr_at_step,
     predict,
     save_history,
     train,
 )
+
+from helpers import flatten_params
 
 SMALL_MODEL = ModelConfig(image_dims=(4, 8, 8, 1), tubelet=(2, 4, 4),
                           embed_dim=8, depth=1, heads=2, dropout_rate=0.1,
@@ -122,30 +123,28 @@ def test_adam_in_place_matches_reference_bitwise():
         np.testing.assert_array_equal(s1.v[k], s2.v[k])
 
 
+def _one_row_loss(probs, label: int) -> float:
+    return batch_loss(Tensor([probs]), np.array([label])).item()
+
+
 def test_cross_entropy_values():
-    assert cross_entropy([1.0, 0.0], 0) == 0.0
-    assert abs(cross_entropy([0.5, 0.5], 0) - math.log(2)) < 1e-12
-    assert abs(cross_entropy([0.0, 1.0], 0) - 27.631021115928547) < 1e-9
-
-
-def test_cross_entropy_validation():
-    with pytest.raises(ValueError):
-        cross_entropy([0.9, 0.3], 0)
-    with pytest.raises(ValueError):
-        cross_entropy([0.5, 0.5], 2)
+    """batch_loss of one row is -ln p_label, with p floored at 1e-12."""
+    assert _one_row_loss([1.0, 0.0], 0) == 0.0
+    assert abs(_one_row_loss([0.5, 0.5], 0) - math.log(2)) < 1e-12
+    assert abs(_one_row_loss([0.0, 1.0], 0) - 27.631021115928547) < 1e-9
 
 
 def test_cross_entropy_non_negative():
     rng = np.random.default_rng(0)
     for _ in range(50):
         p = rng.dirichlet([1, 1])
-        assert cross_entropy(p, int(rng.integers(2))) >= 0.0
+        assert _one_row_loss(p, int(rng.integers(2))) >= 0.0
 
 
 def test_batch_loss_matches_scalar_contract():
     probs = np.array([[0.9, 0.1], [0.25, 0.75]])
     labels = np.array([0, 1])
-    want = (cross_entropy(probs[0], 0) + cross_entropy(probs[1], 1)) / 2
+    want = -(math.log(0.9) + math.log(0.75)) / 2
     got = batch_loss(Tensor(probs), labels).item()
     assert abs(got - want) < 1e-12
 
