@@ -269,6 +269,16 @@ def _dataset_for(args, rois):
     return usable, instances
 
 
+def _require_both_classes(records, what: str, error) -> None:
+    """Raise ``error`` unless ``records`` hold CN and AD subjects: a set of
+    one class has no ROC curve to score it by."""
+    present = {D.cdr_to_label(r.cdr) for r in records}
+    missing = [D.LABEL_NAMES[c] for c in (D.CN, D.AD) if c not in present]
+    if missing:
+        raise error(f"{what} has no {' or '.join(missing)} subject; "
+                    f"scoring needs both CN and AD")
+
+
 def _geometry(model_cfg: MO.ModelConfig):
     return tuple(model_cfg.image_dims[1:3]), model_cfg.image_dims[3]
 
@@ -281,9 +291,13 @@ def cmd_train(args) -> int:
     train_cfg = train_config_from(cfg, args.seed)
     records, instances = _dataset_for(args, rois)
 
-    tr, va, te = D.split_subjects(records, (0.70, 0.15, 0.15),
-                                  np.random.default_rng([args.seed, 11]))
-    fit = D.FitStats.from_records(tr)
+    try:
+        tr, va, te = D.split_subjects(records, (0.70, 0.15, 0.15),
+                                      np.random.default_rng([args.seed, 11]))
+        fit = D.FitStats.from_records(tr)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    _require_both_classes(te, "the test split", UsageError)
     size, channels = _geometry(model_cfg)
     s_train = D.build_samples(tr, instances, rois, fit, size, channels)
     s_val = D.build_samples(va, instances, rois, fit, size, channels)
@@ -501,6 +515,7 @@ def cmd_eval(args) -> int:
                if all((r.subject_id, roi) in have for roi in rois)]
     if not records:
         raise RuntimeFailure("no subjects with instances for the model's ROIs")
+    _require_both_classes(records, "the evaluation set", RuntimeFailure)
     size, channels = _geometry(model_cfg)
     samples = D.build_samples(records, instances, rois, fit, size, channels)
     preds = TR.predict(model_cfg, params, samples, batch_size)
@@ -646,7 +661,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except (OSError, D.FormatError, D.TruncatedPayloadError,
-            D.DimOverflowError, MO.CheckpointError) as exc:
+            D.DimOverflowError, MO.CheckpointError, TR.DivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

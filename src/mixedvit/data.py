@@ -1,4 +1,4 @@
-"""Dataset construction: subject metadata, volume I/O, balancing, splits,
+"""Dataset construction: subject metadata, volume I/O, splits,
 preprocessing, ROI instance selection, 3D crops, batches, and a synthetic
 volume generator used in place of restricted clinical data.
 """
@@ -9,9 +9,9 @@ import json
 import math
 import struct
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -109,6 +109,13 @@ class FitStats:
     age_max: float
     mmse_min: float
     mmse_max: float
+
+    def __post_init__(self):
+        for name, lo, hi in (("age", self.age_min, self.age_max),
+                             ("mmse", self.mmse_min, self.mmse_max)):
+            if not hi > lo:
+                raise ValueError(
+                    f"degenerate {name} fit range [{lo}, {hi}]: constant feature")
 
     @classmethod
     def from_records(cls, records: Sequence[SubjectRecord]) -> "FitStats":
@@ -273,17 +280,6 @@ def load_instances(path) -> list[InstanceRecord]:
 # metadata operations
 
 
-def select_latest_visit(records: Iterable[SubjectRecord]) -> list[SubjectRecord]:
-    """Keep one record per subject: latest visit, ties by larger volume path."""
-    best: dict[str, SubjectRecord] = {}
-    for r in records:
-        cur = best.get(r.subject_id)
-        if cur is None or (r.visit_date, r.volume_path) > (cur.visit_date,
-                                                           cur.volume_path):
-            best[r.subject_id] = r
-    return list(best.values())
-
-
 def cdr_to_label(cdr: float) -> int:
     cdr = float(cdr)
     if cdr not in VALID_CDR:
@@ -296,23 +292,6 @@ def cdr_to_label(cdr: float) -> int:
         "CDR 0.5 is outside the two study classes (0 -> CN, >=1 -> AD)")
 
 
-def undersample_balance(records: Sequence[SubjectRecord],
-                        rng: np.random.Generator) -> list[SubjectRecord]:
-    """Down-sample the majority class to the minority count k."""
-    by_class: dict[int, list[SubjectRecord]] = {CN: [], AD: []}
-    for r in records:
-        by_class[cdr_to_label(r.cdr)].append(r)
-    if not by_class[CN] or not by_class[AD]:
-        raise ValueError("undersampling needs both classes present")
-    k = min(len(by_class[CN]), len(by_class[AD]))
-    keep_ids = set()
-    for label in (CN, AD):
-        group = by_class[label]
-        chosen = rng.choice(len(group), size=k, replace=False)
-        keep_ids.update(group[i].subject_id for i in chosen)
-    return [r for r in records if r.subject_id in keep_ids]
-
-
 def split_subjects(records: Sequence[SubjectRecord],
                    ratios=(0.70, 0.15, 0.15),
                    rng: Optional[np.random.Generator] = None):
@@ -321,7 +300,7 @@ def split_subjects(records: Sequence[SubjectRecord],
         raise ValueError(f"split ratios {ratios} do not sum to 1")
     ids = [r.subject_id for r in records]
     if len(set(ids)) != len(ids):
-        raise ValueError("duplicate subject ids; run select_latest_visit first")
+        raise ValueError("duplicate subject ids: one record per subject")
     if len(records) < 3:
         raise ValueError("fewer subjects than split sets")
     rng = rng or np.random.default_rng()

@@ -56,7 +56,6 @@ class ModelConfig:
     tabular_dim: int = 4
     tabular_hidden: tuple = (16, 8)
     num_branches: int = 1
-    num_classes: int = 2
     mode: str = MODE_MIXED
 
     def __post_init__(self):
@@ -71,8 +70,6 @@ class ModelConfig:
         if self.embed_dim % self.heads:
             raise ConfigError(
                 f"embed_dim {self.embed_dim} not divisible by heads {self.heads}")
-        if self.num_classes != 2:
-            raise ConfigError("only binary classification is supported")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout_rate {self.dropout_rate} out of range")
         if self.depth < 1 or self.num_branches < 1:
@@ -140,8 +137,8 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple]:
             shapes[f"tabular.layer{j}.weight"] = (prev, width)
             shapes[f"tabular.layer{j}.bias"] = (width,)
             prev = width
-    shapes["head.weight"] = (config.fused_width, config.num_classes)
-    shapes["head.bias"] = (config.num_classes,)
+    shapes["head.weight"] = (config.fused_width, 2)  # CN and AD logits
+    shapes["head.bias"] = (2,)
     return shapes
 
 

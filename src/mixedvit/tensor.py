@@ -3,8 +3,8 @@
 A ``Tape`` records every differentiable operation performed while it is
 active (define-by-run); ``backward`` replays it in reverse and returns the
 gradient of every leaf that was reached. The ops are exactly those the
-two-branch model and its loss use; ``add`` and ``mul`` broadcast as numpy
-does.
+two-branch model and its loss use; ``add`` broadcasts as numpy does, and
+``nll`` is the training loss.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ __all__ = [
     "Tape",
     "ShapeError",
     "add",
-    "mul",
     "matmul",
     "attention",
     "softmax",
@@ -31,9 +30,7 @@ __all__ = [
     "concat",
     "reshape",
     "narrow",
-    "tsum",
-    "tlog",
-    "clamp_min",
+    "nll",
     "backward",
     "grad_check",
 ]
@@ -71,15 +68,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return mul(self, other)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
 
 
 class _Node:
@@ -185,25 +173,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
 
     return _record("add", (a, b), out, back)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """a * b; the backward skips the gradient of an operand without
-    requires_grad."""
-    try:
-        out = a.data * b.data
-    except ValueError as exc:
-        raise ShapeError(
-            f"cannot broadcast shapes {a.shape} and {b.shape}") from exc
-    ad, bd = a.data, b.data
-    a_shape, b_shape = a.shape, b.shape
-    a_grad, b_grad = a.requires_grad, b.requires_grad
-
-    def back(g):
-        return (_unbroadcast(g * bd, a_shape) if a_grad else None,
-                _unbroadcast(g * ad, b_shape) if b_grad else None)
-
-    return _record("mul", (a, b), out, back)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -409,35 +378,36 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     return _record("narrow", (x,), out, back)
 
 
-def tsum(x: Tensor) -> Tensor:
-    """Sum of every element, as a 0-d tensor."""
-    shape = x.shape
-    out = x.data.sum()
+def nll(probs: Tensor, labels) -> Tensor:
+    """Mean negative log-likelihood of integer ``labels`` under the rows of
+    a (B, C) probability tensor: -(1/B) * sum_i log p[i, y_i], as a
+    one-element tensor. There is no floor: a label of probability 0 gives
+    +inf."""
+    labels = np.asarray(labels)
+    if probs.data.ndim != 2 or labels.shape != probs.shape[:1] or not labels.size:
+        raise ShapeError(
+            f"nll expects (B, C) probabilities and B >= 1 labels, got "
+            f"{probs.shape} and {labels.shape}")
+    if labels.dtype.kind not in "iu" or not (
+            0 <= labels.min() and labels.max() < probs.shape[1]):
+        raise ValueError(
+            f"nll labels must be integers in [0, {probs.shape[1]}), got {labels}")
+    rows = np.arange(len(labels))
+    p_y = probs.data[rows, labels]
+    scale = -1.0 / len(labels)
+    # Summed over the whole (B, C) array, zeros included, so the sum adds
+    # in the order that a one-hot mask times log p would.
+    picked = np.zeros(probs.shape)
+    picked[rows, labels] = np.log(p_y)
+    out = picked.sum() * scale
+    shape = probs.shape
 
     def back(g):
-        return (np.broadcast_to(g, shape).copy(),)
+        grad = np.zeros(shape)
+        grad[rows, labels] = (g * scale) / p_y
+        return (grad,)
 
-    return _record("sum", (x,), np.asarray(out), back)
-
-
-def tlog(x: Tensor) -> Tensor:
-    out = np.log(x.data)
-    xd = x.data
-
-    def back(g):
-        return (g / xd,)
-
-    return _record("log", (x,), out, back)
-
-
-def clamp_min(x: Tensor, floor: float) -> Tensor:
-    out = np.maximum(x.data, floor)
-    passed = x.data >= floor
-
-    def back(g):
-        return (g * passed,)
-
-    return _record("clamp_min", (x,), out, back)
+    return _record("nll", (probs,), out, back)
 
 
 def backward(root: Tensor) -> dict[int, np.ndarray]:

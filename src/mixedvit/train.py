@@ -1,5 +1,7 @@
 """Optimization loop: Adam with continuous exponential learning-rate decay,
-cross-entropy on softmax probabilities, validation-selected checkpointing.
+cross-entropy on softmax probabilities (one ``tensor.nll`` tape op),
+validation-selected checkpointing, and a stop with ``DivergenceError`` on a
+non-finite loss or gradient.
 """
 
 from __future__ import annotations
@@ -11,9 +13,11 @@ import numpy as np
 
 from .data import AD, CN, MixedSample, build_batches
 from .model import ModelConfig, forward_batch
-from .tensor import Tape, Tensor, backward, clamp_min, mul, tlog, tsum
+from .tensor import Tape, Tensor, backward, nll
 
-PROB_FLOOR = 1e-12
+
+class DivergenceError(RuntimeError):
+    """Training reached a non-finite loss or gradient."""
 
 
 @dataclass(frozen=True)
@@ -113,9 +117,7 @@ def adam_update(params: dict, grads: dict, state: OptimizerState, lr: float,
 
 def batch_loss(probs: Tensor, labels: np.ndarray) -> Tensor:
     """Differentiable mean cross-entropy of a (B,2) probability tensor."""
-    onehot = np.eye(2)[np.asarray(labels, dtype=np.int64)]
-    picked = tsum(mul(tlog(clamp_min(probs, PROB_FLOOR)), Tensor(onehot)))
-    return mul(picked, Tensor(-1.0 / len(labels)))
+    return nll(probs, np.asarray(labels, dtype=np.int64))
 
 
 def _copy_params(params: dict) -> dict:
@@ -146,6 +148,8 @@ def train(model_cfg: ModelConfig, params: dict,
 
     Batches are reshuffled each epoch from the run seed; the checkpoint is
     the epoch with the highest validation accuracy (ties keep the earlier).
+    A non-finite loss or gradient raises ``DivergenceError`` before the
+    Adam update, so the parameters keep their last finite values.
     """
     if not train_samples:
         raise ValueError("no training samples")
@@ -169,14 +173,23 @@ def train(model_cfg: ModelConfig, params: dict,
                                       batch.images, training=True,
                                       rng=drop_rng)
                 loss = batch_loss(probs, batch.labels)
+            value = loss.item()
+            if not np.isfinite(value):
+                raise DivergenceError(
+                    f"loss {value} at epoch {epoch}, step {bi}")
             backward(loss)
-            epoch_loss += loss.item() * len(batch.labels)
+            epoch_loss += value * len(batch.labels)
             # The last references to this step's tape: drop them so that it
             # is freed before the next forward pass records another.
             del probs, loss
             grads = {name: p.grad for name, p in params.items()}
             for p in params.values():
                 p.grad = None
+            for name, g in grads.items():
+                if g is not None and not np.isfinite(g).all():
+                    raise DivergenceError(
+                        f"non-finite gradient of {name} at epoch {epoch}, "
+                        f"step {bi}")
             adam_update(params, grads, state, lr, config)
             step += 1
         val_loss, val_acc = evaluate(model_cfg, params, val_samples,

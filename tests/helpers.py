@@ -1,6 +1,6 @@
-"""Helpers that only tests use: a single-sample forward pass, parameter
-flattening for whole-model gradient checks, and a rank-statistic AUC
-oracle for the trapezoid AUC."""
+"""Helpers that only tests use: a scalar root for gradient tests, a
+single-sample forward pass, parameter flattening for whole-model gradient
+checks, and a rank-statistic AUC oracle for the trapezoid AUC."""
 
 from __future__ import annotations
 
@@ -11,7 +11,14 @@ import numpy as np
 
 from mixedvit.data import AD, CN
 from mixedvit.model import ModelConfig, forward_batch
-from mixedvit.tensor import Tensor, narrow, reshape
+from mixedvit.tensor import Tensor, matmul, narrow, reshape
+
+
+def weighted_sum(x: Tensor, w=1.0) -> Tensor:
+    """sum(x * w) as a (1, 1) tensor: x as one row times w as one column.
+    ``w`` broadcasts to the shape of ``x``; the default sums ``x``."""
+    w = np.broadcast_to(np.asarray(w, dtype=np.float64), x.shape)
+    return matmul(reshape(x, (1, x.data.size)), Tensor(w.reshape(-1, 1)))
 
 
 def forward(config: ModelConfig, params: dict[str, Tensor],

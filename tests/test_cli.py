@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from mixedvit.cli import main
-from mixedvit.data import FitStats
-from mixedvit.model import ModelConfig, save_checkpoint
-from mixedvit.train import TrainConfig
+from mixedvit.data import FitStats, load_manifest, save_manifest
+from mixedvit.model import ModelConfig, init_params, save_checkpoint
+from mixedvit.train import DivergenceError, TrainConfig
 
 TINY_CONFIG = {
     "slice_count": 8, "image_size": [16, 16], "channels": 1,
@@ -196,11 +196,14 @@ def test_cv_config_value_of_wrong_type_exits_2(dataset, tmp_path, capsys,
     assert message in capsys.readouterr().err
 
 
+# The model TINY_CONFIG describes, for one ROI in mixed mode.
+TINY_MODEL = ModelConfig(image_dims=(8, 16, 16, 1), tubelet=(4, 8, 8),
+                         embed_dim=8, depth=1, heads=2, tabular_hidden=(8, 4))
+
+
 def _snapshot() -> dict:
     """A config.json as ``train`` writes it, for a one-ROI mixed model."""
-    return {"model": dataclasses.asdict(ModelConfig(
-                image_dims=(8, 16, 16, 1), tubelet=(4, 8, 8), embed_dim=8,
-                depth=1, heads=2, tabular_hidden=(8, 4))),
+    return {"model": dataclasses.asdict(TINY_MODEL),
             "train": dataclasses.asdict(TrainConfig()),
             "rois": ["hippocampus_left"], "mode": "mixed",
             "fit": dataclasses.asdict(FitStats(60.0, 90.0, 10.0, 30.0))}
@@ -224,9 +227,11 @@ def _set(value, key, inner=None):
     _set([3, 8, 8], "tubelet", "model"), _set("x", "embed_dim", "model"),
     _set(0, "batch_size", "train"), _set({"age": 1}, "fit"),
     _set(["hippocampus_left", "fornix_right"], "rois"),
+    _set({"age_min": 69.1, "age_max": 69.1, "mmse_min": 10.0,
+          "mmse_max": 30.0}, "fit"),
 ], ids=["not_json", "empty", "empty_model", "not_object", "no_fit", "no_rois",
         "no_heads", "tubelet_not_dividing", "embed_dim_text", "batch_size_0",
-        "fit_fields", "rois_for_two_branches"])
+        "fit_fields", "rois_for_two_branches", "fit_zero_width"])
 def test_eval_malformed_config_exits_1(dataset, tmp_path, capsys, edit):
     model = tmp_path / "model"
     model.mkdir()
@@ -247,6 +252,110 @@ def test_eval_malformed_config_exits_1(dataset, tmp_path, capsys, edit):
     assert main(argv) == 1
     assert f"{model / 'config.json'} is not a usable model config" in \
         capsys.readouterr().err
+
+
+def _subset_manifest(dataset, path, keep) -> Path:
+    """A manifest at ``path`` holding the dataset's records that ``keep``
+    accepts; volume paths stay valid because they are written absolute."""
+    records = load_manifest(dataset / "data" / "manifest.jsonl")
+    save_manifest([r for r in records if keep(r)], path)
+    return path
+
+
+def _train_argv(dataset, manifest, config, out, seed="2"):
+    return ["train", "--instances", str(dataset / "instances.csv"),
+            "--manifest", str(manifest), "--config", str(config),
+            "--rois", "hippocampus_left", "--seed", seed, "--out", str(out)]
+
+
+def test_train_test_split_without_both_classes_exits_2(dataset, tmp_path,
+                                                       capsys):
+    # 8 subjects leave one subject for the test split: no ROC to score.
+    ids = sorted(r.subject_id for r in load_manifest(
+        dataset / "data" / "manifest.jsonl"))[:8]
+    manifest = _subset_manifest(dataset, tmp_path / "manifest.jsonl",
+                                lambda r: r.subject_id in ids)
+    out = tmp_path / "model"
+    rc = main(_train_argv(dataset, manifest, dataset / "config.json", out))
+    assert rc == 2
+    assert "the test split has no" in capsys.readouterr().err
+    assert not (out / "history.csv").exists()
+
+
+def _init_model_dir(path, snapshot) -> Path:
+    """A model directory as ``train`` writes it for ``TINY_MODEL``, holding
+    initial parameters and ``snapshot`` as its config.json."""
+    path.mkdir()
+    save_checkpoint(path / "checkpoint.mwt", init_params(TINY_MODEL, 0))
+    (path / "config.json").write_text(json.dumps(snapshot))
+    return path
+
+
+def _eval_argv(dataset, model, manifest, out):
+    return ["eval", "--model", str(model),
+            "--instances", str(dataset / "instances.csv"),
+            "--manifest", str(manifest), "--out", str(out)]
+
+
+def test_eval_subjects_of_one_class_exits_1(dataset, tmp_path, capsys):
+    model = _init_model_dir(tmp_path / "model", _snapshot())
+    manifest = _subset_manifest(dataset, tmp_path / "manifest.jsonl",
+                                lambda r: r.cdr == 0.0)
+    out = tmp_path / "m.json"
+    assert main(_eval_argv(dataset, model, manifest, out)) == 1
+    assert "the evaluation set has no AD subject" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_loads_config_with_num_classes(dataset, tmp_path):
+    # config.json files written while ModelConfig had a num_classes field.
+    snapshot = _snapshot()
+    snapshot["model"]["num_classes"] = 2
+    model = _init_model_dir(tmp_path / "model", snapshot)
+    out = tmp_path / "m.json"
+    assert main(_eval_argv(dataset, model,
+                           dataset / "data" / "manifest.jsonl", out)) == 0
+    assert out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("seed", ["0", "2"])
+def test_train_at_unit_lr_never_sits_at_a_floor(dataset, tmp_path, capsys,
+                                                seed):
+    """At initial_lr=1 the head saturates. A floored loss would repeat one
+    value epoch after epoch; without a floor the run either trains on with
+    finite, changing losses or stops with exit 1 before an update."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**TINY_CONFIG, "initial_lr": 1.0}))
+    out = tmp_path / "model"
+    rc = main(_train_argv(dataset, dataset / "data" / "manifest.jsonl",
+                          config, out, seed))
+    if rc == 1:
+        assert "at epoch" in capsys.readouterr().err
+        assert not (out / "history.csv").exists()
+        return
+    assert rc == 0
+    rows = np.loadtxt(out / "history.csv", delimiter=",", skiprows=1)
+    train_loss, val_loss = rows[:, 1], rows[:, 2]
+    assert np.isfinite(rows).all()
+    assert len(set(val_loss)) == len(val_loss)
+    assert len(set(train_loss)) == len(train_loss)
+
+
+@pytest.mark.parametrize("command", ["train", "cv"])
+def test_divergence_exits_1(dataset, tmp_path, capsys, monkeypatch, command):
+    # cv maps ValueError to exit 2, so a divergence must not be one.
+    def diverge(*args, **kwargs):
+        raise DivergenceError("loss inf at epoch 0, step 0")
+
+    monkeypatch.setattr("mixedvit.train.train", diverge)
+    monkeypatch.setattr("mixedvit.metrics.train", diverge)
+    argv = _train_argv(dataset, dataset / "data" / "manifest.jsonl",
+                       dataset / "config.json", tmp_path / "out")
+    if command == "cv":
+        argv = ["cv"] + argv[1:] + ["--folds", "3", "--no-holdout-test"]
+    assert main(argv) == 1
+    assert "loss inf at epoch 0, step 0" in capsys.readouterr().err
 
 
 def test_select_manifest_line_without_rois_exits_1(dataset, tmp_path, capsys):

@@ -31,12 +31,10 @@ from mixedvit.data import (
     save_volume,
     scale_volume,
     select_instances,
-    select_latest_visit,
     slice_window_select,
     split_subjects,
     synth_generate,
     tabular_features,
-    undersample_balance,
 )
 
 
@@ -63,32 +61,6 @@ def best_threshold_accuracy(values, labels):
 # --- metadata ---------------------------------------------------------------
 
 
-def test_latest_visit_max_date():
-    a = record(date="2020-01-01", vol="a.vol")
-    b = record(date="2022-05-11", vol="b.vol")
-    out = select_latest_visit([a, b])
-    assert out == [b]
-
-
-def test_latest_visit_single_unchanged():
-    a = record()
-    assert select_latest_visit([a]) == [a]
-
-
-def test_latest_visit_two_subjects():
-    rows = [record(sid="A", date="2020-01-01"), record(sid="A", date="2021-01-01"),
-            record(sid="B", date="2019-06-01"), record(sid="B", date="2022-01-01")]
-    out = select_latest_visit(rows)
-    assert len(out) == 2
-    assert {r.subject_id for r in out} == {"A", "B"}
-
-
-def test_latest_visit_date_tie_breaks_on_path():
-    a = record(vol="a.vol")
-    b = record(vol="z.vol")
-    assert select_latest_visit([a, b]) == [b]
-
-
 def test_cdr_mapping():
     assert cdr_to_label(0) == CN
     assert cdr_to_label(2) == AD
@@ -108,32 +80,12 @@ def test_record_validation():
         record(gender="X")
 
 
-def test_undersample_counts():
-    rows = [record(sid=f"C{i}", cdr=0.0) for i in range(100)]
-    rows += [record(sid=f"A{i}", cdr=1.0) for i in range(70)]
-    out = undersample_balance(rows, np.random.default_rng(0))
-    labels = [cdr_to_label(r.cdr) for r in out]
-    assert labels.count(CN) == 70 and labels.count(AD) == 70
-
-
-def test_undersample_balanced_unchanged():
-    rows = [record(sid=f"C{i}", cdr=0.0) for i in range(210)]
-    rows += [record(sid=f"A{i}", cdr=2.0) for i in range(210)]
-    out = undersample_balance(rows, np.random.default_rng(1))
-    assert sorted(r.subject_id for r in out) == sorted(r.subject_id for r in rows)
-
-
-def test_undersample_deterministic():
-    rows = [record(sid=f"C{i}", cdr=0.0) for i in range(50)]
-    rows += [record(sid=f"A{i}", cdr=1.0) for i in range(20)]
-    a = undersample_balance(rows, np.random.default_rng(9))
-    b = undersample_balance(rows, np.random.default_rng(9))
-    assert [r.subject_id for r in a] == [r.subject_id for r in b]
-
-
-def test_undersample_missing_class_errors():
-    with pytest.raises(ValueError):
-        undersample_balance([record(cdr=0.0)], np.random.default_rng(0))
+def test_split_rejects_duplicate_ids():
+    rows = [record(sid="A", date="2020-01-01"), record(sid="A"),
+            record(sid="B"), record(sid="C")]
+    with pytest.raises(ValueError, match="duplicate subject ids") as exc:
+        split_subjects(rows, rng=np.random.default_rng(0))
+    assert "select_latest_visit" not in str(exc.value)
 
 
 def test_split_420_subjects():
@@ -185,6 +137,16 @@ def test_one_hot_gender():
     np.testing.assert_array_equal(one_hot_gender("M"), [0, 1])
     with pytest.raises(ValueError):
         one_hot_gender("X")
+
+
+@pytest.mark.parametrize("ranges", [(70.0, 70.0, 20.0, 30.0),
+                                    (60.0, 90.0, 28.0, 28.0),
+                                    (90.0, 60.0, 20.0, 30.0)],
+                         ids=["age_zero_width", "mmse_zero_width",
+                              "age_reversed"])
+def test_fit_stats_rejects_degenerate_range(ranges):
+    with pytest.raises(ValueError, match="degenerate"):
+        FitStats(*ranges)
 
 
 def test_tabular_features_in_unit_range():

@@ -15,20 +15,19 @@ from mixedvit.tensor import (
     add,
     attention,
     backward,
-    clamp_min,
     concat,
     dropout,
     gelu,
     grad_check,
     layer_norm,
     matmul,
-    mul,
     narrow,
+    nll,
     reshape,
     softmax,
-    tlog,
-    tsum,
 )
+
+from helpers import weighted_sum
 
 
 def test_add_identity():
@@ -36,20 +35,14 @@ def test_add_identity():
     np.testing.assert_array_equal(out.data, [1.0, 2.0])
 
 
-def test_mul_hand_arithmetic():
-    out = mul(Tensor([2.0, 3.0]), Tensor([4.0, 5.0]))
-    np.testing.assert_array_equal(out.data, [8.0, 15.0])
-
-
 def test_add_incompatible_broadcast_names_shapes():
-    for op in (add, mul):
-        with pytest.raises(ShapeError) as exc:
-            op(Tensor(np.zeros((2, 3))), Tensor(np.zeros(4)))
-        assert "(2, 3)" in str(exc.value) and "(4,)" in str(exc.value)
+    with pytest.raises(ShapeError) as exc:
+        add(Tensor(np.zeros((2, 3))), Tensor(np.zeros(4)))
+    assert "(2, 3)" in str(exc.value) and "(4,)" in str(exc.value)
 
 
 def test_bias_broadcast_add():
-    out = Tensor(np.ones((3, 4))) + Tensor(np.arange(4.0))
+    out = add(Tensor(np.ones((3, 4))), Tensor(np.arange(4.0)))
     np.testing.assert_array_equal(out.data, np.ones((3, 4)) + np.arange(4.0))
 
 
@@ -78,7 +71,7 @@ def test_matmul_batched_shape():
         ta = Tensor(a, requires_grad=True)
         tb = Tensor(b, requires_grad=True)
         out = matmul(ta, tb)
-        y = tsum(out * Tensor(w))
+        y = weighted_sum(out, w)
     backward(y)
     assert out.shape == (5, 2, 4)
     np.testing.assert_allclose(ta.grad, np.einsum("bmn,kn->bmk", w, b),
@@ -192,10 +185,50 @@ def test_concat_incompatible():
         concat([Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 3)))], axis=1)
 
 
+def test_nll_hand_arithmetic():
+    with Tape():
+        p = Tensor([[0.25, 0.75], [0.5, 0.5]], requires_grad=True)
+        loss = nll(p, [1, 0])
+    backward(loss)
+    assert loss.shape == (1,)
+    assert loss.item() == -(math.log(0.75) + math.log(0.5)) / 2
+    # -1/(B p) at each label, 0 elsewhere.
+    np.testing.assert_array_equal(p.grad, [[0.0, -0.5 / 0.75], [-1.0, 0.0]])
+
+
+def test_nll_has_no_floor():
+    with Tape():
+        p = Tensor([[1.0 - 1e-20, 1e-20]], requires_grad=True)
+        loss = nll(p, [1])
+    backward(loss)
+    assert loss.item() == -math.log(1e-20)
+    np.testing.assert_array_equal(p.grad, [[0.0, -1e20]])
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+def test_nll_of_zero_probability_is_inf():
+    assert nll(Tensor([[1.0, 0.0]]), [1]).item() == math.inf
+
+
+@pytest.mark.parametrize("probs,labels,error", [
+    (np.full((2, 2), 0.5), [0], ShapeError),
+    (np.full((2, 2), 0.5), [[0], [1]], ShapeError),
+    (np.full(2, 0.5), [0, 1], ShapeError),
+    (np.full((0, 2), 0.5), [], ShapeError),
+    (np.full((2, 2), 0.5), [0, 2], ValueError),
+    (np.full((2, 2), 0.5), [-1, 0], ValueError),
+    (np.full((2, 2), 0.5), [0.0, 1.0], ValueError),
+], ids=["short", "column", "one_dim", "empty", "too_large", "negative",
+        "float"])
+def test_nll_rejects_mismatched_labels(probs, labels, error):
+    with pytest.raises(error):
+        nll(Tensor(probs), labels)
+
+
 def test_backward_square():
     with Tape():
         x = Tensor([3.0], requires_grad=True)
-        y = tsum(x * x)
+        y = matmul(reshape(x, (1, 1)), reshape(x, (1, 1)))
     backward(y)
     np.testing.assert_allclose(x.grad, [6.0])
 
@@ -203,7 +236,7 @@ def test_backward_square():
 def test_backward_linear_identity_path():
     with Tape():
         a = Tensor(np.arange(4.0).reshape(2, 2), requires_grad=True)
-        y = tsum(matmul(a, Tensor(np.eye(2))))
+        y = weighted_sum(matmul(a, Tensor(np.eye(2))))
     backward(y)
     np.testing.assert_array_equal(a.grad, np.ones((2, 2)))
 
@@ -211,45 +244,45 @@ def test_backward_linear_identity_path():
 def test_backward_fanout_exact():
     with Tape():
         x = Tensor([5.0], requires_grad=True)
-        y = tsum(x + x)
+        y = weighted_sum(add(x, x))
     backward(y)
     np.testing.assert_array_equal(x.grad, [2.0])
 
 
 def test_backward_skips_non_grad_leaves():
-    for op in (mul, matmul):
-        for const_first in (False, True):
-            with Tape() as tape:
-                x = Tensor([[2.0]], requires_grad=True)
-                c = Tensor([[3.0]])
-                node = op(c, x) if const_first else op(x, c)
-                y = tsum(node)
-            grads = backward(y)
-            np.testing.assert_array_equal(x.grad, [[3.0]])
-            assert c.grad is None
-            assert id(c) not in tape._leaf_ids
-            # Only leaf gradients are returned; intermediates are freed.
-            assert list(grads) == [tape._leaf_ids[id(x)]]
-            # The op's backward computes no gradient for the constant.
-            node_grads = tape.nodes[node.node_id].backward_fn(np.ones((1, 1)))
-            assert node_grads[0 if const_first else 1] is None
+    for const_first in (False, True):
+        with Tape() as tape:
+            x = Tensor([[2.0]], requires_grad=True)
+            c = Tensor([[3.0]])
+            node = matmul(c, x) if const_first else matmul(x, c)
+            y = weighted_sum(node)
+        grads = backward(y)
+        np.testing.assert_array_equal(x.grad, [[3.0]])
+        assert c.grad is None
+        assert id(c) not in tape._leaf_ids
+        # Only leaf gradients are returned; intermediates are freed.
+        assert list(grads) == [tape._leaf_ids[id(x)]]
+        # The op's backward computes no gradient for the constant.
+        node_grads = tape.nodes[node.node_id].backward_fn(np.ones((1, 1)))
+        assert node_grads[0 if const_first else 1] is None
 
 
 def test_backward_rejects_non_scalar():
     with Tape():
         x = Tensor([1.0, 2.0], requires_grad=True)
-        y = x * x
+        y = add(x, x)
     with pytest.raises(ValueError):
         backward(y)
 
 
 def test_grad_check_quadratic():
-    err = grad_check(lambda x: tsum(x * x), np.array([1.0, -2.0, 3.0]))
+    err = grad_check(lambda x: matmul(reshape(x, (1, 3)), reshape(x, (3, 1))),
+                     np.array([1.0, -2.0, 3.0]))
     assert err < 1e-8
 
 
 def test_grad_check_constant():
-    err = grad_check(lambda x: tsum(x * Tensor(np.zeros(3))), np.ones(3))
+    err = grad_check(lambda x: weighted_sum(x, np.zeros(3)), np.ones(3))
     assert err == 0.0
 
 
@@ -269,28 +302,30 @@ def test_grad_check_every_op_random_shapes(seed):
     b = rng.normal(size=(n, m))
     k = rng.normal(size=(m, n))
     w_qkv = rng.normal(size=(m, 6))
+    labels = rng.integers(0, m, size=n)
 
     checks = {
-        "add": lambda x: tsum(x + Tensor(b)),
-        "mul": lambda x: tsum(x * Tensor(b)),
-        "mul_broadcast": lambda x: tsum(x * Tensor(b[0])),
-        "matmul_lhs": lambda x: tsum(matmul(x, Tensor(k))),
-        "matmul_rhs": lambda x: tsum(matmul(Tensor(b), reshape(x, (m, n)))),
-        "softmax": lambda x: tsum(softmax(x, 1) * Tensor(b)),
-        "layer_norm": lambda x: tsum(
+        "add": lambda x: weighted_sum(add(x, Tensor(b)), a),
+        "add_broadcast": lambda x: weighted_sum(
+            add(Tensor(b), reshape(narrow(x, 0, 0, 1), (m,))), a),
+        "matmul_lhs": lambda x: weighted_sum(matmul(x, Tensor(k))),
+        "matmul_rhs": lambda x: weighted_sum(
+            matmul(Tensor(b), reshape(x, (m, n)))),
+        "softmax": lambda x: weighted_sum(softmax(x, 1), b),
+        "layer_norm": lambda x: weighted_sum(
             layer_norm(x, Tensor(np.linspace(0.5, 1.5, m)),
-                       Tensor(np.linspace(-1, 1, m))) * Tensor(b)),
-        "gelu": lambda x: tsum(gelu(x) * Tensor(b)),
-        "concat": lambda x: tsum(concat([x, Tensor(b)], axis=0) *
-                                 Tensor(np.vstack([b, a]))),
-        "reshape": lambda x: tsum(reshape(x, (m, n)) * Tensor(k)),
-        "attention": lambda x: tsum(attention(
-            reshape(matmul(x, Tensor(w_qkv)), (1, n, 6)), 1, 0.0, False)
-            * Tensor(b[:, :2])),
-        "narrow": lambda x: tsum(narrow(x, 0, 1, n - 1) * Tensor(b[1:])),
-        "log": lambda x: tsum(tlog(clamp_min(x * x, 1e-3) + Tensor(np.ones_like(b)))),
-        "dropout": lambda x: tsum(
-            dropout(x, 0.4, training=True, rng=np.random.default_rng(99)) * Tensor(b)),
+                       Tensor(np.linspace(-1, 1, m))), b),
+        "gelu": lambda x: weighted_sum(gelu(x), b),
+        "concat": lambda x: weighted_sum(concat([x, Tensor(b)], axis=0),
+                                         np.vstack([b, a])),
+        "reshape": lambda x: weighted_sum(reshape(x, (m, n)), k),
+        "attention": lambda x: weighted_sum(attention(
+            reshape(matmul(x, Tensor(w_qkv)), (1, n, 6)), 1, 0.0, False),
+            b[:, :2]),
+        "narrow": lambda x: weighted_sum(narrow(x, 0, 1, n - 1), b[1:]),
+        "nll": lambda x: nll(softmax(x, 1), labels),
+        "dropout": lambda x: weighted_sum(
+            dropout(x, 0.4, training=True, rng=np.random.default_rng(99)), b),
     }
     for name, f in checks.items():
         err = grad_check(f, a)
@@ -338,7 +373,7 @@ def test_grad_check_attention():
     for rate, training in ((0.0, False), (0.3, True)):
         def f(x):
             out = attention(x, 2, rate, training, np.random.default_rng(99))
-            return tsum(out * Tensor(w))
+            return weighted_sum(out, w)
 
         assert grad_check(f, qkv) < 1e-5, (rate, training)
 
@@ -352,7 +387,7 @@ def test_determinism_bitwise():
             t = Tensor(x, requires_grad=True)
             h = gelu(matmul(t, Tensor(x.T)))
             h = dropout(h, 0.3, training=True, rng=np.random.default_rng(5))
-            y = tsum(softmax(h, 1))
+            y = weighted_sum(softmax(h, 1))
         backward(y)
         return y.item(), t.grad.copy()
 
@@ -365,8 +400,8 @@ def test_determinism_bitwise():
 def test_tape_topological_order():
     with Tape() as tape:
         x = Tensor([1.0], requires_grad=True)
-        y = x * x
-        z = tsum(y + x)
+        y = add(x, x)
+        z = weighted_sum(add(y, x))
     del z
     for nid, node in enumerate(tape.nodes):
         for pid in node.parents:
@@ -377,8 +412,7 @@ def test_tape_topological_order():
 # tape, so a backward closure that captured a Tensor would tie the tape into
 # a reference cycle. Keys are "<name in tensor.__all__>[:variant]".
 _TAPE_CASES = {
-    "add": lambda h: h + h,
-    "mul": lambda h: mul(h, h),
+    "add": lambda h: add(h, h),
     "matmul": lambda h: matmul(h, reshape(h, (6, 4))),
     "attention": lambda h: attention(reshape(h, (1, 4, 6)), 1, 0.3, True,
                                      np.random.default_rng(2)),
@@ -390,9 +424,7 @@ _TAPE_CASES = {
     "concat": lambda h: concat([h, h], axis=0),
     "reshape": lambda h: reshape(h, (6, 4)),
     "narrow": lambda h: narrow(h, 1, 2, 3),
-    "tsum": tsum,
-    "tlog": tlog,
-    "clamp_min": lambda h: clamp_min(h, 1.0),
+    "nll": lambda h: nll(softmax(h, 1), [0, 1, 2, 3]),
 }
 
 
@@ -410,8 +442,8 @@ def test_tape_freed_by_reference_counting(case):
     try:
         with Tape() as tape:
             x = Tensor(x_data, requires_grad=True)
-            out = _TAPE_CASES[case](x * x)
-            root = tsum(out)
+            out = _TAPE_CASES[case](add(x, x))
+            root = weighted_sum(out)
         backward(root)
         assert x.grad.shape == x.shape
         alive = weakref.ref(tape)

@@ -6,8 +6,9 @@ import pytest
 
 from mixedvit.data import AD, CN, MixedSample
 from mixedvit.model import ModelConfig, init_params, forward_batch
-from mixedvit.tensor import Tape, Tensor, backward
+from mixedvit.tensor import Tape, Tensor, backward, softmax
 from mixedvit.train import (
+    DivergenceError,
     EpochStats,
     OptimizerState,
     TrainConfig,
@@ -127,11 +128,12 @@ def _one_row_loss(probs, label: int) -> float:
     return batch_loss(Tensor([probs]), np.array([label])).item()
 
 
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
 def test_cross_entropy_values():
-    """batch_loss of one row is -ln p_label, with p floored at 1e-12."""
+    """batch_loss of one row is -ln p_label, with no floor under p."""
     assert _one_row_loss([1.0, 0.0], 0) == 0.0
     assert abs(_one_row_loss([0.5, 0.5], 0) - math.log(2)) < 1e-12
-    assert abs(_one_row_loss([0.0, 1.0], 0) - 27.631021115928547) < 1e-9
+    assert _one_row_loss([0.0, 1.0], 0) == math.inf
 
 
 def test_cross_entropy_non_negative():
@@ -147,6 +149,24 @@ def test_batch_loss_matches_scalar_contract():
     want = -(math.log(0.9) + math.log(0.75)) / 2
     got = batch_loss(Tensor(probs), labels).item()
     assert abs(got - want) < 1e-12
+
+
+def test_batch_loss_is_one_tape_node():
+    with Tape() as tape:
+        probs = Tensor([[0.9, 0.1], [0.25, 0.75]], requires_grad=True)
+        batch_loss(probs, np.array([0, 1]))
+    assert [node.op for node in tape.nodes] == ["leaf", "nll"]
+
+
+def test_saturated_prediction_keeps_loss_and_gradient():
+    """p_y = 1e-20, far below any probability floor: the loss is -ln p_y
+    and the logits still get a gradient, p - onehot(y)."""
+    with Tape():
+        logits = Tensor([[0.0, math.log(1e-20)]], requires_grad=True)
+        loss = batch_loss(softmax(logits, 1), np.array([1]))
+    backward(loss)
+    assert loss.item() == pytest.approx(-math.log(1e-20), rel=1e-15)
+    np.testing.assert_allclose(logits.grad, [[1.0, -1.0]], rtol=1e-15)
 
 
 def test_config_validation():
@@ -223,6 +243,40 @@ def test_train_leaves_no_reference_cycles():
     finally:
         if enabled:
             gc.enable()
+
+
+def _saturated_head(logit_ad: float) -> dict:
+    """SMALL_MODEL parameters whose logits are (0, logit_ad) for any input."""
+    params = init_params(SMALL_MODEL, 5)
+    params["head.weight"].data[:] = 0.0
+    params["head.bias"].data[:] = [0.0, logit_ad]
+    return params
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+def test_train_stops_on_infinite_loss_before_update():
+    params = _saturated_head(-1e4)  # p_AD = exp(-1e4) = 0: loss +inf
+    before = flatten_params(params)
+    samples = make_samples(8)
+    with pytest.raises(DivergenceError, match="loss inf at epoch 0, step 0"):
+        train(SMALL_MODEL, params, samples[:6], samples[6:],
+              TrainConfig(epochs=1, batch_size=3))
+    np.testing.assert_array_equal(flatten_params(params), before)
+    assert all(p.grad is None for p in params.values())
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_stops_on_non_finite_gradient_before_update():
+    # p_AD = exp(-744), a subnormal: the loss is finite, but -1/(B p_AD)
+    # overflows in the backward pass.
+    params = _saturated_head(-744.0)
+    before = flatten_params(params)
+    samples = make_samples(8)
+    with pytest.raises(DivergenceError,
+                       match="non-finite gradient .* at epoch 0, step 0"):
+        train(SMALL_MODEL, params, samples[:6], samples[6:],
+              TrainConfig(epochs=1, batch_size=3))
+    np.testing.assert_array_equal(flatten_params(params), before)
 
 
 def test_train_best_checkpoint_selection():
