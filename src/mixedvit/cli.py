@@ -1,6 +1,11 @@
 """Command-line entry point: synthesize data, select ROI instances, train,
 cross-validate, tune, evaluate, and statistically compare models.
 
+``train``, ``cv`` and ``tune`` fit through ``train.FitPlan`` and
+``train.fit``: a split that cannot be trained or scored exits 2 before any
+training. A ``tune`` space names ``DEFAULT_CONFIG`` keys other than
+``epochs``; a trial merges its values as ``--config`` merges overrides.
+
 Exit codes: 0 success, 1 runtime/I-O failure, 2 usage/config error.
 Every run writes a manifest with a config snapshot and output checksums.
 """
@@ -74,10 +79,28 @@ def _same_type(value, default) -> bool:
     return isinstance(value, type(default))
 
 
+def merge_config(cfg: dict, overrides: dict) -> dict:
+    """``cfg`` with ``overrides`` applied; UsageError for an unknown key, a
+    value without its default's type or an unsupported optimizer/schedule."""
+    unknown = set(overrides) - set(DEFAULT_CONFIG)
+    if unknown:
+        raise UsageError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in overrides.items():
+        if not _same_type(value, DEFAULT_CONFIG[key]):
+            raise UsageError(f"config key {key!r} must have the type of "
+                             f"{DEFAULT_CONFIG[key]!r}, got {value!r}")
+    cfg = {**cfg, **overrides}
+    if cfg["optimizer"] != "adam":
+        raise UsageError(f"unsupported optimizer {cfg['optimizer']!r}")
+    if cfg["learning_rate_schedule"] != "exponential_decay":
+        raise UsageError(
+            f"unsupported schedule {cfg['learning_rate_schedule']!r}")
+    return cfg
+
+
 def load_config(path) -> dict:
-    cfg = dict(DEFAULT_CONFIG)
     if path is None:
-        return cfg
+        return dict(DEFAULT_CONFIG)
     try:
         with open(path, encoding="utf-8") as fh:
             overrides = json.load(fh)
@@ -87,20 +110,7 @@ def load_config(path) -> dict:
         raise UsageError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(overrides, dict):
         raise UsageError(f"config file {path} does not hold a JSON object")
-    unknown = set(overrides) - set(cfg)
-    if unknown:
-        raise UsageError(f"unknown config keys: {sorted(unknown)}")
-    for key, value in overrides.items():
-        if not _same_type(value, cfg[key]):
-            raise UsageError(f"config key {key!r} must have the type of "
-                             f"{cfg[key]!r}, got {value!r}")
-    cfg.update(overrides)
-    if cfg["optimizer"] != "adam":
-        raise UsageError(f"unsupported optimizer {cfg['optimizer']!r}")
-    if cfg["learning_rate_schedule"] != "exponential_decay":
-        raise UsageError(
-            f"unsupported schedule {cfg['learning_rate_schedule']!r}")
-    return cfg
+    return merge_config(DEFAULT_CONFIG, overrides)
 
 
 def model_config_from(cfg: dict, mode: str, num_branches: int) -> MO.ModelConfig:
@@ -123,19 +133,13 @@ def model_config_from(cfg: dict, mode: str, num_branches: int) -> MO.ModelConfig
 
 
 def train_config_from(cfg: dict, seed: int) -> TR.TrainConfig:
+    # Each TrainConfig field but the seed is the config key of its name.
+    names = [f.name for f in dataclasses.fields(TR.TrainConfig)]
     try:
-        return TR.TrainConfig(
-            initial_lr=cfg["initial_lr"], decay_steps=cfg["decay_steps"],
-            decay_rate=cfg["decay_rate"], batch_size=cfg["batch_size"],
-            epochs=cfg["epochs"],
-            adam_beta1=cfg["adam_beta1"], adam_beta2=cfg["adam_beta2"],
-            adam_eps=cfg["adam_eps"], seed=seed)
+        return TR.TrainConfig(seed=seed,
+                              **{k: cfg[k] for k in names if k != "seed"})
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def write_run_manifest(path: Path, command: str, config: dict, seed,
@@ -145,11 +149,16 @@ def write_run_manifest(path: Path, command: str, config: dict, seed,
         "config": config,
         "seed": seed,
         "inputs": [str(p) for p in inputs],
-        "outputs": {Path(p).name: _sha256(Path(p)) for p in outputs},
+        "outputs": {Path(p).name: hashlib.sha256(Path(p).read_bytes())
+                    .hexdigest() for p in outputs},
         "duration_seconds": time.time() - started,
     }
+    _write_json(path, manifest)
+
+
+def _write_json(path, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
+        json.dump(obj, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
@@ -170,20 +179,11 @@ def _parse_rois(text: str):
     return rois
 
 
-def _load_manifest(path) -> list:
+def _load(loader, path, what: str) -> list:
     try:
-        return D.load_manifest(path)
+        return loader(path)
     except FileNotFoundError as exc:
-        raise RuntimeFailure(f"manifest not found: {path}") from exc
-    except ValueError as exc:
-        raise RuntimeFailure(str(exc)) from exc
-
-
-def _load_instances(path) -> list:
-    try:
-        return D.load_instances(path)
-    except FileNotFoundError as exc:
-        raise RuntimeFailure(f"instance table not found: {path}") from exc
+        raise RuntimeFailure(f"{what} not found: {path}") from exc
     except ValueError as exc:
         raise RuntimeFailure(str(exc)) from exc
 
@@ -223,7 +223,7 @@ def cmd_select(args) -> int:
     started = time.time()
     if args.slices < 1:
         raise UsageError(f"--slices must be >= 1, got {args.slices}")
-    records = _load_manifest(args.manifest)
+    records = _load(D.load_manifest, args.manifest, "manifest")
     rois = _parse_rois(args.roi)
     instances = []
     for roi in rois:
@@ -258,8 +258,8 @@ def cmd_select(args) -> int:
 
 
 def _dataset_for(args, rois):
-    records = _load_manifest(args.manifest)
-    instances = _load_instances(args.instances)
+    records = _load(D.load_manifest, args.manifest, "manifest")
+    instances = _load(D.load_instances, args.instances, "instance table")
     have = {(i.subject_id, i.roi_name) for i in instances}
     usable = [r for r in records
               if all((r.subject_id, roi) in have for roi in rois)]
@@ -267,20 +267,6 @@ def _dataset_for(args, rois):
         raise RuntimeFailure(
             f"no subjects in {args.manifest} have instances for all of {rois}")
     return usable, instances
-
-
-def _require_both_classes(records, what: str, error) -> None:
-    """Raise ``error`` unless ``records`` hold CN and AD subjects: a set of
-    one class has no ROC curve to score it by."""
-    present = {D.cdr_to_label(r.cdr) for r in records}
-    missing = [D.LABEL_NAMES[c] for c in (D.CN, D.AD) if c not in present]
-    if missing:
-        raise error(f"{what} has no {' or '.join(missing)} subject; "
-                    f"scoring needs both CN and AD")
-
-
-def _geometry(model_cfg: MO.ModelConfig):
-    return tuple(model_cfg.image_dims[1:3]), model_cfg.image_dims[3]
 
 
 def cmd_train(args) -> int:
@@ -294,18 +280,10 @@ def cmd_train(args) -> int:
     try:
         tr, va, te = D.split_subjects(records, (0.70, 0.15, 0.15),
                                       np.random.default_rng([args.seed, 11]))
-        fit = D.FitStats.from_records(tr)
+        plan = TR.FitPlan(tr, va, te, "the test split")
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    _require_both_classes(te, "the test split", UsageError)
-    size, channels = _geometry(model_cfg)
-    s_train = D.build_samples(tr, instances, rois, fit, size, channels)
-    s_val = D.build_samples(va, instances, rois, fit, size, channels)
-    s_test = D.build_samples(te, instances, rois, fit, size, channels)
-
-    params = MO.init_params(model_cfg, args.seed)
-    best, history = TR.train(model_cfg, params, s_train, s_val, train_cfg)
-    preds = TR.predict(model_cfg, best, s_test, train_cfg.batch_size)
+    best, history, preds = TR.fit(model_cfg, train_cfg, plan, instances, rois)
     report = ME.evaluate_fold(preds, 0)
 
     out = Path(args.out)
@@ -317,10 +295,8 @@ def cmd_train(args) -> int:
     snapshot = {"model": dataclasses.asdict(model_cfg),
                 "train": dataclasses.asdict(train_cfg),
                 "rois": rois, "mode": args.mode,
-                "fit": dataclasses.asdict(fit)}
-    with open(out / "config.json", "w", encoding="utf-8") as fh:
-        json.dump(snapshot, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+                "fit": dataclasses.asdict(plan.stats)}
+    _write_json(out / "config.json", snapshot)
     outputs = [out / n for n in ("checkpoint.mwt", "history.csv",
                                  "metrics.json", "roc.csv", "config.json")]
     write_run_manifest(out / "run_manifest.json", "train", snapshot,
@@ -366,41 +342,21 @@ def cmd_cv(args) -> int:
 # tune
 
 
-def _tune_objective(args, space):
-    if args.objective == "toy":
-        if "initial_lr" not in space:
-            raise UsageError("toy objective needs an 'initial_lr' dimension")
-        return TU.toy_objective
-    if not (args.manifest and args.instances and args.rois):
-        raise UsageError(
-            "--objective train needs --manifest, --instances and --rois")
-    rois = _parse_rois(args.rois)
-    cfg = load_config(args.config)
-    records, instances = _dataset_for(args, rois)
-    tr, va, _ = D.split_subjects(records, (0.85, 0.15, 0.0),
-                                 np.random.default_rng([args.seed, 17]))
-    fit = D.FitStats.from_records(tr)
-
-    def objective(sampled: dict, epochs: int) -> float:
-        merged = dict(cfg)
-        for key in ("initial_lr", "dropout", "batch_size"):
-            if key in sampled:
-                merged[key] = sampled[key]
-        if "tubelet_t" in sampled:
-            merged["tubelet"] = [int(sampled["tubelet_t"]),
-                                 *merged["tubelet"][1:]]
-        merged["epochs"] = int(epochs)
-        model_cfg = model_config_from(merged, args.mode, len(rois))
-        train_cfg = train_config_from(merged, args.seed)
-        size, channels = _geometry(model_cfg)
-        s_train = D.build_samples(tr, instances, rois, fit, size, channels)
-        s_val = D.build_samples(va, instances, rois, fit, size, channels)
-        params = MO.init_params(model_cfg, args.seed)
-        best, _ = TR.train(model_cfg, params, s_train, s_val, train_cfg)
-        _, acc = TR.evaluate(model_cfg, best, s_val, train_cfg.batch_size)
-        return acc
-
-    return objective
+def _check_space(space: dict, cfg: dict, mode: str, num_branches: int):
+    """Reject a dimension that a trial could not apply: one not named after
+    a config key other than ``epochs``, a range over a key that is not a
+    float, or a value (each choice, both ends of a range) that ``--config``
+    or the model and training configs would refuse."""
+    for name, dim in space.items():
+        ranged = not isinstance(dim, TU.Choice)
+        if name == "epochs" or name not in DEFAULT_CONFIG or (
+                ranged and not isinstance(DEFAULT_CONFIG[name], float)):
+            raise UsageError(f"space dimension {name!r}: tune sets config "
+                             f"keys other than epochs, ranges only float ones")
+        for value in (dim.lo, dim.hi) if ranged else dim.values:
+            merged = merge_config(cfg, {name: value})
+            model_config_from(merged, mode, num_branches)
+            train_config_from(merged, 0)
 
 
 def cmd_tune(args) -> int:
@@ -408,29 +364,45 @@ def cmd_tune(args) -> int:
     try:
         with open(args.space, encoding="utf-8") as fh:
             space = TU.parse_space(json.load(fh))
+        TU.bracket_schedule(args.max_resource, args.eta)
     except FileNotFoundError as exc:
         raise UsageError(f"space file not found: {args.space}") from exc
-    except (json.JSONDecodeError, TU.SpaceError) as exc:
-        raise UsageError(f"malformed search space: {exc}") from exc
-    objective = _tune_objective(args, space)
+    except ValueError as exc:  # bad JSON, SpaceError or the Hyperband budget
+        raise UsageError(f"malformed search space, --max-resource or "
+                         f"--eta: {exc}") from exc
+    rois = _parse_rois(args.rois)
+    cfg = load_config(args.config)
+    _check_space(space, cfg, args.mode, len(rois))
+    records, instances = _dataset_for(args, rois)
     try:
-        best, log = TU.hyperband_run(space, objective, args.max_resource,
-                                     args.eta, args.seed)
-    except TU.SpaceError as exc:
+        tr, va, _ = D.split_subjects(records, (0.85, 0.15, 0.0),
+                                     np.random.default_rng([args.seed, 17]))
+        plan = TR.FitPlan(tr, va)
+    except ValueError as exc:
         raise UsageError(str(exc)) from exc
+
+    def objective(sampled: dict, epochs: int) -> float:
+        merged = merge_config(cfg, {**sampled, "epochs": epochs})
+        _best, history, _ = TR.fit(
+            model_config_from(merged, args.mode, len(rois)),
+            train_config_from(merged, args.seed), plan, instances, rois)
+        # The best-validation checkpoint's accuracy on the validation set.
+        return max(h.val_accuracy for h in history)
+
+    best, log = TU.hyperband_run(space, objective, args.max_resource,
+                                 args.eta, args.seed)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     TU.save_trial_log(log, out / "trials.csv")
-    with open(out / "best_config.json", "w", encoding="utf-8") as fh:
-        json.dump({"config": best.config, "score": best.score,
-                   "trial_id": best.trial_id, "resource": best.resource},
-                  fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(out / "best_config.json",
+                {"config": best.config, "score": best.score,
+                 "trial_id": best.trial_id, "resource": best.resource})
     write_run_manifest(out / "run_manifest.json", "tune",
-                       {"space": str(args.space), "objective": args.objective,
+                       {"base_config": cfg, "rois": rois, "mode": args.mode,
+                        "space": str(args.space),
                         "max_resource": args.max_resource, "eta": args.eta},
-                       args.seed, [args.space],
+                       args.seed, [args.space, args.manifest, args.instances],
                        [out / "trials.csv", out / "best_config.json"], started)
     print(f"best trial {best.trial_id}: score {best.score:.4f}, "
           f"config {json.dumps(best.config, sort_keys=True)}")
@@ -472,13 +444,9 @@ def _load_snapshot(path: Path) -> tuple:
         with open(path, encoding="utf-8") as fh:
             snapshot = json.load(fh)
         m = snapshot["model"]
-        model_cfg = MO.ModelConfig(
-            image_dims=tuple(m["image_dims"]), tubelet=tuple(m["tubelet"]),
-            embed_dim=m["embed_dim"], depth=m["depth"], heads=m["heads"],
-            mlp_ratio=m["mlp_ratio"], dropout_rate=m["dropout_rate"],
-            tabular_dim=m["tabular_dim"],
-            tabular_hidden=tuple(m["tabular_hidden"]),
-            num_branches=m["num_branches"], mode=m["mode"])
+        fields = {f.name: m[f.name] for f in dataclasses.fields(MO.ModelConfig)}
+        model_cfg = MO.ModelConfig(**{k: tuple(v) if isinstance(v, list) else v
+                                      for k, v in fields.items()})
         rois = snapshot["rois"]
         if len(rois) != model_cfg.num_branches:
             raise ValueError(f"{len(rois)} rois for "
@@ -508,16 +476,9 @@ def cmd_eval(args) -> int:
     got = {name: p.shape for name, p in params.items()}
     if expected != got:
         raise RuntimeFailure("checkpoint does not match its model config")
-    records = _load_manifest(args.manifest)
-    instances = _load_instances(args.instances)
-    have = {(i.subject_id, i.roi_name) for i in instances}
-    records = [r for r in records
-               if all((r.subject_id, roi) in have for roi in rois)]
-    if not records:
-        raise RuntimeFailure("no subjects with instances for the model's ROIs")
-    _require_both_classes(records, "the evaluation set", RuntimeFailure)
-    size, channels = _geometry(model_cfg)
-    samples = D.build_samples(records, instances, rois, fit, size, channels)
+    records, instances = _dataset_for(args, rois)
+    TR.require_both_classes(records, "the evaluation set", RuntimeFailure)
+    samples = D.build_samples(records, instances, rois, fit, *model_cfg.crop)
     preds = TR.predict(model_cfg, params, samples, batch_size)
     report = ME.evaluate_fold(preds, 0)
 
@@ -602,8 +563,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_select)
 
-    for name, fn in (("train", cmd_train), ("cv", cmd_cv)):
-        p = sub.add_parser(name, help=f"{name} a model")
+    for name, fn, text in (("train", cmd_train, "train a model"),
+                           ("cv", cmd_cv, "cross-validate a model"),
+                           ("tune", cmd_tune, "Hyperband search")):
+        p = sub.add_parser(name, help=text)
         p.add_argument("--instances", required=True)
         p.add_argument("--manifest", required=True)
         p.add_argument("--config", default=None)
@@ -618,21 +581,17 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--no-holdout-test", action="store_true",
                            help="cross-validate over all subjects instead of "
                                 "holding out the 15%% test split")
+        if name == "tune":
+            p.add_argument("--space", required=True,
+                           help="JSON object of dimensions named after "
+                                "config keys other than epochs: a choice of "
+                                "values of the key's type, or a uniform or "
+                                "log_uniform float range")
+            p.add_argument("--max-resource", type=float, default=27,
+                           help="most epochs of one trial (>= 1)")
+            p.add_argument("--eta", type=float, default=3,
+                           help="culling factor (>= 2)")
         p.set_defaults(func=fn)
-
-    p = sub.add_parser("tune", help="Hyperband hyperparameter search")
-    p.add_argument("--space", required=True)
-    p.add_argument("--max-resource", type=float, default=27)
-    p.add_argument("--eta", type=float, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.add_argument("--objective", choices=["toy", "train"], default="toy")
-    p.add_argument("--manifest")
-    p.add_argument("--instances")
-    p.add_argument("--rois")
-    p.add_argument("--mode", choices=["mixed", "image-only"], default="mixed")
-    p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_tune)
 
     p = sub.add_parser("eval", help="evaluate a trained model")
     p.add_argument("--model", required=True)

@@ -18,15 +18,13 @@ from scipy.special import betainc
 from .data import (
     AD,
     CN,
-    FitStats,
     InstanceRecord,
     SubjectRecord,
-    build_samples,
     cdr_to_label,
     split_subjects,
 )
-from .model import ModelConfig, init_params
-from .train import Prediction, TrainConfig, predict, train
+from .model import ModelConfig
+from .train import FitPlan, Prediction, TrainConfig, fit
 
 
 class DegenerateVarianceError(ValueError):
@@ -237,6 +235,7 @@ def cv_run(records: Sequence[SubjectRecord],
 
     Each fold trains on the other k-1 folds, with an inner ``VAL_FRACTION``
     carve for checkpoint selection, and is scored on the held-out fold.
+    Every fold is planned (and so checked) before any fold trains.
     Returns the fold reports and a mean±std summary.
     """
     if holdout_test:
@@ -249,27 +248,22 @@ def cv_run(records: Sequence[SubjectRecord],
     labels = {r.subject_id: cdr_to_label(r.cdr) for r in pool}
     folds = stratified_kfold(list(by_id), labels, k,
                              np.random.default_rng([seed, 23]))
+    plans = []
+    for fold_index, held in enumerate(folds):
+        held_ids = set(held)
+        inner_train, inner_val, _ = split_subjects(
+            [r for r in pool if r.subject_id not in held_ids],
+            (1.0 - VAL_FRACTION, VAL_FRACTION, 0.0),
+            np.random.default_rng([seed, 47, fold_index]))
+        plans.append(FitPlan(inner_train, inner_val,
+                             [by_id[sid] for sid in held],
+                             f"held-out fold {fold_index}"))
 
     def run_fold(fold_index: int) -> FoldReport:
-        held_ids = set(folds[fold_index])
-        train_records = [r for r in pool if r.subject_id not in held_ids]
-        held_records = [by_id[sid] for sid in folds[fold_index]]
-        fold_seed = _derive_seed(seed, 31, fold_index)
-        inner_train, inner_val, _ = split_subjects(
-            train_records, (1.0 - VAL_FRACTION, VAL_FRACTION, 0.0),
-            np.random.default_rng([seed, 47, fold_index]))
-        fit = FitStats.from_records(inner_train)
-        size = tuple(model_cfg.image_dims[1:3])
-        channels = model_cfg.image_dims[3]
-        s_train = build_samples(inner_train, instances, rois, fit, size, channels)
-        s_val = build_samples(inner_val, instances, rois, fit, size, channels)
-        s_held = build_samples(held_records, instances, rois, fit, size, channels)
-        params = init_params(model_cfg, fold_seed)
-        fold_train_cfg = dataclasses.replace(train_cfg, seed=fold_seed)
-        best_params, _history = train(model_cfg, params, s_train, s_val,
-                                      fold_train_cfg)
-        preds = predict(model_cfg, best_params, s_held,
-                        fold_train_cfg.batch_size)
+        fold_cfg = dataclasses.replace(
+            train_cfg, seed=_derive_seed(seed, 31, fold_index))
+        _params, _history, preds = fit(model_cfg, fold_cfg, plans[fold_index],
+                                       instances, rois)
         return evaluate_fold(preds, fold_index)
 
     if jobs > 1:

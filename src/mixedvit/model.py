@@ -80,6 +80,11 @@ class ModelConfig:
             raise ConfigError("mixed mode needs at least one tabular layer")
 
     @property
+    def crop(self) -> tuple:
+        """(H, W) and channel count of an ROI crop, as build_samples takes."""
+        return tuple(self.image_dims[1:3]), self.image_dims[3]
+
+    @property
     def patch_dim(self) -> int:
         t, h, w = self.tubelet
         return t * h * w * self.image_dims[3]

@@ -2,17 +2,30 @@
 cross-entropy on softmax probabilities (one ``tensor.nll`` tape op),
 validation-selected checkpointing, and a stop with ``DivergenceError`` on a
 non-finite loss or gradient.
+
+A ``FitPlan`` checks a subject split before any training starts and ``fit``
+trains on it: the one way the ``train``, ``cv`` and ``tune`` commands fit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import AD, CN, MixedSample, build_batches
-from .model import ModelConfig, forward_batch
+from .data import (
+    AD,
+    CN,
+    LABEL_NAMES,
+    FitStats,
+    MixedSample,
+    SubjectRecord,
+    build_batches,
+    build_samples,
+    cdr_to_label,
+)
+from .model import ModelConfig, forward_batch, init_params
 from .tensor import Tape, Tensor, backward, nll
 
 
@@ -151,10 +164,6 @@ def train(model_cfg: ModelConfig, params: dict,
     A non-finite loss or gradient raises ``DivergenceError`` before the
     Adam update, so the parameters keep their last finite values.
     """
-    if not train_samples:
-        raise ValueError("no training samples")
-    if not val_samples:
-        raise ValueError("no validation samples for checkpoint selection")
     state = OptimizerState.for_params(params)
     history: list[EpochStats] = []
     best_params = _copy_params(params)
@@ -218,6 +227,57 @@ def predict(model_cfg: ModelConfig, params: dict,
                                   predicted=AD if p > 0.5 else CN,
                                   label=int(label)))
     return out
+
+
+def require_both_classes(records: Sequence[SubjectRecord], what: str,
+                         error=ValueError) -> None:
+    """Raise ``error`` unless ``records`` hold CN and AD subjects: a set of
+    one class has no ROC curve to score it by."""
+    present = {cdr_to_label(r.cdr) for r in records}
+    missing = [LABEL_NAMES[c] for c in (CN, AD) if c not in present]
+    if missing:
+        raise error(f"{what} has no {' or '.join(missing)} subject; "
+                    f"scoring needs both CN and AD")
+
+
+@dataclass
+class FitPlan:
+    """A subject split checked before any training starts: the subjects to
+    train on, to select the checkpoint by and to predict and ROC-score
+    (None: no scored set). ``ValueError`` for an empty training or
+    validation set, a scored set without both classes, or a degenerate
+    feature range in ``stats``, which is fitted on the training subjects."""
+    train: Sequence[SubjectRecord]
+    val: Sequence[SubjectRecord]
+    scored: Optional[Sequence[SubjectRecord]] = None
+    scored_name: str = "the scored set"
+    stats: FitStats = field(init=False)
+
+    def __post_init__(self):
+        if not self.train:
+            raise ValueError("no training subjects")
+        if not self.val:
+            raise ValueError("no validation subjects for checkpoint selection")
+        if self.scored is not None:
+            require_both_classes(self.scored, self.scored_name)
+        self.stats = FitStats.from_records(self.train)
+
+
+def fit(model_cfg: ModelConfig, train_cfg: TrainConfig, plan: FitPlan,
+        instances, rois: Sequence[str]):
+    """Train a model on a planned split from ``init_params`` at the run
+    seed; returns (best-validation params, epoch history, predictions on
+    the scored set, empty when the plan has none)."""
+    def samples(records):
+        return build_samples(records, instances, rois, plan.stats,
+                             *model_cfg.crop)
+
+    params = init_params(model_cfg, train_cfg.seed)
+    best, history = train(model_cfg, params, samples(plan.train),
+                          samples(plan.val), train_cfg)
+    preds = [] if plan.scored is None else predict(
+        model_cfg, best, samples(plan.scored), train_cfg.batch_size)
+    return best, history, preds
 
 
 HISTORY_HEADER = "epoch,train_loss,val_loss,val_accuracy,lr"

@@ -104,15 +104,6 @@ def parse_space(spec: dict) -> dict:
     return space
 
 
-def default_search_space() -> dict:
-    return {
-        "initial_lr": LogUniform(1e-5, 1e-3),
-        "dropout": Choice((0.1, 0.2, 0.3)),
-        "batch_size": Choice((4, 6, 8)),
-        "tubelet_t": Choice((5, 25)),
-    }
-
-
 def sample_config(space: dict, rng: np.random.Generator) -> dict:
     """One independent draw per dimension, in sorted name order."""
     return {name: space[name].sample(rng) for name in sorted(space)}
@@ -195,17 +186,6 @@ def hyperband_run(space: dict, objective: Callable[[dict, int], float],
         next_id += bracket.n_configs
     best = min(log, key=lambda t: (-t.score, t.trial_id))
     return best, log
-
-
-TOY_TARGET_LR = 3e-4
-
-
-def toy_objective(config: dict, resource: int) -> float:
-    """Deterministic, resource-free objective peaked at initial_lr = 3e-4."""
-    del resource
-    if "initial_lr" not in config:
-        raise SpaceError("toy objective needs an 'initial_lr' dimension")
-    return math.exp(-abs(math.log(config["initial_lr"] / TOY_TARGET_LR)))
 
 
 TRIAL_LOG_HEADER = ["trial_id", "bracket", "round", "resource", "score",

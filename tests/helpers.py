@@ -1,10 +1,11 @@
 """Helpers that only tests use: a scalar root for gradient tests, a
 single-sample forward pass, parameter flattening for whole-model gradient
-checks, and a rank-statistic AUC oracle for the trapezoid AUC."""
+checks, a rank-statistic AUC oracle for the trapezoid AUC, and a search
+space and analytic objective for Hyperband."""
 
 from __future__ import annotations
 
-from math import prod
+from math import exp, log, prod
 from typing import Optional, Sequence
 
 import numpy as np
@@ -12,6 +13,7 @@ import numpy as np
 from mixedvit.data import AD, CN
 from mixedvit.model import ModelConfig, forward_batch
 from mixedvit.tensor import Tensor, matmul, narrow, reshape
+from mixedvit.tuning import Choice, LogUniform
 
 
 def weighted_sum(x: Tensor, w=1.0) -> Tensor:
@@ -61,3 +63,21 @@ def auc_mannwhitney(scores: Sequence[float], labels: Sequence[int]) -> float:
         wins += int((p > neg).sum())
         ties += int((p == neg).sum())
     return (wins + 0.5 * ties) / (pos.size * neg.size)
+
+
+def default_search_space() -> dict:
+    return {
+        "initial_lr": LogUniform(1e-5, 1e-3),
+        "dropout": Choice((0.1, 0.2, 0.3)),
+        "batch_size": Choice((4, 6, 8)),
+        "tubelet": Choice(([5, 8, 8], [25, 8, 8])),
+    }
+
+
+TOY_TARGET_LR = 3e-4
+
+
+def toy_objective(config: dict, resource: int) -> float:
+    """Deterministic, resource-free objective peaked at TOY_TARGET_LR."""
+    del resource
+    return exp(-abs(log(config["initial_lr"] / TOY_TARGET_LR)))

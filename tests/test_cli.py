@@ -348,8 +348,8 @@ def test_divergence_exits_1(dataset, tmp_path, capsys, monkeypatch, command):
     def diverge(*args, **kwargs):
         raise DivergenceError("loss inf at epoch 0, step 0")
 
+    # train.fit, which every command fits through, looks train up here.
     monkeypatch.setattr("mixedvit.train.train", diverge)
-    monkeypatch.setattr("mixedvit.metrics.train", diverge)
     argv = _train_argv(dataset, dataset / "data" / "manifest.jsonl",
                        dataset / "config.json", tmp_path / "out")
     if command == "cv":
@@ -392,59 +392,170 @@ def test_cv_unknown_config_key_exits_2(dataset, tmp_path):
     assert rc == 2
 
 
-def test_tune_toy_deterministic(tmp_path):
-    space = tmp_path / "space.json"
-    space.write_text(json.dumps({
-        "initial_lr": {"type": "log_uniform", "lo": 1e-5, "hi": 1e-3},
+def _tune_argv(dataset, space, out, *extra, manifest=None):
+    return ["tune", "--space", str(space), "--max-resource", "2",
+            "--eta", "2", "--seed", "1",
+            "--manifest", str(manifest or dataset / "data" / "manifest.jsonl"),
+            "--instances", str(dataset / "instances.csv"),
+            "--rois", "hippocampus_left",
+            "--config", str(dataset / "config.json"), "--out", str(out),
+            *extra]
+
+
+def _space(tmp_path, spec) -> Path:
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(spec))
+    return path
+
+
+def test_tune_deterministic(dataset, tmp_path):
+    space = _space(tmp_path, {
+        "initial_lr": {"type": "log_uniform", "lo": 1e-3, "hi": 1e-2},
         "dropout": {"type": "choice", "values": [0.1, 0.2, 0.3]},
-    }))
+    })
     logs = []
     for name in ("t1", "t2"):
-        rc = main(["tune", "--space", str(space), "--max-resource", "9",
-                   "--eta", "3", "--seed", "8", "--objective", "toy",
-                   "--out", str(tmp_path / name)])
+        rc = main(_tune_argv(dataset, space, tmp_path / name, "--seed", "8"))
         assert rc == 0
-        logs.append((tmp_path / name / "trials.csv").read_text())
+        logs.append((tmp_path / name / "trials.csv").read_bytes())
     assert logs[0] == logs[1]
 
     from mixedvit.tuning import bracket_schedule
-    rows = logs[0].splitlines()[1:]
-    planned_rows = sum(n for b in bracket_schedule(9, 3) for n, _ in b.rounds)
+    rows = logs[0].decode().splitlines()[1:]
+    planned_rows = sum(n for b in bracket_schedule(2, 2) for n, _ in b.rounds)
     assert len(rows) == planned_rows
 
-    best = json.loads((tmp_path / "t1" / "best_config.json").read_text())
-    # analytic argmax of the toy objective over the sampled lrs
-    import math
-    sampled = []
-    for row in rows:
-        cfg = json.loads(row.split(",", 5)[5].strip('"').replace('""', '"'))
-        sampled.append(cfg["initial_lr"])
-    target = min(sampled, key=lambda lr: abs(math.log(lr / 3e-4)))
-    assert best["config"]["initial_lr"] == target
 
-
-def test_tune_malformed_space_exits_2(tmp_path):
-    space = tmp_path / "space.json"
-    space.write_text(json.dumps({"x": {"type": "mystery"}}))
-    rc = main(["tune", "--space", str(space), "--out", str(tmp_path / "t")])
-    assert rc == 2
+def test_tune_malformed_space_exits_2(dataset, tmp_path):
+    space = _space(tmp_path, {"x": {"type": "mystery"}})
+    assert main(_tune_argv(dataset, space, tmp_path / "t")) == 2
 
 
 def test_tune_train_objective(dataset, tmp_path):
-    space = tmp_path / "space.json"
-    space.write_text(json.dumps({
+    space = _space(tmp_path, {
         "initial_lr": {"type": "log_uniform", "lo": 1e-3, "hi": 1e-2},
-    }))
-    rc = main(["tune", "--space", str(space), "--max-resource", "2",
-               "--eta", "2", "--seed", "1", "--objective", "train",
-               "--manifest", str(dataset / "data" / "manifest.jsonl"),
-               "--instances", str(dataset / "instances.csv"),
-               "--rois", "hippocampus_left",
-               "--config", str(dataset / "config.json"),
-               "--out", str(tmp_path / "tt")])
-    assert rc == 0
-    best = json.loads((tmp_path / "tt" / "best_config.json").read_text())
+    })
+    out = tmp_path / "tt"
+    assert main(_tune_argv(dataset, space, out)) == 0
+    best = json.loads((out / "best_config.json").read_text())
     assert 0.0 <= best["score"] <= 1.0
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["inputs"] == [
+        str(space), str(dataset / "data" / "manifest.jsonl"),
+        str(dataset / "instances.csv")]
+    config = manifest["config"]
+    assert config["rois"] == ["hippocampus_left"] and config["mode"] == "mixed"
+    assert config["base_config"]["embed_dim"] == TINY_CONFIG["embed_dim"]
+    assert "objective" not in config
+
+
+def test_tune_tubelet_choice_runs(dataset, tmp_path):
+    space = _space(tmp_path, {
+        "tubelet": {"type": "choice", "values": [[4, 8, 8], [8, 8, 8]]},
+    })
+    out = tmp_path / "tt"
+    assert main(_tune_argv(dataset, space, out)) == 0
+    tried = {tuple(json.loads(row.split(",", 5)[5].strip('"')
+                              .replace('""', '"'))["tubelet"])
+             for row in (out / "trials.csv").read_text().splitlines()[1:]}
+    assert tried <= {(4, 8, 8), (8, 8, 8)}
+
+
+@pytest.mark.parametrize("spec,extra,message", [
+    ({"embed_dim": {"type": "uniform", "lo": 8, "hi": 16}}, [],
+     "ranges only float"),
+    ({"embed_dim": {"type": "choice", "values": [8, 9]}}, [], "embed_dim"),
+    ({"batch_size": {"type": "choice", "values": [4.5]}}, [], "'batch_size'"),
+    ({"batch_size": {"type": "uniform", "lo": 2, "hi": 6}}, [],
+     "ranges only float"),
+    ({"epochs": {"type": "choice", "values": [1, 2]}}, [], "'epochs'"),
+    ({"tubelet_t": {"type": "choice", "values": [4, 8]}}, [], "'tubelet_t'"),
+    ({"heads": {"type": "choice", "values": [3]}}, [], "heads"),
+    ({"initial_lr": {"type": "log_uniform", "lo": 1e-3, "hi": 1e-2}},
+     ["--max-resource", "0.5"], "R=0.5 must be >= 1"),
+    ({"initial_lr": {"type": "log_uniform", "lo": 1e-3, "hi": 1e-2}},
+     ["--eta", "1"], "eta=1.0 must be >= 2"),
+], ids=["uniform_embed_dim", "embed_dim_not_dividing", "float_batch_size",
+        "uniform_batch_size", "epochs", "unknown_key", "heads_not_dividing",
+        "max_resource_half", "eta_1"])
+def test_tune_unusable_space_or_budget_exits_2(dataset, tmp_path, capsys,
+                                                spec, extra, message):
+    # The manifest does not exist: these are refused before data is read.
+    argv = _tune_argv(dataset, _space(tmp_path, spec), tmp_path / "t",
+                      *extra, manifest=tmp_path / "missing.jsonl")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert message in err
+    assert not (tmp_path / "t").exists()
+
+
+def test_tune_embed_dim_space_trains_each_width(dataset, tmp_path,
+                                                 monkeypatch):
+    """A space over embed_dim is applied: each trial trains its width."""
+    import mixedvit.train as TR
+    widths = []
+    real_fit = TR.fit
+
+    def spy(model_cfg, *args):
+        widths.append(model_cfg.embed_dim)
+        return real_fit(model_cfg, *args)
+
+    monkeypatch.setattr(TR, "fit", spy)
+    space = _space(tmp_path, {"embed_dim": {"type": "choice",
+                                            "values": [8, 16]}})
+    out = tmp_path / "t"
+    assert main(_tune_argv(dataset, space, out)) == 0
+    logged = [json.loads(row.split(",", 5)[5].strip('"')
+                         .replace('""', '"'))["embed_dim"]
+              for row in (out / "trials.csv").read_text().splitlines()[1:]]
+    assert widths == logged
+
+
+def test_tune_three_subjects_exits_2(dataset, tmp_path, capsys):
+    # An 85/15 split of 3 subjects leaves no validation subject.
+    ids = sorted(r.subject_id for r in load_manifest(
+        dataset / "data" / "manifest.jsonl"))[:3]
+    manifest = _subset_manifest(dataset, tmp_path / "manifest.jsonl",
+                                lambda r: r.subject_id in ids)
+    space = _space(tmp_path, {
+        "initial_lr": {"type": "log_uniform", "lo": 1e-3, "hi": 1e-2}})
+    argv = _tune_argv(dataset, space, tmp_path / "t", manifest=manifest)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "no validation subjects" in err and "Traceback" not in err
+
+
+def test_cv_degenerate_fold_exits_2_before_any_training(dataset, tmp_path,
+                                                        capsys, monkeypatch):
+    """Every age but one is 70, so a fold whose inner training set lacks
+    that subject has a degenerate age range: no fold may train first."""
+    records = load_manifest(dataset / "data" / "manifest.jsonl")
+    odd = records[0].subject_id
+    manifest = tmp_path / "manifest.jsonl"
+    save_manifest([r if r.subject_id == odd
+                   else dataclasses.replace(r, age=70.0) for r in records],
+                  manifest)
+    import mixedvit.train as TR
+    calls = []
+
+    def counting(name):
+        real = getattr(TR, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(TR, name, wrapper)
+
+    # train.fit calls train; every training step calls adam_update.
+    counting("train")
+    counting("adam_update")
+    argv = _train_argv(dataset, manifest, dataset / "config.json",
+                       tmp_path / "out")
+    argv = ["cv"] + argv[1:] + ["--folds", "4", "--no-holdout-test"]
+    assert main(argv) == 2
+    assert "degenerate age fit range" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_compare_identical_fail_to_reject(dataset, tmp_path, capsys):

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import TOY_TARGET_LR, default_search_space, toy_objective
 
 from mixedvit.tuning import (
     Choice,
@@ -11,13 +12,11 @@ from mixedvit.tuning import (
     TrialResult,
     Uniform,
     bracket_schedule,
-    default_search_space,
     hyperband_run,
     parse_space,
     sample_config,
     save_trial_log,
     successive_halving,
-    toy_objective,
 )
 
 
@@ -161,7 +160,8 @@ def test_hyperband_toy_argmax_analytic():
     space = {"initial_lr": LogUniform(1e-5, 1e-3)}
     best, log = hyperband_run(space, toy_objective, R=27, eta=3, seed=11)
     sampled = {t.trial_id: t.config["initial_lr"] for t in log}
-    target = min(sampled.values(), key=lambda lr: abs(math.log(lr / 3e-4)))
+    target = min(sampled.values(),
+                 key=lambda lr: abs(math.log(lr / TOY_TARGET_LR)))
     assert best.config["initial_lr"] == target
 
 
