@@ -1,10 +1,21 @@
 """Command-line entry point: synthesize data, select ROI instances, train,
 cross-validate, tune, evaluate, and statistically compare models.
 
+``build_configs`` is the one way to a ``ModelConfig`` and a ``TrainConfig``:
+``--config`` files, ``tune`` spaces and trials, and the ``config.json`` that
+``eval`` reads all go through it. Its keys are the dataclass fields but
+``num_branches``, ``mode`` and ``seed`` (set by ``--rois``, ``--mode`` and
+``--seed``) and ``tabular_dim``. A value must have its default's type (a
+JSON list for a tuple); an absent key keeps its dataclass default.
+
+``train`` writes ``config.json`` as ``{"config": {...}, "rois": [...],
+"mode": ..., "fit": {...}}``. ``config`` holds every key, so a later change
+of a default cannot change what a saved model means, and ``fit`` holds the
+``FitStats`` ranges; ``eval`` refuses any other layout.
+
 ``train``, ``cv`` and ``tune`` fit through ``train.FitPlan`` and
 ``train.fit``: a split that cannot be trained or scored exits 2 before any
-training. A ``tune`` space names ``DEFAULT_CONFIG`` keys other than
-``epochs``; a trial merges its values as ``--config`` merges overrides.
+training, and image_dims that do not match the ROI crops before any update.
 
 Exit codes: 0 success, 1 runtime/I-O failure, 2 usage/config error.
 Every run writes a manifest with a config snapshot and output checksums.
@@ -41,35 +52,18 @@ class RuntimeFailure(Exception):
     """I/O or data failure at run time; exits 1."""
 
 
-# Table 2 hyperparameters plus the architecture knobs they do not pin down.
-DEFAULT_CONFIG = {
-    "slice_count": 25,
-    "image_size": [32, 32],
-    "channels": 3,
-    "learning_rate_schedule": "exponential_decay",
-    "decay_steps": 100000,
-    "decay_rate": 0.9,
-    "optimizer": "adam",
-    "initial_lr": 1e-4,
-    "dropout": 0.2,
-    "batch_size": 6,
-    "epochs": 250,
-    "tubelet": [5, 8, 8],
-    "embed_dim": 64,
-    "depth": 4,
-    "heads": 8,
-    "mlp_ratio": 2.0,
-    "tabular_hidden": [16, 8],
-    "adam_beta1": 0.9,
-    "adam_beta2": 0.999,
-    "adam_eps": 1e-8,
-}
+# The config keys and their defaults: every field of the two configs but
+# those that --rois, --mode and --seed set and the fixed tabular width.
+CONFIG_KEYS = {f.name: f.default
+               for cls in (MO.ModelConfig, TR.TrainConfig)
+               for f in dataclasses.fields(cls)
+               if f.name not in ("num_branches", "mode", "seed", "tabular_dim")}
 
 
 def _same_type(value, default) -> bool:
     """Whether a config value has the type of its default: an int passes
-    for a float, and a list's elements are checked against the default's."""
-    if isinstance(default, list):
+    for a float, and a tuple default takes a list of its elements' type."""
+    if isinstance(default, tuple):
         return isinstance(value, list) and all(
             _same_type(v, default[0]) for v in value)
     if isinstance(value, bool):  # JSON true is an int to isinstance
@@ -79,67 +73,51 @@ def _same_type(value, default) -> bool:
     return isinstance(value, type(default))
 
 
-def merge_config(cfg: dict, overrides: dict) -> dict:
-    """``cfg`` with ``overrides`` applied; UsageError for an unknown key, a
-    value without its default's type or an unsupported optimizer/schedule."""
-    unknown = set(overrides) - set(DEFAULT_CONFIG)
+def build_configs(config, mode: str, num_branches: int, seed: int) -> tuple:
+    """(ModelConfig, TrainConfig) from a flat dict of config keys; a key it
+    leaves out keeps its dataclass default. UsageError for an unknown key,
+    a value without its default's type or a value either config refuses."""
+    unknown = set(config) - set(CONFIG_KEYS)
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
-    for key, value in overrides.items():
-        if not _same_type(value, DEFAULT_CONFIG[key]):
+    for key, value in config.items():
+        if not _same_type(value, CONFIG_KEYS[key]):
             raise UsageError(f"config key {key!r} must have the type of "
-                             f"{DEFAULT_CONFIG[key]!r}, got {value!r}")
-    cfg = {**cfg, **overrides}
-    if cfg["optimizer"] != "adam":
-        raise UsageError(f"unsupported optimizer {cfg['optimizer']!r}")
-    if cfg["learning_rate_schedule"] != "exponential_decay":
-        raise UsageError(
-            f"unsupported schedule {cfg['learning_rate_schedule']!r}")
-    return cfg
+                             f"{CONFIG_KEYS[key]!r}, got {value!r}")
+    values = {k: tuple(v) if isinstance(v, list) else v
+              for k, v in config.items()}
+    model_keys = {f.name for f in dataclasses.fields(MO.ModelConfig)}
+    try:
+        return (MO.ModelConfig(num_branches=num_branches, mode=mode,
+                               **{k: v for k, v in values.items()
+                                  if k in model_keys}),
+                TR.TrainConfig(seed=seed, **{k: v for k, v in values.items()
+                                             if k not in model_keys}))
+    except ValueError as exc:  # ConfigError or a TrainConfig range
+        raise UsageError(str(exc)) from exc
+
+
+def _config_of(model_cfg: MO.ModelConfig, train_cfg: TR.TrainConfig) -> dict:
+    """Every config key with its value in the two configs: what
+    ``build_configs`` takes to rebuild them."""
+    return {k: v for cfg in (model_cfg, train_cfg)
+            for k, v in dataclasses.asdict(cfg).items() if k in CONFIG_KEYS}
 
 
 def load_config(path) -> dict:
+    """The config keys in the ``--config`` file (none without one)."""
     if path is None:
-        return dict(DEFAULT_CONFIG)
+        return {}
     try:
         with open(path, encoding="utf-8") as fh:
-            overrides = json.load(fh)
+            config = json.load(fh)
     except FileNotFoundError as exc:
         raise UsageError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(overrides, dict):
+    if not isinstance(config, dict):
         raise UsageError(f"config file {path} does not hold a JSON object")
-    return merge_config(DEFAULT_CONFIG, overrides)
-
-
-def model_config_from(cfg: dict, mode: str, num_branches: int) -> MO.ModelConfig:
-    H, W = cfg["image_size"]
-    try:
-        return MO.ModelConfig(
-            image_dims=(cfg["slice_count"], H, W, cfg["channels"]),
-            tubelet=tuple(cfg["tubelet"]),
-            embed_dim=cfg["embed_dim"],
-            depth=cfg["depth"],
-            heads=cfg["heads"],
-            mlp_ratio=cfg["mlp_ratio"],
-            dropout_rate=cfg["dropout"],
-            tabular_dim=4,
-            tabular_hidden=tuple(cfg["tabular_hidden"]),
-            num_branches=num_branches,
-            mode=mode)
-    except MO.ConfigError as exc:
-        raise UsageError(str(exc)) from exc
-
-
-def train_config_from(cfg: dict, seed: int) -> TR.TrainConfig:
-    # Each TrainConfig field but the seed is the config key of its name.
-    names = [f.name for f in dataclasses.fields(TR.TrainConfig)]
-    try:
-        return TR.TrainConfig(seed=seed,
-                              **{k: cfg[k] for k in names if k != "seed"})
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return config
 
 
 def write_run_manifest(path: Path, command: str, config: dict, seed,
@@ -272,9 +250,8 @@ def _dataset_for(args, rois):
 def cmd_train(args) -> int:
     started = time.time()
     rois = _parse_rois(args.rois)
-    cfg = load_config(args.config)
-    model_cfg = model_config_from(cfg, args.mode, len(rois))
-    train_cfg = train_config_from(cfg, args.seed)
+    model_cfg, train_cfg = build_configs(load_config(args.config), args.mode,
+                                         len(rois), args.seed)
     records, instances = _dataset_for(args, rois)
 
     try:
@@ -292,10 +269,8 @@ def cmd_train(args) -> int:
     TR.save_history(history, out / "history.csv")
     ME.save_metrics([report], out / "metrics.json")
     ME.save_roc_csv(report.roc, out / "roc.csv")
-    snapshot = {"model": dataclasses.asdict(model_cfg),
-                "train": dataclasses.asdict(train_cfg),
-                "rois": rois, "mode": args.mode,
-                "fit": dataclasses.asdict(plan.stats)}
+    snapshot = {"config": _config_of(model_cfg, train_cfg), "rois": rois,
+                "mode": args.mode, "fit": dataclasses.asdict(plan.stats)}
     _write_json(out / "config.json", snapshot)
     outputs = [out / n for n in ("checkpoint.mwt", "history.csv",
                                  "metrics.json", "roc.csv", "config.json")]
@@ -309,9 +284,8 @@ def cmd_train(args) -> int:
 def cmd_cv(args) -> int:
     started = time.time()
     rois = _parse_rois(args.rois)
-    cfg = load_config(args.config)
-    model_cfg = model_config_from(cfg, args.mode, len(rois))
-    train_cfg = train_config_from(cfg, args.seed)
+    model_cfg, train_cfg = build_configs(load_config(args.config), args.mode,
+                                         len(rois), args.seed)
     records, instances = _dataset_for(args, rois)
     try:
         reports, summary = ME.cv_run(records, instances, rois, model_cfg,
@@ -326,9 +300,8 @@ def cmd_cv(args) -> int:
     ME.save_metrics(reports, out / "metrics.json")
     for r in reports:
         ME.save_roc_csv(r.roc, out / f"roc_fold{r.fold_index}.csv")
-    snapshot = {"model": dataclasses.asdict(model_cfg),
-                "train": dataclasses.asdict(train_cfg),
-                "rois": rois, "mode": args.mode, "folds": args.folds,
+    snapshot = {"config": _config_of(model_cfg, train_cfg), "rois": rois,
+                "mode": args.mode, "folds": args.folds,
                 "holdout_test": not args.no_holdout_test}
     outputs = [out / "metrics.json"] + \
         [out / f"roc_fold{r.fold_index}.csv" for r in reports]
@@ -345,18 +318,16 @@ def cmd_cv(args) -> int:
 def _check_space(space: dict, cfg: dict, mode: str, num_branches: int):
     """Reject a dimension that a trial could not apply: one not named after
     a config key other than ``epochs``, a range over a key that is not a
-    float, or a value (each choice, both ends of a range) that ``--config``
-    or the model and training configs would refuse."""
+    float, or a value (each choice, both ends of a range) that
+    ``build_configs`` refuses on top of ``cfg``."""
     for name, dim in space.items():
         ranged = not isinstance(dim, TU.Choice)
-        if name == "epochs" or name not in DEFAULT_CONFIG or (
-                ranged and not isinstance(DEFAULT_CONFIG[name], float)):
+        if name == "epochs" or name not in CONFIG_KEYS or (
+                ranged and not isinstance(CONFIG_KEYS[name], float)):
             raise UsageError(f"space dimension {name!r}: tune sets config "
                              f"keys other than epochs, ranges only float ones")
         for value in (dim.lo, dim.hi) if ranged else dim.values:
-            merged = merge_config(cfg, {name: value})
-            model_config_from(merged, mode, num_branches)
-            train_config_from(merged, 0)
+            build_configs({**cfg, name: value}, mode, num_branches, 0)
 
 
 def cmd_tune(args) -> int:
@@ -372,6 +343,7 @@ def cmd_tune(args) -> int:
                          f"--eta: {exc}") from exc
     rois = _parse_rois(args.rois)
     cfg = load_config(args.config)
+    base = _config_of(*build_configs(cfg, args.mode, len(rois), args.seed))
     _check_space(space, cfg, args.mode, len(rois))
     records, instances = _dataset_for(args, rois)
     try:
@@ -382,10 +354,9 @@ def cmd_tune(args) -> int:
         raise UsageError(str(exc)) from exc
 
     def objective(sampled: dict, epochs: int) -> float:
-        merged = merge_config(cfg, {**sampled, "epochs": epochs})
         _best, history, _ = TR.fit(
-            model_config_from(merged, args.mode, len(rois)),
-            train_config_from(merged, args.seed), plan, instances, rois)
+            *build_configs({**cfg, **sampled, "epochs": epochs}, args.mode,
+                           len(rois), args.seed), plan, instances, rois)
         # The best-validation checkpoint's accuracy on the validation set.
         return max(h.val_accuracy for h in history)
 
@@ -399,7 +370,7 @@ def cmd_tune(args) -> int:
                 {"config": best.config, "score": best.score,
                  "trial_id": best.trial_id, "resource": best.resource})
     write_run_manifest(out / "run_manifest.json", "tune",
-                       {"base_config": cfg, "rois": rois, "mode": args.mode,
+                       {"base_config": base, "rois": rois, "mode": args.mode,
                         "space": str(args.space),
                         "max_resource": args.max_resource, "eta": args.eta},
                        args.seed, [args.space, args.manifest, args.instances],
@@ -437,49 +408,34 @@ def _roc_svg(points, auc_value: float) -> str:
         f"</svg>\n")
 
 
-def _load_snapshot(path: Path) -> tuple:
-    """(model config, ROIs, fit ranges, batch size) from the config.json a
-    ``train`` run wrote; a malformed file is a RuntimeFailure naming it."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            snapshot = json.load(fh)
-        m = snapshot["model"]
-        fields = {f.name: m[f.name] for f in dataclasses.fields(MO.ModelConfig)}
-        model_cfg = MO.ModelConfig(**{k: tuple(v) if isinstance(v, list) else v
-                                      for k, v in fields.items()})
-        rois = snapshot["rois"]
-        if len(rois) != model_cfg.num_branches:
-            raise ValueError(f"{len(rois)} rois for "
-                             f"{model_cfg.num_branches} image branches")
-        fit = D.FitStats(**snapshot["fit"])
-        # TrainConfig checks the batch size as it does for a train run.
-        batch_size = TR.TrainConfig(
-            batch_size=snapshot["train"]["batch_size"]).batch_size
-    except (ValueError, KeyError, TypeError) as exc:
-        raise RuntimeFailure(
-            f"{path} is not a usable model config: {exc!r}") from exc
-    return model_cfg, rois, fit, batch_size
-
-
 def cmd_eval(args) -> int:
     started = time.time()
     model_dir = Path(args.model)
+    path = model_dir / "config.json"
     try:
         params = MO.load_checkpoint(model_dir / "checkpoint.mwt")
-        model_cfg, rois, fit, batch_size = _load_snapshot(
-            model_dir / "config.json")
+        with open(path, encoding="utf-8") as fh:
+            snapshot = json.load(fh)
+        rois, config = snapshot["rois"], snapshot["config"]
+        missing = set(CONFIG_KEYS) - set(config)
+        if missing:  # a default must not fill in what a saved model means
+            raise ValueError(f"config lacks keys {sorted(missing)}")
+        model_cfg, train_cfg = build_configs(config, snapshot["mode"],
+                                             len(rois), 0)
+        fit = D.FitStats(**snapshot["fit"])
     except FileNotFoundError as exc:
         raise RuntimeFailure(f"model directory incomplete: {exc}") from exc
     except MO.CheckpointError as exc:
         raise RuntimeFailure(str(exc)) from exc
-    expected = {name: shape for name, shape in MO.param_shapes(model_cfg).items()}
-    got = {name: p.shape for name, p in params.items()}
-    if expected != got:
+    except (UsageError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise RuntimeFailure(
+            f"{path} is not a usable model config: {exc!r}") from exc
+    if MO.param_shapes(model_cfg) != {n: p.shape for n, p in params.items()}:
         raise RuntimeFailure("checkpoint does not match its model config")
     records, instances = _dataset_for(args, rois)
     TR.require_both_classes(records, "the evaluation set", RuntimeFailure)
-    samples = D.build_samples(records, instances, rois, fit, *model_cfg.crop)
-    preds = TR.predict(model_cfg, params, samples, batch_size)
+    samples = TR.model_samples(model_cfg, records, instances, rois, fit)
+    preds = TR.predict(model_cfg, params, samples, train_cfg.batch_size)
     report = ME.evaluate_fold(preds, 0)
 
     out = Path(args.out)
@@ -539,16 +495,27 @@ def cmd_compare(args) -> int:
 # parser
 
 
+def _seed(text: str) -> int:
+    seed = int(text)  # argparse reports a ValueError as an invalid value
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mixedvit",
         description="Mixed tabular + 3D-image transformer pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=_seed, default=0,
+                        help="seed of every random draw (>= 0)")
+    keys = ", ".join(f"{k} {json.dumps(v)}" for k, v in CONFIG_KEYS.items())
 
-    p = sub.add_parser("synth", help="generate a synthetic dataset")
+    p = sub.add_parser("synth", parents=[seeded],
+                       help="generate a synthetic dataset")
     p.add_argument("--out", required=True)
     p.add_argument("--subjects", type=int, default=40)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dims", default="48,64,64")
     p.add_argument("--separability", type=float, default=1.0)
     p.add_argument("--noise", type=float, default=0.02)
@@ -566,14 +533,15 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn, text in (("train", cmd_train, "train a model"),
                            ("cv", cmd_cv, "cross-validate a model"),
                            ("tune", cmd_tune, "Hyperband search")):
-        p = sub.add_parser(name, help=text)
+        p = sub.add_parser(name, parents=[seeded], help=text)
         p.add_argument("--instances", required=True)
         p.add_argument("--manifest", required=True)
-        p.add_argument("--config", default=None)
+        p.add_argument("--config", default=None,
+                       help=f"JSON object setting any of these keys, shown "
+                            f"with their defaults: {keys}")
         p.add_argument("--mode", choices=["mixed", "image-only"],
                        default="mixed")
         p.add_argument("--rois", required=True)
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", required=True)
         if name == "cv":
             p.add_argument("--folds", type=int, default=7)
@@ -613,13 +581,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, MO.ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except RuntimeFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except (OSError, D.FormatError, D.TruncatedPayloadError,
+    except (RuntimeFailure, OSError, D.FormatError, D.TruncatedPayloadError,
             D.DimOverflowError, MO.CheckpointError, TR.DivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

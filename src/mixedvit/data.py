@@ -53,6 +53,10 @@ class EmptyMaskError(ValueError):
     """An ROI mask with no voxels cannot drive instance selection."""
 
 
+class CropError(ValueError):
+    """An ROI crop plane is larger than its volume's plane."""
+
+
 @dataclass(frozen=True)
 class SubjectRecord:
     subject_id: str
@@ -444,7 +448,7 @@ def crop_roi(volume: np.ndarray, instance: InstanceRecord,
     depth, H, W = volume.shape
     hp, wp = size
     if H < hp or W < wp:
-        raise ValueError(f"plane {(H, W)} smaller than crop window {size}")
+        raise CropError(f"plane {(H, W)} smaller than crop window {size}")
     if instance.slice_start < 0 or instance.slice_start + instance.slice_count > depth:
         raise ValueError(
             f"slice window [{instance.slice_start}, "

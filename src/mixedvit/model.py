@@ -59,6 +59,9 @@ class ModelConfig:
     mode: str = MODE_MIXED
 
     def __post_init__(self):
+        if len(self.tubelet) != 3 or len(self.image_dims) != 4:
+            raise ConfigError(f"tubelet {self.tubelet} must be (t, h, w) and "
+                              f"image_dims {self.image_dims} (T, H, W, C)")
         t, h, w = self.tubelet
         T, H, W, C = self.image_dims
         if T % t or H % h or W % w:
@@ -227,7 +230,7 @@ def encode_image_branch(volumes: np.ndarray, params: dict[str, Tensor],
     volumes = np.asarray(volumes, dtype=np.float64)
     if volumes.shape[1:] != tuple(config.image_dims):
         raise ConfigError(
-            f"volume dims {volumes.shape[1:]} do not match config "
+            f"volume dims {volumes.shape[1:]} do not match image_dims "
             f"{tuple(config.image_dims)}")
     p = f"branch{branch}"
     tokens = tubelet_embed(volumes, params[f"{p}.tubelet.weight"],

@@ -32,7 +32,6 @@ __all__ = [
     "narrow",
     "nll",
     "backward",
-    "grad_check",
 ]
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -439,33 +438,3 @@ def backward(root: Tensor) -> dict[int, np.ndarray]:
         if nid in grads:
             leaf.grad = grads[nid]
     return grads
-
-
-def grad_check(f: Callable[[Tensor], Tensor], theta: np.ndarray,
-               eps: float = 1e-5) -> float:
-    """Max relative error between reverse-mode and central-difference grads.
-
-    ``f`` maps a parameter tensor to a scalar Tensor and must be
-    deterministic (dropout off or seed-fixed per call).
-    """
-    theta = np.asarray(theta, dtype=np.float64)
-    with Tape():
-        x = Tensor(theta, requires_grad=True)
-        y = f(x)
-    backward(y)
-    analytic = np.zeros_like(theta) if x.grad is None else x.grad
-
-    numeric = np.zeros_like(theta)
-    flat = theta.reshape(-1)
-    for i in range(flat.size):
-        tp = flat.copy()
-        tp[i] += eps
-        tm = flat.copy()
-        tm[i] -= eps
-        fp = f(Tensor(tp.reshape(theta.shape))).item()
-        fm = f(Tensor(tm.reshape(theta.shape))).item()
-        numeric.reshape(-1)[i] = (fp - fm) / (2.0 * eps)
-
-    err = np.abs(analytic - numeric)
-    scale = np.maximum(1e-8, np.abs(analytic) + np.abs(numeric))
-    return float((err / scale).max()) if flat.size else 0.0

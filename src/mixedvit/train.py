@@ -5,6 +5,8 @@ non-finite loss or gradient.
 
 A ``FitPlan`` checks a subject split before any training starts and ``fit``
 trains on it: the one way the ``train``, ``cv`` and ``tune`` commands fit.
+``model_samples`` builds the crops a model takes, or raises ``ConfigError``
+when the model's image_dims do not fit the volumes.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .data import (
     AD,
     CN,
     LABEL_NAMES,
+    CropError,
     FitStats,
     MixedSample,
     SubjectRecord,
@@ -25,7 +28,7 @@ from .data import (
     build_samples,
     cdr_to_label,
 )
-from .model import ModelConfig, forward_batch, init_params
+from .model import ConfigError, ModelConfig, forward_batch, init_params
 from .tensor import Tape, Tensor, backward, nll
 
 
@@ -263,14 +266,27 @@ class FitPlan:
         self.stats = FitStats.from_records(self.train)
 
 
+def model_samples(model_cfg: ModelConfig, records: Sequence[SubjectRecord],
+                  instances, rois: Sequence[str],
+                  fit_stats: FitStats) -> list[MixedSample]:
+    """``build_samples`` at the model's crop; ``ConfigError`` naming
+    image_dims when the crop plane is larger than a volume's. (A crop whose
+    slice count is not image_dims' fails the model's first forward pass.)"""
+    try:
+        return build_samples(records, instances, rois, fit_stats,
+                             *model_cfg.crop)
+    except CropError as exc:
+        raise ConfigError(f"image_dims {model_cfg.image_dims} do not fit the "
+                          f"volumes: {exc}") from exc
+
+
 def fit(model_cfg: ModelConfig, train_cfg: TrainConfig, plan: FitPlan,
         instances, rois: Sequence[str]):
     """Train a model on a planned split from ``init_params`` at the run
     seed; returns (best-validation params, epoch history, predictions on
     the scored set, empty when the plan has none)."""
     def samples(records):
-        return build_samples(records, instances, rois, plan.stats,
-                             *model_cfg.crop)
+        return model_samples(model_cfg, records, instances, rois, plan.stats)
 
     params = init_params(model_cfg, train_cfg.seed)
     best, history = train(model_cfg, params, samples(plan.train),

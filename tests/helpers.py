@@ -1,19 +1,49 @@
-"""Helpers that only tests use: a scalar root for gradient tests, a
-single-sample forward pass, parameter flattening for whole-model gradient
+"""Helpers that only tests use: a finite-difference gradient check, a
+scalar root for gradient tests, a single-sample forward pass, parameter flattening for whole-model gradient
 checks, a rank-statistic AUC oracle for the trapezoid AUC, and a search
 space and analytic objective for Hyperband."""
 
 from __future__ import annotations
 
 from math import exp, log, prod
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from mixedvit.data import AD, CN
 from mixedvit.model import ModelConfig, forward_batch
-from mixedvit.tensor import Tensor, matmul, narrow, reshape
+from mixedvit.tensor import Tape, Tensor, backward, matmul, narrow, reshape
 from mixedvit.tuning import Choice, LogUniform
+
+
+def grad_check(f: Callable[[Tensor], Tensor], theta: np.ndarray,
+               eps: float = 1e-5) -> float:
+    """Max relative error between reverse-mode and central-difference grads.
+
+    ``f`` maps a parameter tensor to a scalar Tensor and must be
+    deterministic (dropout off or seed-fixed per call).
+    """
+    theta = np.asarray(theta, dtype=np.float64)
+    with Tape():
+        x = Tensor(theta, requires_grad=True)
+        y = f(x)
+    backward(y)
+    analytic = np.zeros_like(theta) if x.grad is None else x.grad
+
+    numeric = np.zeros_like(theta)
+    flat = theta.reshape(-1)
+    for i in range(flat.size):
+        tp = flat.copy()
+        tp[i] += eps
+        tm = flat.copy()
+        tm[i] -= eps
+        fp = f(Tensor(tp.reshape(theta.shape))).item()
+        fm = f(Tensor(tm.reshape(theta.shape))).item()
+        numeric.reshape(-1)[i] = (fp - fm) / (2.0 * eps)
+
+    err = np.abs(analytic - numeric)
+    scale = np.maximum(1e-8, np.abs(analytic) + np.abs(numeric))
+    return float((err / scale).max()) if flat.size else 0.0
 
 
 def weighted_sum(x: Tensor, w=1.0) -> Tensor:
@@ -68,7 +98,7 @@ def auc_mannwhitney(scores: Sequence[float], labels: Sequence[int]) -> float:
 def default_search_space() -> dict:
     return {
         "initial_lr": LogUniform(1e-5, 1e-3),
-        "dropout": Choice((0.1, 0.2, 0.3)),
+        "dropout_rate": Choice((0.1, 0.2, 0.3)),
         "batch_size": Choice((4, 6, 8)),
         "tubelet": Choice(([5, 8, 8], [25, 8, 8])),
     }

@@ -8,16 +8,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mixedvit.cli import main
+from mixedvit.cli import CONFIG_KEYS, build_configs, main
 from mixedvit.data import FitStats, load_manifest, save_manifest
 from mixedvit.model import ModelConfig, init_params, save_checkpoint
 from mixedvit.train import DivergenceError, TrainConfig
 
 TINY_CONFIG = {
-    "slice_count": 8, "image_size": [16, 16], "channels": 1,
-    "tubelet": [4, 8, 8], "embed_dim": 8, "depth": 1, "heads": 2,
-    "tabular_hidden": [8, 4], "initial_lr": 3e-3, "batch_size": 4,
-    "epochs": 4, "dropout": 0.1,
+    "image_dims": [8, 16, 16, 1], "tubelet": [4, 8, 8], "embed_dim": 8,
+    "depth": 1, "heads": 2, "tabular_hidden": [8, 4], "initial_lr": 3e-3,
+    "batch_size": 4, "epochs": 4, "dropout_rate": 0.1,
 }
 
 
@@ -179,11 +178,12 @@ def test_cv_jobs_matches_serial(dataset, tmp_path):
     ({"tubelet": "abc"}, "'tubelet'"),
     ({"tubelet": [5, "8", 8]}, "'tubelet'"),
     ({"epochs": 2.5}, "'epochs'"),
-    ({"dropout": True}, "'dropout'"),
-    ({"optimizer": 1}, "'optimizer'"),
+    ({"dropout_rate": True}, "'dropout_rate'"),
+    ({"optimizer": "adam"}, "'optimizer'"),
+    ({"tubelet": [5, 8]}, "tubelet (5, 8) must be (t, h, w)"),
     ([1, 2], "JSON object"),
 ], ids=["str_for_list", "str_in_list", "float_for_int", "bool_for_float",
-        "int_for_str", "not_object"])
+        "removed_optimizer_key", "short_tuple", "not_object"])
 def test_cv_config_value_of_wrong_type_exits_2(dataset, tmp_path, capsys,
                                                config, message):
     bad = tmp_path / "bad.json"
@@ -196,17 +196,27 @@ def test_cv_config_value_of_wrong_type_exits_2(dataset, tmp_path, capsys,
     assert message in capsys.readouterr().err
 
 
+def test_build_configs_defaults_are_the_dataclass_defaults():
+    assert build_configs({}, "mixed", 1, 0) == (
+        ModelConfig(num_branches=1, mode="mixed"), TrainConfig(seed=0))
+
+
 # The model TINY_CONFIG describes, for one ROI in mixed mode.
-TINY_MODEL = ModelConfig(image_dims=(8, 16, 16, 1), tubelet=(4, 8, 8),
-                         embed_dim=8, depth=1, heads=2, tabular_hidden=(8, 4))
+TINY_MODEL, _ = build_configs(TINY_CONFIG, "mixed", 1, 0)
 
 
 def _snapshot() -> dict:
     """A config.json as ``train`` writes it, for a one-ROI mixed model."""
-    return {"model": dataclasses.asdict(TINY_MODEL),
-            "train": dataclasses.asdict(TrainConfig()),
+    return {"config": {**CONFIG_KEYS, **TINY_CONFIG},
             "rois": ["hippocampus_left"], "mode": "mixed",
             "fit": dataclasses.asdict(FitStats(60.0, 90.0, 10.0, 30.0))}
+
+
+def _old_layout(snap):
+    """The layout train wrote before config.json held one flat config."""
+    config = snap.pop("config")
+    snap["model"] = dataclasses.asdict(TINY_MODEL)
+    snap["train"] = {"batch_size": config["batch_size"]}
 
 
 def _without(key, inner=None):
@@ -223,15 +233,20 @@ def _set(value, key, inner=None):
 
 @pytest.mark.parametrize("edit", [
     "{not json", "{}", '{"model": {}}', "[]",
-    _without("fit"), _without("rois"), _without("heads", "model"),
-    _set([3, 8, 8], "tubelet", "model"), _set("x", "embed_dim", "model"),
-    _set(0, "batch_size", "train"), _set({"age": 1}, "fit"),
-    _set(["hippocampus_left", "fornix_right"], "rois"),
+    _without("fit"), _without("rois"), _without("heads", "config"),
+    _set([3, 8, 8], "tubelet", "config"), _set("x", "embed_dim", "config"),
+    _set(0, "batch_size", "config"), _set({"age": 1}, "fit"),
     _set({"age_min": 69.1, "age_max": 69.1, "mmse_min": 10.0,
           "mmse_max": 30.0}, "fit"),
+    _set(4.5, "batch_size", "config"), _set(8.0, "embed_dim", "config"),
+    _set(2.0, "heads", "config"), _set([4.0, 8, 8], "tubelet", "config"),
+    _set(0.2, "dropout", "config"), _set(list(CONFIG_KEYS), "config"),
+    _old_layout,
 ], ids=["not_json", "empty", "empty_model", "not_object", "no_fit", "no_rois",
         "no_heads", "tubelet_not_dividing", "embed_dim_text", "batch_size_0",
-        "fit_fields", "rois_for_two_branches", "fit_zero_width"])
+        "fit_fields", "fit_zero_width", "batch_size_float", "embed_dim_float",
+        "heads_float", "tubelet_float", "old_dropout_key", "config_not_object",
+        "old_layout"])
 def test_eval_malformed_config_exits_1(dataset, tmp_path, capsys, edit):
     model = tmp_path / "model"
     model.mkdir()
@@ -307,15 +322,33 @@ def test_eval_subjects_of_one_class_exits_1(dataset, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_eval_loads_config_with_num_classes(dataset, tmp_path):
-    # config.json files written while ModelConfig had a num_classes field.
+def test_eval_rois_for_two_branches_exits_1(dataset, tmp_path, capsys):
+    # Two ROIs make a two-branch model, which the one-branch checkpoint
+    # does not fit.
     snapshot = _snapshot()
-    snapshot["model"]["num_classes"] = 2
+    snapshot["rois"] = ["hippocampus_left", "fornix_right"]
     model = _init_model_dir(tmp_path / "model", snapshot)
     out = tmp_path / "m.json"
     assert main(_eval_argv(dataset, model,
-                           dataset / "data" / "manifest.jsonl", out)) == 0
-    assert out.exists()
+                           dataset / "data" / "manifest.jsonl", out)) == 1
+    assert "checkpoint does not match" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_config_round_trips_through_config_flag(dataset, tmp_path):
+    """The config object train saves, passed back as --config, trains the
+    same model: every key is saved, so no default is read twice."""
+    manifest = dataset / "data" / "manifest.jsonl"
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(_train_argv(dataset, manifest, dataset / "config.json",
+                            first)) == 0
+    config = tmp_path / "saved.json"
+    config.write_text(json.dumps(
+        json.loads((first / "config.json").read_text())["config"]))
+    assert main(_train_argv(dataset, manifest, config, second)) == 0
+    for name in ("checkpoint.mwt", "history.csv", "metrics.json", "roc.csv",
+                 "config.json"):
+        assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -350,11 +383,8 @@ def test_divergence_exits_1(dataset, tmp_path, capsys, monkeypatch, command):
 
     # train.fit, which every command fits through, looks train up here.
     monkeypatch.setattr("mixedvit.train.train", diverge)
-    argv = _train_argv(dataset, dataset / "data" / "manifest.jsonl",
-                       dataset / "config.json", tmp_path / "out")
-    if command == "cv":
-        argv = ["cv"] + argv[1:] + ["--folds", "3", "--no-holdout-test"]
-    assert main(argv) == 1
+    assert main(_command_argv(dataset, tmp_path, command,
+                              dataset / "config.json")) == 1
     assert "loss inf at epoch 0, step 0" in capsys.readouterr().err
 
 
@@ -411,7 +441,7 @@ def _space(tmp_path, spec) -> Path:
 def test_tune_deterministic(dataset, tmp_path):
     space = _space(tmp_path, {
         "initial_lr": {"type": "log_uniform", "lo": 1e-3, "hi": 1e-2},
-        "dropout": {"type": "choice", "values": [0.1, 0.2, 0.3]},
+        "dropout_rate": {"type": "choice", "values": [0.1, 0.2, 0.3]},
     })
     logs = []
     for name in ("t1", "t2"):
@@ -558,6 +588,56 @@ def test_cv_degenerate_fold_exits_2_before_any_training(dataset, tmp_path,
     assert calls == []
 
 
+def _command_argv(dataset, tmp_path, command, config):
+    """argv running ``command`` (train, cv or tune) on the dataset with
+    ``config`` as its --config file."""
+    if command == "tune":
+        space = _space(tmp_path, {
+            "initial_lr": {"type": "log_uniform", "lo": 1e-3, "hi": 1e-2}})
+        return _tune_argv(dataset, space, tmp_path / "out",
+                          "--config", str(config))
+    argv = _train_argv(dataset, dataset / "data" / "manifest.jsonl", config,
+                       tmp_path / "out")
+    if command == "cv":
+        argv = ["cv"] + argv[1:] + ["--folds", "3", "--no-holdout-test"]
+    return argv
+
+
+@pytest.mark.parametrize("command", ["train", "cv", "tune"])
+@pytest.mark.parametrize("dims", [[8, 48, 48, 1], [12, 16, 16, 1]],
+                         ids=["plane_too_large", "slices_not_selected"])
+def test_image_dims_that_do_not_fit_the_crops_exit_2(dataset, tmp_path, capsys,
+                                                     monkeypatch, command,
+                                                     dims):
+    """The volumes are 33x40x40 and the instance table selects 8 slices: a
+    48x48 plane or 12 slices is refused before any Adam step."""
+    steps = []
+    monkeypatch.setattr("mixedvit.train.adam_update",
+                        lambda *args: steps.append(args))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**TINY_CONFIG, "image_dims": dims}))
+    assert main(_command_argv(dataset, tmp_path, command, config)) == 2
+    assert f"image_dims {tuple(dims)}" in capsys.readouterr().err
+    assert steps == []
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "cv", "tune"])
+def test_negative_seed_exits_2(dataset, tmp_path, capsys, command):
+    if command == "synth":
+        argv = ["synth", "--out", str(tmp_path / "out"), "--subjects", "4"]
+    else:
+        argv = _command_argv(dataset, tmp_path, command,
+                             dataset / "config.json")
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "-1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --seed: must be >= 0, got -1" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_compare_identical_fail_to_reject(dataset, tmp_path, capsys):
     metrics = tmp_path / "m.json"
     metrics.write_text(json.dumps({
@@ -617,6 +697,15 @@ def test_run_manifest_contents(dataset):
     assert manifest["command"] == "synth"
     assert "duration_seconds" in manifest
     assert all(len(h) == 64 for h in manifest["outputs"].values())
+
+
+@pytest.mark.parametrize("command", ["train", "cv", "tune"])
+def test_config_help_lists_every_key(capsys, command):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    out = capsys.readouterr().out
+    assert all(key in out for key in CONFIG_KEYS)
+    assert "dropout_rate 0.2" in out and "image_dims [25, 32, 32, 3]" in out
 
 
 def test_console_entrypoint_runs():

@@ -24,7 +24,13 @@ from mixedvit.model import (
     tubelet_embed,
 )
 
-from helpers import flatten_params, forward, params_from_vector, weighted_sum
+from helpers import (
+    flatten_params,
+    forward,
+    grad_check,
+    params_from_vector,
+    weighted_sum,
+)
 
 TINY = ModelConfig(image_dims=(2, 4, 4, 1), tubelet=(2, 2, 2), embed_dim=8,
                    depth=1, heads=2, mlp_ratio=2.0, dropout_rate=0.0,
@@ -300,7 +306,6 @@ def test_image_only_equals_mixed_with_zero_width_tabular():
 
 
 def test_grad_check_attention_block():
-    from mixedvit.tensor import grad_check
     cfg = TINY
     shapes = {k: v for k, v in param_shapes(cfg).items() if ".block0." in k}
     rng = np.random.default_rng(15)
@@ -318,7 +323,6 @@ def test_grad_check_attention_block():
 
 
 def test_grad_check_mlp_branch():
-    from mixedvit.tensor import grad_check
     cfg = ModelConfig(image_dims=(2, 4, 4, 1), tubelet=(2, 2, 2), embed_dim=8,
                       depth=1, heads=2, tabular_dim=3, tabular_hidden=(5, 4),
                       dropout_rate=0.0)
@@ -337,7 +341,6 @@ def test_grad_check_mlp_branch():
 
 
 def test_grad_check_image_branch_tiny():
-    from mixedvit.tensor import grad_check
     cfg = ModelConfig(image_dims=(2, 4, 4, 1), tubelet=(2, 2, 2), embed_dim=8,
                       depth=1, heads=2, dropout_rate=0.0, mode="image-only")
     shapes = {k: v for k, v in param_shapes(cfg).items()
