@@ -16,6 +16,9 @@ of a default cannot change what a saved model means, and ``fit`` holds the
 ``train``, ``cv`` and ``tune`` fit through ``train.FitPlan`` and
 ``train.fit``: a split that cannot be trained or scored exits 2 before any
 training, and image_dims that do not match the ROI crops before any update.
+An instance-table row whose slice window runs past its volume's depth makes
+``train``, ``eval``, ``cv`` and ``tune`` exit 1, naming the subject, the ROI
+and the table.
 
 Exit codes: 0 success, 1 runtime/I-O failure, 2 usage/config error.
 Every run writes a manifest with a config snapshot and output checksums.
@@ -292,6 +295,8 @@ def cmd_cv(args) -> int:
                                      train_cfg, k=args.folds, seed=args.seed,
                                      holdout_test=not args.no_holdout_test,
                                      jobs=args.jobs)
+    except D.SliceWindowError:
+        raise  # a malformed instance table, not a usage error
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -584,6 +589,10 @@ def main(argv=None) -> int:
     except (UsageError, MO.ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except D.SliceWindowError as exc:  # found only once the volume is read
+        print(f"error: malformed instance table {args.instances}: {exc}",
+              file=sys.stderr)
+        return EXIT_RUNTIME
     except (RuntimeFailure, OSError, D.FormatError, D.TruncatedPayloadError,
             D.DimOverflowError, MO.CheckpointError, TR.DivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)

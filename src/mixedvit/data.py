@@ -57,6 +57,10 @@ class CropError(ValueError):
     """An ROI crop plane is larger than its volume's plane."""
 
 
+class SliceWindowError(ValueError):
+    """An instance-table row's slice window runs past its volume's depth."""
+
+
 @dataclass(frozen=True)
 class SubjectRecord:
     subject_id: str
@@ -450,8 +454,9 @@ def crop_roi(volume: np.ndarray, instance: InstanceRecord,
     if H < hp or W < wp:
         raise CropError(f"plane {(H, W)} smaller than crop window {size}")
     if instance.slice_start < 0 or instance.slice_start + instance.slice_count > depth:
-        raise ValueError(
-            f"slice window [{instance.slice_start}, "
+        raise SliceWindowError(
+            f"subject {instance.subject_id}, roi {instance.roi_name!r}: slice "
+            f"window [{instance.slice_start}, "
             f"{instance.slice_start + instance.slice_count}) outside depth {depth}")
     top = min(max(instance.cx - hp // 2, 0), H - hp)
     left = min(max(instance.cy - wp // 2, 0), W - wp)

@@ -24,6 +24,7 @@ from .tensor import (
     dropout,
     gelu,
     layer_norm,
+    linear,
     matmul,
     narrow,
     reshape,
@@ -197,7 +198,7 @@ def tubelet_embed(volume: np.ndarray, weight: Tensor, bias: Tensor,
                   tubelet) -> Tensor:
     """Project the tubelets of a (B,T,H,W,C) batch to (B,N,d) tokens."""
     patches = extract_tubelet_patches(np.asarray(volume, dtype=np.float64), tubelet)
-    return add(matmul(Tensor(patches), weight), bias)
+    return linear(Tensor(patches), weight, bias)
 
 
 def add_cls_and_pos(tokens: Tensor, cls: Tensor, pos: Tensor) -> Tensor:
@@ -217,8 +218,8 @@ def attention_block(x: Tensor, p: dict[str, Tensor], prefix: str, heads: int,
     x = add(x, matmul(ctx, p[f"{prefix}.attn.wo"]))
 
     h = layer_norm(x, p[f"{prefix}.ln2.gamma"], p[f"{prefix}.ln2.beta"])
-    h = gelu(add(matmul(h, p[f"{prefix}.mlp.w1"]), p[f"{prefix}.mlp.b1"]))
-    h = add(matmul(h, p[f"{prefix}.mlp.w2"]), p[f"{prefix}.mlp.b2"])
+    h = gelu(linear(h, p[f"{prefix}.mlp.w1"], p[f"{prefix}.mlp.b1"]))
+    h = linear(h, p[f"{prefix}.mlp.w2"], p[f"{prefix}.mlp.b2"])
     h = dropout(h, dropout_rate, training, rng)
     return add(x, h)
 
@@ -255,8 +256,8 @@ def mlp_branch_forward(features: np.ndarray, params: dict[str, Tensor],
     x = Tensor(features)
     last = len(config.tabular_hidden) - 1
     for j in range(len(config.tabular_hidden)):
-        x = add(matmul(x, params[f"tabular.layer{j}.weight"]),
-                params[f"tabular.layer{j}.bias"])
+        x = linear(x, params[f"tabular.layer{j}.weight"],
+                   params[f"tabular.layer{j}.bias"])
         if j != last:
             x = gelu(x)
     return x
@@ -270,7 +271,7 @@ def fuse_classify(embeddings: list[Tensor], params: dict[str, Tensor],
         raise ValueError("fuse_classify needs at least one branch embedding")
     fused = embeddings[0] if len(embeddings) == 1 else concat(embeddings, axis=1)
     fused = dropout(fused, config.dropout_rate, training, rng)
-    logits = add(matmul(fused, params["head.weight"]), params["head.bias"])
+    logits = linear(fused, params["head.weight"], params["head.bias"])
     return softmax(logits, axis=1)
 
 

@@ -3,8 +3,18 @@
 A ``Tape`` records every differentiable operation performed while it is
 active (define-by-run); ``backward`` replays it in reverse and returns the
 gradient of every leaf that was reached. The ops are exactly those the
-two-branch model and its loss use; ``add`` broadcasts as numpy does, and
-``nll`` is the training loss.
+two-branch model and its loss use; ``add`` broadcasts as numpy does,
+``linear`` is a dense layer (matmul plus bias) as one node, and ``nll`` is
+the training loss.
+
+``attention`` works through the batch in blocks of as many elements as
+fit ``ATTENTION_BLOCK_BYTES`` of (heads, M, M) float64 scores, so that the
+softmax and dropout passes over a block stay in a core's L2 cache instead
+of streaming the whole score tensor from L3 once per pass. Its dropout
+mask is drawn block by block, in chunks that are exactly the values, and
+leave the generator exactly where, one ``rng.random((B*heads, M, M))``
+draw would; it saves the probabilities and a bool keep-mask for the
+backward pass.
 """
 
 from __future__ import annotations
@@ -22,6 +32,7 @@ __all__ = [
     "ShapeError",
     "add",
     "matmul",
+    "linear",
     "attention",
     "softmax",
     "layer_norm",
@@ -36,6 +47,11 @@ __all__ = [
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+# Bytes of (heads, M, M) float64 scores in one attention block. It fits a
+# 2 MB per-core L2 with the block's other buffers; at the paper shape
+# (8 heads, 81 tokens) a block is one batch element of 420 KB.
+ATTENTION_BLOCK_BYTES = 512 * 1024
 
 
 class ShapeError(ValueError):
@@ -174,29 +190,55 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _record("add", (a, b), out, back)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """(m,k)@(k,n) or batched (B,m,k)@(k,n).
-
-    The backward skips the gradient of an operand without requires_grad,
-    and folds the batch axis into one GEMM for the weight gradient.
-    """
+def _check_matmul(op: str, a: Tensor, b: Tensor) -> None:
     if a.data.ndim not in (2, 3) or b.data.ndim != 2:
         raise ShapeError(
-            f"matmul expects rank-2..3 @ rank-2, got {a.shape} @ {b.shape}")
+            f"{op} expects rank-2..3 @ rank-2, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[0]:
         raise ShapeError(
-            f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
+            f"{op} inner dimensions disagree: {a.shape} @ {b.shape}")
+
+
+def _matmul_back(ad: np.ndarray, bd: np.ndarray, a_grad: bool, b_grad: bool,
+                 g: np.ndarray) -> tuple:
+    """Gradients of ``ad @ bd`` (None for an operand without requires_grad);
+    the batch axis is folded into one GEMM for the weight gradient."""
+    ga = g @ bd.T if a_grad else None
+    gb = (ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+          if b_grad else None)
+    return ga, gb
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """(m,k)@(k,n) or batched (B,m,k)@(k,n)."""
+    _check_matmul("matmul", a, b)
     ad, bd = a.data, b.data
-    out = ad @ bd
     a_grad, b_grad = a.requires_grad, b.requires_grad
 
     def back(g):
-        ga = g @ bd.T if a_grad else None
-        gb = (ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-              if b_grad else None)
-        return ga, gb
+        return _matmul_back(ad, bd, a_grad, b_grad, g)
 
-    return _record("matmul", (a, b), out, back)
+    return _record("matmul", (a, b), ad @ bd, back)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Dense layer ``x @ w + b`` as one node: (m,k) or (B,m,k) ``x``, (k,n)
+    ``w`` and (n,) ``b``. The bias gradient sums the upstream gradient over
+    every leading axis, in the order ``add`` would."""
+    _check_matmul("linear", x, w)
+    if b.shape != w.shape[1:]:
+        raise ShapeError(
+            f"linear bias {b.shape} does not match weight {w.shape}")
+    xd, wd = x.data, w.data
+    out = xd @ wd
+    out += b.data
+    x_grad, w_grad, b_grad = x.requires_grad, w.requires_grad, b.requires_grad
+
+    def back(g):
+        gb = _unbroadcast(g, wd.shape[1:]) if b_grad else None
+        return _matmul_back(xd, wd, x_grad, w_grad, g) + (gb,)
+
+    return _record("linear", (x, w, b), out, back)
 
 
 def softmax(x: Tensor, axis: int) -> Tensor:
@@ -220,10 +262,12 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         raise ShapeError(
             f"layer_norm gamma/beta shapes {gamma.shape}/{beta.shape} "
             f"do not match last axis of {x.shape}")
-    mean = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    # np.var centres x the same way, so reusing the centred values for the
+    # variance leaves every result bit-identical.
+    centred = x.data - x.data.mean(axis=-1, keepdims=True)
+    var = np.mean(centred * centred, axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean) * inv_std
+    xhat = centred * inv_std
     gd = gamma.data
     out = gd * xhat + beta.data
 
@@ -252,25 +296,27 @@ def gelu(x: Tensor) -> Tensor:
     return _record("gelu", (x,), out, back)
 
 
-def _dropout_keep(shape: tuple, rate: float, training: bool,
-                  rng: Optional[np.random.Generator]) -> Optional[np.ndarray]:
-    """Inverted-dropout multiplier (0 or 1/(1-rate)), or None when off."""
+def _keep_scale(rate: float, training: bool,
+                rng: Optional[np.random.Generator]) -> Optional[float]:
+    """Survivor scale 1/(1-rate) of inverted dropout, or None when it is off;
+    checks the rate, and the rng when one is needed."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
         return None
     if rng is None:
         raise ValueError("dropout in training mode requires an rng")
-    draw = rng.random(shape)
-    return np.multiply(draw >= rate, 1.0 / (1.0 - rate), out=draw)
+    return 1.0 / (1.0 - rate)
 
 
 def dropout(x: Tensor, rate: float, training: bool,
             rng: Optional[np.random.Generator] = None) -> Tensor:
     """Inverted dropout: survivors scaled by 1/(1-rate); inference is identity."""
-    keep = _dropout_keep(x.shape, rate, training, rng)
-    if keep is None:
+    scale = _keep_scale(rate, training, rng)
+    if scale is None:
         return x
+    keep = rng.random(x.shape)
+    np.multiply(keep >= rate, scale, out=keep)
     out = x.data * keep
 
     def back(g):
@@ -284,48 +330,79 @@ def attention(qkv: Tensor, heads: int, rate: float, training: bool,
     """Multi-head self-attention: packed q|k|v (B,M,3d) -> context (B,M,d).
 
     Per head, softmax(q k^T / sqrt(d/heads)) weights, inverted dropout on
-    the weights (one ``rng.random((B*heads, M, M))`` draw), times v; the
-    heads are merged back along the last axis.
+    the weights, times v; the heads are merged back along the last axis.
+
+    The batch is processed in blocks of as many elements as fit
+    ``ATTENTION_BLOCK_BYTES`` of (heads, M, M) scores (at least one). Each
+    block's scores are written into one preallocated ``probs`` array and
+    normalised there in place. The dropout draw fills a block buffer with
+    ``rng.random(out=...)``, block after block: the same values, in the same
+    order, as one ``rng.random((B*heads, M, M))`` draw. For the backward
+    pass the op keeps only ``probs`` and a bool keep-mask, one byte per
+    score, and rebuilds the 0 or 1/(1-rate) multiplier from the mask one
+    block at a time, in two buffers reused across blocks.
     """
     if qkv.data.ndim != 3 or heads < 1 or qkv.shape[2] % (3 * heads):
         raise ShapeError(
             f"attention expects (B, M, 3*d) with d divisible by {heads} "
             f"heads, got {qkv.shape}")
+    keep_scale = _keep_scale(rate, training, rng)
     B, M, d3 = qkv.shape
     d = d3 // 3
     dh = d // heads
     scale = 1.0 / math.sqrt(dh)
     # Each of q, k, v is a (B, heads, M, dh) view into qkv.
     q, k, v = qkv.data.reshape(B, M, 3, heads, dh).transpose(2, 0, 3, 1, 4)
-    probs = q @ k.transpose(0, 1, 3, 2)
-    probs *= scale
-    probs -= probs.max(axis=-1, keepdims=True)
-    np.exp(probs, out=probs)
-    probs /= probs.sum(axis=-1, keepdims=True)
-    keep = _dropout_keep((B * heads, M, M), rate, training, rng)
-    if keep is not None:
-        keep = keep.reshape(B, heads, M, M)
-        weights = probs * keep
-    else:
-        weights = probs
-    out = (weights @ v).transpose(0, 2, 1, 3).reshape(B, M, d)
+    kt = k.transpose(0, 1, 3, 2)
+    step = max(1, ATTENTION_BLOCK_BYTES // (heads * M * M * 8))
+    blocks = [slice(b, b + step) for b in range(0, B, step)]
+    block_shape = (min(step, B), heads, M, M)
+    probs = np.empty((B, heads, M, M))
+    mask = None if keep_scale is None else np.empty(probs.shape, dtype=bool)
+    weights = None if mask is None else np.empty(block_shape)
+    out = np.empty((B, M, heads, dh))
+    for blk in blocks:
+        p = probs[blk]
+        np.matmul(q[blk], kt[blk], out=p)
+        p *= scale
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        w = p
+        if mask is not None:
+            w = weights[:len(p)]
+            rng.random(out=w)
+            np.greater_equal(w, rate, out=mask[blk])
+            np.multiply(mask[blk], keep_scale, out=w)
+            w *= p
+        out[blk] = (w @ v[blk]).transpose(0, 2, 1, 3)
 
     def back(g):
         g = g.reshape(B, M, heads, dh).transpose(0, 2, 1, 3)
         gqkv = np.empty((B, M, 3, heads, dh))
         gq, gk, gv = gqkv.transpose(2, 0, 3, 1, 4)
-        gv[...] = weights.transpose(0, 1, 3, 2) @ g
-        gs = g @ v.transpose(0, 1, 3, 2)
-        if keep is not None:
-            gs *= keep
-        gs -= (gs * probs).sum(axis=-1, keepdims=True)
-        gs *= probs
-        gs *= scale
-        gq[...] = gs @ k
-        gk[...] = gs.transpose(0, 1, 3, 2) @ q
+        keep_buf, gs_buf = np.empty(block_shape), np.empty(block_shape)
+        for blk in blocks:
+            p, gb = probs[blk], g[blk]
+            n = len(p)
+            gs = gs_buf[:n]
+            w = p
+            if mask is not None:
+                keep = np.multiply(mask[blk], keep_scale, out=keep_buf[:n])
+                w = np.multiply(p, keep, out=gs)
+            gv[blk] = w.transpose(0, 1, 3, 2) @ gb
+            np.matmul(gb, v[blk].transpose(0, 1, 3, 2), out=gs)
+            if mask is not None:
+                gs *= keep
+            gs -= np.multiply(gs, p, out=keep_buf[:n]).sum(axis=-1,
+                                                           keepdims=True)
+            gs *= p
+            gs *= scale
+            gq[blk] = gs @ k[blk]
+            gk[blk] = gs.transpose(0, 1, 3, 2) @ q[blk]
         return (gqkv.reshape(B, M, d3),)
 
-    return _record("attention", (qkv,), out, back)
+    return _record("attention", (qkv,), out.reshape(B, M, d), back)
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:

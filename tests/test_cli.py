@@ -622,6 +622,36 @@ def test_image_dims_that_do_not_fit_the_crops_exit_2(dataset, tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "eval", "cv", "tune"])
+def test_slice_window_past_the_volume_exits_1(dataset, tmp_path, capsys,
+                                              command):
+    """The volumes are 33 slices deep: a row selecting slices [30, 38) is a
+    malformed instance table, found when the volume is cropped."""
+    rows = (dataset / "instances.csv").read_text().splitlines()
+    i = next(i for i, row in enumerate(rows) if ",hippocampus_left," in row)
+    fields = rows[i].split(",")
+    fields[3] = "30"  # slice_start
+    rows[i] = ",".join(fields)
+    bad = tmp_path / "instances.csv"
+    bad.write_text("\n".join(rows) + "\n")
+    if command == "eval":
+        argv = _eval_argv(dataset, _init_model_dir(tmp_path / "model",
+                                                   _snapshot()),
+                          dataset / "data" / "manifest.jsonl",
+                          tmp_path / "out")
+    else:
+        argv = _command_argv(dataset, tmp_path, command,
+                             dataset / "config.json")
+    argv[argv.index("--instances") + 1] = str(bad)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert (f"malformed instance table {bad}: subject {fields[0]}, roi "
+            f"'hippocampus_left': slice window [30, 38) outside depth 33"
+            in err)
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["synth", "train", "cv", "tune"])
 def test_negative_seed_exits_2(dataset, tmp_path, capsys, command):
     if command == "synth":

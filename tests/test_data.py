@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -279,6 +280,14 @@ def test_crop_plane_too_small():
     vol = scale_volume(np.zeros((30, 20, 20)))
     with pytest.raises(ValueError):
         crop_roi(vol, InstanceRecord("S0", CN, "r", 0, 25, 10, 10))
+
+
+@pytest.mark.parametrize("start,window", [(-1, "[-1, 24)"), (6, "[6, 31)")])
+def test_crop_slice_window_outside_depth_names_subject_and_roi(start, window):
+    vol = scale_volume(np.zeros((30, 40, 40)))
+    message = f"subject S7, roi 'r': slice window {window} outside depth 30"
+    with pytest.raises(D.SliceWindowError, match=re.escape(message)):
+        crop_roi(vol, InstanceRecord("S7", CN, "r", start, 25, 10, 10))
 
 
 def test_crop_random_instances_always_inside():

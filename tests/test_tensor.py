@@ -19,6 +19,7 @@ from mixedvit.tensor import (
     dropout,
     gelu,
     layer_norm,
+    linear,
     matmul,
     narrow,
     nll,
@@ -77,6 +78,43 @@ def test_matmul_batched_shape():
                                rtol=1e-12)
     np.testing.assert_allclose(tb.grad, np.einsum("bmk,bmn->kn", a, w),
                                rtol=1e-12)
+
+
+def test_linear_is_matmul_plus_bias():
+    rng = np.random.default_rng(6)
+    for x_shape in ((4, 3), (2, 4, 3)):
+        x, w, b = (rng.normal(size=s) for s in (x_shape, (3, 5), (5,)))
+        out = linear(Tensor(x), Tensor(w), Tensor(b))
+        np.testing.assert_array_equal(out.data, x @ w + b)
+
+
+@pytest.mark.parametrize("x_shape,w_shape,b_shape", [
+    ((4, 3), (3, 5), (4,)),
+    ((4, 3), (3, 5), (1, 5)),
+    ((4, 3), (2, 5), (5,)),
+    ((2, 4, 3), (4, 5), (5,)),
+    ((3,), (3, 5), (5,)),
+], ids=["bias_length", "bias_rank", "inner", "inner_3d", "rank_1_input"])
+def test_linear_rejects_mismatched_shapes(x_shape, w_shape, b_shape):
+    with pytest.raises(ShapeError):
+        linear(Tensor(np.zeros(x_shape)), Tensor(np.zeros(w_shape)),
+               Tensor(np.zeros(b_shape)))
+
+
+def test_linear_constant_input_gets_no_gradient():
+    rng = np.random.default_rng(7)
+    with Tape() as tape:
+        x = Tensor(rng.normal(size=(2, 4, 3)))
+        w = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
+        b = Tensor(rng.normal(size=5), requires_grad=True)
+        out = linear(x, w, b)
+        y = weighted_sum(out)
+    backward(y)
+    assert x.grad is None and id(x) not in tape._leaf_ids
+    np.testing.assert_array_equal(w.grad, x.data.reshape(-1, 3).T @ np.ones((8, 5)))
+    np.testing.assert_array_equal(b.grad, np.full(5, 8.0))
+    node_grads = tape.nodes[out.node_id].backward_fn(np.ones((2, 4, 5)))
+    assert node_grads[0] is None
 
 
 def test_softmax_symmetry():
@@ -167,6 +205,25 @@ def test_dropout_seeded_mask_repeats():
 def test_dropout_rate_out_of_range():
     with pytest.raises(ValueError):
         dropout(Tensor([1.0]), 1.0, training=True, rng=np.random.default_rng(0))
+
+
+_DROPOUT_OPS = {
+    "dropout": lambda rate, rng: dropout(Tensor(np.ones((2, 6))), rate, True,
+                                         rng),
+    "attention": lambda rate, rng: attention(Tensor(np.ones((1, 2, 6))), 1,
+                                             rate, True, rng),
+}
+
+
+@pytest.mark.parametrize("op", sorted(_DROPOUT_OPS))
+@pytest.mark.parametrize("rate,rng,message", [
+    (1.0, np.random.default_rng(0), r"dropout rate must be in \[0, 1\), got 1.0"),
+    (-0.1, np.random.default_rng(0), r"dropout rate must be in \[0, 1\), got -0.1"),
+    (0.2, None, "dropout in training mode requires an rng"),
+], ids=["rate_one", "rate_negative", "no_rng"])
+def test_dropout_checks_are_shared_by_attention(op, rate, rng, message):
+    with pytest.raises(ValueError, match=message):
+        _DROPOUT_OPS[op](rate, rng)
 
 
 def test_concat_vectors():
@@ -302,6 +359,8 @@ def test_grad_check_every_op_random_shapes(seed):
     k = rng.normal(size=(m, n))
     w_qkv = rng.normal(size=(m, 6))
     labels = rng.integers(0, m, size=n)
+    bias_n = rng.normal(size=n)
+    b3 = rng.normal(size=(2, n, m))
 
     checks = {
         "add": lambda x: weighted_sum(add(x, Tensor(b)), a),
@@ -310,6 +369,22 @@ def test_grad_check_every_op_random_shapes(seed):
         "matmul_lhs": lambda x: weighted_sum(matmul(x, Tensor(k))),
         "matmul_rhs": lambda x: weighted_sum(
             matmul(Tensor(b), reshape(x, (m, n)))),
+        "linear_input": lambda x: weighted_sum(
+            linear(x, Tensor(k), Tensor(bias_n)), b @ k),
+        "linear_input_3d": lambda x: weighted_sum(
+            linear(reshape(x, (n, 1, m)), Tensor(k), Tensor(bias_n)),
+            (b @ k)[:, None, :]),
+        "linear_weight": lambda x: weighted_sum(
+            linear(Tensor(b), reshape(x, (m, n)), Tensor(bias_n)), b @ k),
+        "linear_weight_3d": lambda x: weighted_sum(
+            linear(Tensor(b3), reshape(x, (m, n)), Tensor(bias_n)),
+            b3 @ k),
+        "linear_bias": lambda x: weighted_sum(
+            linear(Tensor(b), Tensor(k), reshape(narrow(x, 1, 0, 1), (n,))),
+            b @ k),
+        "linear_bias_3d": lambda x: weighted_sum(
+            linear(Tensor(b3), Tensor(k), reshape(narrow(x, 1, 0, 1), (n,))),
+            b3 @ k),
         "softmax": lambda x: weighted_sum(softmax(x, 1), b),
         "layer_norm": lambda x: weighted_sum(
             layer_norm(x, Tensor(np.linspace(0.5, 1.5, m)),
@@ -360,6 +435,35 @@ def test_attention_matches_unfused_reference(rate):
     np.testing.assert_allclose(out.data, ref, rtol=0, atol=1e-12)
 
 
+def _blocks_of_two(monkeypatch, heads, M):
+    """Budget attention blocks at two batch elements each."""
+    monkeypatch.setattr(T, "ATTENTION_BLOCK_BYTES", 2 * heads * M * M * 8)
+
+
+@pytest.mark.parametrize("rate,training", [(0.0, True), (0.3, True),
+                                           (0.3, False)])
+def test_attention_matches_unfused_reference_across_blocks(rate, training,
+                                                           monkeypatch):
+    # B=5 in blocks of 2: two full blocks and a ragged last one.
+    _blocks_of_two(monkeypatch, 4, 5)
+    qkv = np.random.default_rng(8).normal(size=(5, 5, 24))
+    out = attention(Tensor(qkv), 4, rate, training, np.random.default_rng(1))
+    ref = _attention_reference(qkv, 4, rate if training else 0.0,
+                               np.random.default_rng(1))
+    np.testing.assert_allclose(out.data, ref, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("blocks", ["one", "ragged"])
+def test_attention_leaves_rng_where_one_draw_would(blocks, monkeypatch):
+    B, M, heads = 5, 6, 2
+    if blocks == "ragged":
+        _blocks_of_two(monkeypatch, heads, M)
+    rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+    attention(Tensor(np.ones((B, M, 6 * heads))), heads, 0.3, True, rng)
+    ref.random((B * heads, M, M))
+    np.testing.assert_array_equal(rng.random(3), ref.random(3))
+
+
 def test_attention_rejects_unpackable_width():
     with pytest.raises(ShapeError):
         attention(Tensor(np.zeros((2, 3, 16))), 2, 0.0, False)
@@ -370,6 +474,19 @@ def test_grad_check_attention():
     qkv = rng.normal(size=(2, 4, 12))
     w = rng.normal(size=(2, 4, 4))
     for rate, training in ((0.0, False), (0.3, True)):
+        def f(x):
+            out = attention(x, 2, rate, training, np.random.default_rng(99))
+            return weighted_sum(out, w)
+
+        assert grad_check(f, qkv) < 1e-5, (rate, training)
+
+
+def test_grad_check_attention_across_blocks(monkeypatch):
+    _blocks_of_two(monkeypatch, 2, 4)
+    rng = np.random.default_rng(3)
+    qkv = rng.normal(size=(5, 4, 12))
+    w = rng.normal(size=(5, 4, 4))
+    for rate, training in ((0.0, False), (0.3, True), (0.3, False)):
         def f(x):
             out = attention(x, 2, rate, training, np.random.default_rng(99))
             return weighted_sum(out, w)
@@ -413,6 +530,8 @@ def test_tape_topological_order():
 _TAPE_CASES = {
     "add": lambda h: add(h, h),
     "matmul": lambda h: matmul(h, reshape(h, (6, 4))),
+    "linear": lambda h: linear(h, reshape(h, (6, 4)),
+                               narrow(reshape(h, (24,)), 0, 0, 4)),
     "attention": lambda h: attention(reshape(h, (1, 4, 6)), 1, 0.3, True,
                                      np.random.default_rng(2)),
     "softmax": lambda h: softmax(h, 1),
