@@ -13,12 +13,17 @@ JSON list for a tuple); an absent key keeps its dataclass default.
 of a default cannot change what a saved model means, and ``fit`` holds the
 ``FitStats`` ranges; ``eval`` refuses any other layout.
 
+``train`` writes the weights to ``checkpoint.npz``, an ``.npz`` of float64
+arrays keyed by parameter name, which is the only file ``eval`` reads them
+from.
+
 ``train``, ``cv`` and ``tune`` fit through ``train.FitPlan`` and
-``train.fit``: a split that cannot be trained or scored exits 2 before any
-training, and image_dims that do not match the ROI crops before any update.
-An instance-table row whose slice window runs past its volume's depth makes
-``train``, ``eval``, ``cv`` and ``tune`` exit 1, naming the subject, the ROI
-and the table.
+``train.fit``: a split that cannot be trained or scored (``PlanError``)
+exits 2 before any training, and image_dims that do not match the ROI crops
+before any update. A corrupt volume or checkpoint, a manifest line whose
+CDR is neither 0 (CN) nor >= 1 (AD), or an instance-table row whose slice
+window runs past its volume's depth makes every command that reads it
+exit 1.
 
 Exit codes: 0 success, 1 runtime/I-O failure, 2 usage/config error.
 Every run writes a manifest with a config snapshot and output checksums.
@@ -261,21 +266,21 @@ def cmd_train(args) -> int:
         tr, va, te = D.split_subjects(records, (0.70, 0.15, 0.15),
                                       np.random.default_rng([args.seed, 11]))
         plan = TR.FitPlan(tr, va, te, "the test split")
-    except ValueError as exc:
+    except TR.PlanError as exc:
         raise UsageError(str(exc)) from exc
     best, history, preds = TR.fit(model_cfg, train_cfg, plan, instances, rois)
     report = ME.evaluate_fold(preds, 0)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    MO.save_checkpoint(out / "checkpoint.mwt", best)
+    MO.save_checkpoint(out / "checkpoint.npz", best)
     TR.save_history(history, out / "history.csv")
     ME.save_metrics([report], out / "metrics.json")
     ME.save_roc_csv(report.roc, out / "roc.csv")
     snapshot = {"config": _config_of(model_cfg, train_cfg), "rois": rois,
                 "mode": args.mode, "fit": dataclasses.asdict(plan.stats)}
     _write_json(out / "config.json", snapshot)
-    outputs = [out / n for n in ("checkpoint.mwt", "history.csv",
+    outputs = [out / n for n in ("checkpoint.npz", "history.csv",
                                  "metrics.json", "roc.csv", "config.json")]
     write_run_manifest(out / "run_manifest.json", "train", snapshot,
                        args.seed, [args.manifest, args.instances], outputs,
@@ -295,9 +300,7 @@ def cmd_cv(args) -> int:
                                      train_cfg, k=args.folds, seed=args.seed,
                                      holdout_test=not args.no_holdout_test,
                                      jobs=args.jobs)
-    except D.SliceWindowError:
-        raise  # a malformed instance table, not a usage error
-    except ValueError as exc:
+    except TR.PlanError as exc:
         raise UsageError(str(exc)) from exc
 
     out = Path(args.out)
@@ -355,7 +358,7 @@ def cmd_tune(args) -> int:
         tr, va, _ = D.split_subjects(records, (0.85, 0.15, 0.0),
                                      np.random.default_rng([args.seed, 17]))
         plan = TR.FitPlan(tr, va)
-    except ValueError as exc:
+    except TR.PlanError as exc:
         raise UsageError(str(exc)) from exc
 
     def objective(sampled: dict, epochs: int) -> float:
@@ -418,7 +421,7 @@ def cmd_eval(args) -> int:
     model_dir = Path(args.model)
     path = model_dir / "config.json"
     try:
-        params = MO.load_checkpoint(model_dir / "checkpoint.mwt")
+        params = MO.load_checkpoint(model_dir / "checkpoint.npz")
         with open(path, encoding="utf-8") as fh:
             snapshot = json.load(fh)
         rois, config = snapshot["rois"], snapshot["config"]

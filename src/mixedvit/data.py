@@ -61,6 +61,11 @@ class SliceWindowError(ValueError):
     """An instance-table row's slice window runs past its volume's depth."""
 
 
+class PlanError(ValueError):
+    """A subject split or fold set that cannot be trained and scored, from
+    ``split_subjects``, ``metrics.stratified_kfold`` or ``train.FitPlan``."""
+
+
 @dataclass(frozen=True)
 class SubjectRecord:
     subject_id: str
@@ -77,8 +82,7 @@ class SubjectRecord:
             raise ValueError(f"mmse {self.mmse} outside [0, 30]")
         if self.age <= 0:
             raise ValueError(f"age {self.age} must be positive")
-        if float(self.cdr) not in VALID_CDR:
-            raise ValueError(f"cdr {self.cdr} not in {VALID_CDR}")
+        cdr_to_label(self.cdr)  # one of the two study classes
         if self.gender not in ("F", "M"):
             raise ValueError(f"gender {self.gender!r} not in {{F, M}}")
 
@@ -308,9 +312,9 @@ def split_subjects(records: Sequence[SubjectRecord],
         raise ValueError(f"split ratios {ratios} do not sum to 1")
     ids = [r.subject_id for r in records]
     if len(set(ids)) != len(ids):
-        raise ValueError("duplicate subject ids: one record per subject")
+        raise PlanError("duplicate subject ids: one record per subject")
     if len(records) < 3:
-        raise ValueError("fewer subjects than split sets")
+        raise PlanError("fewer subjects than split sets")
     rng = rng or np.random.default_rng()
     val_total = int(round(len(records) * ratios[1]))
     test_total = int(round(len(records) * ratios[2]))

@@ -19,6 +19,7 @@ from .data import (
     AD,
     CN,
     InstanceRecord,
+    PlanError,
     SubjectRecord,
     cdr_to_label,
     split_subjects,
@@ -68,13 +69,13 @@ def stratified_kfold(subject_ids: Sequence[str], labels: dict, k: int,
                      rng: np.random.Generator) -> list:
     """k folds of subject ids, class-balanced within one subject per fold."""
     if k < 2:
-        raise ValueError(f"k={k} is degenerate; need k >= 2")
+        raise PlanError(f"k={k} is degenerate; need k >= 2")
     by_class: dict[int, list[str]] = {}
     for sid in sorted(subject_ids):
         by_class.setdefault(labels[sid], []).append(sid)
     for label, group in sorted(by_class.items()):
         if len(group) < k:
-            raise ValueError(
+            raise PlanError(
                 f"class {label} has {len(group)} subjects, fewer than k={k}")
     folds: list[list[str]] = [[] for _ in range(k)]
     cursor = 0
@@ -235,8 +236,9 @@ def cv_run(records: Sequence[SubjectRecord],
 
     Each fold trains on the other k-1 folds, with an inner ``VAL_FRACTION``
     carve for checkpoint selection, and is scored on the held-out fold.
-    Every fold is planned (and so checked) before any fold trains.
-    Returns the fold reports and a mean±std summary.
+    Every fold is planned (and so checked) before any fold trains:
+    ``PlanError`` for a split or fold set it cannot plan. Returns the fold
+    reports and a mean±std summary.
     """
     if holdout_test:
         tr, va, _te = split_subjects(records, (0.70, 0.15, 0.15),

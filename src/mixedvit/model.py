@@ -4,17 +4,18 @@ Volumes are cut into non-overlapping t*h*w tubes, linearly projected to
 tokens, and run through a pre-norm transformer encoder with joint attention
 over all tokens; a class token is read out. Branch embeddings (one per ROI,
 plus the tabular embedding in mixed mode) are concatenated and classified.
+A checkpoint is an ``.npz`` of float64 arrays keyed by parameter name.
 """
 
 from __future__ import annotations
 
-import json
-import struct
+import tokenize
+import zipfile
 from dataclasses import dataclass
-from math import prod
 from typing import Optional
 
 import numpy as np
+from numpy.lib.npyio import NpzFile
 
 from .tensor import (
     Tensor,
@@ -33,8 +34,6 @@ from .tensor import (
 
 MODE_MIXED = "mixed"
 MODE_IMAGE_ONLY = "image-only"
-
-CHECKPOINT_MAGIC = b"MWT1"
 
 
 class ConfigError(ValueError):
@@ -295,77 +294,38 @@ def forward_batch(config: ModelConfig, params: dict[str, Tensor],
 
 
 def save_checkpoint(path, params: dict[str, Tensor]) -> None:
-    """Write params: magic, manifest (name/shape/offset), raw LE float64."""
-    entries = []
-    chunks = []
-    offset = 0
-    for name in sorted(params):
-        arr = np.ascontiguousarray(params[name].data, dtype="<f8")
-        entries.append({"name": name, "shape": list(arr.shape),
-                        "offset": offset})
-        chunks.append(arr.tobytes())
-        offset += arr.nbytes
-    manifest = json.dumps({"entries": entries}, sort_keys=True,
-                          separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", len(manifest)))
-        fh.write(manifest)
-        for chunk in chunks:
-            fh.write(chunk)
+    """Write params as an uncompressed ``.npz`` of float64 arrays keyed by
+    name, in sorted order, so that save, load and save give the same bytes."""
+    with open(path, "wb") as fh:  # a handle: numpy appends no suffix
+        np.savez(fh, **{name: params[name].data for name in sorted(params)})
+
+
+# What numpy and zipfile raise on a damaged .npz (tests/test_fuzz.py).
+_UNREADABLE = (zipfile.BadZipFile, ValueError, tokenize.TokenError, OSError,
+               EOFError, RuntimeError)
 
 
 def load_checkpoint(path) -> dict[str, Tensor]:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"bad checkpoint magic {blob[:4]!r}")
-    if len(blob) < 8:
-        raise CheckpointError(
-            f"checkpoint of {len(blob)} bytes is shorter than its 8-byte header")
-    (mlen,) = struct.unpack("<I", blob[4:8])
-    try:
-        manifest = json.loads(blob[8:8 + mlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"unreadable checkpoint manifest: {exc}") from exc
-    entries = manifest.get("entries") if isinstance(manifest, dict) else None
-    if not isinstance(entries, list):
-        raise CheckpointError("checkpoint manifest has no 'entries' list")
-    payload = blob[8 + mlen:]
+    """Params of a checkpoint written by ``save_checkpoint``, read by the
+    ``NpzFile`` that np.load returns for an ``.npz``. ``CheckpointError`` for
+    a file that is not an ``.npz``, fails a CRC-32 check, repeats a name or
+    holds a member that is not a float64 array."""
+    with open(path, "rb") as fh:  # closed even when numpy fails to parse
+        try:
+            with NpzFile(fh, allow_pickle=False) as archive:
+                # numpy checks a CRC-32 only on reading a member to its end,
+                # which a damaged .npy header can stop short of.
+                damaged = archive.zip.testzip()
+                if damaged is not None:
+                    raise zipfile.BadZipFile(f"{damaged!r} is damaged")
+                members = [(name, archive[name]) for name in archive.files]
+        except _UNREADABLE as exc:
+            raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
     params: dict[str, Tensor] = {}
-    spans = []
-    for entry in entries:
-        name, shape, start = _checkpoint_entry(entry)
+    for name, arr in members:
         if name in params:
             raise CheckpointError(f"checkpoint holds {name!r} twice")
-        end = start + 8 * prod(shape)
-        if end > len(payload):
-            raise CheckpointError(
-                f"checkpoint payload truncated for {name!r}")
-        arr = np.frombuffer(payload[start:end], dtype="<f8").reshape(shape)
-        params[name] = Tensor(arr.copy(), requires_grad=True)
-        spans.append((start, end, name))
-    spans.sort()
-    for (_, prev_end, prev), (start, _, name) in zip(spans, spans[1:]):
-        if start < prev_end:
-            raise CheckpointError(
-                f"checkpoint entries {prev!r} and {name!r} overlap")
+        if not isinstance(arr, np.ndarray) or arr.dtype != np.float64:
+            raise CheckpointError(f"checkpoint member {name!r} is not float64")
+        params[name] = Tensor(arr, requires_grad=True)
     return params
-
-
-def _checkpoint_entry(entry) -> tuple:
-    """(name, shape, offset) of one checkpoint manifest entry, checked."""
-    if not isinstance(entry, dict):
-        raise CheckpointError(f"checkpoint entry {entry!r} is not an object")
-    name, shape, offset = (entry.get(k) for k in ("name", "shape", "offset"))
-
-    def is_count(x) -> bool:
-        return isinstance(x, int) and not isinstance(x, bool) and x >= 0
-
-    if not isinstance(name, str):
-        raise CheckpointError(f"checkpoint entry {entry!r} has no name")
-    if not isinstance(shape, list) or not all(is_count(d) for d in shape):
-        raise CheckpointError(f"bad shape {shape!r} for {name!r}")
-    if not is_count(offset):
-        raise CheckpointError(f"bad payload offset {offset!r} for {name!r}")
-    return name, tuple(shape), offset

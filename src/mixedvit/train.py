@@ -3,8 +3,9 @@ cross-entropy on softmax probabilities (one ``tensor.nll`` tape op),
 validation-selected checkpointing, and a stop with ``DivergenceError`` on a
 non-finite loss or gradient.
 
-A ``FitPlan`` checks a subject split before any training starts and ``fit``
-trains on it: the one way the ``train``, ``cv`` and ``tune`` commands fit.
+A ``FitPlan`` checks a subject split before any training starts, raising
+``PlanError`` for one that cannot be trained and scored, and ``fit`` trains
+on it: the one way the ``train``, ``cv`` and ``tune`` commands fit.
 ``model_samples`` builds the crops a model takes, or raises ``ConfigError``
 when the model's image_dims do not fit the volumes.
 """
@@ -23,6 +24,7 @@ from .data import (
     CropError,
     FitStats,
     MixedSample,
+    PlanError,
     SubjectRecord,
     build_batches,
     build_samples,
@@ -247,7 +249,7 @@ def require_both_classes(records: Sequence[SubjectRecord], what: str,
 class FitPlan:
     """A subject split checked before any training starts: the subjects to
     train on, to select the checkpoint by and to predict and ROC-score
-    (None: no scored set). ``ValueError`` for an empty training or
+    (None: no scored set). ``PlanError`` for an empty training or
     validation set, a scored set without both classes, or a degenerate
     feature range in ``stats``, which is fitted on the training subjects."""
     train: Sequence[SubjectRecord]
@@ -258,12 +260,15 @@ class FitPlan:
 
     def __post_init__(self):
         if not self.train:
-            raise ValueError("no training subjects")
+            raise PlanError("no training subjects")
         if not self.val:
-            raise ValueError("no validation subjects for checkpoint selection")
+            raise PlanError("no validation subjects for checkpoint selection")
         if self.scored is not None:
-            require_both_classes(self.scored, self.scored_name)
-        self.stats = FitStats.from_records(self.train)
+            require_both_classes(self.scored, self.scored_name, PlanError)
+        try:
+            self.stats = FitStats.from_records(self.train)
+        except ValueError as exc:  # a constant age or MMSE
+            raise PlanError(str(exc)) from exc
 
 
 def model_samples(model_cfg: ModelConfig, records: Sequence[SubjectRecord],

@@ -100,7 +100,7 @@ def test_train_and_eval_round_trip(dataset, tmp_path, capsys):
                "--rois", "hippocampus_left", "--seed", "2",
                "--out", str(out)])
     assert rc == 0
-    for name in ("checkpoint.mwt", "history.csv", "metrics.json", "roc.csv",
+    for name in ("checkpoint.npz", "history.csv", "metrics.json", "roc.csv",
                  "config.json", "run_manifest.json"):
         assert (out / name).exists(), name
     payload = json.loads((out / "metrics.json").read_text())
@@ -128,13 +128,47 @@ def test_eval_bad_checkpoint_exits_1(dataset, tmp_path):
     model = tmp_path / "broken"
     model.mkdir()
     (model / "config.json").write_text("{}")
-    for blob in (b"JUNKJUNKJUNK", b"MWT1x"):  # bad magic, short header
-        (model / "checkpoint.mwt").write_bytes(blob)
+    for blob in (b"JUNKJUNKJUNK", b"PK\x03\x04x"):  # not a zip, short header
+        (model / "checkpoint.npz").write_bytes(blob)
         rc = main(["eval", "--model", str(model),
                    "--instances", str(dataset / "instances.csv"),
                    "--manifest", str(dataset / "data" / "manifest.jsonl"),
                    "--out", str(tmp_path / "m.json")])
         assert rc == 1
+
+
+def test_eval_model_directory_of_the_old_format_exits_1(dataset, tmp_path,
+                                                       capsys):
+    """A model directory from before checkpoints were .npz holds
+    checkpoint.mwt, which eval does not read."""
+    model = tmp_path / "model"
+    model.mkdir()
+    (model / "checkpoint.mwt").write_bytes(b"MWT1" + bytes(12))
+    (model / "config.json").write_text(json.dumps(_snapshot()))
+    rc = main(["eval", "--model", str(model),
+               "--instances", str(dataset / "instances.csv"),
+               "--manifest", str(dataset / "data" / "manifest.jsonl"),
+               "--out", str(tmp_path / "m.json")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "model directory incomplete" in err and "checkpoint.npz" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_eval_damaged_checkpoint_exits_1(dataset, tmp_path, capsys):
+    """One byte flipped in the middle of a checkpoint train wrote."""
+    model = _init_model_dir(tmp_path / "model", _snapshot())
+    path = model / "checkpoint.npz"
+    blob = bytearray(path.read_bytes())
+    blob[len(blob) // 2] ^= 0xFF
+    path.write_bytes(bytes(blob))
+    out = tmp_path / "m.json"
+    assert main(_eval_argv(dataset, model,
+                           dataset / "data" / "manifest.jsonl", out)) == 1
+    err = capsys.readouterr().err
+    assert f"unreadable checkpoint {path}" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_cv_summary_and_determinism(dataset, tmp_path, capsys):
@@ -250,7 +284,7 @@ def _set(value, key, inner=None):
 def test_eval_malformed_config_exits_1(dataset, tmp_path, capsys, edit):
     model = tmp_path / "model"
     model.mkdir()
-    save_checkpoint(model / "checkpoint.mwt", {})
+    save_checkpoint(model / "checkpoint.npz", {})
     argv = ["eval", "--model", str(model),
             "--instances", str(dataset / "instances.csv"),
             "--manifest", str(dataset / "data" / "manifest.jsonl"),
@@ -301,7 +335,7 @@ def _init_model_dir(path, snapshot) -> Path:
     """A model directory as ``train`` writes it for ``TINY_MODEL``, holding
     initial parameters and ``snapshot`` as its config.json."""
     path.mkdir()
-    save_checkpoint(path / "checkpoint.mwt", init_params(TINY_MODEL, 0))
+    save_checkpoint(path / "checkpoint.npz", init_params(TINY_MODEL, 0))
     (path / "config.json").write_text(json.dumps(snapshot))
     return path
 
@@ -346,7 +380,7 @@ def test_train_config_round_trips_through_config_flag(dataset, tmp_path):
     config.write_text(json.dumps(
         json.loads((first / "config.json").read_text())["config"]))
     assert main(_train_argv(dataset, manifest, config, second)) == 0
-    for name in ("checkpoint.mwt", "history.csv", "metrics.json", "roc.csv",
+    for name in ("checkpoint.npz", "history.csv", "metrics.json", "roc.csv",
                  "config.json"):
         assert (first / name).read_bytes() == (second / name).read_bytes()
 
@@ -377,7 +411,7 @@ def test_train_at_unit_lr_never_sits_at_a_floor(dataset, tmp_path, capsys,
 
 @pytest.mark.parametrize("command", ["train", "cv"])
 def test_divergence_exits_1(dataset, tmp_path, capsys, monkeypatch, command):
-    # cv maps ValueError to exit 2, so a divergence must not be one.
+    # cv maps PlanError to exit 2, so a divergence must not be one.
     def diverge(*args, **kwargs):
         raise DivergenceError("loss inf at epoch 0, step 0")
 
@@ -648,6 +682,60 @@ def test_slice_window_past_the_volume_exits_1(dataset, tmp_path, capsys,
     assert (f"malformed instance table {bad}: subject {fields[0]}, roi "
             f"'hippocampus_left': slice window [30, 38) outside depth 33"
             in err)
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def _argv_with_manifest(dataset, tmp_path, command, manifest):
+    """argv running ``command`` (select, train, eval, cv or tune) on the
+    dataset's instance table with ``manifest`` as its manifest."""
+    if command == "select":
+        return ["select", "--manifest", str(manifest), "--roi",
+                "hippocampus_left", "--slices", "8",
+                "--out", str(tmp_path / "out" / "instances.csv")]
+    if command == "eval":
+        return _eval_argv(dataset, _init_model_dir(tmp_path / "model",
+                                                   _snapshot()),
+                          manifest, tmp_path / "out" / "m.json")
+    argv = _command_argv(dataset, tmp_path, command, dataset / "config.json")
+    argv[argv.index("--manifest") + 1] = str(manifest)
+    return argv
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "cv", "tune"])
+def test_corrupt_volume_exits_1(dataset, tmp_path, capsys, command):
+    """One subject's volume has XXXX over its magic: a runtime failure for
+    every command that reads it, never a usage error."""
+    records = load_manifest(dataset / "data" / "manifest.jsonl")
+    bad = tmp_path / "bad.vol"
+    bad.write_bytes(b"XXXX" + Path(records[0].volume_path).read_bytes()[4:])
+    manifest = tmp_path / "manifest.jsonl"
+    save_manifest([dataclasses.replace(records[0], volume_path=str(bad))]
+                  + records[1:], manifest)
+    assert main(_argv_with_manifest(dataset, tmp_path, command,
+                                    manifest)) == 1
+    err = capsys.readouterr().err
+    assert f"bad magic b'XXXX' in {bad}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["select", "train", "eval", "cv", "tune"])
+def test_manifest_subject_with_cdr_05_exits_1(dataset, tmp_path, capsys,
+                                              command):
+    """CDR 0.5 (MCI) is neither class: loading the manifest fails, naming
+    the file and line, before any command does its work."""
+    lines = (dataset / "data" / "manifest.jsonl").read_text().splitlines()
+    obj = json.loads(lines[2])
+    obj["cdr"] = 0.5
+    lines[2] = json.dumps(obj)
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text("\n".join(lines) + "\n")
+    assert main(_argv_with_manifest(dataset, tmp_path, command,
+                                    manifest)) == 1
+    err = capsys.readouterr().err
+    assert f"{manifest}, line 3: malformed subject record" in err
+    assert "CDR 0.5 is outside the two study classes" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 

@@ -79,12 +79,22 @@ def test_record_validation():
         record(age=-1)
     with pytest.raises(ValueError):
         record(gender="X")
+    with pytest.raises(ValueError, match="not in"):
+        record(cdr=4.0)
+
+
+def test_record_cdr_must_map_to_a_class():
+    """A record holds only a CDR that cdr_to_label maps to CN or AD."""
+    with pytest.raises(UnmappedCdrError):
+        record(cdr=0.5)
+    assert [cdr_to_label(record(cdr=c).cdr) for c in (0.0, 1.0, 2.0, 3.0)] \
+        == [CN, AD, AD, AD]
 
 
 def test_split_rejects_duplicate_ids():
     rows = [record(sid="A", date="2020-01-01"), record(sid="A"),
             record(sid="B"), record(sid="C")]
-    with pytest.raises(ValueError, match="duplicate subject ids") as exc:
+    with pytest.raises(D.PlanError, match="duplicate subject ids") as exc:
         split_subjects(rows, rng=np.random.default_rng(0))
     assert "select_latest_visit" not in str(exc.value)
 

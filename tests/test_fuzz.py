@@ -1,6 +1,7 @@
 """Truncated and bit-flipped copies of each container format: a loader
 either returns or raises one of its documented errors, never KeyError,
-struct.error, IndexError, TypeError or another stray exception."""
+struct.error, IndexError, TypeError or another stray exception. A damaged
+checkpoint that loads must hold only original, unchanged values."""
 
 import numpy as np
 import pytest
@@ -16,9 +17,22 @@ def _volume(path):
     D.save_volume(np.arange(60, dtype=np.float32).reshape(3, 4, 5), path)
 
 
+CHECKPOINT = {"a": Tensor(np.ones((2, 3))), "b": Tensor(np.zeros(4)),
+              "c": Tensor(np.ones(())),
+              "d": Tensor(np.arange(6.0).reshape(3, 2))}
+
+
 def _checkpoint(path):
-    M.save_checkpoint(path, {"a": Tensor(np.ones((2, 3))),
-                             "b": Tensor(np.zeros(4)), "c": Tensor(np.ones(()))})
+    M.save_checkpoint(path, CHECKPOINT)
+
+
+def _load_checkpoint(path):
+    """``load_checkpoint``, asserting that every name it returns is an
+    original one with its original shape and bit-identical values."""
+    for name, param in M.load_checkpoint(path).items():
+        want = CHECKPOINT[name].data
+        assert param.data.shape == want.shape, name
+        assert param.data.tobytes() == want.tobytes(), name
 
 
 def _manifest(path):
@@ -37,7 +51,7 @@ def _instances(path):
 FORMATS = {
     "volume": (_volume, D.load_volume,
                (D.FormatError, D.TruncatedPayloadError, D.DimOverflowError)),
-    "checkpoint": (_checkpoint, M.load_checkpoint, (M.CheckpointError,)),
+    "checkpoint": (_checkpoint, _load_checkpoint, (M.CheckpointError,)),
     "manifest": (_manifest, D.load_manifest, (ValueError,)),
     "instances": (_instances, D.load_instances, (ValueError,)),
 }

@@ -20,7 +20,7 @@ from mixedvit.metrics import (
     stratified_kfold,
     t_test,
 )
-from mixedvit.train import Prediction
+from mixedvit.train import PlanError, Prediction
 
 from helpers import auc_mannwhitney
 
@@ -59,7 +59,7 @@ def test_kfold_partition_law():
 
 
 def test_kfold_k1_degenerate():
-    with pytest.raises(ValueError):
+    with pytest.raises(PlanError):
         stratified_kfold(["a", "b"], {"a": 0, "b": 1}, 1,
                          np.random.default_rng(0))
 
@@ -67,7 +67,7 @@ def test_kfold_k1_degenerate():
 def test_kfold_class_smaller_than_k():
     ids = ["a", "b", "c"]
     labels = {"a": 0, "b": 0, "c": 1}
-    with pytest.raises(ValueError):
+    with pytest.raises(PlanError):
         stratified_kfold(ids, labels, 2, np.random.default_rng(0))
 
 

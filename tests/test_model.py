@@ -1,5 +1,6 @@
-import json
-import struct
+import io
+import warnings
+import zipfile
 
 import numpy as np
 import pytest
@@ -359,8 +360,8 @@ def test_grad_check_image_branch_tiny():
 
 def test_checkpoint_round_trip_byte_exact(tmp_path):
     params = init_params(TINY, 21)
-    path1 = tmp_path / "a.mwt"
-    path2 = tmp_path / "b.mwt"
+    path1 = tmp_path / "a.npz"
+    path2 = tmp_path / "b.npz"
     save_checkpoint(path1, params)
     loaded = load_checkpoint(path1)
     assert set(loaded) == set(params)
@@ -370,8 +371,21 @@ def test_checkpoint_round_trip_byte_exact(tmp_path):
     assert path1.read_bytes() == path2.read_bytes()
 
 
+def test_checkpoint_is_an_npz_of_float64_arrays_in_name_order(tmp_path):
+    params = init_params(TINY, 4)
+    path = tmp_path / "ckpt"  # no suffix is appended to the path given
+    save_checkpoint(path, params)
+    assert not (tmp_path / "ckpt.npz").exists()
+    with zipfile.ZipFile(path) as archive:
+        assert archive.namelist() == [f"{n}.npy" for n in sorted(params)]
+    with np.load(path, allow_pickle=False) as archive:
+        for name, param in params.items():
+            assert archive[name].dtype == np.float64
+            np.testing.assert_array_equal(archive[name], param.data)
+
+
 def test_checkpoint_bad_magic(tmp_path):
-    path = tmp_path / "bad.mwt"
+    path = tmp_path / "bad.npz"  # not a zip archive
     path.write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(M.CheckpointError):
         load_checkpoint(path)
@@ -379,7 +393,7 @@ def test_checkpoint_bad_magic(tmp_path):
 
 def test_checkpoint_truncated(tmp_path):
     params = init_params(TINY, 2)
-    path = tmp_path / "trunc.mwt"
+    path = tmp_path / "trunc.npz"
     save_checkpoint(path, params)
     blob = path.read_bytes()
     path.write_bytes(blob[:len(blob) - 16])
@@ -387,34 +401,85 @@ def test_checkpoint_truncated(tmp_path):
         load_checkpoint(path)
 
 
-def _checkpoint_blob(manifest: dict, payload: bytes = b"") -> bytes:
-    text = json.dumps(manifest).encode("utf-8")
-    return M.CHECKPOINT_MAGIC + struct.pack("<I", len(text)) + text + payload
+def _npz(members) -> bytes:
+    """A zip archive holding ``members``, (name, bytes) pairs, stored
+    uncompressed as np.savez writes them."""
+    buf = io.BytesIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # a repeated name
+        with zipfile.ZipFile(buf, "w") as archive:
+            for name, blob in members:
+                archive.writestr(name, blob)
+    return buf.getvalue()
 
 
-@pytest.mark.parametrize("blob", [
-    b"MWT1x",  # shorter than the 8-byte header
-    _checkpoint_blob({"params": []}),  # no entries list
-    _checkpoint_blob({"entries": {"name": "w"}}),
-    _checkpoint_blob({"entries": [{"name": "w", "shape": [1],
-                                   "offset": -8}]}, b"\0" * 16),
-    _checkpoint_blob({"entries": [{"name": "w", "shape": [1]}]}, b"\0" * 8),
-    _checkpoint_blob({"entries": [{"name": "w", "shape": [-1],
-                                   "offset": 0}]}, b"\0" * 8),
-    _checkpoint_blob({"entries": [{"name": "w", "shape": [1], "offset": 0},
-                                  {"name": "w", "shape": [1], "offset": 8}]},
-                     b"\0" * 16),
-    _checkpoint_blob({"entries": ["w"]}, b"\0" * 8),
-    _checkpoint_blob({"entries": [{"name": "a", "shape": [2], "offset": 0},
-                                  {"name": "b", "shape": [2], "offset": 8}]},
-                     b"\0" * 24),
-], ids=["short_header", "no_entries", "entries_not_list", "negative_offset",
-        "no_offset", "negative_dim", "repeated_name", "entry_not_object",
-        "overlapping_entries"])
-def test_checkpoint_malformed(tmp_path, blob):
-    path = tmp_path / "bad.mwt"
+def _npy(arr) -> bytes:
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, np.asarray(arr), allow_pickle=True)
+    return buf.getvalue()
+
+
+def _npy_header(text: str) -> bytes:
+    """A version 1.0 .npy member with header ``text`` and 8 payload bytes."""
+    line = text.encode("latin1") + b"\n"
+    return (np.lib.format.MAGIC_PREFIX + b"\x01\x00"
+            + len(line).to_bytes(2, "little") + line + bytes(8))
+
+
+def _flipped_payload_byte() -> bytes:
+    blob = bytearray(_npz([("w.npy", _npy(np.arange(4.0)))]))
+    blob[blob.index(np.float64(1.0).tobytes())] ^= 0x01
+    return bytes(blob)
+
+
+def _overlapping_entries() -> bytes:
+    """Two central-directory entries, a.npy and b.npy, both pointing at the
+    local header of a.npy."""
+    blob = bytearray(_npz([("a.npy", _npy(np.ones(2))),
+                           ("b.npy", _npy(np.ones(2)))]))
+    second = blob.index(b"PK\x01\x02", blob.index(b"PK\x01\x02") + 1)
+    blob[second + 42:second + 46] = bytes(4)  # its local header offset
+    return bytes(blob)
+
+
+_F8 = "{'descr': '<f8', 'fortran_order': False, 'shape': "
+
+
+@pytest.mark.parametrize("blob,cause", [
+    (b"PK\x03\x04x", "not a zip file"),
+    (_flipped_payload_byte(), "'w.npy' is damaged"),
+    (_npz([("w.npy", _npy(np.ones(2))), ("notes.txt", b"not an array")]),
+     "'notes.txt' is not float64"),
+    (_npz([("w.npy", _npy(np.array([1.0, "x"], dtype=object)))]),
+     "Object arrays cannot be loaded"),
+    (_npz([("w.npy", _npy(np.arange(3)))]), "'w' is not float64"),
+    (_npz([("w.npy", _npy_header(_F8 + "(-1,), }"))]), "negative dimensions"),
+    (_npz([("w.npy", _npy(np.ones(1))), ("w.npy", _npy(np.ones(1)))]),
+     "holds 'w' twice"),
+    (_overlapping_entries(), "'b.npy' is damaged"),
+    (_npz([("w.npy", _npy_header(_F8 + "(1,"))]), "EOF in multi-line"),
+], ids=["short_header", "flipped_payload_byte", "not_npy_member",
+        "object_array", "int64_member", "negative_dim", "repeated_name",
+        "overlapping_entries", "unterminated_header"])
+def test_checkpoint_malformed(tmp_path, blob, cause):
+    path = tmp_path / "bad.npz"
     path.write_bytes(blob)
-    with pytest.raises(M.CheckpointError):
+    with pytest.raises(M.CheckpointError, match=cause):
+        load_checkpoint(path)
+
+
+def test_checkpoint_short_read_still_checks_crc(tmp_path):
+    """A damaged .npy header length makes numpy read a large member short of
+    its end, where zipfile checks the CRC-32; the load must still fail."""
+    params = {"w": Tensor(np.arange(1024.0))}  # 8 KiB, past one zip read
+    path = tmp_path / "w.npz"
+    save_checkpoint(path, params)
+    blob = bytearray(path.read_bytes())
+    npy = blob.index(np.lib.format.MAGIC_PREFIX)
+    header_len = npy + len(np.lib.format.MAGIC_PREFIX) + 2
+    blob[header_len] -= 8  # the header still parses from its padding
+    path.write_bytes(bytes(blob))
+    with pytest.raises(M.CheckpointError, match="'w.npy' is damaged"):
         load_checkpoint(path)
 
 

@@ -4,13 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from mixedvit.data import AD, CN, MixedSample
+from mixedvit.data import AD, CN, MixedSample, SubjectRecord
 from mixedvit.model import ModelConfig, init_params, forward_batch
 from mixedvit.tensor import Tape, Tensor, backward, softmax
 from mixedvit.train import (
     DivergenceError,
     EpochStats,
+    FitPlan,
     OptimizerState,
+    PlanError,
     TrainConfig,
     adam_update,
     batch_loss,
@@ -167,6 +169,29 @@ def test_saturated_prediction_keeps_loss_and_gradient():
     backward(loss)
     assert loss.item() == pytest.approx(-math.log(1e-20), rel=1e-15)
     np.testing.assert_allclose(logits.grad, [[1.0, -1.0]], rtol=1e-15)
+
+
+def _subject(sid, cdr, age=70.0):
+    return SubjectRecord(sid, "2023-01-01", age, 25, "F", cdr, "v.vol", {})
+
+
+@pytest.mark.parametrize("train_set,val,scored,message", [
+    ([], ["c"], None, "no training subjects"),
+    (["a", "b"], [], None, "no validation subjects"),
+    (["a", "b"], ["c"], ["a"], "the scored set has no AD subject"),
+    (["a", "a"], ["c"], None, "degenerate age fit range"),
+], ids=["no_train", "no_val", "scored_one_class", "constant_age"])
+def test_fit_plan_refusals_are_plan_errors(train_set, val, scored, message):
+    """Every split FitPlan refuses is a PlanError, the one error the train,
+    cv and tune commands turn into exit 2."""
+    subjects = {"a": _subject("a", 0.0, 70.0), "b": _subject("b", 1.0, 80.0),
+                "c": _subject("c", 1.0, 75.0)}
+
+    def pick(ids):
+        return None if ids is None else [subjects[i] for i in ids]
+
+    with pytest.raises(PlanError, match=message):
+        FitPlan(pick(train_set), pick(val), pick(scored))
 
 
 def test_config_validation():
