@@ -8,7 +8,6 @@ from __future__ import annotations
 import json
 import math
 import struct
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -58,7 +57,8 @@ class CropError(ValueError):
 
 
 class SliceWindowError(ValueError):
-    """An instance-table row's slice window runs past its volume's depth."""
+    """A slice window, such as an instance-table row's, runs past its
+    volume's depth."""
 
 
 class PlanError(ValueError):
@@ -152,10 +152,13 @@ def save_volume(arr: np.ndarray, path) -> None:
     header += struct.pack("<I", code)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(arr.tobytes())
+        fh.write(arr.data)  # the contiguous buffer itself, not a copy
 
 
 def load_volume(path) -> np.ndarray:
+    """The array of a container written by ``save_volume``. A malformed
+    container raises ``FormatError``, ``TruncatedPayloadError`` or
+    ``DimOverflowError`` with a message that names ``path``."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != VOLUME_MAGIC:
@@ -165,9 +168,9 @@ def load_volume(path) -> np.ndarray:
             f"{path} is {len(blob)} bytes, shorter than its 12-byte header")
     version, ndim = struct.unpack("<II", blob[4:12])
     if version != VOLUME_VERSION:
-        raise FormatError(f"unsupported container version {version}")
+        raise FormatError(f"unsupported container version {version} in {path}")
     if ndim > 8:
-        raise DimOverflowError(f"ndim {ndim} too large")
+        raise DimOverflowError(f"ndim {ndim} too large in {path}")
     offset = 12 + 4 * ndim
     if len(blob) < offset + 4:
         raise TruncatedPayloadError(
@@ -175,16 +178,17 @@ def load_volume(path) -> np.ndarray:
             f"{offset + 4}-byte header")
     dims = struct.unpack(f"<{ndim}I", blob[12:offset])
     if any(d == 0 for d in dims) or math.prod(dims) > _MAX_VOXELS:
-        raise DimOverflowError(f"dims {dims} overflow plausible bounds")
+        raise DimOverflowError(f"dims {dims} overflow plausible bounds in {path}")
     (code,) = struct.unpack("<I", blob[offset:offset + 4])
     dtype = _DTYPE_CODES.get(code)
     if dtype is None:
-        raise FormatError(f"unknown dtype code {code}")
+        raise FormatError(f"unknown dtype code {code} in {path}")
     payload = blob[offset + 4:]
     expected = math.prod(dims) * dtype.itemsize
     if len(payload) != expected:
         raise TruncatedPayloadError(
-            f"payload is {len(payload)} bytes, dims {dims} require {expected}")
+            f"{path}: payload is {len(payload)} bytes, dims {dims} require "
+            f"{expected}")
     return np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
 
 
@@ -389,29 +393,38 @@ def slice_window_select(mask: np.ndarray, window: int) -> int:
     return int(np.argmax(sums))  # argmax takes the first max: smallest start
 
 
-def _round_half_up(x: float) -> int:
-    return int(math.floor(x + 0.5))
-
-
-def _mode_smallest(values: Sequence[int]) -> int:
-    counts = Counter(values)
-    best_count = max(counts.values())
-    return min(v for v, c in counts.items() if c == best_count)
+def _mode_smallest(values: np.ndarray) -> int:
+    """The most frequent value; the smallest of those tied for most."""
+    unique, counts = np.unique(values, return_counts=True)
+    return int(unique[np.argmax(counts)])  # unique is sorted ascending
 
 
 def modal_centroid(mask: np.ndarray, slice_start: int,
                    slice_count: int) -> tuple:
-    """Per-axis statistical mode of the per-slice rounded mask centroids."""
-    xs, ys = [], []
-    for s in range(slice_start, slice_start + slice_count):
-        rows, cols = np.nonzero(mask[s])
-        if rows.size == 0:
-            continue  # slices without mask pixels do not contribute
-        xs.append(_round_half_up(float(rows.mean())))
-        ys.append(_round_half_up(float(cols.mean())))
-    if not xs:
+    """Per-axis statistical mode of the per-slice rounded mask centroids.
+
+    A slice's centroid is the mean row and mean column index of its nonzero
+    voxels, rounded half up; slices without mask voxels do not contribute.
+    One pass over the window gives each slice's voxel count and row and
+    column index sums as exact integers, and only non-empty slices are
+    divided. A window outside ``[0, depth)`` raises ``SliceWindowError``.
+    """
+    depth = mask.shape[0]
+    if slice_start < 0 or slice_count < 0 or slice_start + slice_count > depth:
+        raise SliceWindowError(
+            f"slice window [{slice_start}, {slice_start + slice_count}) "
+            f"outside depth {depth}")
+    window = mask[slice_start:slice_start + slice_count] != 0
+    per_row = window.sum(axis=2)  # (slices, H) voxel counts
+    counts = per_row.sum(axis=1)
+    filled = counts > 0
+    if not filled.any():
         raise EmptyMaskError("no slice in the window has mask pixels")
-    return _mode_smallest(xs), _mode_smallest(ys)
+    counts = counts[filled]
+    row_sums = per_row[filled] @ np.arange(window.shape[1])
+    col_sums = window[filled].sum(axis=1) @ np.arange(window.shape[2])
+    return (_mode_smallest(np.floor(row_sums / counts + 0.5)),
+            _mode_smallest(np.floor(col_sums / counts + 0.5)))
 
 
 def select_instance(record: SubjectRecord, roi: str, slice_count: int,
@@ -437,19 +450,27 @@ def select_instances(records: Sequence[SubjectRecord], roi: str,
 # volumes, crops, batches
 
 
-def scale_volume(raw: np.ndarray) -> np.ndarray:
-    """Min-max scale a raw volume to [0,1]; a constant volume becomes 0."""
-    raw = np.asarray(raw, dtype=np.float64)
-    lo, hi = float(raw.min()), float(raw.max())
-    if hi > lo:
-        return (raw - lo) / (hi - lo)
-    return np.zeros_like(raw)
+def scale_volume(raw: np.ndarray, lo: float, hi: float,
+                 channels: int) -> np.ndarray:
+    """Min-max scale voxels of a volume whose values span ``[lo, hi]`` to
+    float64 in [0,1], each repeated ``channels`` times along a new last
+    axis; a constant volume (or a NaN range) becomes 0. The values go
+    straight into the returned array: a float64 temporary per crop, left
+    between the images ``build_samples`` keeps, fragments the heap and
+    raises the peak memory of the inference that follows."""
+    shape = raw.shape + (channels,)
+    if not hi > lo:
+        return np.zeros(shape)
+    out = np.subtract(raw[..., None], lo, out=np.empty(shape),
+                      dtype=np.float64)
+    out /= hi - lo
+    return out
 
 
 def crop_roi(volume: np.ndarray, instance: InstanceRecord,
-             size=(32, 32), channels: int = 3) -> np.ndarray:
-    """Extract the (T, H', W', C) crop of a scaled (D, H, W) volume, centred
-    on the modal centroid.
+             size=(32, 32)) -> np.ndarray:
+    """The (T, H', W') window of a (D, H, W) volume, a view, centred on the
+    modal centroid.
 
     Windows near a border are shifted (not padded) to stay inside the plane.
     """
@@ -464,28 +485,34 @@ def crop_roi(volume: np.ndarray, instance: InstanceRecord,
             f"{instance.slice_start + instance.slice_count}) outside depth {depth}")
     top = min(max(instance.cx - hp // 2, 0), H - hp)
     left = min(max(instance.cy - wp // 2, 0), W - wp)
-    stack = volume[instance.slice_start:
-                   instance.slice_start + instance.slice_count,
-                   top:top + hp, left:left + wp]
-    return np.repeat(stack[..., None], channels, axis=-1)
+    return volume[instance.slice_start:
+                  instance.slice_start + instance.slice_count,
+                  top:top + hp, left:left + wp]
 
 
 def build_samples(records: Sequence[SubjectRecord],
                   instances: Sequence[InstanceRecord], rois: Sequence[str],
                   fit: FitStats, size=(32, 32),
                   channels: int = 3) -> list[MixedSample]:
-    """Assemble one MixedSample per subject with a crop per requested ROI."""
+    """Assemble one MixedSample per subject with a crop per requested ROI.
+
+    Each image is the ROI's window of the raw volume, min-max scaled by the
+    whole volume's range to float64, with the plane repeated ``channels``
+    times: (T, H', W', C). Only the cropped voxels are scaled.
+    """
     index = {(i.subject_id, i.roi_name): i for i in instances}
     samples = []
     for record in records:
-        volume = scale_volume(load_volume(record.volume_path))
+        raw = load_volume(record.volume_path)
+        lo, hi = float(raw.min()), float(raw.max())
         images = []
         for roi in rois:
             inst = index.get((record.subject_id, roi))
             if inst is None:
                 raise KeyError(
                     f"no instance for subject {record.subject_id}, roi {roi!r}")
-            images.append(crop_roi(volume, inst, size, channels))
+            images.append(scale_volume(crop_roi(raw, inst, size), lo, hi,
+                                       channels))
         samples.append(MixedSample(
             subject_id=record.subject_id,
             tabular=tabular_features(record, fit),
@@ -547,7 +574,15 @@ _BASE_RADII = (6.0, 9.0, 9.0)
 
 
 def generate_subject(cfg: SynthConfig, seed: int, index: int):
-    """One subject's volume, masks and metadata; deterministic in (seed, index)."""
+    """One subject's volume, masks and metadata; deterministic in (seed, index).
+
+    The volume is N(0.3, noise) background, float32 clipped to [0,1], with
+    each ROI an axis-aligned ellipsoid of N(intensity, noise) voxels; AD
+    subjects get larger, brighter ellipsoids as ``separability`` grows. Each
+    mask is the uint8 indicator of its ellipsoid, whose normalised distance
+    is a sum of three 1-D terms over open coordinate grids, broadcast to the
+    full volume once.
+    """
     if index >= len(_ROI_CENTRES) * 1000:
         raise ValueError("subject index out of range")
     rng = np.random.default_rng([int(seed), 0x5EED, int(index)])
@@ -557,7 +592,7 @@ def generate_subject(cfg: SynthConfig, seed: int, index: int):
     volume = rng.normal(0.3, cfg.noise_sigma, size=dims)
     masks = {}
     grids = np.meshgrid(*[np.arange(d, dtype=np.float64) for d in dims],
-                        indexing="ij")
+                        indexing="ij", sparse=True)
     radius_gain = 1.0 + 0.25 * cfg.separability * (label == AD)
     intensity = 0.5 + 0.2 * cfg.separability * (label == AD)
     for k, roi in enumerate(cfg.rois):
@@ -570,7 +605,7 @@ def generate_subject(cfg: SynthConfig, seed: int, index: int):
         volume[mask] = rng.normal(intensity, cfg.noise_sigma,
                                   size=int(mask.sum()))
         masks[roi] = mask.astype(np.uint8)
-    volume = np.clip(volume, 0.0, 1.0).astype(np.float32)
+    volume = np.clip(volume, 0.0, 1.0, out=volume).astype(np.float32)
 
     age_mean = 74.36 if label == CN else 76.62
     age = float(rng.normal(age_mean, 8.0))

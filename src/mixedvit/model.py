@@ -308,11 +308,21 @@ _UNREADABLE = (zipfile.BadZipFile, ValueError, tokenize.TokenError, OSError,
 def load_checkpoint(path) -> dict[str, Tensor]:
     """Params of a checkpoint written by ``save_checkpoint``, read by the
     ``NpzFile`` that np.load returns for an ``.npz``. ``CheckpointError`` for
-    a file that is not an ``.npz``, fails a CRC-32 check, repeats a name or
-    holds a member that is not a float64 array."""
+    a file that is not an ``.npz``, lists fewer or more members than its
+    end-of-central-directory record counts, fails a CRC-32 check, repeats a
+    name or holds a member that is not a float64 array."""
     with open(path, "rb") as fh:  # closed even when numpy fails to parse
         try:
             with NpzFile(fh, allow_pickle=False) as archive:
+                # zipfile reads central-directory entries until the
+                # directory's byte size runs out, so a damaged length field
+                # can fold one entry into another; only the count shows it.
+                listed = len(archive.zip.infolist())
+                counted = zipfile._EndRecData(fh)[zipfile._ECD_ENTRIES_TOTAL]
+                if listed != counted:
+                    raise zipfile.BadZipFile(
+                        f"central directory lists {listed} entries, its end "
+                        f"record counts {counted}")
                 # numpy checks a CRC-32 only on reading a member to its end,
                 # which a damaged .npy header can stop short of.
                 damaged = archive.zip.testzip()

@@ -1,15 +1,20 @@
 """Helpers that only tests use: a finite-difference gradient check, a
 scalar root for gradient tests, a single-sample forward pass, parameter flattening for whole-model gradient
-checks, a rank-statistic AUC oracle for the trapezoid AUC, and a search
-space and analytic objective for Hyperband."""
+checks, a rank-statistic AUC oracle for the trapezoid AUC, a search
+space and analytic objective for Hyperband, and straightforward reference
+versions of the synthetic generator, the modal centroid and the ROI images
+that the vectorised data path must equal bit for bit."""
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from math import exp, log, prod
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from mixedvit import data
 from mixedvit.data import AD, CN
 from mixedvit.model import ModelConfig, forward_batch
 from mixedvit.tensor import Tape, Tensor, backward, matmul, narrow, reshape
@@ -111,3 +116,90 @@ def toy_objective(config: dict, resource: int) -> float:
     """Deterministic, resource-free objective peaked at TOY_TARGET_LR."""
     del resource
     return exp(-abs(log(config["initial_lr"] / TOY_TARGET_LR)))
+
+
+def reference_generate_subject(cfg: data.SynthConfig, seed: int, index: int):
+    """``data.generate_subject`` on dense coordinate grids: every ellipsoid
+    is evaluated voxel by voxel over three full-size float64 grids."""
+    rng = np.random.default_rng([int(seed), 0x5EED, int(index)])
+    label = CN if index % 2 == 0 else AD
+    dims = cfg.dims
+
+    volume = rng.normal(0.3, cfg.noise_sigma, size=dims)
+    masks = {}
+    grids = np.meshgrid(*[np.arange(d, dtype=np.float64) for d in dims],
+                        indexing="ij")
+    radius_gain = 1.0 + 0.25 * cfg.separability * (label == AD)
+    intensity = 0.5 + 0.2 * cfg.separability * (label == AD)
+    for k, roi in enumerate(cfg.rois):
+        frac = data._ROI_CENTRES[k % len(data._ROI_CENTRES)]
+        centre = [f * d + rng.integers(-2, 3) for f, d in zip(frac, dims)]
+        radii = [r * radius_gain for r in data._BASE_RADII]
+        dist = sum(((g - c) / r) ** 2
+                   for g, c, r in zip(grids, centre, radii))
+        mask = dist <= 1.0
+        volume[mask] = rng.normal(intensity, cfg.noise_sigma,
+                                  size=int(mask.sum()))
+        masks[roi] = mask.astype(np.uint8)
+    volume = np.clip(volume, 0.0, 1.0).astype(np.float32)
+
+    age_mean = 74.36 if label == CN else 76.62
+    age = float(rng.normal(age_mean, 8.0))
+    while not 55.0 <= age <= 95.0:
+        age = float(rng.normal(age_mean, 8.0))
+    if label == CN:
+        mmse = int(np.clip(round(rng.normal(29.0, 1.0)), 24, 30))
+        cdr = 0.0
+    else:
+        mmse = int(np.clip(round(rng.normal(20.0, 4.0)), 0, 26))
+        cdr = float(rng.choice([1.0, 2.0, 3.0]))
+    gender = "F" if rng.random() < 0.5 else "M"
+    meta = {
+        "subject_id": f"S{index:04d}",
+        "visit_date": f"2023-{1 + index % 12:02d}-{1 + index % 28:02d}",
+        "age": round(age, 1),
+        "mmse": mmse,
+        "gender": gender,
+        "cdr": cdr,
+    }
+    return volume, masks, meta
+
+
+def reference_modal_centroid(mask: np.ndarray, slice_start: int,
+                             slice_count: int) -> tuple:
+    """``data.modal_centroid`` as a loop over slices: the rounded-half-up
+    mean of each slice's nonzero indices, then the smallest per-axis mode."""
+    def mode_smallest(values):
+        counts = Counter(values)
+        best = max(counts.values())
+        return min(v for v, c in counts.items() if c == best)
+
+    xs, ys = [], []
+    for s in range(slice_start, slice_start + slice_count):
+        rows, cols = np.nonzero(mask[s])
+        if rows.size == 0:
+            continue
+        xs.append(math.floor(float(rows.mean()) + 0.5))
+        ys.append(math.floor(float(cols.mean()) + 0.5))
+    if not xs:
+        raise data.EmptyMaskError("no slice in the window has mask pixels")
+    return mode_smallest(xs), mode_smallest(ys)
+
+
+def reference_images(raw: np.ndarray, instances, size=(32, 32),
+                     channels: int = 3) -> list:
+    """The ``build_samples`` images of one subject, scaling first: the whole
+    volume is min-max scaled to float64, then each instance is cropped and
+    its plane repeated ``channels`` times."""
+    raw = np.asarray(raw, dtype=np.float64)
+    lo, hi = float(raw.min()), float(raw.max())
+    volume = (raw - lo) / (hi - lo) if hi > lo else np.zeros_like(raw)
+    hp, wp = size
+    images = []
+    for inst in instances:
+        top = min(max(inst.cx - hp // 2, 0), volume.shape[1] - hp)
+        left = min(max(inst.cy - wp // 2, 0), volume.shape[2] - wp)
+        stack = volume[inst.slice_start:inst.slice_start + inst.slice_count,
+                       top:top + hp, left:left + wp]
+        images.append(np.repeat(stack[..., None], channels, axis=-1))
+    return images

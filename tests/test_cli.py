@@ -720,6 +720,27 @@ def test_corrupt_volume_exits_1(dataset, tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+def test_train_volume_of_unknown_version_exits_1_naming_it(dataset, tmp_path,
+                                                           capsys):
+    """One of 14 volumes has its version byte flipped from 1 to 3: the error
+    must say which file is damaged."""
+    records = load_manifest(dataset / "data" / "manifest.jsonl")
+    blob = bytearray(Path(records[3].volume_path).read_bytes())
+    blob[4] ^= 0x02
+    bad = tmp_path / "bad.vol"
+    bad.write_bytes(bytes(blob))
+    manifest = tmp_path / "manifest.jsonl"
+    save_manifest(records[:3] + [dataclasses.replace(records[3],
+                                                     volume_path=str(bad))]
+                  + records[4:], manifest)
+    assert main(_argv_with_manifest(dataset, tmp_path, "train",
+                                    manifest)) == 1
+    err = capsys.readouterr().err
+    assert f"unsupported container version 3 in {bad}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["select", "train", "eval", "cv", "tune"])
 def test_manifest_subject_with_cdr_05_exits_1(dataset, tmp_path, capsys,
                                               command):

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -8,10 +10,12 @@ from mixedvit import data as D
 from mixedvit.data import (
     AD,
     CN,
+    DimOverflowError,
     EmptyMaskError,
     FitStats,
     FormatError,
     InstanceRecord,
+    SliceWindowError,
     SubjectRecord,
     SynthConfig,
     TruncatedPayloadError,
@@ -30,12 +34,17 @@ from mixedvit.data import (
     save_instances,
     save_manifest,
     save_volume,
-    scale_volume,
     select_instances,
     slice_window_select,
     split_subjects,
     synth_generate,
     tabular_features,
+)
+
+from helpers import (
+    reference_generate_subject,
+    reference_images,
+    reference_modal_centroid,
 )
 
 
@@ -252,49 +261,86 @@ def test_modal_centroid_rounding_half_up():
     assert modal_centroid(mask, 0, 1) == (3, 3)
 
 
+def _random_mask(rng):
+    """A small mask, uint8 or float32 with nonzero values of either sign, a
+    few pixels per slice (so centroids tie) and some slices left empty."""
+    depth = int(rng.integers(1, 10))
+    plane = (int(rng.integers(1, 9)), int(rng.integers(1, 9)))
+    mask = rng.random((depth,) + plane) < rng.uniform(0.0, 0.4)
+    mask[rng.random(depth) < 0.3] = False
+    if rng.random() < 0.5:
+        return mask.astype(np.uint8)
+    return (mask * rng.choice([1.0, -2.5, 0.5], size=mask.shape)) \
+        .astype(np.float32)
+
+
+def test_modal_centroid_equals_loop_reference():
+    rng = np.random.default_rng(90)
+    outcomes = {"centroid": 0, "empty": 0}
+    for _ in range(300):
+        mask = _random_mask(rng)
+        start = int(rng.integers(0, mask.shape[0]))
+        count = int(rng.integers(0, mask.shape[0] - start + 1))
+        try:
+            expected = reference_modal_centroid(mask, start, count)
+        except EmptyMaskError:
+            with pytest.raises(EmptyMaskError):
+                modal_centroid(mask, start, count)
+            outcomes["empty"] += 1
+            continue
+        got = modal_centroid(mask, start, count)
+        assert got == expected and all(type(v) is int for v in got)
+        outcomes["centroid"] += 1
+    assert min(outcomes.values()) >= 50, outcomes
+
+
+@pytest.mark.parametrize("start,count", [(-1, 3), (3, 3), (0, 6), (2, -1)])
+def test_modal_centroid_window_outside_depth_raises(start, count):
+    mask = np.ones((5, 4, 4), dtype=np.uint8)
+    window = f"[{start}, {start + count}) outside depth 5"
+    with pytest.raises(SliceWindowError, match=re.escape(window)):
+        modal_centroid(mask, start, count)
+
+
 # --- crops ------------------------------------------------------------------
 
 
 def _volume(dims=(48, 64, 64), seed=0):
-    return scale_volume(np.random.default_rng(seed).random(dims))
+    return np.random.default_rng(seed).random(dims)
 
 
 def test_crop_centered():
     vol = _volume()
     inst = InstanceRecord("S0", CN, "r", 5, 25, 16, 16)
     crop = crop_roi(vol, inst)
-    np.testing.assert_array_equal(
-        crop[..., 0], vol[5:30, 0:32, 0:32])
+    np.testing.assert_array_equal(crop, vol[5:30, 0:32, 0:32])
 
 
 def test_crop_clamped_near_border():
     vol = _volume()
     inst = InstanceRecord("S0", CN, "r", 0, 25, 5, 5)
     crop = crop_roi(vol, inst)
-    np.testing.assert_array_equal(crop[..., 0], vol[0:25, 0:32, 0:32])
+    np.testing.assert_array_equal(crop, vol[0:25, 0:32, 0:32])
     inst_far = InstanceRecord("S0", CN, "r", 0, 25, 63, 63)
     crop_far = crop_roi(vol, inst_far)
-    np.testing.assert_array_equal(
-        crop_far[..., 0], vol[0:25, 32:64, 32:64])
+    np.testing.assert_array_equal(crop_far, vol[0:25, 32:64, 32:64])
 
 
 def test_crop_shape_table_config():
     crop = crop_roi(_volume(), InstanceRecord("S0", CN, "r", 3, 25, 30, 30))
-    assert crop.shape == (25, 32, 32, 3)
+    assert crop.shape == (25, 32, 32)
     assert (crop >= 0).all() and (crop <= 1).all()
-    np.testing.assert_array_equal(crop[..., 0], crop[..., 1])
-    np.testing.assert_array_equal(crop[..., 0], crop[..., 2])
 
 
 def test_crop_plane_too_small():
-    vol = scale_volume(np.zeros((30, 20, 20)))
+    vol = np.zeros((30, 20, 20))
     with pytest.raises(ValueError):
         crop_roi(vol, InstanceRecord("S0", CN, "r", 0, 25, 10, 10))
 
 
 @pytest.mark.parametrize("start,window", [(-1, "[-1, 24)"), (6, "[6, 31)")])
 def test_crop_slice_window_outside_depth_names_subject_and_roi(start, window):
-    vol = scale_volume(np.zeros((30, 40, 40)))
+    vol = np.zeros((30, 40, 40))
     message = f"subject S7, roi 'r': slice window {window} outside depth 30"
     with pytest.raises(D.SliceWindowError, match=re.escape(message)):
         crop_roi(vol, InstanceRecord("S7", CN, "r", start, 25, 10, 10))
@@ -305,12 +351,12 @@ def test_crop_random_instances_always_inside():
     for _ in range(100):
         dims = (int(rng.integers(25, 40)), int(rng.integers(32, 70)),
                 int(rng.integers(32, 70)))
-        vol = scale_volume(rng.random(dims))
+        vol = rng.random(dims)
         inst = InstanceRecord("S", CN, "r", 0, dims[0] - 1,
                               int(rng.integers(0, dims[1])),
                               int(rng.integers(0, dims[2])))
         crop = crop_roi(vol, inst)
-        assert crop.shape == (dims[0] - 1, 32, 32, 3)
+        assert crop.shape == (dims[0] - 1, 32, 32)
         # shifted-not-padded: every crop value exists in the source plane
         assert (crop >= 0).all() and (crop <= 1).all()
 
@@ -355,6 +401,31 @@ def test_volume_shorter_than_header(tmp_path, size):
     save_volume(np.zeros((2, 3, 4), dtype=np.float32), path)
     path.write_bytes(path.read_bytes()[:size])
     with pytest.raises(TruncatedPayloadError):
+        load_volume(path)
+
+
+def _patched(blob: bytes, offset: int, value: int) -> bytes:
+    return blob[:offset] + struct.pack("<I", value) + blob[offset + 4:]
+
+
+# A (2, 3, 4) float32 container: magic, version at byte 4, ndim at 8, dims
+# at 12, 16 and 20, dtype code at 24 and 96 payload bytes from 28.
+@pytest.mark.parametrize("damage,error", [
+    (lambda b: b"XXXX" + b[4:], FormatError),
+    (lambda b: b[:10], TruncatedPayloadError),
+    (lambda b: _patched(b, 4, 3), FormatError),
+    (lambda b: _patched(b, 8, 9), DimOverflowError),
+    (lambda b: b[:20], TruncatedPayloadError),
+    (lambda b: _patched(b, 16, 0), DimOverflowError),
+    (lambda b: _patched(b, 24, 7), FormatError),
+    (lambda b: b[:-8], TruncatedPayloadError),
+], ids=["magic", "short_header", "version", "ndim", "short_dims", "dims",
+        "dtype_code", "payload_length"])
+def test_volume_error_names_the_file(tmp_path, damage, error):
+    path = tmp_path / "damaged.vol"
+    save_volume(np.zeros((2, 3, 4), dtype=np.float32), path)
+    path.write_bytes(damage(path.read_bytes()))
+    with pytest.raises(error, match=re.escape(str(path))):
         load_volume(path)
 
 
@@ -535,5 +606,75 @@ def test_build_samples_end_to_end(tmp_path):
     assert len(samples) == 6
     for s in samples:
         assert len(s.images) == 2
-        assert s.images[0].shape == (25, 32, 32, 3)
+        for image in s.images:
+            assert image.shape == (25, 32, 32, 3)
+            assert (image >= 0).all() and (image <= 1).all()
+            np.testing.assert_array_equal(image[..., 0], image[..., 1])
+            np.testing.assert_array_equal(image[..., 0], image[..., 2])
         assert (s.tabular >= 0).all() and (s.tabular <= 1).all()
+
+
+@pytest.mark.parametrize("dims", [(33, 40, 40), (48, 64, 64)])
+@pytest.mark.parametrize("rois", [("roi_x",), ("roi_x", "roi_y")])
+@pytest.mark.parametrize("seed", [0, 5, 31])
+def test_generate_subject_equals_dense_grid_reference(seed, rois, dims):
+    cfg = SynthConfig(subjects=2, dims=dims, rois=rois)
+    for index in range(cfg.subjects):  # one CN and one AD subject
+        volume, masks, meta = generate_subject(cfg, seed, index)
+        ref_volume, ref_masks, ref_meta = reference_generate_subject(
+            cfg, seed, index)
+        assert volume.dtype == ref_volume.dtype
+        assert volume.tobytes() == ref_volume.tobytes()
+        assert masks.keys() == ref_masks.keys()
+        for roi in masks:
+            assert masks[roi].dtype == ref_masks[roi].dtype
+            assert masks[roi].tobytes() == ref_masks[roi].tobytes()
+        assert meta == ref_meta
+
+
+def test_synth_output_is_pinned(tmp_path):
+    """The SHA-256 of every file a tiny synth run writes: any change to the
+    generated data, the container or the manifest shows here."""
+    synth_generate(SynthConfig(subjects=2, dims=(33, 40, 40),
+                               rois=("roi_x", "roi_y")), 5, tmp_path)
+    digest = hashlib.sha256()
+    for path in sorted(p for p in tmp_path.rglob("*") if p.is_file()):
+        digest.update(path.relative_to(tmp_path).as_posix().encode() + b"\n")
+        digest.update(path.read_bytes())
+    assert digest.hexdigest() == \
+        "fd73fc398ffc1731a0826ac98fa9df2bb37addb1c4034f36c21b2f4009c8c934"
+
+
+def _raw_volume(kind: str) -> np.ndarray:
+    rng = np.random.default_rng(23)
+    dims = (30, 40, 44)
+    if kind == "float32":
+        return rng.normal(0.3, 0.2, size=dims).astype(np.float32)
+    if kind == "uint8":
+        return rng.integers(3, 250, size=dims).astype(np.uint8)
+    if kind == "constant_zero":
+        return np.zeros(dims, dtype=np.float32)
+    if kind == "constant_uint8":
+        return np.full(dims, 7, dtype=np.uint8)
+    vol = rng.random(dims).astype(np.float32)  # "nan"
+    vol[4, 5, 6] = np.nan
+    return vol
+
+
+@pytest.mark.parametrize("kind", ["float32", "uint8", "constant_zero",
+                                  "constant_uint8", "nan"])
+def test_build_samples_equals_scale_then_crop_reference(tmp_path, kind):
+    save_volume(_raw_volume(kind), tmp_path / "v.vol")
+    records = [record(sid="S0", vol=str(tmp_path / "v.vol"))]
+    instances = [InstanceRecord("S0", CN, "a", 2, 25, 16, 20),
+                 InstanceRecord("S0", CN, "b", 5, 25, 0, 43),
+                 InstanceRecord("S0", CN, "c", 0, 8, 39, 1)]
+    fit = FitStats(60.0, 90.0, 0.0, 30.0)
+    for size, channels in (((32, 32), 3), ((16, 24), 1)):
+        [sample] = build_samples(records, instances, ["a", "b", "c"], fit,
+                                 size, channels)
+        expected = reference_images(load_volume(tmp_path / "v.vol"),
+                                    instances, size, channels)
+        for image, ref in zip(sample.images, expected, strict=True):
+            assert image.dtype == ref.dtype and image.shape == ref.shape
+            assert image.tobytes() == ref.tobytes()

@@ -442,6 +442,20 @@ def _overlapping_entries() -> bytes:
     return bytes(blob)
 
 
+def _swallowed_entry() -> bytes:
+    """A 4-member checkpoint whose third central-directory entry has bit 6
+    of its comment length flipped, so it reads the fourth as its comment."""
+    buf = io.BytesIO()
+    np.savez(buf, a=np.ones((2, 3)), b=np.ones(4), c=np.ones(1),
+             d=np.ones((3, 2)))
+    blob = bytearray(buf.getvalue())
+    third = -1
+    for _ in range(3):
+        third = blob.index(b"PK\x01\x02", third + 1)
+    blob[third + 32] ^= 0x40  # low byte of the comment length
+    return bytes(blob)
+
+
 _F8 = "{'descr': '<f8', 'fortran_order': False, 'shape': "
 
 
@@ -458,9 +472,10 @@ _F8 = "{'descr': '<f8', 'fortran_order': False, 'shape': "
      "holds 'w' twice"),
     (_overlapping_entries(), "'b.npy' is damaged"),
     (_npz([("w.npy", _npy_header(_F8 + "(1,"))]), "EOF in multi-line"),
+    (_swallowed_entry(), "lists 3 entries, its end record counts 4"),
 ], ids=["short_header", "flipped_payload_byte", "not_npy_member",
         "object_array", "int64_member", "negative_dim", "repeated_name",
-        "overlapping_entries", "unterminated_header"])
+        "overlapping_entries", "unterminated_header", "swallowed_entry"])
 def test_checkpoint_malformed(tmp_path, blob, cause):
     path = tmp_path / "bad.npz"
     path.write_bytes(blob)
