@@ -10,7 +10,7 @@ import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -102,7 +102,7 @@ class InstanceRecord:
 class MixedSample:
     subject_id: str
     tabular: np.ndarray  # (F,), values in [0, 1]
-    images: list  # per ROI branch: (T, H', W', C)
+    images: list  # per ROI branch: read-only (T, H', W', C) view of one plane
     label: int
 
 
@@ -158,11 +158,13 @@ def save_volume(arr: np.ndarray, path) -> None:
 def load_volume(path) -> np.ndarray:
     """The array of a container written by ``save_volume``. A malformed
     container raises ``FormatError``, ``TruncatedPayloadError`` or
-    ``DimOverflowError`` with a message that names ``path``."""
+    ``DimOverflowError`` with a message that names ``path``. The file's
+    bytes are copied once, into a ``bytearray``; the array is a writable
+    view of it."""
     with open(path, "rb") as fh:
-        blob = fh.read()
+        blob = bytearray(fh.read())
     if blob[:4] != VOLUME_MAGIC:
-        raise FormatError(f"bad magic {blob[:4]!r} in {path}")
+        raise FormatError(f"bad magic {bytes(blob[:4])!r} in {path}")
     if len(blob) < 12:
         raise TruncatedPayloadError(
             f"{path} is {len(blob)} bytes, shorter than its 12-byte header")
@@ -183,13 +185,13 @@ def load_volume(path) -> np.ndarray:
     dtype = _DTYPE_CODES.get(code)
     if dtype is None:
         raise FormatError(f"unknown dtype code {code} in {path}")
-    payload = blob[offset + 4:]
+    payload = len(blob) - (offset + 4)
     expected = math.prod(dims) * dtype.itemsize
-    if len(payload) != expected:
+    if payload != expected:
         raise TruncatedPayloadError(
-            f"{path}: payload is {len(payload)} bytes, dims {dims} require "
+            f"{path}: payload is {payload} bytes, dims {dims} require "
             f"{expected}")
-    return np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
+    return np.frombuffer(blob, dtype=dtype, offset=offset + 4).reshape(dims)
 
 
 # ---------------------------------------------------------------------------
@@ -382,11 +384,12 @@ def tabular_features(record: SubjectRecord, fit: FitStats) -> np.ndarray:
 
 
 def slice_window_select(mask: np.ndarray, window: int) -> int:
-    """Start of the contiguous window maximizing mask voxel count."""
+    """Start of the contiguous window maximizing mask voxel count; a voxel
+    counts when it is nonzero, as in ``modal_centroid``."""
     depth = mask.shape[0]
     if depth < window:
         raise ValueError(f"volume depth {depth} < window {window}")
-    counts = mask.reshape(depth, -1).astype(np.int64).sum(axis=1)
+    counts = np.count_nonzero(mask.reshape(depth, -1), axis=1)
     if counts.sum() == 0:
         raise EmptyMaskError("mask has no voxels")
     sums = np.convolve(counts, np.ones(window, dtype=np.int64), mode="valid")
@@ -453,18 +456,20 @@ def select_instances(records: Sequence[SubjectRecord], roi: str,
 def scale_volume(raw: np.ndarray, lo: float, hi: float,
                  channels: int) -> np.ndarray:
     """Min-max scale voxels of a volume whose values span ``[lo, hi]`` to
-    float64 in [0,1], each repeated ``channels`` times along a new last
-    axis; a constant volume (or a NaN range) becomes 0. The values go
-    straight into the returned array: a float64 temporary per crop, left
-    between the images ``build_samples`` keeps, fragments the heap and
-    raises the peak memory of the inference that follows."""
-    shape = raw.shape + (channels,)
-    if not hi > lo:
-        return np.zeros(shape)
-    out = np.subtract(raw[..., None], lo, out=np.empty(shape),
-                      dtype=np.float64)
-    out /= hi - lo
-    return out
+    float64 in [0,1], repeated ``channels`` times along a new last axis; a
+    constant volume (or a NaN range) becomes 0. The values are stored once,
+    in a (..., 1) array, and the result is a read-only ``np.broadcast_to``
+    view of it. They go straight into that array: a float64 temporary per
+    crop, left between the images ``build_samples`` keeps, fragments the
+    heap and raises the peak memory of the inference that follows."""
+    plane = raw.shape + (1,)
+    if hi > lo:
+        out = np.subtract(raw[..., None], lo, out=np.empty(plane),
+                          dtype=np.float64)
+        out /= hi - lo
+    else:
+        out = np.zeros(plane)
+    return np.broadcast_to(out, raw.shape + (channels,))
 
 
 def crop_roi(volume: np.ndarray, instance: InstanceRecord,
@@ -498,7 +503,9 @@ def build_samples(records: Sequence[SubjectRecord],
 
     Each image is the ROI's window of the raw volume, min-max scaled by the
     whole volume's range to float64, with the plane repeated ``channels``
-    times: (T, H', W', C). Only the cropped voxels are scaled.
+    times: (T, H', W', C). Only the cropped voxels are scaled, and each is
+    stored once: the image is a read-only view of one (T, H', W', 1) plane
+    (see ``scale_volume``).
     """
     index = {(i.subject_id, i.roi_name): i for i in instances}
     samples = []
@@ -521,27 +528,48 @@ def build_samples(records: Sequence[SubjectRecord],
     return samples
 
 
+def _stack(images: list) -> np.ndarray:
+    """``np.stack`` of (..., C) images of one shape, copied a channel at a
+    time. A channel of a broadcast image is a plain strided array, where a
+    whole-image copy runs numpy's inner loop over the C-long, stride-0
+    channel axis and takes about twice as long."""
+    shape = images[0].shape
+    if any(image.shape != shape for image in images):
+        raise ValueError(f"cannot stack images of shapes "
+                         f"{sorted({image.shape for image in images})}")
+    out = np.empty((len(images),) + shape,
+                   dtype=np.result_type(*{image.dtype for image in images}))
+    for i, image in enumerate(images):
+        for c in range(shape[-1]):
+            out[i, ..., c] = image[..., c]
+    return out
+
+
 def build_batches(samples: Sequence[MixedSample], batch_size: int,
-                  rng: Optional[np.random.Generator] = None) -> list[MixedBatch]:
-    """Seeded shuffle (when rng given), then fixed-size batches."""
+                  rng: Optional[np.random.Generator] = None
+                  ) -> Iterator[MixedBatch]:
+    """Seeded shuffle (when rng given), then fixed-size batches. The checks
+    and the shuffle's draw from ``rng`` run at the call; the iterator stacks
+    each batch only when it reaches it, not the whole set up front."""
     if not samples:
         raise ValueError("no samples to batch")
     if batch_size < 1:
         raise ValueError(f"batch_size {batch_size} must be >= 1")
     order = list(range(len(samples)))
     if rng is not None:
-        order = [int(i) for i in rng.permutation(len(samples))]
-    batches = []
-    for start in range(0, len(order), batch_size):
-        group = [samples[i] for i in order[start:start + batch_size]]
-        n_branches = len(group[0].images)
-        batches.append(MixedBatch(
-            subject_ids=[s.subject_id for s in group],
-            tabular=np.stack([s.tabular for s in group]),
-            images=[np.stack([s.images[b] for s in group])
-                    for b in range(n_branches)],
-            labels=np.array([s.label for s in group], dtype=np.int64)))
-    return batches
+        order = rng.permutation(len(samples)).tolist()
+
+    def batches():
+        for start in range(0, len(order), batch_size):
+            group = [samples[i] for i in order[start:start + batch_size]]
+            n_branches = len(group[0].images)
+            yield MixedBatch(
+                subject_ids=[s.subject_id for s in group],
+                tabular=np.stack([s.tabular for s in group]),
+                images=[_stack([s.images[b] for s in group])
+                        for b in range(n_branches)],
+                labels=np.array([s.label for s in group], dtype=np.int64))
+    return batches()
 
 
 # ---------------------------------------------------------------------------

@@ -145,7 +145,9 @@ def _copy_params(params: dict) -> dict:
 
 def evaluate(model_cfg: ModelConfig, params: dict,
              samples: Sequence[MixedSample], batch_size: int):
-    """Mean per-sample loss and accuracy with dropout disabled."""
+    """Mean per-sample loss and accuracy with dropout disabled. Batches
+    are stacked as they are used (``build_batches``), not the whole set at
+    once."""
     total_loss = 0.0
     correct = 0
     for batch in build_batches(samples, batch_size):
@@ -164,8 +166,9 @@ def train(model_cfg: ModelConfig, params: dict,
           config: TrainConfig):
     """Full training run; returns (best-validation params, epoch history).
 
-    Batches are reshuffled each epoch from the run seed; the checkpoint is
-    the epoch with the highest validation accuracy (ties keep the earlier).
+    Batches are reshuffled each epoch from the run seed and stacked as
+    they are used; the checkpoint is the epoch with the highest validation
+    accuracy (ties keep the earlier).
     A non-finite loss or gradient raises ``DivergenceError`` before the
     Adam update, so the parameters keep their last finite values.
     """
@@ -221,7 +224,9 @@ def train(model_cfg: ModelConfig, params: dict,
 def predict(model_cfg: ModelConfig, params: dict,
             samples: Sequence[MixedSample],
             batch_size: int = 6) -> list[Prediction]:
-    """Deterministic inference; probability ties classify as CN."""
+    """Deterministic inference; probability ties classify as CN. Batches
+    are stacked as they are used (``build_batches``), not the whole set at
+    once."""
     out: list[Prediction] = []
     for batch in build_batches(samples, batch_size):
         probs = forward_batch(model_cfg, params, batch.tabular, batch.images,

@@ -213,6 +213,15 @@ def test_slice_window_errors():
         slice_window_select(np.zeros((30, 4, 4), dtype=np.uint8), 25)
 
 
+def test_slice_window_counts_every_nonzero_voxel():
+    """A voxel counts when it is nonzero, as in ``modal_centroid``: two 0.5
+    voxels in slice 0 outweigh one 1.0 voxel in slice 3."""
+    mask = np.zeros((5, 4, 4), dtype=np.float32)
+    mask[0, 0, :2] = 0.5
+    mask[3, 1, 1] = 1.0
+    assert slice_window_select(mask, 1) == 0
+
+
 def _mask_with_centroids(centroids, plane=(32, 32)):
     mask = np.zeros((len(centroids),) + plane, dtype=np.uint8)
     for s, c in enumerate(centroids):
@@ -380,8 +389,18 @@ def test_volume_round_trip(tmp_path):
 def test_volume_bad_magic(tmp_path):
     path = tmp_path / "bad.vol"
     path.write_bytes(b"XXXX" + b"\x00" * 20)
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError,
+                       match=re.escape(f"bad magic b'XXXX' in {path}")):
         load_volume(path)
+
+
+def test_volume_load_is_writable(tmp_path):
+    path = tmp_path / "w.vol"
+    save_volume(np.arange(24, dtype=np.float32).reshape(2, 3, 4), path)
+    out = load_volume(path)
+    assert out.flags.writeable and out.flags.c_contiguous
+    out[1, 2, 3] = -1.0
+    assert out[1, 2, 3] == -1.0 and out.sum() == sum(range(23)) - 1.0
 
 
 def test_volume_truncated(tmp_path):
@@ -525,9 +544,65 @@ def test_batch_permutation_law():
     assert sorted(seen) == sorted(s.subject_id for s in samples)
 
 
+def _view_samples(n, channels=3):
+    """Samples with two image branches, each a read-only view of one stored
+    plane at ``channels`` channels, as ``build_samples`` makes them."""
+    rng = np.random.default_rng(17)
+    return [D.MixedSample(f"S{i}", rng.random(4),
+                          [D.scale_volume(rng.random((2, 4, 4)), 0.0, 1.0,
+                                          channels) for _ in range(2)],
+                          i % 2)
+            for i in range(n)]
+
+
 def test_batch_empty_errors():
     with pytest.raises(ValueError):
         build_batches([], 6, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("batch_size", [0, -2])
+def test_batch_size_below_one_errors_at_the_call(batch_size):
+    with pytest.raises(ValueError, match="batch_size"):
+        build_batches(_tiny_samples(3), batch_size)  # never iterated
+
+
+def test_batch_shuffle_draws_at_the_call():
+    """The shuffle draws one permutation from ``rng`` when build_batches is
+    called, whether or not its batches are then iterated."""
+    samples = _tiny_samples(14)
+    iterated, not_iterated, direct = (np.random.default_rng(4)
+                                      for _ in range(3))
+    seen = [sid for b in build_batches(samples, 6, iterated)
+            for sid in b.subject_ids]
+    build_batches(samples, 6, not_iterated)
+    order = direct.permutation(14)
+    assert seen == [samples[i].subject_id for i in order]
+    assert (iterated.bit_generator.state == not_iterated.bit_generator.state
+            == direct.bit_generator.state)
+
+
+def test_batches_equal_stacks_of_full_channel_copies():
+    samples = _view_samples(13)
+    by_id = {s.subject_id: s for s in samples}
+    batches = list(build_batches(samples, 5, np.random.default_rng(3)))
+    assert [len(b.subject_ids) for b in batches] == [5, 5, 3]
+    for batch in batches:
+        group = [by_id[sid] for sid in batch.subject_ids]
+        assert len(batch.images) == 2
+        for b, images in enumerate(batch.images):
+            expected = np.stack([np.array(s.images[b]) for s in group])
+            assert images.dtype == expected.dtype
+            assert images.shape == expected.shape == (len(group), 2, 4, 4, 3)
+            assert images.tobytes() == expected.tobytes()
+
+
+def test_batch_of_images_of_two_shapes_raises():
+    """A (1, 4, 4, 3) image would broadcast into a (2, 4, 4, 3) batch slot;
+    it must raise, as ``np.stack`` does."""
+    samples = _view_samples(3)
+    samples[2].images[1] = samples[2].images[1][:1]
+    with pytest.raises(ValueError, match="shapes"):
+        list(build_batches(samples, 3))
 
 
 # --- synthetic generator ----------------------------------------------------
@@ -659,6 +734,25 @@ def _raw_volume(kind: str) -> np.ndarray:
     vol = rng.random(dims).astype(np.float32)  # "nan"
     vol[4, 5, 6] = np.nan
     return vol
+
+
+@pytest.mark.parametrize("kind", ["float32", "constant_zero"])
+def test_sample_images_are_read_only_views_of_one_plane(tmp_path, kind):
+    save_volume(_raw_volume(kind), tmp_path / "v.vol")
+    records = [record(sid="S0", vol=str(tmp_path / "v.vol"))]
+    instances = [InstanceRecord("S0", CN, "a", 2, 25, 16, 20)]
+    [sample] = build_samples(records, instances, ["a"],
+                             FitStats(60.0, 90.0, 0.0, 30.0))
+    [image] = sample.images
+    assert image.shape == (25, 32, 32, 3) and image.strides[-1] == 0
+    before = np.array(image)
+    with pytest.raises(ValueError, match="read-only"):
+        image[0, 0, 0, 1] = 5.0
+    with pytest.raises(ValueError, match="read-only"):
+        image += 1.0
+    assert np.array(image).tobytes() == before.tobytes()
+    for c in range(3):
+        np.testing.assert_array_equal(image[..., c], before[..., 0])
 
 
 @pytest.mark.parametrize("kind", ["float32", "uint8", "constant_zero",

@@ -1,10 +1,11 @@
+import dataclasses
 import gc
 import math
 
 import numpy as np
 import pytest
 
-from mixedvit.data import AD, CN, MixedSample, SubjectRecord
+from mixedvit.data import AD, CN, MixedSample, SubjectRecord, scale_volume
 from mixedvit.model import ModelConfig, init_params, forward_batch
 from mixedvit.tensor import Tape, Tensor, backward, softmax
 from mixedvit.train import (
@@ -331,6 +332,42 @@ def test_predict_repeatable():
     b = predict(SMALL_MODEL, params, samples)
     assert [(p.subject_id, p.p_ad) for p in a] == \
         [(p.subject_id, p.p_ad) for p in b]
+
+
+def _list_batches(samples, batch_size):
+    """(tabular, images, labels) of every batch, all stacked before the
+    first forward pass from full-channel copies of each image."""
+    out = []
+    for start in range(0, len(samples), batch_size):
+        group = samples[start:start + batch_size]
+        out.append((np.stack([s.tabular for s in group]),
+                    [np.stack([np.array(s.images[b]) for s in group])
+                     for b in range(len(group[0].images))],
+                    np.array([s.label for s in group], dtype=np.int64)))
+    return out
+
+
+def test_predict_and_evaluate_equal_forward_over_list_built_batches():
+    model_cfg = dataclasses.replace(SMALL_MODEL, image_dims=(4, 8, 8, 3))
+    params = init_params(model_cfg, 11)
+    # Each image a read-only 3-channel view of one plane, as build_samples
+    # stores it; scaling by [0, 1] leaves the values as they are.
+    samples = [MixedSample(s.subject_id, s.tabular,
+                           [scale_volume(s.images[0][..., 0], 0.0, 1.0, 3)],
+                           s.label)
+               for s in make_samples(7, seed=12)]
+    p_ad, total_loss, correct = [], 0.0, 0
+    for tabular, images, labels in _list_batches(samples, 3):
+        probs = forward_batch(model_cfg, params, tabular, images,
+                              training=False)
+        p_ad += probs.data[:, AD].tolist()
+        total_loss += batch_loss(probs, labels).item() * len(labels)
+        correct += int(((probs.data[:, AD] > 0.5) == labels).sum())
+    preds = predict(model_cfg, params, samples, 3)
+    assert [p.subject_id for p in preds] == [s.subject_id for s in samples]
+    assert [p.p_ad for p in preds] == p_ad
+    assert evaluate(model_cfg, params, samples, 3) == (total_loss / 7,
+                                                       correct / 7)
 
 
 def test_history_csv(tmp_path):
