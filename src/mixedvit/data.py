@@ -284,9 +284,12 @@ def load_instances(path) -> list[InstanceRecord]:
                 continue
             try:
                 sid, cls, roi, start, count, cx, cy = line.strip().split(",")
-                out.append(InstanceRecord(sid, LABEL_CODES[cls], roi,
-                                          int(start), int(count), int(cx),
-                                          int(cy)))
+                record = InstanceRecord(sid, LABEL_CODES[cls], roi,
+                                        int(start), int(count), int(cx),
+                                        int(cy))
+                if record.slice_count < 1:
+                    raise ValueError(f"slice_count {record.slice_count} < 1")
+                out.append(record)
             except (ValueError, KeyError) as exc:
                 raise ValueError(
                     f"{path}, line {lineno}: malformed instance row "

@@ -23,12 +23,10 @@ from .tensor import (
     attention,
     concat,
     dropout,
+    first_token,
     gelu,
     layer_norm,
     linear,
-    matmul,
-    narrow,
-    reshape,
     softmax,
 )
 
@@ -62,21 +60,28 @@ class ModelConfig:
         if len(self.tubelet) != 3 or len(self.image_dims) != 4:
             raise ConfigError(f"tubelet {self.tubelet} must be (t, h, w) and "
                               f"image_dims {self.image_dims} (T, H, W, C)")
+        for name in ("image_dims", "tubelet", "tabular_hidden"):
+            sizes = getattr(self, name)
+            if min(sizes, default=1) < 1:
+                raise ConfigError(f"every {name} entry must be >= 1, got "
+                                  f"{sizes}")
+        for name in ("embed_dim", "heads", "depth", "num_branches"):
+            if getattr(self, name) < 1:
+                raise ConfigError(
+                    f"{name} must be >= 1, got {getattr(self, name)}")
+        if not self.mlp_ratio > 0:
+            raise ConfigError(f"mlp_ratio must be > 0, got {self.mlp_ratio}")
         t, h, w = self.tubelet
-        T, H, W, C = self.image_dims
+        T, H, W = self.image_dims[:3]
         if T % t or H % h or W % w:
             raise ConfigError(
                 f"tubelet {self.tubelet} does not divide image dims "
                 f"{self.image_dims[:3]}")
-        if min(t, h, w, C) < 1:
-            raise ConfigError("tubelet and channel sizes must be positive")
         if self.embed_dim % self.heads:
             raise ConfigError(
                 f"embed_dim {self.embed_dim} not divisible by heads {self.heads}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout_rate {self.dropout_rate} out of range")
-        if self.depth < 1 or self.num_branches < 1:
-            raise ConfigError("depth and num_branches must be >= 1")
         if self.mode not in (MODE_MIXED, MODE_IMAGE_ONLY):
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.mode == MODE_MIXED and len(self.tabular_hidden) < 1:
@@ -213,8 +218,8 @@ def attention_block(x: Tensor, p: dict[str, Tensor], prefix: str, heads: int,
     """Pre-norm residual block: x + MHSA(LN(x)), then x + MLP(LN(x))."""
     h = layer_norm(x, p[f"{prefix}.ln1.gamma"], p[f"{prefix}.ln1.beta"])
     wqkv = concat([p[f"{prefix}.attn.w{proj}"] for proj in "qkv"], axis=1)
-    ctx = attention(matmul(h, wqkv), heads, dropout_rate, training, rng)
-    x = add(x, matmul(ctx, p[f"{prefix}.attn.wo"]))
+    ctx = attention(linear(h, wqkv), heads, dropout_rate, training, rng)
+    x = add(x, linear(ctx, p[f"{prefix}.attn.wo"]))
 
     h = layer_norm(x, p[f"{prefix}.ln2.gamma"], p[f"{prefix}.ln2.beta"])
     h = gelu(linear(h, p[f"{prefix}.mlp.w1"], p[f"{prefix}.mlp.b1"]))
@@ -226,7 +231,9 @@ def attention_block(x: Tensor, p: dict[str, Tensor], prefix: str, heads: int,
 def encode_image_branch(volumes: np.ndarray, params: dict[str, Tensor],
                         branch: int, config: ModelConfig, training: bool = False,
                         rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Full image branch: (B,T,H,W,C) volumes -> (B,d) class-token embedding."""
+    """Full image branch: (B,T,H,W,C) volumes -> (B,d) class-token embedding.
+    The final layer norm runs on the class-token row only: it normalises
+    each row on its own, so the other rows would not change that row."""
     volumes = np.asarray(volumes, dtype=np.float64)
     if volumes.shape[1:] != tuple(config.image_dims):
         raise ConfigError(
@@ -239,9 +246,8 @@ def encode_image_branch(volumes: np.ndarray, params: dict[str, Tensor],
     for l in range(config.depth):
         x = attention_block(x, params, f"{p}.block{l}", config.heads,
                             config.dropout_rate, training, rng)
-    x = layer_norm(x, params[f"{p}.norm.gamma"], params[f"{p}.norm.beta"])
-    cls_row = narrow(x, 1, 0, 1)
-    return reshape(cls_row, (x.shape[0], config.embed_dim))
+    return layer_norm(first_token(x), params[f"{p}.norm.gamma"],
+                      params[f"{p}.norm.beta"])
 
 
 def mlp_branch_forward(features: np.ndarray, params: dict[str, Tensor],

@@ -3,9 +3,11 @@
 A ``Tape`` records every differentiable operation performed while it is
 active (define-by-run); ``backward`` replays it in reverse and returns the
 gradient of every leaf that was reached. The ops are exactly those the
-two-branch model and its loss use; ``add`` broadcasts as numpy does,
-``linear`` is a dense layer (matmul plus bias) as one node, and ``nll`` is
-the training loss.
+two-branch model and its loss use: ``add`` (broadcasting as numpy does),
+``linear`` (a dense layer, ``x @ w`` plus an optional bias, as one node),
+``attention``, ``softmax``, ``layer_norm``, ``gelu``, ``dropout``,
+``concat``, ``first_token`` (the class-token readout) and ``nll`` (the
+training loss).
 
 ``attention`` works through the batch in blocks of as many elements as
 fit ``ATTENTION_BLOCK_BYTES`` of (heads, M, M) float64 scores, so that the
@@ -31,7 +33,6 @@ __all__ = [
     "Tape",
     "ShapeError",
     "add",
-    "matmul",
     "linear",
     "attention",
     "softmax",
@@ -39,8 +40,7 @@ __all__ = [
     "gelu",
     "dropout",
     "concat",
-    "reshape",
-    "narrow",
+    "first_token",
     "nll",
     "backward",
 ]
@@ -190,55 +190,38 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _record("add", (a, b), out, back)
 
 
-def _check_matmul(op: str, a: Tensor, b: Tensor) -> None:
-    if a.data.ndim not in (2, 3) or b.data.ndim != 2:
-        raise ShapeError(
-            f"{op} expects rank-2..3 @ rank-2, got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[0]:
-        raise ShapeError(
-            f"{op} inner dimensions disagree: {a.shape} @ {b.shape}")
-
-
-def _matmul_back(ad: np.ndarray, bd: np.ndarray, a_grad: bool, b_grad: bool,
-                 g: np.ndarray) -> tuple:
-    """Gradients of ``ad @ bd`` (None for an operand without requires_grad);
-    the batch axis is folded into one GEMM for the weight gradient."""
-    ga = g @ bd.T if a_grad else None
-    gb = (ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-          if b_grad else None)
-    return ga, gb
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """(m,k)@(k,n) or batched (B,m,k)@(k,n)."""
-    _check_matmul("matmul", a, b)
-    ad, bd = a.data, b.data
-    a_grad, b_grad = a.requires_grad, b.requires_grad
-
-    def back(g):
-        return _matmul_back(ad, bd, a_grad, b_grad, g)
-
-    return _record("matmul", (a, b), ad @ bd, back)
-
-
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     """Dense layer ``x @ w + b`` as one node: (m,k) or (B,m,k) ``x``, (k,n)
-    ``w`` and (n,) ``b``. The bias gradient sums the upstream gradient over
+    ``w`` and an optional (n,) ``b``. The weight gradient folds the batch
+    axis into one GEMM; the bias gradient sums the upstream gradient over
     every leading axis, in the order ``add`` would."""
-    _check_matmul("linear", x, w)
-    if b.shape != w.shape[1:]:
+    if x.data.ndim not in (2, 3) or w.data.ndim != 2:
+        raise ShapeError(
+            f"linear expects rank-2..3 @ rank-2, got {x.shape} @ {w.shape}")
+    if x.shape[-1] != w.shape[0]:
+        raise ShapeError(
+            f"linear inner dimensions disagree: {x.shape} @ {w.shape}")
+    if b is not None and b.shape != w.shape[1:]:
         raise ShapeError(
             f"linear bias {b.shape} does not match weight {w.shape}")
     xd, wd = x.data, w.data
     out = xd @ wd
-    out += b.data
-    x_grad, w_grad, b_grad = x.requires_grad, w.requires_grad, b.requires_grad
+    inputs = (x, w)
+    if b is not None:
+        out += b.data
+        inputs += (b,)
+    x_grad, w_grad = x.requires_grad, w.requires_grad
+    b_grad = b is not None and b.requires_grad
+    n_inputs = len(inputs)
 
     def back(g):
+        gx = g @ wd.T if x_grad else None
+        gw = (xd.reshape(-1, xd.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+              if w_grad else None)
         gb = _unbroadcast(g, wd.shape[1:]) if b_grad else None
-        return _matmul_back(xd, wd, x_grad, w_grad, g) + (gb,)
+        return (gx, gw, gb)[:n_inputs]
 
-    return _record("linear", (x, w, b), out, back)
+    return _record("linear", inputs, out, back)
 
 
 def softmax(x: Tensor, axis: int) -> Tensor:
@@ -425,33 +408,18 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     return _record("concat", tuple(tensors), out, back)
 
 
-def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
-    old = x.shape
-    out = x.data.reshape(tuple(shape))
+def first_token(x: Tensor) -> Tensor:
+    """Row 0 of axis 1, (B, M, d) -> (B, d): the class token's embedding."""
+    if x.data.ndim != 3:
+        raise ShapeError(f"first_token expects (B, M, d), got {x.shape}")
+    shape = x.shape
 
     def back(g):
-        return (g.reshape(old),)
+        grad = np.zeros(shape)
+        grad[:, 0] = g
+        return (grad,)
 
-    return _record("reshape", (x,), out, back)
-
-
-def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Contiguous slice [start, start+length) along one axis."""
-    if not (0 <= start and start + length <= x.shape[axis]):
-        raise ShapeError(
-            f"narrow [{start}, {start + length}) outside axis {axis} of {x.shape}")
-    index = [slice(None)] * x.data.ndim
-    index[axis] = slice(start, start + length)
-    index = tuple(index)
-    out = x.data[index]
-    full_shape = x.shape
-
-    def back(g):
-        buf = np.zeros(full_shape)
-        buf[index] = g
-        return (buf,)
-
-    return _record("narrow", (x,), out, back)
+    return _record("first_token", (x,), x.data[:, 0], back)
 
 
 def nll(probs: Tensor, labels) -> Tensor:

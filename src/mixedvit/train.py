@@ -196,9 +196,9 @@ def train(model_cfg: ModelConfig, params: dict,
                     f"loss {value} at epoch {epoch}, step {bi}")
             backward(loss)
             epoch_loss += value * len(batch.labels)
-            # The last references to this step's tape: drop them so that it
-            # is freed before the next forward pass records another.
-            del probs, loss
+            # The last references to this step's tape and batch: drop them
+            # so that both are freed before the next batch is stacked.
+            del probs, loss, batch
             grads = {name: p.grad for name, p in params.items()}
             for p in params.values():
                 p.grad = None
@@ -228,6 +228,9 @@ def predict(model_cfg: ModelConfig, params: dict,
     are stacked as they are used (``build_batches``), not the whole set at
     once."""
     out: list[Prediction] = []
+    # The previous batch stays alive while the next is stacked. Dropping it
+    # first saves about 1.5 MB of peak RSS at the paper shape, but glibc's
+    # malloc then trims the heap top and re-faults it: 4x the page faults.
     for batch in build_batches(samples, batch_size):
         probs = forward_batch(model_cfg, params, batch.tabular, batch.images,
                               training=False)

@@ -1,6 +1,6 @@
 """Helpers that only tests use: a finite-difference gradient check, a
-scalar root for gradient tests, a single-sample forward pass, parameter flattening for whole-model gradient
-checks, a rank-statistic AUC oracle for the trapezoid AUC, a search
+scalar root for gradient tests, a single-sample forward pass, parameter
+flattening, a rank-statistic AUC oracle for the trapezoid AUC, a search
 space and analytic objective for Hyperband, and straightforward reference
 versions of the synthetic generator, the modal centroid and the ROI images
 that the vectorised data path must equal bit for bit."""
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from math import exp, log, prod
+from math import exp, log
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -17,7 +17,7 @@ import numpy as np
 from mixedvit import data
 from mixedvit.data import AD, CN
 from mixedvit.model import ModelConfig, forward_batch
-from mixedvit.tensor import Tape, Tensor, backward, matmul, narrow, reshape
+from mixedvit.tensor import Tape, Tensor, _record, backward
 from mixedvit.tuning import Choice, LogUniform
 
 
@@ -52,37 +52,31 @@ def grad_check(f: Callable[[Tensor], Tensor], theta: np.ndarray,
 
 
 def weighted_sum(x: Tensor, w=1.0) -> Tensor:
-    """sum(x * w) as a (1, 1) tensor: x as one row times w as one column.
-    ``w`` broadcasts to the shape of ``x``; the default sums ``x``."""
+    """sum(x * w) as a one-element tensor, recorded as one tape node whose
+    backward is g * w. ``w`` broadcasts to the shape of ``x``; the default
+    sums ``x``."""
     w = np.broadcast_to(np.asarray(w, dtype=np.float64), x.shape)
-    return matmul(reshape(x, (1, x.data.size)), Tensor(w.reshape(-1, 1)))
+
+    def back(g):
+        return (g * w,)
+
+    return _record("weighted_sum", (x,), (x.data * w).sum(), back)
 
 
 def forward(config: ModelConfig, params: dict[str, Tensor],
             tabular: Optional[np.ndarray], volumes: list[np.ndarray],
             training: bool = False,
-            rng: Optional[np.random.Generator] = None) -> Tensor:
+            rng: Optional[np.random.Generator] = None) -> np.ndarray:
     """One sample's class probabilities, shape (2,), via a batch of one."""
     tab = None if tabular is None else np.asarray(tabular)[None]
     vols = [np.asarray(v)[None] for v in volumes]
     probs = forward_batch(config, params, tab, vols, training, rng)
-    return reshape(probs, (2,))
+    return probs.data[0]
 
 
 def flatten_params(params: dict[str, Tensor]) -> np.ndarray:
     return np.concatenate([p.data.reshape(-1) for p in params.values()]) \
         if params else np.zeros(0)
-
-
-def params_from_vector(vec: Tensor, shapes: dict[str, tuple]) -> dict[str, Tensor]:
-    """Differentiable unflatten, for whole-model gradient checks."""
-    out = {}
-    offset = 0
-    for name, shape in shapes.items():
-        n = prod(shape)
-        out[name] = reshape(narrow(vec, 0, offset, n), shape)
-        offset += n
-    return out
 
 
 def auc_mannwhitney(scores: Sequence[float], labels: Sequence[int]) -> float:

@@ -216,8 +216,16 @@ def test_cv_jobs_matches_serial(dataset, tmp_path):
     ({"optimizer": "adam"}, "'optimizer'"),
     ({"tubelet": [5, 8]}, "tubelet (5, 8) must be (t, h, w)"),
     ([1, 2], "JSON object"),
+    ({"heads": 0}, "heads must be >= 1, got 0"),
+    ({"tubelet": [0, 8, 8]}, "every tubelet entry must be >= 1"),
+    ({"embed_dim": 0}, "embed_dim must be >= 1, got 0"),
+    ({"tabular_hidden": [0]}, "every tabular_hidden entry must be >= 1"),
+    ({"tabular_hidden": [-2, 4]}, "every tabular_hidden entry must be >= 1"),
+    ({"mlp_ratio": -1.0}, "mlp_ratio must be > 0, got -1.0"),
 ], ids=["str_for_list", "str_in_list", "float_for_int", "bool_for_float",
-        "removed_optimizer_key", "short_tuple", "not_object"])
+        "removed_optimizer_key", "short_tuple", "not_object", "heads_0",
+        "tubelet_0", "embed_dim_0", "tabular_width_0",
+        "tabular_width_negative", "mlp_ratio_negative"])
 def test_cv_config_value_of_wrong_type_exits_2(dataset, tmp_path, capsys,
                                                config, message):
     bad = tmp_path / "bad.json"

@@ -505,7 +505,9 @@ def test_instance_csv_round_trip(tmp_path):
 
 
 @pytest.mark.parametrize("row", ["S2,CN,hip,3,25", "S2,MCI,hip,3,25,10,12",
-                                 "S2,AD,hip,three,25,10,12"])
+                                 "S2,AD,hip,three,25,10,12",
+                                 "S2,AD,hip,3,0,10,12",
+                                 "S2,AD,hip,3,-3,10,12"])
 def test_instance_csv_malformed_row(tmp_path, row):
     path = tmp_path / "inst.csv"
     save_instances([InstanceRecord("S0", CN, "hip", 3, 25, 10, 12)], path)

@@ -25,13 +25,7 @@ from mixedvit.model import (
     tubelet_embed,
 )
 
-from helpers import (
-    flatten_params,
-    forward,
-    grad_check,
-    params_from_vector,
-    weighted_sum,
-)
+from helpers import forward, grad_check, weighted_sum
 
 TINY = ModelConfig(image_dims=(2, 4, 4, 1), tubelet=(2, 2, 2), embed_dim=8,
                    depth=1, heads=2, mlp_ratio=2.0, dropout_rate=0.0,
@@ -196,7 +190,7 @@ def test_forward_all_zero_params_uniform():
               for name, shape in param_shapes(cfg).items()}
     rng = np.random.default_rng(9)
     probs = forward(cfg, params, rng.random(4), [rng.random(cfg.image_dims)])
-    np.testing.assert_allclose(probs.data, [0.5, 0.5])
+    np.testing.assert_allclose(probs, [0.5, 0.5])
 
 
 def test_forward_probabilities_sum_to_one():
@@ -288,17 +282,21 @@ def test_volume_patch_round_trip():
         _volume_from_patches(patches, (4, 6, 6, 2), (2, 3, 2)), vol)
 
 
-def test_image_only_equals_mixed_with_zero_width_tabular():
+def test_image_only_equals_mixed_with_zeroed_tabular_head_rows():
     image_only = ModelConfig(image_dims=(2, 4, 4, 1), tubelet=(2, 2, 2),
                              embed_dim=8, depth=1, heads=2, dropout_rate=0.0,
                              mode="image-only")
     mixed = ModelConfig(image_dims=(2, 4, 4, 1), tubelet=(2, 2, 2),
                         embed_dim=8, depth=1, heads=2, dropout_rate=0.0,
-                        tabular_dim=4, tabular_hidden=(0,), mode="mixed")
+                        tabular_dim=4, tabular_hidden=(3,), mode="mixed")
     p_img = init_params(image_only, 5)
     p_mix = init_params(mixed, 5)
     for name, tensor in p_img.items():
         p_mix[name] = tensor  # share image + head weights
+    # The tabular embedding comes first in the fused row; its head rows are
+    # zero, so only the image embedding reaches the logits.
+    p_mix["head.weight"] = Tensor(np.vstack([np.zeros((3, 2)),
+                                             p_img["head.weight"].data]))
     rng = np.random.default_rng(14)
     vols = [rng.random((3, 2, 4, 4, 1))]
     a = forward_batch(image_only, p_img, None, vols).data
@@ -306,21 +304,35 @@ def test_image_only_equals_mixed_with_zero_width_tabular():
     np.testing.assert_allclose(a, b, atol=1e-12)
 
 
+def grad_check_params(f, shapes: dict, rng: np.random.Generator,
+                      scale: float) -> dict:
+    """grad_check of ``f`` (params dict -> scalar) against each parameter
+    tensor in turn, substituted into a dict of normal(0, ``scale``) draws
+    held as constants: name -> max relative error."""
+    values = {name: rng.normal(scale=scale, size=shape)
+              for name, shape in shapes.items()}
+    errors = {}
+    for name in values:
+        def with_param(t, name=name):
+            return f({k: Tensor(v) for k, v in values.items()} | {name: t})
+        errors[name] = grad_check(with_param, values[name])
+    return errors
+
+
 def test_grad_check_attention_block():
     cfg = TINY
     shapes = {k: v for k, v in param_shapes(cfg).items() if ".block0." in k}
     rng = np.random.default_rng(15)
     x = rng.normal(size=(1, 3, 8))
-    theta = rng.normal(scale=0.5, size=sum(np.prod(s) for s in shapes.values()))
     weights = rng.normal(size=(1, 3, 8))
 
-    def f(vec):
-        p = params_from_vector(vec, shapes)
+    def f(p):
         out = attention_block(Tensor(x), p, "branch0.block0", cfg.heads,
                               0.0, False, None)
         return weighted_sum(out, weights)
 
-    assert grad_check(f, theta) < 1e-5
+    errors = grad_check_params(f, shapes, rng, 0.5)
+    assert max(errors.values()) < 1e-5, errors
 
 
 def test_grad_check_mlp_branch():
@@ -332,13 +344,12 @@ def test_grad_check_mlp_branch():
     rng = np.random.default_rng(16)
     feats = rng.random((2, 3))
     weights = rng.normal(size=(2, 4))
-    theta = rng.normal(scale=0.5, size=sum(np.prod(s) for s in shapes.values()))
 
-    def f(vec):
-        p = params_from_vector(vec, shapes)
+    def f(p):
         return weighted_sum(mlp_branch_forward(feats, p, cfg), weights)
 
-    assert grad_check(f, theta) < 1e-5
+    errors = grad_check_params(f, shapes, rng, 0.5)
+    assert max(errors.values()) < 1e-5, errors
 
 
 def test_grad_check_image_branch_tiny():
@@ -349,13 +360,12 @@ def test_grad_check_image_branch_tiny():
     rng = np.random.default_rng(17)
     vol = rng.random((1, 2, 4, 4, 1))
     weights = rng.normal(size=(1, 8))
-    theta = rng.normal(scale=0.3, size=sum(np.prod(s) for s in shapes.values()))
 
-    def f(vec):
-        p = params_from_vector(vec, shapes)
+    def f(p):
         return weighted_sum(encode_image_branch(vol, p, 0, cfg), weights)
 
-    assert grad_check(f, theta) < 1e-5
+    errors = grad_check_params(f, shapes, rng, 0.3)
+    assert max(errors.values()) < 1e-5, errors
 
 
 def test_checkpoint_round_trip_byte_exact(tmp_path):
@@ -496,12 +506,3 @@ def test_checkpoint_short_read_still_checks_crc(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(M.CheckpointError, match="'w.npy' is damaged"):
         load_checkpoint(path)
-
-
-def test_flatten_and_unflatten_agree():
-    params = init_params(TINY, 31)
-    shapes = param_shapes(TINY)
-    vec = flatten_params(params)
-    rebuilt = params_from_vector(Tensor(vec), shapes)
-    for name in params:
-        np.testing.assert_array_equal(rebuilt[name].data, params[name].data)

@@ -17,13 +17,11 @@ from mixedvit.tensor import (
     backward,
     concat,
     dropout,
+    first_token,
     gelu,
     layer_norm,
     linear,
-    matmul,
-    narrow,
     nll,
-    reshape,
     softmax,
 )
 
@@ -46,20 +44,21 @@ def test_bias_broadcast_add():
     np.testing.assert_array_equal(out.data, np.ones((3, 4)) + np.arange(4.0))
 
 
+# linear without a bias is the matrix product x @ w.
 def test_matmul_identity():
     a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    out = matmul(Tensor(np.eye(2)), Tensor(a))
+    out = linear(Tensor(np.eye(2)), Tensor(a))
     np.testing.assert_array_equal(out.data, a)
 
 
 def test_matmul_dot_product():
-    out = matmul(Tensor([[1.0, 2.0]]), Tensor([[3.0], [4.0]]))
+    out = linear(Tensor([[1.0, 2.0]]), Tensor([[3.0], [4.0]]))
     np.testing.assert_array_equal(out.data, [[11.0]])
 
 
 def test_matmul_mismatch():
     with pytest.raises(ShapeError):
-        matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
+        linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
 
 
 def test_matmul_batched_shape():
@@ -70,7 +69,7 @@ def test_matmul_batched_shape():
     with Tape():
         ta = Tensor(a, requires_grad=True)
         tb = Tensor(b, requires_grad=True)
-        out = matmul(ta, tb)
+        out = linear(ta, tb)
         y = weighted_sum(out, w)
     backward(y)
     assert out.shape == (5, 2, 4)
@@ -86,6 +85,7 @@ def test_linear_is_matmul_plus_bias():
         x, w, b = (rng.normal(size=s) for s in (x_shape, (3, 5), (5,)))
         out = linear(Tensor(x), Tensor(w), Tensor(b))
         np.testing.assert_array_equal(out.data, x @ w + b)
+        np.testing.assert_array_equal(linear(Tensor(x), Tensor(w)).data, x @ w)
 
 
 @pytest.mark.parametrize("x_shape,w_shape,b_shape", [
@@ -115,6 +115,18 @@ def test_linear_constant_input_gets_no_gradient():
     np.testing.assert_array_equal(b.grad, np.full(5, 8.0))
     node_grads = tape.nodes[out.node_id].backward_fn(np.ones((2, 4, 5)))
     assert node_grads[0] is None
+
+
+def test_first_token_takes_row_zero_of_axis_one():
+    x = np.arange(24.0).reshape(2, 3, 4)
+    np.testing.assert_array_equal(first_token(Tensor(x)).data, x[:, 0])
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (2, 3, 4, 5)],
+                         ids=["rank_2", "rank_4"])
+def test_first_token_rejects_non_3d_input(shape):
+    with pytest.raises(ShapeError):
+        first_token(Tensor(np.zeros(shape)))
 
 
 def test_softmax_symmetry():
@@ -283,16 +295,16 @@ def test_nll_rejects_mismatched_labels(probs, labels, error):
 
 def test_backward_square():
     with Tape():
-        x = Tensor([3.0], requires_grad=True)
-        y = matmul(reshape(x, (1, 1)), reshape(x, (1, 1)))
+        x = Tensor([[3.0]], requires_grad=True)
+        y = linear(x, x)
     backward(y)
-    np.testing.assert_allclose(x.grad, [6.0])
+    np.testing.assert_allclose(x.grad, [[6.0]])
 
 
 def test_backward_linear_identity_path():
     with Tape():
         a = Tensor(np.arange(4.0).reshape(2, 2), requires_grad=True)
-        y = weighted_sum(matmul(a, Tensor(np.eye(2))))
+        y = weighted_sum(linear(a, Tensor(np.eye(2))))
     backward(y)
     np.testing.assert_array_equal(a.grad, np.ones((2, 2)))
 
@@ -310,7 +322,7 @@ def test_backward_skips_non_grad_leaves():
         with Tape() as tape:
             x = Tensor([[2.0]], requires_grad=True)
             c = Tensor([[3.0]])
-            node = matmul(c, x) if const_first else matmul(x, c)
+            node = linear(c, x) if const_first else linear(x, c)
             y = weighted_sum(node)
         grads = backward(y)
         np.testing.assert_array_equal(x.grad, [[3.0]])
@@ -332,8 +344,8 @@ def test_backward_rejects_non_scalar():
 
 
 def test_grad_check_quadratic():
-    err = grad_check(lambda x: matmul(reshape(x, (1, 3)), reshape(x, (3, 1))),
-                     np.array([1.0, -2.0, 3.0]))
+    err = grad_check(lambda x: weighted_sum(linear(x, x)),
+                     np.array([[1.0, -2.0], [3.0, 0.5]]))
     assert err < 1e-8
 
 
@@ -362,47 +374,47 @@ def test_grad_check_every_op_random_shapes(seed):
     bias_n = rng.normal(size=n)
     b3 = rng.normal(size=(2, n, m))
 
+    # name -> (f, theta): f is checked at theta, a in the shape f takes
+    # (with b as a second batch element for first_token).
     checks = {
-        "add": lambda x: weighted_sum(add(x, Tensor(b)), a),
-        "add_broadcast": lambda x: weighted_sum(
-            add(Tensor(b), reshape(narrow(x, 0, 0, 1), (m,))), a),
-        "matmul_lhs": lambda x: weighted_sum(matmul(x, Tensor(k))),
-        "matmul_rhs": lambda x: weighted_sum(
-            matmul(Tensor(b), reshape(x, (m, n)))),
-        "linear_input": lambda x: weighted_sum(
-            linear(x, Tensor(k), Tensor(bias_n)), b @ k),
-        "linear_input_3d": lambda x: weighted_sum(
-            linear(reshape(x, (n, 1, m)), Tensor(k), Tensor(bias_n)),
-            (b @ k)[:, None, :]),
-        "linear_weight": lambda x: weighted_sum(
-            linear(Tensor(b), reshape(x, (m, n)), Tensor(bias_n)), b @ k),
-        "linear_weight_3d": lambda x: weighted_sum(
-            linear(Tensor(b3), reshape(x, (m, n)), Tensor(bias_n)),
-            b3 @ k),
-        "linear_bias": lambda x: weighted_sum(
-            linear(Tensor(b), Tensor(k), reshape(narrow(x, 1, 0, 1), (n,))),
-            b @ k),
-        "linear_bias_3d": lambda x: weighted_sum(
-            linear(Tensor(b3), Tensor(k), reshape(narrow(x, 1, 0, 1), (n,))),
-            b3 @ k),
-        "softmax": lambda x: weighted_sum(softmax(x, 1), b),
-        "layer_norm": lambda x: weighted_sum(
+        "add": (lambda x: weighted_sum(add(x, Tensor(b)), a), a),
+        "add_broadcast": (lambda x: weighted_sum(add(Tensor(b), x), a), a[0]),
+        "linear_input_no_bias": (
+            lambda x: weighted_sum(linear(x, Tensor(k))), a),
+        "linear_weight_no_bias": (
+            lambda x: weighted_sum(linear(Tensor(b), x)), a.reshape(m, n)),
+        "linear_input": (lambda x: weighted_sum(
+            linear(x, Tensor(k), Tensor(bias_n)), b @ k), a),
+        "linear_input_3d": (lambda x: weighted_sum(
+            linear(x, Tensor(k), Tensor(bias_n)), (b @ k)[:, None, :]),
+            a.reshape(n, 1, m)),
+        "linear_weight": (lambda x: weighted_sum(
+            linear(Tensor(b), x, Tensor(bias_n)), b @ k), a.reshape(m, n)),
+        "linear_weight_3d": (lambda x: weighted_sum(
+            linear(Tensor(b3), x, Tensor(bias_n)), b3 @ k), a.reshape(m, n)),
+        "linear_bias": (lambda x: weighted_sum(
+            linear(Tensor(b), Tensor(k), x), b @ k), a[:, 0]),
+        "linear_bias_3d": (lambda x: weighted_sum(
+            linear(Tensor(b3), Tensor(k), x), b3 @ k), a[:, 0]),
+        "softmax": (lambda x: weighted_sum(softmax(x, 1), b), a),
+        "layer_norm": (lambda x: weighted_sum(
             layer_norm(x, Tensor(np.linspace(0.5, 1.5, m)),
-                       Tensor(np.linspace(-1, 1, m))), b),
-        "gelu": lambda x: weighted_sum(gelu(x), b),
-        "concat": lambda x: weighted_sum(concat([x, Tensor(b)], axis=0),
-                                         np.vstack([b, a])),
-        "reshape": lambda x: weighted_sum(reshape(x, (m, n)), k),
-        "attention": lambda x: weighted_sum(attention(
-            reshape(matmul(x, Tensor(w_qkv)), (1, n, 6)), 1, 0.0, False),
-            b[:, :2]),
-        "narrow": lambda x: weighted_sum(narrow(x, 0, 1, n - 1), b[1:]),
-        "nll": lambda x: nll(softmax(x, 1), labels),
-        "dropout": lambda x: weighted_sum(
+                       Tensor(np.linspace(-1, 1, m))), b), a),
+        "gelu": (lambda x: weighted_sum(gelu(x), b), a),
+        "concat": (lambda x: weighted_sum(concat([x, Tensor(b)], axis=0),
+                                          np.vstack([b, a])), a),
+        "attention": (lambda x: weighted_sum(attention(
+            linear(x, Tensor(w_qkv)), 1, 0.0, False), b[:, :2]),
+            a.reshape(1, n, m)),
+        "first_token": (lambda x: weighted_sum(first_token(x), b[:2]),
+                        np.stack([a, b])),
+        "nll": (lambda x: nll(softmax(x, 1), labels), a),
+        "dropout": (lambda x: weighted_sum(
             dropout(x, 0.4, training=True, rng=np.random.default_rng(99)), b),
+            a),
     }
-    for name, f in checks.items():
-        err = grad_check(f, a)
+    for name, (f, theta) in checks.items():
+        err = grad_check(f, theta)
         assert err < 1e-5, f"{name} grad check failed: {err}"
 
 
@@ -501,7 +513,7 @@ def test_determinism_bitwise():
     def run():
         with Tape():
             t = Tensor(x, requires_grad=True)
-            h = gelu(matmul(t, Tensor(x.T)))
+            h = gelu(linear(t, Tensor(x.T)))
             h = dropout(h, 0.3, training=True, rng=np.random.default_rng(5))
             y = weighted_sum(softmax(h, 1))
         backward(y)
@@ -524,25 +536,23 @@ def test_tape_topological_order():
             assert pid is None or pid < nid
 
 
-# Each case applies one op to h, a (4, 6) op output that is itself on the
-# tape, so a backward closure that captured a Tensor would tie the tape into
-# a reference cycle. Keys are "<name in tensor.__all__>[:variant]".
+# Each case applies one op to operands made by h(*shape): op outputs that
+# are themselves on the tape, so a backward closure that captured a Tensor
+# would tie the tape into a reference cycle. Keys are
+# "<name in tensor.__all__>[:variant]".
 _TAPE_CASES = {
-    "add": lambda h: add(h, h),
-    "matmul": lambda h: matmul(h, reshape(h, (6, 4))),
-    "linear": lambda h: linear(h, reshape(h, (6, 4)),
-                               narrow(reshape(h, (24,)), 0, 0, 4)),
-    "attention": lambda h: attention(reshape(h, (1, 4, 6)), 1, 0.3, True,
+    "add": lambda h: add(h(4, 6), h(4, 6)),
+    "linear": lambda h: linear(h(4, 6), h(6, 4), h(4)),
+    "linear:no_bias": lambda h: linear(h(4, 6), h(6, 4)),
+    "attention": lambda h: attention(h(1, 4, 6), 1, 0.3, True,
                                      np.random.default_rng(2)),
-    "softmax": lambda h: softmax(h, 1),
-    "layer_norm": lambda h: layer_norm(h, reshape(narrow(h, 0, 0, 1), (6,)),
-                                       reshape(narrow(h, 0, 1, 1), (6,))),
-    "gelu": gelu,
-    "dropout": lambda h: dropout(h, 0.5, True, np.random.default_rng(2)),
-    "concat": lambda h: concat([h, h], axis=0),
-    "reshape": lambda h: reshape(h, (6, 4)),
-    "narrow": lambda h: narrow(h, 1, 2, 3),
-    "nll": lambda h: nll(softmax(h, 1), [0, 1, 2, 3]),
+    "softmax": lambda h: softmax(h(4, 6), 1),
+    "layer_norm": lambda h: layer_norm(h(4, 6), h(6), h(6)),
+    "gelu": lambda h: gelu(h(4, 6)),
+    "dropout": lambda h: dropout(h(4, 6), 0.5, True, np.random.default_rng(2)),
+    "concat": lambda h: concat([h(4, 6), h(4, 6)], axis=0),
+    "first_token": lambda h: first_token(h(2, 4, 6)),
+    "nll": lambda h: nll(softmax(h(4, 6), 1), [0, 1, 2, 3]),
 }
 
 
@@ -553,17 +563,23 @@ def test_tape_cases_cover_every_op():
 
 @pytest.mark.parametrize("case", sorted(_TAPE_CASES))
 def test_tape_freed_by_reference_counting(case):
-    x_data = np.random.default_rng(0).random((4, 6)) + 0.5
+    rng = np.random.default_rng(0)
+    leaves = []
+
+    def h(*shape):
+        x = Tensor(rng.random(shape) + 0.5, requires_grad=True)
+        leaves.append(x)
+        return add(x, x)
+
     enabled = gc.isenabled()
     gc.collect()
     gc.disable()
     try:
         with Tape() as tape:
-            x = Tensor(x_data, requires_grad=True)
-            out = _TAPE_CASES[case](add(x, x))
+            out = _TAPE_CASES[case](h)
             root = weighted_sum(out)
         backward(root)
-        assert x.grad.shape == x.shape
+        assert all(x.grad.shape == x.shape for x in leaves)
         alive = weakref.ref(tape)
         del tape, out, root
         assert alive() is None
