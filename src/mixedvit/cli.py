@@ -5,13 +5,16 @@ cross-validate, tune, evaluate, and statistically compare models.
 ``--config`` files, ``tune`` spaces and trials, and the ``config.json`` that
 ``eval`` reads all go through it. Its keys are the dataclass fields but
 ``num_branches``, ``mode`` and ``seed`` (set by ``--rois``, ``--mode`` and
-``--seed``) and ``tabular_dim``. A value must have its default's type (a
-JSON list for a tuple); an absent key keeps its dataclass default.
+``--seed``). A value must have its default's type (a JSON list for a
+tuple); an absent key keeps its dataclass default, and an unknown key is a
+usage error.
 
 ``train`` writes ``config.json`` as ``{"config": {...}, "rois": [...],
 "mode": ..., "fit": {...}}``. ``config`` holds every key, so a later change
 of a default cannot change what a saved model means, and ``fit`` holds the
-``FitStats`` ranges; ``eval`` refuses any other layout.
+``FitStats`` ranges; ``eval`` refuses any other layout, and so any older
+``config.json`` that holds a key which is now a constant (the decay and
+Adam settings, ``mlp_ratio``).
 
 ``train`` writes the weights to ``checkpoint.npz``, an ``.npz`` of float64
 arrays keyed by parameter name, which is the only file ``eval`` reads them
@@ -61,11 +64,11 @@ class RuntimeFailure(Exception):
 
 
 # The config keys and their defaults: every field of the two configs but
-# those that --rois, --mode and --seed set and the fixed tabular width.
+# those that --rois, --mode and --seed set.
 CONFIG_KEYS = {f.name: f.default
                for cls in (MO.ModelConfig, TR.TrainConfig)
                for f in dataclasses.fields(cls)
-               if f.name not in ("num_branches", "mode", "seed", "tabular_dim")}
+               if f.name not in ("num_branches", "mode", "seed")}
 
 
 def _same_type(value, default) -> bool:
@@ -184,8 +187,7 @@ def cmd_synth(args) -> int:
     rois = _parse_rois(args.rois)
     try:
         cfg = D.SynthConfig(subjects=args.subjects, dims=dims,
-                            separability=args.separability, rois=tuple(rois),
-                            noise_sigma=args.noise)
+                            separability=args.separability, rois=tuple(rois))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     out = Path(args.out)
@@ -261,13 +263,9 @@ def cmd_train(args) -> int:
     model_cfg, train_cfg = build_configs(load_config(args.config), args.mode,
                                          len(rois), args.seed)
     records, instances = _dataset_for(args, rois)
-
-    try:
-        tr, va, te = D.split_subjects(records, (0.70, 0.15, 0.15),
-                                      np.random.default_rng([args.seed, 11]))
-        plan = TR.FitPlan(tr, va, te, "the test split")
-    except TR.PlanError as exc:
-        raise UsageError(str(exc)) from exc
+    tr, va, te = D.split_subjects(records, (0.70, 0.15, 0.15),
+                                  np.random.default_rng([args.seed, 11]))
+    plan = TR.FitPlan(tr, va, te, "the test split")
     best, history, preds = TR.fit(model_cfg, train_cfg, plan, instances, rois)
     report = ME.evaluate_fold(preds, 0)
 
@@ -295,13 +293,10 @@ def cmd_cv(args) -> int:
     model_cfg, train_cfg = build_configs(load_config(args.config), args.mode,
                                          len(rois), args.seed)
     records, instances = _dataset_for(args, rois)
-    try:
-        reports, summary = ME.cv_run(records, instances, rois, model_cfg,
-                                     train_cfg, k=args.folds, seed=args.seed,
-                                     holdout_test=not args.no_holdout_test,
-                                     jobs=args.jobs)
-    except TR.PlanError as exc:
-        raise UsageError(str(exc)) from exc
+    reports, summary = ME.cv_run(records, instances, rois, model_cfg,
+                                 train_cfg, k=args.folds, seed=args.seed,
+                                 holdout_test=not args.no_holdout_test,
+                                 jobs=args.jobs)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -354,12 +349,9 @@ def cmd_tune(args) -> int:
     base = _config_of(*build_configs(cfg, args.mode, len(rois), args.seed))
     _check_space(space, cfg, args.mode, len(rois))
     records, instances = _dataset_for(args, rois)
-    try:
-        tr, va, _ = D.split_subjects(records, (0.85, 0.15, 0.0),
-                                     np.random.default_rng([args.seed, 17]))
-        plan = TR.FitPlan(tr, va)
-    except TR.PlanError as exc:
-        raise UsageError(str(exc)) from exc
+    tr, va, _ = D.split_subjects(records, (0.85, 0.15, 0.0),
+                                 np.random.default_rng([args.seed, 17]))
+    plan = TR.FitPlan(tr, va)
 
     def objective(sampled: dict, epochs: int) -> float:
         _best, history, _ = TR.fit(
@@ -526,7 +518,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subjects", type=int, default=40)
     p.add_argument("--dims", default="48,64,64")
     p.add_argument("--separability", type=float, default=1.0)
-    p.add_argument("--noise", type=float, default=0.02)
     p.add_argument("--rois", default="hippocampus_left")
     p.set_defaults(func=cmd_synth)
 
@@ -589,7 +580,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, MO.ConfigError) as exc:
+    except (UsageError, MO.ConfigError, D.PlanError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except D.SliceWindowError as exc:  # found only once the volume is read

@@ -313,9 +313,8 @@ def cdr_to_label(cdr: float) -> int:
         "CDR 0.5 is outside the two study classes (0 -> CN, >=1 -> AD)")
 
 
-def split_subjects(records: Sequence[SubjectRecord],
-                   ratios=(0.70, 0.15, 0.15),
-                   rng: Optional[np.random.Generator] = None):
+def split_subjects(records: Sequence[SubjectRecord], ratios,
+                   rng: np.random.Generator):
     """Stratified subject-level split; rounding remainders go to train."""
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError(f"split ratios {ratios} do not sum to 1")
@@ -324,7 +323,6 @@ def split_subjects(records: Sequence[SubjectRecord],
         raise PlanError("duplicate subject ids: one record per subject")
     if len(records) < 3:
         raise PlanError("fewer subjects than split sets")
-    rng = rng or np.random.default_rng()
     val_total = int(round(len(records) * ratios[1]))
     test_total = int(round(len(records) * ratios[2]))
 
@@ -579,15 +577,27 @@ def build_batches(samples: Sequence[MixedSample], batch_size: int,
 # synthetic data
 
 
+# Fractional ellipsoid centres, one per ROI slot, spread through the volume.
+_ROI_CENTRES = [(0.40, 0.30, 0.30), (0.40, 0.70, 0.70), (0.55, 0.35, 0.65),
+                (0.55, 0.65, 0.35), (0.65, 0.30, 0.55), (0.65, 0.70, 0.45),
+                (0.35, 0.50, 0.50), (0.70, 0.50, 0.70)]
+_BASE_RADII = (6.0, 9.0, 9.0)
+MAX_SYNTH_SUBJECTS = len(_ROI_CENTRES) * 1000
+# The standard deviation of every voxel's Gaussian noise.
+SYNTH_NOISE = 0.02
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     subjects: int = 40
     dims: tuple = (48, 64, 64)
     separability: float = 1.0
     rois: tuple = ("hippocampus_left",)
-    noise_sigma: float = 0.02
 
     def __post_init__(self):
+        if not 1 <= self.subjects <= MAX_SYNTH_SUBJECTS:
+            raise ValueError(f"subjects {self.subjects} outside "
+                             f"[1, {MAX_SYNTH_SUBJECTS}]")
         if any(d < m for d, m in zip(self.dims, MIN_SYNTH_DIMS)):
             raise ValueError(
                 f"dims {self.dims} below minimum {MIN_SYNTH_DIMS}")
@@ -597,30 +607,23 @@ class SynthConfig:
             raise ValueError("at least one ROI name required")
 
 
-# Fractional ellipsoid centres, one per ROI slot, spread through the volume.
-_ROI_CENTRES = [(0.40, 0.30, 0.30), (0.40, 0.70, 0.70), (0.55, 0.35, 0.65),
-                (0.55, 0.65, 0.35), (0.65, 0.30, 0.55), (0.65, 0.70, 0.45),
-                (0.35, 0.50, 0.50), (0.70, 0.50, 0.70)]
-_BASE_RADII = (6.0, 9.0, 9.0)
-
-
 def generate_subject(cfg: SynthConfig, seed: int, index: int):
     """One subject's volume, masks and metadata; deterministic in (seed, index).
 
-    The volume is N(0.3, noise) background, float32 clipped to [0,1], with
-    each ROI an axis-aligned ellipsoid of N(intensity, noise) voxels; AD
-    subjects get larger, brighter ellipsoids as ``separability`` grows. Each
-    mask is the uint8 indicator of its ellipsoid, whose normalised distance
-    is a sum of three 1-D terms over open coordinate grids, broadcast to the
-    full volume once.
+    The volume is N(0.3, SYNTH_NOISE) background, float32 clipped to [0,1],
+    with each ROI an axis-aligned ellipsoid of N(intensity, SYNTH_NOISE)
+    voxels; AD subjects get larger, brighter ellipsoids as ``separability``
+    grows. Each mask is the uint8 indicator of its ellipsoid, whose
+    normalised distance is a sum of three 1-D terms over open coordinate
+    grids, broadcast to the full volume once.
     """
-    if index >= len(_ROI_CENTRES) * 1000:
+    if index >= MAX_SYNTH_SUBJECTS:
         raise ValueError("subject index out of range")
     rng = np.random.default_rng([int(seed), 0x5EED, int(index)])
     label = CN if index % 2 == 0 else AD
     dims = cfg.dims
 
-    volume = rng.normal(0.3, cfg.noise_sigma, size=dims)
+    volume = rng.normal(0.3, SYNTH_NOISE, size=dims)
     masks = {}
     grids = np.meshgrid(*[np.arange(d, dtype=np.float64) for d in dims],
                         indexing="ij", sparse=True)
@@ -633,7 +636,7 @@ def generate_subject(cfg: SynthConfig, seed: int, index: int):
         dist = sum(((g - c) / r) ** 2
                    for g, c, r in zip(grids, centre, radii))
         mask = dist <= 1.0
-        volume[mask] = rng.normal(intensity, cfg.noise_sigma,
+        volume[mask] = rng.normal(intensity, SYNTH_NOISE,
                                   size=int(mask.sum()))
         masks[roi] = mask.astype(np.uint8)
     volume = np.clip(volume, 0.0, 1.0, out=volume).astype(np.float32)

@@ -5,6 +5,11 @@ tokens, and run through a pre-norm transformer encoder with joint attention
 over all tokens; a class token is read out. Branch embeddings (one per ROI,
 plus the tabular embedding in mixed mode) are concatenated and classified.
 A checkpoint is an ``.npz`` of float64 arrays keyed by parameter name.
+
+Two widths are fixed, not config keys: each block's MLP is ``2 * embed_dim``
+wide, the one ratio any run used, and the tabular branch takes
+``ModelConfig.tabular_dim`` = 4 features, the width of
+``data.tabular_features`` (age, MMSE, gender one-hot).
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 import tokenize
 import zipfile
 from dataclasses import dataclass
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 from numpy.lib.npyio import NpzFile
@@ -49,12 +54,11 @@ class ModelConfig:
     embed_dim: int = 64
     depth: int = 4
     heads: int = 8
-    mlp_ratio: float = 2.0
     dropout_rate: float = 0.2
-    tabular_dim: int = 4
     tabular_hidden: tuple = (16, 8)
     num_branches: int = 1
     mode: str = MODE_MIXED
+    tabular_dim: ClassVar[int] = 4
 
     def __post_init__(self):
         if len(self.tubelet) != 3 or len(self.image_dims) != 4:
@@ -69,8 +73,6 @@ class ModelConfig:
             if getattr(self, name) < 1:
                 raise ConfigError(
                     f"{name} must be >= 1, got {getattr(self, name)}")
-        if not self.mlp_ratio > 0:
-            raise ConfigError(f"mlp_ratio must be > 0, got {self.mlp_ratio}")
         t, h, w = self.tubelet
         T, H, W = self.image_dims[:3]
         if T % t or H % h or W % w:
@@ -99,7 +101,7 @@ class ModelConfig:
 
     @property
     def mlp_hidden(self) -> int:
-        return max(1, int(self.embed_dim * self.mlp_ratio))
+        return 2 * self.embed_dim
 
     @property
     def fused_width(self) -> int:

@@ -119,7 +119,7 @@ def reference_generate_subject(cfg: data.SynthConfig, seed: int, index: int):
     label = CN if index % 2 == 0 else AD
     dims = cfg.dims
 
-    volume = rng.normal(0.3, cfg.noise_sigma, size=dims)
+    volume = rng.normal(0.3, data.SYNTH_NOISE, size=dims)
     masks = {}
     grids = np.meshgrid(*[np.arange(d, dtype=np.float64) for d in dims],
                         indexing="ij")
@@ -132,7 +132,7 @@ def reference_generate_subject(cfg: data.SynthConfig, seed: int, index: int):
         dist = sum(((g - c) / r) ** 2
                    for g, c, r in zip(grids, centre, radii))
         mask = dist <= 1.0
-        volume[mask] = rng.normal(intensity, cfg.noise_sigma,
+        volume[mask] = rng.normal(intensity, data.SYNTH_NOISE,
                                   size=int(mask.sum()))
         masks[roi] = mask.astype(np.uint8)
     volume = np.clip(volume, 0.0, 1.0).astype(np.float32)

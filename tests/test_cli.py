@@ -61,6 +61,19 @@ def test_synth_dims_too_small_exits_2(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("subjects", ["0", "-1", "8001"])
+def test_synth_subjects_out_of_range_exits_2(tmp_path, capsys, subjects):
+    """A count outside [1, 8000] is refused before anything is written:
+    generate_subject has no subject index past 7999."""
+    out = tmp_path / "d"
+    out.mkdir()
+    assert main(["synth", "--out", str(out), "--subjects", subjects]) == 2
+    err = capsys.readouterr().err
+    assert f"subjects {subjects} outside [1, 8000]" in err
+    assert "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
 def test_select_row_count(dataset):
     rows = (dataset / "instances.csv").read_text().splitlines()
     assert len(rows) == 1 + 14 * 2  # header + subjects x rois
@@ -221,11 +234,19 @@ def test_cv_jobs_matches_serial(dataset, tmp_path):
     ({"embed_dim": 0}, "embed_dim must be >= 1, got 0"),
     ({"tabular_hidden": [0]}, "every tabular_hidden entry must be >= 1"),
     ({"tabular_hidden": [-2, 4]}, "every tabular_hidden entry must be >= 1"),
-    ({"mlp_ratio": -1.0}, "mlp_ratio must be > 0, got -1.0"),
+    ({"mlp_ratio": 2.0}, "unknown config keys: ['mlp_ratio']"),
+    ({"decay_steps": 100_000}, "unknown config keys: ['decay_steps']"),
+    ({"decay_rate": 0.9}, "unknown config keys: ['decay_rate']"),
+    ({"adam_beta1": 0.9}, "unknown config keys: ['adam_beta1']"),
+    ({"adam_beta2": 0.999}, "unknown config keys: ['adam_beta2']"),
+    ({"adam_eps": 1e-8}, "unknown config keys: ['adam_eps']"),
 ], ids=["str_for_list", "str_in_list", "float_for_int", "bool_for_float",
         "removed_optimizer_key", "short_tuple", "not_object", "heads_0",
         "tubelet_0", "embed_dim_0", "tabular_width_0",
-        "tabular_width_negative", "mlp_ratio_negative"])
+        "tabular_width_negative", "removed_key_mlp_ratio",
+        "removed_key_decay_steps", "removed_key_decay_rate",
+        "removed_key_adam_beta1", "removed_key_adam_beta2",
+        "removed_key_adam_eps"])
 def test_cv_config_value_of_wrong_type_exits_2(dataset, tmp_path, capsys,
                                                config, message):
     bad = tmp_path / "bad.json"
@@ -241,6 +262,10 @@ def test_cv_config_value_of_wrong_type_exits_2(dataset, tmp_path, capsys,
 def test_build_configs_defaults_are_the_dataclass_defaults():
     assert build_configs({}, "mixed", 1, 0) == (
         ModelConfig(num_branches=1, mode="mixed"), TrainConfig(seed=0))
+    assert set(CONFIG_KEYS) == {
+        "image_dims", "tubelet", "embed_dim", "depth", "heads",
+        "dropout_rate", "tabular_hidden", "initial_lr", "batch_size",
+        "epochs"}
 
 
 # The model TINY_CONFIG describes, for one ROI in mixed mode.
@@ -283,12 +308,12 @@ def _set(value, key, inner=None):
     _set(4.5, "batch_size", "config"), _set(8.0, "embed_dim", "config"),
     _set(2.0, "heads", "config"), _set([4.0, 8, 8], "tubelet", "config"),
     _set(0.2, "dropout", "config"), _set(list(CONFIG_KEYS), "config"),
-    _old_layout,
+    _old_layout, _set(0.9, "adam_beta1", "config"),
 ], ids=["not_json", "empty", "empty_model", "not_object", "no_fit", "no_rois",
         "no_heads", "tubelet_not_dividing", "embed_dim_text", "batch_size_0",
         "fit_fields", "fit_zero_width", "batch_size_float", "embed_dim_float",
         "heads_float", "tubelet_float", "old_dropout_key", "config_not_object",
-        "old_layout"])
+        "old_layout", "old_adam_key"])
 def test_eval_malformed_config_exits_1(dataset, tmp_path, capsys, edit):
     model = tmp_path / "model"
     model.mkdir()
@@ -547,9 +572,11 @@ def test_tune_tubelet_choice_runs(dataset, tmp_path):
      ["--max-resource", "0.5"], "R=0.5 must be >= 1"),
     ({"initial_lr": {"type": "log_uniform", "lo": 1e-3, "hi": 1e-2}},
      ["--eta", "1"], "eta=1.0 must be >= 2"),
+    ({"decay_rate": {"type": "uniform", "lo": 0.5, "hi": 0.9}}, [],
+     "'decay_rate'"),
 ], ids=["uniform_embed_dim", "embed_dim_not_dividing", "float_batch_size",
         "uniform_batch_size", "epochs", "unknown_key", "heads_not_dividing",
-        "max_resource_half", "eta_1"])
+        "max_resource_half", "eta_1", "removed_decay_rate"])
 def test_tune_unusable_space_or_budget_exits_2(dataset, tmp_path, capsys,
                                                 spec, extra, message):
     # The manifest does not exist: these are refused before data is read.

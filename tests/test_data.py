@@ -47,6 +47,9 @@ from helpers import (
     reference_modal_centroid,
 )
 
+# The train/validation/test ratios that ``train`` and ``cv`` split by.
+SPLIT = (0.70, 0.15, 0.15)
+
 
 def record(sid="S0", date="2024-01-01", age=70.0, mmse=28, gender="F",
            cdr=0.0, vol="v.vol", rois=None):
@@ -104,21 +107,21 @@ def test_split_rejects_duplicate_ids():
     rows = [record(sid="A", date="2020-01-01"), record(sid="A"),
             record(sid="B"), record(sid="C")]
     with pytest.raises(D.PlanError, match="duplicate subject ids") as exc:
-        split_subjects(rows, rng=np.random.default_rng(0))
+        split_subjects(rows, SPLIT, np.random.default_rng(0))
     assert "select_latest_visit" not in str(exc.value)
 
 
 def test_split_420_subjects():
     rows = [record(sid=f"S{i:04d}", cdr=0.0 if i % 2 == 0 else 1.0)
             for i in range(420)]
-    train, val, test = split_subjects(rows, rng=np.random.default_rng(3))
+    train, val, test = split_subjects(rows, SPLIT, np.random.default_rng(3))
     assert (len(train), len(val), len(test)) == (294, 63, 63)
 
 
 def test_split_partition_law():
     rows = [record(sid=f"S{i}", cdr=0.0 if i % 3 == 0 else 2.0)
             for i in range(50)]
-    train, val, test = split_subjects(rows, rng=np.random.default_rng(4))
+    train, val, test = split_subjects(rows, SPLIT, np.random.default_rng(4))
     ids = [r.subject_id for r in train + val + test]
     assert sorted(ids) == sorted(r.subject_id for r in rows)
     assert len(set(ids)) == len(ids)
@@ -131,7 +134,8 @@ def test_split_stratification_within_one():
         n_ad = int(rng.integers(10, 60))
         rows = [record(sid=f"C{i}", cdr=0.0) for i in range(n_cn)]
         rows += [record(sid=f"A{i}", cdr=1.0) for i in range(n_ad)]
-        train, val, test = split_subjects(rows, rng=np.random.default_rng(trial))
+        train, val, test = split_subjects(rows, SPLIT,
+                                          np.random.default_rng(trial))
         for subset, ratio in ((val, 0.15), (test, 0.15)):
             for label, total in ((CN, n_cn), (AD, n_ad)):
                 got = sum(1 for r in subset if cdr_to_label(r.cdr) == label)

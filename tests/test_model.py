@@ -28,8 +28,8 @@ from mixedvit.model import (
 from helpers import forward, grad_check, weighted_sum
 
 TINY = ModelConfig(image_dims=(2, 4, 4, 1), tubelet=(2, 2, 2), embed_dim=8,
-                   depth=1, heads=2, mlp_ratio=2.0, dropout_rate=0.0,
-                   tabular_dim=4, tabular_hidden=(4,), num_branches=1)
+                   depth=1, heads=2, dropout_rate=0.0, tabular_hidden=(4,),
+                   num_branches=1)
 
 
 def conv3d_oracle(volume: np.ndarray, weight: np.ndarray, bias: np.ndarray,
@@ -288,7 +288,7 @@ def test_image_only_equals_mixed_with_zeroed_tabular_head_rows():
                              mode="image-only")
     mixed = ModelConfig(image_dims=(2, 4, 4, 1), tubelet=(2, 2, 2),
                         embed_dim=8, depth=1, heads=2, dropout_rate=0.0,
-                        tabular_dim=4, tabular_hidden=(3,), mode="mixed")
+                        tabular_hidden=(3,), mode="mixed")
     p_img = init_params(image_only, 5)
     p_mix = init_params(mixed, 5)
     for name, tensor in p_img.items():
@@ -337,12 +337,12 @@ def test_grad_check_attention_block():
 
 def test_grad_check_mlp_branch():
     cfg = ModelConfig(image_dims=(2, 4, 4, 1), tubelet=(2, 2, 2), embed_dim=8,
-                      depth=1, heads=2, tabular_dim=3, tabular_hidden=(5, 4),
+                      depth=1, heads=2, tabular_hidden=(5, 4),
                       dropout_rate=0.0)
     shapes = {k: v for k, v in param_shapes(cfg).items()
               if k.startswith("tabular.")}
     rng = np.random.default_rng(16)
-    feats = rng.random((2, 3))
+    feats = rng.random((2, 4))
     weights = rng.normal(size=(2, 4))
 
     def f(p):

@@ -28,7 +28,7 @@ from helpers import flatten_params
 
 SMALL_MODEL = ModelConfig(image_dims=(4, 8, 8, 1), tubelet=(2, 4, 4),
                           embed_dim=8, depth=1, heads=2, dropout_rate=0.1,
-                          tabular_dim=4, tabular_hidden=(8, 4))
+                          tabular_hidden=(8, 4))
 
 
 def make_samples(n, seed=0, signal=1.0):
@@ -99,8 +99,12 @@ def _adam_reference(params, grads, state, lr, cfg):
         p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
-def test_adam_in_place_matches_reference_bitwise():
-    cfg = TrainConfig(adam_beta1=0.8, adam_beta2=0.95)
+def test_adam_in_place_matches_reference_bitwise(monkeypatch):
+    # Betas away from the defaults, so that a reordered product or quotient
+    # rounds differently from the reference.
+    monkeypatch.setattr(TrainConfig, "adam_beta1", 0.8)
+    monkeypatch.setattr(TrainConfig, "adam_beta2", 0.95)
+    cfg = TrainConfig()
     rng = np.random.default_rng(6)
     shapes = {"a": (3, 4), "b": (5,), "c": (2, 2, 2)}
     init = {k: rng.normal(size=s) for k, s in shapes.items()}
@@ -199,8 +203,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(initial_lr=0.0)
     with pytest.raises(ValueError):
-        TrainConfig(decay_rate=1.5)
-    with pytest.raises(ValueError):
         TrainConfig(batch_size=0)
 
 
@@ -218,7 +220,7 @@ def test_train_loss_decreases_after_one_step():
     samples = make_samples(6, seed=3)
     model_cfg = ModelConfig(image_dims=(4, 8, 8, 1), tubelet=(2, 4, 4),
                             embed_dim=8, depth=1, heads=2, dropout_rate=0.0,
-                            tabular_dim=4, tabular_hidden=(8, 4))
+                            tabular_hidden=(8, 4))
     params = init_params(model_cfg, 5)
     cfg = TrainConfig(epochs=1, batch_size=6, initial_lr=1e-3, seed=2)
     loss_before, _ = evaluate(model_cfg, params, samples, 6)
@@ -231,7 +233,7 @@ def test_train_learns_separable_signal():
     samples = make_samples(24, seed=4)
     model_cfg = ModelConfig(image_dims=(4, 8, 8, 1), tubelet=(2, 4, 4),
                             embed_dim=16, depth=1, heads=2, dropout_rate=0.1,
-                            tabular_dim=4, tabular_hidden=(8, 4))
+                            tabular_hidden=(8, 4))
     cfg = TrainConfig(epochs=25, batch_size=6, initial_lr=3e-3, seed=7)
     params = init_params(model_cfg, 7)
     best, history = train(model_cfg, params, samples[:18], samples[18:], cfg)

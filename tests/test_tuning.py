@@ -196,7 +196,7 @@ def test_hyperband_retrain_beats_median():
     samples = make_samples(16, seed=31)
     model_cfg = ModelConfig(image_dims=(4, 8, 8, 1), tubelet=(2, 4, 4),
                             embed_dim=8, depth=1, heads=2, dropout_rate=0.0,
-                            tabular_dim=4, tabular_hidden=(8, 4))
+                            tabular_hidden=(8, 4))
 
     def objective(cfg, epochs):
         tc = TrainConfig(epochs=epochs, batch_size=4,
