@@ -20,13 +20,15 @@ Adam settings, ``mlp_ratio``).
 arrays keyed by parameter name, which is the only file ``eval`` reads them
 from.
 
-``train``, ``cv`` and ``tune`` fit through ``train.FitPlan`` and
-``train.fit``: a split that cannot be trained or scored (``PlanError``)
-exits 2 before any training, and image_dims that do not match the ROI crops
-before any update. A corrupt volume or checkpoint, a manifest line whose
-CDR is neither 0 (CN) nor >= 1 (AD), or an instance-table row whose slice
-window runs past its volume's depth makes every command that reads it
-exit 1.
+``train``, ``cv`` and ``tune`` share one held-out split at ``--seed``,
+``data.holdout_split``: ``train`` scores its test subjects, and ``cv``
+(without ``--no-holdout-test``) and ``tune`` leave them out. All three fit
+through ``train.FitPlan`` and ``train.fit``: a split that cannot be trained
+or scored (``PlanError``) exits 2 before any training, and image_dims
+that do not match the ROI crops before any update. A corrupt volume or
+checkpoint, a manifest line whose CDR is neither 0 (CN) nor >= 1 (AD), or
+an instance-table row whose slice window runs past its volume's depth
+makes every command that reads it exit 1.
 
 Exit codes: 0 success, 1 runtime/I-O failure, 2 usage/config error.
 Every run writes a manifest with a config snapshot and output checksums.
@@ -41,8 +43,6 @@ import json
 import sys
 import time
 from pathlib import Path
-
-import numpy as np
 
 from . import data as D
 from . import metrics as ME
@@ -213,24 +213,12 @@ def cmd_select(args) -> int:
         raise UsageError(f"--slices must be >= 1, got {args.slices}")
     records = _load(D.load_manifest, args.manifest, "manifest")
     rois = _parse_rois(args.roi)
-    instances = []
-    for roi in rois:
-        for record in records:
-            mask_path = record.roi_masks.get(roi)
-            if mask_path is None:
-                raise RuntimeFailure(
-                    f"subject {record.subject_id} has no mask for roi {roi!r}")
-            mask = D.load_volume(mask_path)
-            if mask.shape[0] < args.slices:
-                raise UsageError(
-                    f"--slices {args.slices} exceeds volume depth "
-                    f"{mask.shape[0]}")
-            try:
-                instances.append(
-                    D.select_instance(record, roi, args.slices, mask))
-            except D.EmptyMaskError as exc:
-                raise RuntimeFailure(
-                    f"subject {record.subject_id}: {exc}") from exc
+    try:
+        instances = [inst for roi in rois
+                     for inst in D.select_instances(records, roi, args.slices)]
+    except D.SliceWindowError as exc:  # main's handler reads --instances
+        raise UsageError(f"--slices {args.slices} exceeds a volume's depth "
+                         f"({exc})") from exc
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     D.save_instances(instances, out)
@@ -263,9 +251,7 @@ def cmd_train(args) -> int:
     model_cfg, train_cfg = build_configs(load_config(args.config), args.mode,
                                          len(rois), args.seed)
     records, instances = _dataset_for(args, rois)
-    tr, va, te = D.split_subjects(records, (0.70, 0.15, 0.15),
-                                  np.random.default_rng([args.seed, 11]))
-    plan = TR.FitPlan(tr, va, te, "the test split")
+    plan = TR.FitPlan(*D.holdout_split(records, args.seed), "the test split")
     best, history, preds = TR.fit(model_cfg, train_cfg, plan, instances, rois)
     report = ME.evaluate_fold(preds, 0)
 
@@ -273,7 +259,7 @@ def cmd_train(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     MO.save_checkpoint(out / "checkpoint.npz", best)
     TR.save_history(history, out / "history.csv")
-    ME.save_metrics([report], out / "metrics.json")
+    _write_json(out / "metrics.json", ME.metrics_payload([report]))
     ME.save_roc_csv(report.roc, out / "roc.csv")
     snapshot = {"config": _config_of(model_cfg, train_cfg), "rois": rois,
                 "mode": args.mode, "fit": dataclasses.asdict(plan.stats)}
@@ -289,6 +275,8 @@ def cmd_train(args) -> int:
 
 def cmd_cv(args) -> int:
     started = time.time()
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
     rois = _parse_rois(args.rois)
     model_cfg, train_cfg = build_configs(load_config(args.config), args.mode,
                                          len(rois), args.seed)
@@ -300,7 +288,7 @@ def cmd_cv(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    ME.save_metrics(reports, out / "metrics.json")
+    _write_json(out / "metrics.json", ME.metrics_payload(reports))
     for r in reports:
         ME.save_roc_csv(r.roc, out / f"roc_fold{r.fold_index}.csv")
     snapshot = {"config": _config_of(model_cfg, train_cfg), "rois": rois,
@@ -349,8 +337,7 @@ def cmd_tune(args) -> int:
     base = _config_of(*build_configs(cfg, args.mode, len(rois), args.seed))
     _check_space(space, cfg, args.mode, len(rois))
     records, instances = _dataset_for(args, rois)
-    tr, va, _ = D.split_subjects(records, (0.85, 0.15, 0.0),
-                                 np.random.default_rng([args.seed, 17]))
+    tr, va, _test = D.holdout_split(records, args.seed)
     plan = TR.FitPlan(tr, va)
 
     def objective(sampled: dict, epochs: int) -> float:
@@ -440,7 +427,7 @@ def cmd_eval(args) -> int:
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    ME.save_metrics([report], out)
+    _write_json(out, ME.metrics_payload([report]))
     roc_path = out.with_name(out.stem + "_roc.csv")
     ME.save_roc_csv(report.roc, roc_path)
     outputs = [out, roc_path]
@@ -588,7 +575,8 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return EXIT_RUNTIME
     except (RuntimeFailure, OSError, D.FormatError, D.TruncatedPayloadError,
-            D.DimOverflowError, MO.CheckpointError, TR.DivergenceError) as exc:
+            D.DimOverflowError, D.EmptyMaskError, MO.CheckpointError,
+            TR.DivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

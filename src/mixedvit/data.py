@@ -49,7 +49,7 @@ class UnmappedCdrError(ValueError):
 
 
 class EmptyMaskError(ValueError):
-    """An ROI mask with no voxels cannot drive instance selection."""
+    """A missing or empty ROI mask cannot drive instance selection."""
 
 
 class CropError(ValueError):
@@ -57,8 +57,8 @@ class CropError(ValueError):
 
 
 class SliceWindowError(ValueError):
-    """A slice window, such as an instance-table row's, runs past its
-    volume's depth."""
+    """A slice window runs past its volume's depth: an instance-table
+    row's, or a selection window deeper than the mask."""
 
 
 class PlanError(ValueError):
@@ -356,6 +356,13 @@ def split_subjects(records: Sequence[SubjectRecord], ratios,
     return train, val, test
 
 
+def holdout_split(records: Sequence[SubjectRecord], seed: int):
+    """(train, validation, test) subjects at ``seed``: the one 70/15/15 split
+    whose test subjects ``train``, ``cv`` and ``tune`` all hold out."""
+    return split_subjects(records, (0.70, 0.15, 0.15),
+                          np.random.default_rng([seed, 11]))
+
+
 def minmax_scale(values, fit_min: float, fit_max: float) -> np.ndarray:
     """(v - min)/(max - min), clamped to [0,1] for out-of-fit values."""
     if fit_max <= fit_min:
@@ -389,7 +396,7 @@ def slice_window_select(mask: np.ndarray, window: int) -> int:
     counts when it is nonzero, as in ``modal_centroid``."""
     depth = mask.shape[0]
     if depth < window:
-        raise ValueError(f"volume depth {depth} < window {window}")
+        raise SliceWindowError(f"volume depth {depth} < window {window}")
     counts = np.count_nonzero(mask.reshape(depth, -1), axis=1)
     if counts.sum() == 0:
         raise EmptyMaskError("mask has no voxels")
@@ -441,12 +448,19 @@ def select_instance(record: SubjectRecord, roi: str, slice_count: int,
 
 def select_instances(records: Sequence[SubjectRecord], roi: str,
                      slice_count: int = 25) -> list[InstanceRecord]:
+    """One instance per record, in order. A missing or empty mask, or a window
+    deeper than the mask, raises a typed error that names the subject."""
     out = []
     for record in records:
         path = record.roi_masks.get(roi)
         if path is None:
-            raise KeyError(f"subject {record.subject_id} has no mask for {roi!r}")
-        out.append(select_instance(record, roi, slice_count, load_volume(path)))
+            raise EmptyMaskError(
+                f"subject {record.subject_id} has no mask for roi {roi!r}")
+        try:
+            out.append(select_instance(record, roi, slice_count,
+                                       load_volume(path)))
+        except (EmptyMaskError, SliceWindowError) as exc:
+            raise type(exc)(f"subject {record.subject_id}: {exc}") from exc
     return out
 
 

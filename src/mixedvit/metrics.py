@@ -6,7 +6,6 @@ one-way ANOVA, with p-values from scipy's regularized incomplete beta.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -22,6 +21,7 @@ from .data import (
     PlanError,
     SubjectRecord,
     cdr_to_label,
+    holdout_split,
     split_subjects,
 )
 from .model import ModelConfig
@@ -232,7 +232,9 @@ def cv_run(records: Sequence[SubjectRecord],
            instances: Sequence[InstanceRecord], rois: Sequence[str],
            model_cfg: ModelConfig, train_cfg: TrainConfig, k: int = 7,
            seed: int = 0, holdout_test: bool = True, jobs: int = 1):
-    """k-fold CV over pooled train+validation subjects (test split held out).
+    """k-fold CV over the pooled train and validation subjects of
+    ``holdout_split``, whose test subjects stay out (all subjects without
+    ``holdout_test``).
 
     Each fold trains on the other k-1 folds, with an inner ``VAL_FRACTION``
     carve for checkpoint selection, and is scored on the held-out fold.
@@ -241,8 +243,7 @@ def cv_run(records: Sequence[SubjectRecord],
     reports and a mean±std summary.
     """
     if holdout_test:
-        tr, va, _te = split_subjects(records, (0.70, 0.15, 0.15),
-                                     np.random.default_rng([seed, 11]))
+        tr, va, _te = holdout_split(records, seed)
         pool = tr + va
     else:
         pool = list(records)
@@ -303,12 +304,6 @@ def metrics_payload(reports: Sequence[FoldReport]) -> dict:
         } for r in reports],
         "summary": summarize(reports),
     }
-
-
-def save_metrics(reports: Sequence[FoldReport], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(metrics_payload(reports), fh, sort_keys=True, indent=2)
-        fh.write("\n")
 
 
 def save_roc_csv(points: Sequence[RocPoint], path) -> None:

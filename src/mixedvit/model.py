@@ -14,6 +14,7 @@ wide, the one ratio any run used, and the tabular branch takes
 
 from __future__ import annotations
 
+import math
 import tokenize
 import zipfile
 from dataclasses import dataclass
@@ -95,6 +96,13 @@ class ModelConfig:
         return tuple(self.image_dims[1:3]), self.image_dims[3]
 
     @property
+    def n_tokens(self) -> int:
+        """Tokens per volume: one per non-overlapping tubelet, which
+        ``__post_init__`` has checked divide the image dims."""
+        return math.prod(n // k for n, k in zip(self.image_dims[:3],
+                                                 self.tubelet))
+
+    @property
     def patch_dim(self) -> int:
         t, h, w = self.tubelet
         return t * h * w * self.image_dims[3]
@@ -111,19 +119,9 @@ class ModelConfig:
         return width
 
 
-def count_tokens(image_dims, tubelet) -> int:
-    """Tokens per volume: one per non-overlapping tubelet."""
-    T, H, W = image_dims[:3]
-    t, h, w = tubelet
-    if T % t or H % h or W % w:
-        raise ConfigError(f"tubelet {tubelet} does not divide {image_dims[:3]}")
-    return (T // t) * (H // h) * (W // w)
-
-
 def param_shapes(config: ModelConfig) -> dict[str, tuple]:
     """Every learnable tensor's shape, as a pure function of the config."""
     d = config.embed_dim
-    n_tokens = count_tokens(config.image_dims, config.tubelet)
     hidden = config.mlp_hidden
     shapes: dict[str, tuple] = {}
     for i in range(config.num_branches):
@@ -131,7 +129,7 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple]:
         shapes[f"{p}.tubelet.weight"] = (config.patch_dim, d)
         shapes[f"{p}.tubelet.bias"] = (d,)
         shapes[f"{p}.cls"] = (1, d)
-        shapes[f"{p}.pos"] = (n_tokens + 1, d)
+        shapes[f"{p}.pos"] = (config.n_tokens + 1, d)
         for l in range(config.depth):
             b = f"{p}.block{l}"
             shapes[f"{b}.ln1.gamma"] = (d,)

@@ -110,11 +110,13 @@ def sample_config(space: dict, rng: np.random.Generator) -> dict:
 
 
 def bracket_schedule(R: float, eta: float) -> list:
-    """All Hyperband brackets for budget R and culling factor eta."""
-    if R < 1:
-        raise ValueError(f"R={R} must be >= 1")
-    if eta < 2:
-        raise ValueError(f"eta={eta} must be >= 2")
+    """All Hyperband brackets for a finite budget R and culling factor eta
+    (R = inf has no last bracket, and NaN slips past every range check)."""
+    for name, value, least in (("R", R, 1), ("eta", eta, 2)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name}={value} must be finite")
+        if value < least:
+            raise ValueError(f"{name}={value} must be >= {least}")
     s_max = 0
     while eta ** (s_max + 1) <= R * (1 + 1e-12):
         s_max += 1

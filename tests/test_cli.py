@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from mixedvit.cli import CONFIG_KEYS, build_configs, main
-from mixedvit.data import FitStats, load_manifest, save_manifest
+from mixedvit.data import FitStats, load_manifest, save_manifest, save_volume
 from mixedvit.model import ModelConfig, init_params, save_checkpoint
 from mixedvit.train import DivergenceError, TrainConfig
 
@@ -87,11 +87,35 @@ def test_select_missing_roi_exits_1(dataset, capsys):
     assert "S0000" in capsys.readouterr().err
 
 
-def test_select_slices_exceeding_depth_exits_2(dataset):
+def test_select_slices_exceeding_depth_exits_2(dataset, capsys):
     rc = main(["select", "--manifest", str(dataset / "data" / "manifest.jsonl"),
                "--roi", "hippocampus_left", "--slices", "99",
                "--out", str(dataset / "nope.csv")])
     assert rc == 2
+    err = capsys.readouterr().err
+    assert "--slices 99 exceeds a volume's depth (subject S0000:" in err
+    assert "Traceback" not in err
+
+
+def test_select_subject_with_an_empty_mask_exits_1(dataset, tmp_path, capsys):
+    """A subject whose hippocampus mask holds only zeros cannot be selected:
+    exit 1, naming the subject, and no instance table."""
+    records = load_manifest(dataset / "data" / "manifest.jsonl")
+    empty = tmp_path / "empty.mask"
+    save_volume(np.zeros((33, 40, 40), dtype=np.uint8), empty)
+    masks = {**records[3].roi_masks, "hippocampus_left": str(empty)}
+    manifest = tmp_path / "manifest.jsonl"
+    save_manifest(records[:3] + [dataclasses.replace(records[3],
+                                                     roi_masks=masks)]
+                  + records[4:], manifest)
+    out = tmp_path / "instances.csv"
+    rc = main(["select", "--manifest", str(manifest), "--roi",
+               "hippocampus_left", "--slices", "8", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"subject {records[3].subject_id}: mask has no voxels" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_select_slices_below_one_exits_2(dataset, capsys):
@@ -219,6 +243,20 @@ def test_cv_jobs_matches_serial(dataset, tmp_path):
         outs.append(out)
     assert (outs[0] / "metrics.json").read_bytes() == \
         (outs[1] / "metrics.json").read_bytes()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_cv_jobs_below_one_exits_2(dataset, tmp_path, capsys, jobs):
+    # The manifest does not exist: --jobs is refused before data is read.
+    rc = main(["cv", "--instances", str(dataset / "instances.csv"),
+               "--manifest", str(tmp_path / "missing.jsonl"),
+               "--rois", "hippocampus_left", "--jobs", jobs,
+               "--out", str(tmp_path / "cv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"--jobs must be >= 1, got {jobs}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "cv").exists()
 
 
 @pytest.mark.parametrize("config,message", [
@@ -574,9 +612,18 @@ def test_tune_tubelet_choice_runs(dataset, tmp_path):
      ["--eta", "1"], "eta=1.0 must be >= 2"),
     ({"decay_rate": {"type": "uniform", "lo": 0.5, "hi": 0.9}}, [],
      "'decay_rate'"),
+    ({"initial_lr": {"type": "log_uniform", "lo": 1e-3, "hi": 1e-2}},
+     ["--max-resource", "inf"], "R=inf must be finite"),
+    ({"initial_lr": {"type": "log_uniform", "lo": 1e-3, "hi": 1e-2}},
+     ["--max-resource", "nan"], "R=nan must be finite"),
+    ({"initial_lr": {"type": "log_uniform", "lo": 1e-3, "hi": 1e-2}},
+     ["--eta", "nan"], "eta=nan must be finite"),
+    ({"initial_lr": {"type": "log_uniform", "lo": 1e-3, "hi": 1e-2}},
+     ["--eta", "inf"], "eta=inf must be finite"),
 ], ids=["uniform_embed_dim", "embed_dim_not_dividing", "float_batch_size",
         "uniform_batch_size", "epochs", "unknown_key", "heads_not_dividing",
-        "max_resource_half", "eta_1", "removed_decay_rate"])
+        "max_resource_half", "eta_1", "removed_decay_rate", "max_resource_inf",
+        "max_resource_nan", "eta_nan", "eta_inf"])
 def test_tune_unusable_space_or_budget_exits_2(dataset, tmp_path, capsys,
                                                 spec, extra, message):
     # The manifest does not exist: these are refused before data is read.
@@ -611,8 +658,44 @@ def test_tune_embed_dim_space_trains_each_width(dataset, tmp_path,
     assert widths == logged
 
 
+def test_tune_trains_and_selects_outside_the_test_split(dataset, tmp_path,
+                                                        monkeypatch):
+    """At one --seed, every tune trial trains on train's training subjects
+    and selects on its validation subjects, so none of the test subjects
+    that train scores is trained or validated on."""
+    import mixedvit.train as TR
+    plans = []
+    real_fit = TR.fit
+
+    def spy(model_cfg, train_cfg, plan, *args):
+        plans.append(plan)
+        return real_fit(model_cfg, train_cfg, plan, *args)
+
+    monkeypatch.setattr(TR, "fit", spy)
+    space = _space(tmp_path, {
+        "initial_lr": {"type": "log_uniform", "lo": 1e-3, "hi": 1e-2}})
+    assert main(_tune_argv(dataset, space, tmp_path / "t")) == 0  # --seed 1
+    tune_plans = plans[:]
+    plans.clear()
+    assert main(_train_argv(dataset, dataset / "data" / "manifest.jsonl",
+                            dataset / "config.json", tmp_path / "m",
+                            seed="1")) == 0
+    (train_plan,) = plans
+
+    def ids(records):
+        return sorted(r.subject_id for r in records)
+
+    test_ids = set(ids(train_plan.scored))
+    assert tune_plans and test_ids
+    for plan in tune_plans:
+        assert not test_ids & set(ids(plan.train) + ids(plan.val))
+        assert ids(plan.train) == ids(train_plan.train)
+        assert ids(plan.val) == ids(train_plan.val)
+
+
 def test_tune_three_subjects_exits_2(dataset, tmp_path, capsys):
-    # An 85/15 split of 3 subjects leaves no validation subject.
+    # The 70/15/15 held-out split of 3 subjects leaves no validation
+    # subject.
     ids = sorted(r.subject_id for r in load_manifest(
         dataset / "data" / "manifest.jsonl"))[:3]
     manifest = _subset_manifest(dataset, tmp_path / "manifest.jsonl",

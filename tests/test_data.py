@@ -211,7 +211,7 @@ def test_slice_window_uniform_tie():
 
 
 def test_slice_window_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(SliceWindowError, match="depth 10 < window 25"):
         slice_window_select(np.zeros((10, 4, 4), dtype=np.uint8), 25)
     with pytest.raises(EmptyMaskError):
         slice_window_select(np.zeros((30, 4, 4), dtype=np.uint8), 25)

@@ -12,7 +12,6 @@ from mixedvit.model import (
     ModelConfig,
     add_cls_and_pos,
     attention_block,
-    count_tokens,
     encode_image_branch,
     extract_tubelet_patches,
     forward_batch,
@@ -52,17 +51,19 @@ def conv3d_oracle(volume: np.ndarray, weight: np.ndarray, bias: np.ndarray,
     return out
 
 
-def test_count_tokens_table_config():
-    assert count_tokens((25, 32, 32), (5, 8, 8)) == 80
+def test_n_tokens_table_config():
+    assert ModelConfig(image_dims=(25, 32, 32, 3),
+                       tubelet=(5, 8, 8)).n_tokens == 80
 
 
-def test_count_tokens_whole_volume():
-    assert count_tokens((25, 32, 32), (25, 32, 32)) == 1
+def test_n_tokens_whole_volume():
+    assert ModelConfig(image_dims=(25, 32, 32, 3),
+                       tubelet=(25, 32, 32)).n_tokens == 1
 
 
-def test_count_tokens_non_divisible():
-    with pytest.raises(ConfigError):
-        count_tokens((25, 32, 32), (4, 8, 8))
+def test_n_tokens_non_divisible_config_raises():
+    with pytest.raises(ConfigError, match="does not divide"):
+        ModelConfig(image_dims=(25, 32, 32, 3), tubelet=(4, 8, 8))
 
 
 def test_tubelet_embed_zero_volume_gives_bias():
