@@ -110,7 +110,7 @@ class MixedSample:
 class MixedBatch:
     subject_ids: list
     tabular: np.ndarray  # (B, F)
-    images: list  # per ROI branch: (B, T, H', W', C)
+    images: list  # per ROI branch: the group's own (T, H', W', C) views
     labels: np.ndarray  # (B,)
 
 
@@ -543,29 +543,13 @@ def build_samples(records: Sequence[SubjectRecord],
     return samples
 
 
-def _stack(images: list) -> np.ndarray:
-    """``np.stack`` of (..., C) images of one shape, copied a channel at a
-    time. A channel of a broadcast image is a plain strided array, where a
-    whole-image copy runs numpy's inner loop over the C-long, stride-0
-    channel axis and takes about twice as long."""
-    shape = images[0].shape
-    if any(image.shape != shape for image in images):
-        raise ValueError(f"cannot stack images of shapes "
-                         f"{sorted({image.shape for image in images})}")
-    out = np.empty((len(images),) + shape,
-                   dtype=np.result_type(*{image.dtype for image in images}))
-    for i, image in enumerate(images):
-        for c in range(shape[-1]):
-            out[i, ..., c] = image[..., c]
-    return out
-
-
 def build_batches(samples: Sequence[MixedSample], batch_size: int,
                   rng: Optional[np.random.Generator] = None
                   ) -> Iterator[MixedBatch]:
     """Seeded shuffle (when rng given), then fixed-size batches. The checks
-    and the shuffle's draw from ``rng`` run at the call; the iterator stacks
-    each batch only when it reaches it, not the whole set up front."""
+    and the shuffle's draw from ``rng`` run at the call; each batch is built,
+    as lists of the group's own images per branch, when it is reached, and
+    raises ``ValueError`` if a branch's images differ in shape."""
     if not samples:
         raise ValueError("no samples to batch")
     if batch_size < 1:
@@ -577,12 +561,16 @@ def build_batches(samples: Sequence[MixedSample], batch_size: int,
     def batches():
         for start in range(0, len(order), batch_size):
             group = [samples[i] for i in order[start:start + batch_size]]
-            n_branches = len(group[0].images)
+            images = [[s.images[b] for s in group]
+                      for b in range(len(group[0].images))]
+            for branch in images:
+                if len({image.shape for image in branch}) > 1:
+                    raise ValueError("cannot batch images of shapes "
+                                     f"{sorted({i.shape for i in branch})}")
             yield MixedBatch(
                 subject_ids=[s.subject_id for s in group],
                 tabular=np.stack([s.tabular for s in group]),
-                images=[_stack([s.images[b] for s in group])
-                        for b in range(n_branches)],
+                images=images,
                 labels=np.array([s.label for s in group], dtype=np.int64))
     return batches()
 

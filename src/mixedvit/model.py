@@ -156,11 +156,13 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple]:
 
 
 def _trunc_normal(rng: np.random.Generator, shape, std: float) -> np.ndarray:
+    """Normal(0, std); each round redraws only the entries beyond 2 std."""
     out = rng.normal(0.0, std, size=shape)
-    bad = np.abs(out) > 2.0 * std
-    while bad.any():
-        out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
-        bad = np.abs(out) > 2.0 * std
+    flat = out.reshape(-1)
+    bad = np.flatnonzero(np.abs(flat) > 2.0 * std)
+    while bad.size:
+        flat[bad] = rng.normal(0.0, std, size=bad.size)
+        bad = bad[np.abs(flat[bad]) > 2.0 * std]
     return out
 
 
@@ -182,27 +184,35 @@ def init_params(config: ModelConfig, seed: int) -> dict[str, Tensor]:
     return params
 
 
-def extract_tubelet_patches(volume: np.ndarray, tubelet) -> np.ndarray:
-    """Cut a (B,T,H,W,C) batch of volumes into (B,N,t*h*w*C) tubelets.
+def extract_tubelet_patches(volumes, tubelet) -> np.ndarray:
+    """Cut B volumes of one (T,H,W,C) shape, a (B,T,H,W,C) array or a list,
+    into a (B,N,t*h*w*C) float64 patch matrix, copying each volume once, a
+    channel at a time: a whole copy of a broadcast image runs numpy's inner
+    loop over the stride-0 channel axis and takes about twice as long.
 
     Token order is row-major over (temporal, height, width) block indices;
     each block flattens slice-major, then row, column, channel.
     """
     t, h, w = tubelet
-    B, T, H, W, C = volume.shape
+    T, H, W, C = volumes[0].shape
     if T % t or H % h or W % w:
         raise ConfigError(
-            f"tubelet {tubelet} does not divide volume {volume.shape[1:4]}")
-    blocks = volume.reshape(B, T // t, t, H // h, h, W // w, w, C)
-    blocks = blocks.transpose(0, 1, 3, 5, 2, 4, 6, 7)
-    return blocks.reshape(B, (T // t) * (H // h) * (W // w), t * h * w * C)
+            f"tubelet {tubelet} does not divide volume {(T, H, W)}")
+    grid = (T // t, H // h, W // w)
+    out = np.empty((len(volumes), *grid, t, h, w, C))
+    for i, volume in enumerate(volumes):
+        blocks = volume.reshape(grid[0], t, grid[1], h, grid[2], w, C)
+        blocks = blocks.transpose(0, 2, 4, 1, 3, 5, 6)
+        for c in range(C):
+            out[i, ..., c] = blocks[..., c]
+    return out.reshape(len(volumes), math.prod(grid), t * h * w * C)
 
 
-def tubelet_embed(volume: np.ndarray, weight: Tensor, bias: Tensor,
-                  tubelet) -> Tensor:
-    """Project the tubelets of a (B,T,H,W,C) batch to (B,N,d) tokens."""
-    patches = extract_tubelet_patches(np.asarray(volume, dtype=np.float64), tubelet)
-    return linear(Tensor(patches), weight, bias)
+def tubelet_embed(volumes, weight: Tensor, bias: Tensor, tubelet) -> Tensor:
+    """Project the tubelets of B (T,H,W,C) volumes, an array or a list, to
+    (B,N,d) tokens; the tape keeps the patch matrix for the weight gradient."""
+    return linear(Tensor(extract_tubelet_patches(volumes, tubelet)), weight,
+                  bias)
 
 
 def add_cls_and_pos(tokens: Tensor, cls: Tensor, pos: Tensor) -> Tensor:
@@ -228,17 +238,17 @@ def attention_block(x: Tensor, p: dict[str, Tensor], prefix: str, heads: int,
     return add(x, h)
 
 
-def encode_image_branch(volumes: np.ndarray, params: dict[str, Tensor],
+def encode_image_branch(volumes, params: dict[str, Tensor],
                         branch: int, config: ModelConfig, training: bool = False,
                         rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Full image branch: (B,T,H,W,C) volumes -> (B,d) class-token embedding.
-    The final layer norm runs on the class-token row only: it normalises
-    each row on its own, so the other rows would not change that row."""
-    volumes = np.asarray(volumes, dtype=np.float64)
-    if volumes.shape[1:] != tuple(config.image_dims):
-        raise ConfigError(
-            f"volume dims {volumes.shape[1:]} do not match image_dims "
-            f"{tuple(config.image_dims)}")
+    """Full image branch: B (T,H,W,C) volumes, an array or a list -> (B,d)
+    class-token embedding. The final layer norm runs on the class-token row
+    only: it normalises each row on its own, so the others cannot move it."""
+    for volume in volumes:
+        if np.shape(volume) != tuple(config.image_dims):
+            raise ConfigError(
+                f"volume dims {np.shape(volume)} do not match image_dims "
+                f"{tuple(config.image_dims)}")
     p = f"branch{branch}"
     tokens = tubelet_embed(volumes, params[f"{p}.tubelet.weight"],
                            params[f"{p}.tubelet.bias"], config.tubelet)

@@ -146,7 +146,7 @@ def _copy_params(params: dict) -> dict:
 def evaluate(model_cfg: ModelConfig, params: dict,
              samples: Sequence[MixedSample], batch_size: int):
     """Mean per-sample loss and accuracy with dropout disabled. Batches
-    are stacked as they are used (``build_batches``), not the whole set at
+    are built as they are used (``build_batches``), not the whole set at
     once."""
     total_loss = 0.0
     correct = 0
@@ -166,7 +166,7 @@ def train(model_cfg: ModelConfig, params: dict,
           config: TrainConfig):
     """Full training run; returns (best-validation params, epoch history).
 
-    Batches are reshuffled each epoch from the run seed and stacked as
+    Batches are reshuffled each epoch from the run seed and built as
     they are used; the checkpoint is the epoch with the highest validation
     accuracy (ties keep the earlier).
     A non-finite loss or gradient raises ``DivergenceError`` before the
@@ -196,18 +196,19 @@ def train(model_cfg: ModelConfig, params: dict,
                     f"loss {value} at epoch {epoch}, step {bi}")
             backward(loss)
             epoch_loss += value * len(batch.labels)
-            # The last references to this step's tape and batch: drop them
-            # so that both are freed before the next batch is stacked.
+            # The last references to this step's tape, with its patch
+            # matrices, and to its batch: free them before the next batch.
             del probs, loss, batch
             grads = {name: p.grad for name, p in params.items()}
             for p in params.values():
                 p.grad = None
-            for name, g in grads.items():
-                if g is not None and not np.isfinite(g).all():
-                    raise DivergenceError(
-                        f"non-finite gradient of {name} at epoch {epoch}, "
-                        f"step {bi}")
+            bad = [name for name, g in grads.items()
+                   if g is not None and not np.isfinite(g).all()]
+            if bad:
+                raise DivergenceError(f"non-finite gradient of {bad[0]} at "
+                                      f"epoch {epoch}, step {bi}")
             adam_update(params, grads, state, lr, config)
+            del grads  # so that the next backward does not run beside them
             step += 1
         val_loss, val_acc = evaluate(model_cfg, params, val_samples,
                                      config.batch_size)
@@ -225,12 +226,11 @@ def predict(model_cfg: ModelConfig, params: dict,
             samples: Sequence[MixedSample],
             batch_size: int = 6) -> list[Prediction]:
     """Deterministic inference; probability ties classify as CN. Batches
-    are stacked as they are used (``build_batches``), not the whole set at
+    are built as they are used (``build_batches``), not the whole set at
     once."""
     out: list[Prediction] = []
-    # The previous batch stays alive while the next is stacked. Dropping it
-    # first saves about 1.5 MB of peak RSS at the paper shape, but glibc's
-    # malloc then trims the heap top and re-faults it: 4x the page faults.
+    # The previous batch stays alive until the next is reached; it holds
+    # views of the samples' images, not a copy, so that costs next to nothing.
     for batch in build_batches(samples, batch_size):
         probs = forward_batch(model_cfg, params, batch.tabular, batch.images,
                               training=False)

@@ -3,7 +3,9 @@ scalar root for gradient tests, a single-sample forward pass, parameter
 flattening, a rank-statistic AUC oracle for the trapezoid AUC, a search
 space and analytic objective for Hyperband, and straightforward reference
 versions of the synthetic generator, the modal centroid and the ROI images
-that the vectorised data path must equal bit for bit."""
+that the vectorised data path must equal bit for bit, and of the truncated
+normal draw and the tubelet patches that the model must equal bit for
+bit."""
 
 from __future__ import annotations
 
@@ -197,3 +199,26 @@ def reference_images(raw: np.ndarray, instances, size=(32, 32),
                        top:top + hp, left:left + wp]
         images.append(np.repeat(stack[..., None], channels, axis=-1))
     return images
+
+
+def reference_trunc_normal(rng: np.random.Generator, shape,
+                           std: float) -> np.ndarray:
+    """``model._trunc_normal`` as a whole-array loop: redraw every entry
+    beyond 2 std, in C order, then re-check the whole array."""
+    out = rng.normal(0.0, std, size=shape)
+    bad = np.abs(out) > 2.0 * std
+    while bad.any():
+        out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
+        bad = np.abs(out) > 2.0 * std
+    return out
+
+
+def reference_tubelet_patches(images, tubelet) -> np.ndarray:
+    """``model.extract_tubelet_patches`` by a reshape and transpose of
+    ``np.stack`` of a full copy of each (T, H, W, C) image."""
+    volume = np.stack([np.array(image, dtype=np.float64) for image in images])
+    t, h, w = tubelet
+    B, T, H, W, C = volume.shape
+    blocks = volume.reshape(B, T // t, t, H // h, h, W // w, w, C)
+    blocks = blocks.transpose(0, 1, 3, 5, 2, 4, 6, 7)
+    return blocks.reshape(B, (T // t) * (H // h) * (W // w), t * h * w * C)

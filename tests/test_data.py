@@ -588,6 +588,8 @@ def test_batch_shuffle_draws_at_the_call():
 
 
 def test_batches_equal_stacks_of_full_channel_copies():
+    """Each branch of a batch is a list of the group's own image objects,
+    in batch order: no batch copies an image."""
     samples = _view_samples(13)
     by_id = {s.subject_id: s for s in samples}
     batches = list(build_batches(samples, 5, np.random.default_rng(3)))
@@ -596,19 +598,22 @@ def test_batches_equal_stacks_of_full_channel_copies():
         group = [by_id[sid] for sid in batch.subject_ids]
         assert len(batch.images) == 2
         for b, images in enumerate(batch.images):
-            expected = np.stack([np.array(s.images[b]) for s in group])
-            assert images.dtype == expected.dtype
-            assert images.shape == expected.shape == (len(group), 2, 4, 4, 3)
-            assert images.tobytes() == expected.tobytes()
+            assert isinstance(images, list)
+            assert len(images) == len(group)
+            assert all(image is s.images[b]
+                       for image, s in zip(images, group, strict=True))
 
 
 def test_batch_of_images_of_two_shapes_raises():
-    """A (1, 4, 4, 3) image would broadcast into a (2, 4, 4, 3) batch slot;
-    it must raise, as ``np.stack`` does."""
-    samples = _view_samples(3)
-    samples[2].images[1] = samples[2].images[1][:1]
+    """A (1, 4, 4, 3) image among (2, 4, 4, 3) ones raises when its batch
+    is reached, not at the call and not in an earlier batch."""
+    samples = _view_samples(5)
+    samples[4].images[1] = samples[4].images[1][:1]
+    batches = build_batches(samples, 3)
+    first = next(batches)
+    assert len(first.subject_ids) == 3
     with pytest.raises(ValueError, match="shapes"):
-        list(build_batches(samples, 3))
+        next(batches)
 
 
 # --- synthetic generator ----------------------------------------------------

@@ -24,7 +24,13 @@ from mixedvit.model import (
     tubelet_embed,
 )
 
-from helpers import forward, grad_check, weighted_sum
+from helpers import (
+    forward,
+    grad_check,
+    reference_trunc_normal,
+    reference_tubelet_patches,
+    weighted_sum,
+)
 
 TINY = ModelConfig(image_dims=(2, 4, 4, 1), tubelet=(2, 2, 2), embed_dim=8,
                    depth=1, heads=2, dropout_rate=0.0, tabular_hidden=(4,),
@@ -281,6 +287,62 @@ def test_volume_patch_round_trip():
     patches = extract_tubelet_patches(vol[None], (2, 3, 2))[0]
     np.testing.assert_array_equal(
         _volume_from_patches(patches, (4, 6, 6, 2), (2, 3, 2)), vol)
+
+
+def _broadcast_views(rng, n, dims):
+    """``n`` read-only (T, H, W, 1) planes, each broadcast to (T, H, W, C)."""
+    views = []
+    for _ in range(n):
+        plane = rng.random((*dims[:3], 1))
+        plane.flags.writeable = False
+        views.append(np.broadcast_to(plane, dims))
+    return views
+
+
+@pytest.mark.parametrize("dims, tubelet", [
+    ((4, 8, 8, 1), (2, 4, 4)),
+    ((4, 8, 8, 3), (2, 4, 4)),
+    ((6, 8, 12, 3), (3, 2, 4)),  # a non-cubic tubelet
+])
+def test_patches_of_broadcast_views_equal_stacked_full_copies(dims, tubelet):
+    views = _broadcast_views(np.random.default_rng(14), 3, dims)
+    patches = extract_tubelet_patches(views, tubelet)
+    expected = reference_tubelet_patches(views, tubelet)
+    assert patches.dtype == expected.dtype == np.float64
+    assert patches.shape == expected.shape
+    assert patches.tobytes() == expected.tobytes()
+
+
+def test_patches_of_an_array_equal_patches_of_its_rows():
+    vol = np.random.default_rng(15).normal(size=(3, 6, 8, 12, 2))
+    patches = extract_tubelet_patches(vol, (3, 2, 4))
+    assert patches.tobytes() == extract_tubelet_patches(
+        list(vol), (3, 2, 4)).tobytes()
+    assert patches.tobytes() == reference_tubelet_patches(
+        list(vol), (3, 2, 4)).tobytes()
+
+
+def test_encode_image_branch_list_with_one_misshapen_image_raises():
+    cfg = TINY
+    params = init_params(cfg, 7)
+    images = list(np.random.default_rng(16).normal(size=(3, *cfg.image_dims)))
+    images[1] = images[1][:, :2]
+    with pytest.raises(ConfigError, match="image_dims"):
+        encode_image_branch(images, params, 0, cfg)
+
+
+@pytest.mark.parametrize("shape", [(4800, 64), (960, 64), (64, 64), (3, 5)])
+@pytest.mark.parametrize("seed", range(5))
+def test_trunc_normal_equals_whole_array_redraw(shape, seed):
+    """Redrawing only the rejected entries takes the same draws, in the same
+    order, as redrawing and re-checking the whole array each round."""
+    got_rng, want_rng = (np.random.default_rng(seed) for _ in range(2))
+    got = M._trunc_normal(got_rng, shape, 0.02)
+    want = reference_trunc_normal(want_rng, shape, 0.02)
+    assert got.shape == want.shape == shape
+    assert got.tobytes() == want.tobytes()
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    assert np.abs(got).max() <= 0.04
 
 
 def test_image_only_equals_mixed_with_zeroed_tabular_head_rows():

@@ -1,12 +1,14 @@
 import dataclasses
 import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from mixedvit.data import AD, CN, MixedSample, SubjectRecord, scale_volume
 from mixedvit.model import ModelConfig, init_params, forward_batch
+from mixedvit import train as train_module
 from mixedvit.tensor import Tape, Tensor, backward, softmax
 from mixedvit.train import (
     DivergenceError,
@@ -370,6 +372,36 @@ def test_predict_and_evaluate_equal_forward_over_list_built_batches():
     assert [p.p_ad for p in preds] == p_ad
     assert evaluate(model_cfg, params, samples, 3) == (total_loss / 7,
                                                        correct / 7)
+
+
+def test_train_frees_each_steps_gradients_before_the_next_forward(
+        monkeypatch):
+    """Every gradient that ``adam_update`` was given is freed before the
+    next forward pass, so no backward runs beside the previous step's
+    gradients."""
+    refs, forwards = [], []
+
+    def adam_spy(params, grads, state, lr, config):
+        refs.extend(weakref.ref(g) for g in grads.values() if g is not None)
+        adam_update(params, grads, state, lr, config)
+
+    def forward_spy(*args, **kwargs):
+        alive = [ref for ref in refs if ref() is not None]
+        assert not alive, f"{len(alive)} of {len(refs)} gradients alive"
+        forwards.append(len(refs))
+        return forward_batch(*args, **kwargs)
+
+    monkeypatch.setattr(train_module, "adam_update", adam_spy)
+    monkeypatch.setattr(train_module, "forward_batch", forward_spy)
+    samples = make_samples(10, seed=13)
+    params = init_params(SMALL_MODEL, 4)
+    train(SMALL_MODEL, params, samples[:7], samples[7:],
+          TrainConfig(initial_lr=1e-3, batch_size=4, epochs=2, seed=5))
+    # 2 steps and 1 validation batch an epoch; every parameter has a
+    # gradient at every step.
+    assert len(refs) == 4 * len(params)
+    assert forwards == [0, len(params), 2 * len(params),
+                        2 * len(params), 3 * len(params), 4 * len(params)]
 
 
 def test_history_csv(tmp_path):
