@@ -80,8 +80,8 @@ class SubjectRecord:
     def __post_init__(self):
         if not 0 <= self.mmse <= 30:
             raise ValueError(f"mmse {self.mmse} outside [0, 30]")
-        if self.age <= 0:
-            raise ValueError(f"age {self.age} must be positive")
+        if not (math.isfinite(self.age) and self.age > 0):
+            raise ValueError(f"age {self.age} must be positive and finite")
         cdr_to_label(self.cdr)  # one of the two study classes
         if self.gender not in ("F", "M"):
             raise ValueError(f"gender {self.gender!r} not in {{F, M}}")
@@ -472,11 +472,11 @@ def scale_volume(raw: np.ndarray, lo: float, hi: float,
                  channels: int) -> np.ndarray:
     """Min-max scale voxels of a volume whose values span ``[lo, hi]`` to
     float64 in [0,1], repeated ``channels`` times along a new last axis; a
-    constant volume (or a NaN range) becomes 0. The values are stored once,
-    in a (..., 1) array, and the result is a read-only ``np.broadcast_to``
-    view of it. They go straight into that array: a float64 temporary per
-    crop, left between the images ``build_samples`` keeps, fragments the
-    heap and raises the peak memory of the inference that follows."""
+    constant volume becomes 0. The values are stored once, in a (..., 1)
+    array, and the result is a read-only ``np.broadcast_to`` view of it.
+    They go straight into that array: a float64 temporary per crop, left
+    between the images ``build_samples`` keeps, fragments the heap and
+    raises the peak memory of the inference that follows."""
     plane = raw.shape + (1,)
     if hi > lo:
         out = np.subtract(raw[..., None], lo, out=np.empty(plane),
@@ -520,13 +520,18 @@ def build_samples(records: Sequence[SubjectRecord],
     whole volume's range to float64, with the plane repeated ``channels``
     times: (T, H', W', C). Only the cropped voxels are scaled, and each is
     stored once: the image is a read-only view of one (T, H', W', 1) plane
-    (see ``scale_volume``).
+    (see ``scale_volume``). A volume with a NaN or infinite voxel, which
+    would scale every crop to NaN or 0, raises ``FormatError`` naming its
+    path.
     """
     index = {(i.subject_id, i.roi_name): i for i in instances}
     samples = []
     for record in records:
         raw = load_volume(record.volume_path)
         lo, hi = float(raw.min()), float(raw.max())
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise FormatError(f"{record.volume_path} holds a non-finite "
+                              f"voxel: min {lo}, max {hi}")
         images = []
         for roi in rois:
             inst = index.get((record.subject_id, roi))

@@ -2,7 +2,10 @@
 
 Volumes are cut into non-overlapping t*h*w tubes, linearly projected to
 tokens, and run through a pre-norm transformer encoder with joint attention
-over all tokens; a class token is read out. Branch embeddings (one per ROI,
+over all tokens; a class token is read out. Only that token reaches the
+classifier, so the last encoder block computes its row alone: every row
+still supplies keys and values, but only the class row queries them and
+goes through the block's projection and MLP. Branch embeddings (one per ROI,
 plus the tabular embedding in mixed mode) are concatenated and classified.
 A checkpoint is an ``.npz`` of float64 arrays keyed by parameter name.
 
@@ -224,17 +227,28 @@ def add_cls_and_pos(tokens: Tensor, cls: Tensor, pos: Tensor) -> Tensor:
 
 def attention_block(x: Tensor, p: dict[str, Tensor], prefix: str, heads: int,
                     dropout_rate: float, training: bool,
-                    rng: Optional[np.random.Generator]) -> Tensor:
-    """Pre-norm residual block: x + MHSA(LN(x)), then x + MLP(LN(x))."""
+                    rng: Optional[np.random.Generator],
+                    class_row: bool = False) -> Tensor:
+    """Pre-norm residual block: x + MHSA(LN(x)), then x + MLP(LN(x)).
+
+    With ``class_row`` the block computes the (B,d) class-token row of its
+    output only: every row still gives keys and values, but only row 0
+    queries them, and the residual, ``wo``, the MLP and its dropout run on
+    that row. Both dropout draws take what the full block's would, so row 0
+    and every later draw see the same uniforms."""
+    tokens = x.shape[1]
     h = layer_norm(x, p[f"{prefix}.ln1.gamma"], p[f"{prefix}.ln1.beta"])
     wqkv = concat([p[f"{prefix}.attn.w{proj}"] for proj in "qkv"], axis=1)
-    ctx = attention(linear(h, wqkv), heads, dropout_rate, training, rng)
+    ctx = attention(linear(h, wqkv), heads, dropout_rate, training, rng,
+                    class_row)
+    if class_row:
+        x = first_token(x)
     x = add(x, linear(ctx, p[f"{prefix}.attn.wo"]))
 
     h = layer_norm(x, p[f"{prefix}.ln2.gamma"], p[f"{prefix}.ln2.beta"])
     h = gelu(linear(h, p[f"{prefix}.mlp.w1"], p[f"{prefix}.mlp.b1"]))
     h = linear(h, p[f"{prefix}.mlp.w2"], p[f"{prefix}.mlp.b2"])
-    h = dropout(h, dropout_rate, training, rng)
+    h = dropout(h, dropout_rate, training, rng, tokens if class_row else None)
     return add(x, h)
 
 
@@ -242,8 +256,11 @@ def encode_image_branch(volumes, params: dict[str, Tensor],
                         branch: int, config: ModelConfig, training: bool = False,
                         rng: Optional[np.random.Generator] = None) -> Tensor:
     """Full image branch: B (T,H,W,C) volumes, an array or a list -> (B,d)
-    class-token embedding. The final layer norm runs on the class-token row
-    only: it normalises each row on its own, so the others cannot move it."""
+    class-token embedding. Only the class token reaches the classifier, and
+    no row of the last block's output feeds another row, so the last block
+    computes the class row alone (``attention_block``'s ``class_row``): at
+    depth 4 that skips about a fifth of the branch's work. The final layer
+    norm runs on that row."""
     for volume in volumes:
         if np.shape(volume) != tuple(config.image_dims):
             raise ConfigError(
@@ -255,9 +272,9 @@ def encode_image_branch(volumes, params: dict[str, Tensor],
     x = add_cls_and_pos(tokens, params[f"{p}.cls"], params[f"{p}.pos"])
     for l in range(config.depth):
         x = attention_block(x, params, f"{p}.block{l}", config.heads,
-                            config.dropout_rate, training, rng)
-    return layer_norm(first_token(x), params[f"{p}.norm.gamma"],
-                      params[f"{p}.norm.beta"])
+                            config.dropout_rate, training, rng,
+                            class_row=l == config.depth - 1)
+    return layer_norm(x, params[f"{p}.norm.gamma"], params[f"{p}.norm.beta"])
 
 
 def mlp_branch_forward(features: np.ndarray, params: dict[str, Tensor],

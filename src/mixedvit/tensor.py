@@ -9,14 +9,18 @@ two-branch model and its loss use: ``add`` (broadcasting as numpy does),
 ``concat``, ``first_token`` (the class-token readout) and ``nll`` (the
 training loss).
 
-``attention`` works through the batch in blocks of as many elements as
-fit ``ATTENTION_BLOCK_BYTES`` of (heads, M, M) float64 scores, so that the
+``attention`` computes R query rows against all M keys: R = M, or R = 1,
+the class row alone, which is all the last encoder block needs. It works
+through the batch in blocks of as many elements as fit
+``ATTENTION_BLOCK_BYTES`` of (heads, M, M) float64 scores, so that the
 softmax and dropout passes over a block stay in a core's L2 cache instead
 of streaming the whole score tensor from L3 once per pass. Its dropout
 mask is drawn block by block, in chunks that are exactly the values, and
 leave the generator exactly where, one ``rng.random((B*heads, M, M))``
-draw would; it saves the probabilities and a bool keep-mask for the
-backward pass.
+draw would, whatever R is. When a tape records the op, it saves the
+(B, heads, R, M) probabilities and a bool keep-mask for the backward pass;
+otherwise it keeps one block of each. ``dropout`` given only the class
+rows of a (B, M, ...) tensor likewise draws for the whole tensor.
 """
 
 from __future__ import annotations
@@ -293,12 +297,21 @@ def _keep_scale(rate: float, training: bool,
 
 
 def dropout(x: Tensor, rate: float, training: bool,
-            rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Inverted dropout: survivors scaled by 1/(1-rate); inference is identity."""
+            rng: Optional[np.random.Generator] = None,
+            rows: Optional[int] = None) -> Tensor:
+    """Inverted dropout: survivors scaled by 1/(1-rate); inference is identity.
+
+    With ``rows`` given, ``x`` is (B, ...), the class rows of a (B, rows, ...)
+    tensor: the mask is row 0 of a draw of that whole shape, so row 0 gets
+    the uniforms the full draw gives it, and the generator ends where the
+    full draw leaves it."""
     scale = _keep_scale(rate, training, rng)
     if scale is None:
         return x
-    keep = rng.random(x.shape)
+    if rows is None:
+        keep = rng.random(x.shape)
+    else:
+        keep = rng.random((x.shape[0], rows) + x.shape[1:])[:, 0].copy()
     np.multiply(keep >= rate, scale, out=keep)
     out = x.data * keep
 
@@ -309,21 +322,27 @@ def dropout(x: Tensor, rate: float, training: bool,
 
 
 def attention(qkv: Tensor, heads: int, rate: float, training: bool,
-              rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Multi-head self-attention: packed q|k|v (B,M,3d) -> context (B,M,d).
+              rng: Optional[np.random.Generator] = None,
+              class_row: bool = False) -> Tensor:
+    """Multi-head self-attention: packed q|k|v (B,M,3d) -> context (B,M,d),
+    or, with ``class_row``, the (B,d) context of query row 0 alone.
 
     Per head, softmax(q k^T / sqrt(d/heads)) weights, inverted dropout on
     the weights, times v; the heads are merged back along the last axis.
+    The op computes R query rows, R = M or R = 1 with ``class_row``, against
+    all M keys and values: (heads, R, M) scores per batch element.
 
     The batch is processed in blocks of as many elements as fit
     ``ATTENTION_BLOCK_BYTES`` of (heads, M, M) scores (at least one). Each
-    block's scores are written into one preallocated ``probs`` array and
-    normalised there in place. The dropout draw fills a block buffer with
-    ``rng.random(out=...)``, block after block: the same values, in the same
-    order, as one ``rng.random((B*heads, M, M))`` draw. For the backward
-    pass the op keeps only ``probs`` and a bool keep-mask, one byte per
-    score, and rebuilds the 0 or 1/(1-rate) multiplier from the mask one
-    block at a time, in two buffers reused across blocks.
+    block's scores are normalised in place. The dropout draw fills a
+    (heads, M, M) buffer per element with ``rng.random(out=...)``, block
+    after block: the same values, in the same order, as one
+    ``rng.random((B*heads, M, M))`` draw, of which the mask keeps the R
+    computed rows. When a tape records the op, the scores go into one
+    (B, heads, R, M) ``probs`` array, which the backward pass keeps with a
+    bool keep-mask, one byte per score, rebuilding the 0 or 1/(1-rate)
+    multiplier from the mask one block at a time, in two buffers reused
+    across blocks; otherwise every block reuses one block of scores.
     """
     if qkv.data.ndim != 3 or heads < 1 or qkv.shape[2] % (3 * heads):
         raise ShapeError(
@@ -331,21 +350,26 @@ def attention(qkv: Tensor, heads: int, rate: float, training: bool,
             f"heads, got {qkv.shape}")
     keep_scale = _keep_scale(rate, training, rng)
     B, M, d3 = qkv.shape
+    R = 1 if class_row else M
     d = d3 // 3
     dh = d // heads
     scale = 1.0 / math.sqrt(dh)
-    # Each of q, k, v is a (B, heads, M, dh) view into qkv.
+    # Each of q, k, v is a (B, heads, M, dh) view into qkv; q keeps R rows.
     q, k, v = qkv.data.reshape(B, M, 3, heads, dh).transpose(2, 0, 3, 1, 4)
+    q = q[:, :, :R]
     kt = k.transpose(0, 1, 3, 2)
     step = max(1, ATTENTION_BLOCK_BYTES // (heads * M * M * 8))
-    blocks = [slice(b, b + step) for b in range(0, B, step)]
-    block_shape = (min(step, B), heads, M, M)
-    probs = np.empty((B, heads, M, M))
+    blocks = [slice(b, min(b + step, B)) for b in range(0, B, step)]
+    block_shape = (min(step, B), heads, R, M)
+    taped = qkv.requires_grad and _active_tape() is not None
+    probs = np.empty((B,) + block_shape[1:] if taped else block_shape)
     mask = None if keep_scale is None else np.empty(probs.shape, dtype=bool)
-    weights = None if mask is None else np.empty(block_shape)
-    out = np.empty((B, M, heads, dh))
+    draws = None if mask is None else np.empty((min(step, B), heads, M, M))
+    out = np.empty((B, R, heads, dh))
     for blk in blocks:
-        p = probs[blk]
+        n = blk.stop - blk.start
+        kept = blk if taped else slice(n)
+        p = probs[kept]
         np.matmul(q[blk], kt[blk], out=p)
         p *= scale
         p -= p.max(axis=-1, keepdims=True)
@@ -353,17 +377,18 @@ def attention(qkv: Tensor, heads: int, rate: float, training: bool,
         p /= p.sum(axis=-1, keepdims=True)
         w = p
         if mask is not None:
-            w = weights[:len(p)]
-            rng.random(out=w)
-            np.greater_equal(w, rate, out=mask[blk])
-            np.multiply(mask[blk], keep_scale, out=w)
+            rng.random(out=draws[:n])
+            w = draws[:n, :, :R]
+            np.greater_equal(w, rate, out=mask[kept])
+            np.multiply(mask[kept], keep_scale, out=w)
             w *= p
         out[blk] = (w @ v[blk]).transpose(0, 2, 1, 3)
 
     def back(g):
-        g = g.reshape(B, M, heads, dh).transpose(0, 2, 1, 3)
+        g = g.reshape(B, R, heads, dh).transpose(0, 2, 1, 3)
         gqkv = np.empty((B, M, 3, heads, dh))
         gq, gk, gv = gqkv.transpose(2, 0, 3, 1, 4)
+        gq[:, :, R:] = 0.0
         keep_buf, gs_buf = np.empty(block_shape), np.empty(block_shape)
         for blk in blocks:
             p, gb = probs[blk], g[blk]
@@ -381,11 +406,12 @@ def attention(qkv: Tensor, heads: int, rate: float, training: bool,
                                                            keepdims=True)
             gs *= p
             gs *= scale
-            gq[blk] = gs @ k[blk]
+            gq[blk, :, :R] = gs @ k[blk]
             gk[blk] = gs.transpose(0, 1, 3, 2) @ q[blk]
         return (gqkv.reshape(B, M, d3),)
 
-    return _record("attention", (qkv,), out.reshape(B, M, d), back)
+    shape = (B, d) if class_row else (B, M, d)
+    return _record("attention", (qkv,), out.reshape(shape), back)
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:

@@ -5,7 +5,7 @@ space and analytic objective for Hyperband, and straightforward reference
 versions of the synthetic generator, the modal centroid and the ROI images
 that the vectorised data path must equal bit for bit, and of the truncated
 normal draw and the tubelet patches that the model must equal bit for
-bit."""
+bit, and of the image branch that runs its last block on every row."""
 
 from __future__ import annotations
 
@@ -18,8 +18,21 @@ import numpy as np
 
 from mixedvit import data
 from mixedvit.data import AD, CN
-from mixedvit.model import ModelConfig, forward_batch
-from mixedvit.tensor import Tape, Tensor, _record, backward
+from mixedvit.model import (
+    ModelConfig,
+    add_cls_and_pos,
+    attention_block,
+    forward_batch,
+    tubelet_embed,
+)
+from mixedvit.tensor import (
+    Tape,
+    Tensor,
+    _record,
+    backward,
+    first_token,
+    layer_norm,
+)
 from mixedvit.tuning import Choice, LogUniform
 
 
@@ -222,3 +235,22 @@ def reference_tubelet_patches(images, tubelet) -> np.ndarray:
     blocks = volume.reshape(B, T // t, t, H // h, h, W // w, w, C)
     blocks = blocks.transpose(0, 1, 3, 5, 2, 4, 6, 7)
     return blocks.reshape(B, (T // t) * (H // h) * (W // w), t * h * w * C)
+
+
+def reference_encode_image_branch(volumes, params: dict[str, Tensor],
+                                  branch: int, config: ModelConfig,
+                                  training: bool = False,
+                                  rng: Optional[np.random.Generator] = None
+                                  ) -> Tensor:
+    """``model.encode_image_branch`` with every block on every row: the
+    last block's (B, M, d) output is cut to its class row by
+    ``first_token`` before the final layer norm."""
+    p = f"branch{branch}"
+    tokens = tubelet_embed(volumes, params[f"{p}.tubelet.weight"],
+                           params[f"{p}.tubelet.bias"], config.tubelet)
+    x = add_cls_and_pos(tokens, params[f"{p}.cls"], params[f"{p}.pos"])
+    for l in range(config.depth):
+        x = attention_block(x, params, f"{p}.block{l}", config.heads,
+                            config.dropout_rate, training, rng)
+    return layer_norm(first_token(x), params[f"{p}.norm.gamma"],
+                      params[f"{p}.norm.beta"])

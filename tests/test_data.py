@@ -89,6 +89,9 @@ def test_record_validation():
         record(mmse=31)
     with pytest.raises(ValueError):
         record(age=-1)
+    for age in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="positive and finite"):
+            record(age=age)
     with pytest.raises(ValueError):
         record(gender="X")
     with pytest.raises(ValueError, match="not in"):
@@ -740,11 +743,7 @@ def _raw_volume(kind: str) -> np.ndarray:
         return rng.integers(3, 250, size=dims).astype(np.uint8)
     if kind == "constant_zero":
         return np.zeros(dims, dtype=np.float32)
-    if kind == "constant_uint8":
-        return np.full(dims, 7, dtype=np.uint8)
-    vol = rng.random(dims).astype(np.float32)  # "nan"
-    vol[4, 5, 6] = np.nan
-    return vol
+    return np.full(dims, 7, dtype=np.uint8)  # "constant_uint8"
 
 
 @pytest.mark.parametrize("kind", ["float32", "constant_zero"])
@@ -767,7 +766,7 @@ def test_sample_images_are_read_only_views_of_one_plane(tmp_path, kind):
 
 
 @pytest.mark.parametrize("kind", ["float32", "uint8", "constant_zero",
-                                  "constant_uint8", "nan"])
+                                  "constant_uint8"])
 def test_build_samples_equals_scale_then_crop_reference(tmp_path, kind):
     save_volume(_raw_volume(kind), tmp_path / "v.vol")
     records = [record(sid="S0", vol=str(tmp_path / "v.vol"))]
@@ -783,3 +782,17 @@ def test_build_samples_equals_scale_then_crop_reference(tmp_path, kind):
         for image, ref in zip(sample.images, expected, strict=True):
             assert image.dtype == ref.dtype and image.shape == ref.shape
             assert image.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("voxel", [np.nan, np.inf, -np.inf])
+def test_build_samples_refuses_a_non_finite_voxel(tmp_path, voxel):
+    raw = np.random.default_rng(23).random((30, 40, 44)).astype(np.float32)
+    raw[4, 5, 6] = voxel
+    path = tmp_path / "v.vol"
+    save_volume(raw, path)
+    records = [record(sid="S0", vol=str(path))]
+    instances = [InstanceRecord("S0", CN, "a", 2, 25, 16, 20)]
+    with pytest.raises(FormatError, match=re.escape(f"{path} holds a "
+                                                    "non-finite voxel")):
+        build_samples(records, instances, ["a"],
+                      FitStats(60.0, 90.0, 0.0, 30.0))

@@ -3,6 +3,8 @@ either returns or raises one of its documented errors, never KeyError,
 struct.error, IndexError, TypeError or another stray exception. A damaged
 checkpoint that loads must hold only original, unchanged values."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -75,3 +77,19 @@ def test_damaged_file_raises_only_documented_errors(tmp_path_factory, fmt,
         load(path)
     except errors:
         pass
+
+
+@pytest.mark.parametrize("age", ["NaN", "Infinity", "-Infinity", "1e309"])
+def test_manifest_non_finite_age_names_the_line(tmp_path, age):
+    """Python's json reads NaN and Infinity, and 1e309 as inf; a record
+    must refuse them all."""
+    path = tmp_path / "manifest.jsonl"
+    _manifest(path)
+    lines = path.read_text().splitlines()
+    obj = json.loads(lines[1])
+    obj["age"] = "AGE"
+    lines[1] = json.dumps(obj).replace('"AGE"', age)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="line 2: .*must be positive and "
+                                         "finite"):
+        D.load_manifest(path)

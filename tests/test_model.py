@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from mixedvit import model as M
-from mixedvit.tensor import Tensor
+from mixedvit import tensor as T
+from mixedvit.tensor import Tape, Tensor, backward
 from mixedvit.model import (
     ConfigError,
     ModelConfig,
@@ -27,6 +28,7 @@ from mixedvit.model import (
 from helpers import (
     forward,
     grad_check,
+    reference_encode_image_branch,
     reference_trunc_normal,
     reference_tubelet_patches,
     weighted_sum,
@@ -155,6 +157,45 @@ def test_encode_image_branch_shape_and_determinism():
     b = encode_image_branch(vol, params, 0, cfg).data
     assert a.shape == (3, cfg.embed_dim)
     np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+@pytest.mark.parametrize("training", [False, True])
+@pytest.mark.parametrize("blocks", ["one", "per_element"])
+def test_encode_image_branch_matches_all_rows_reference(depth, training,
+                                                        blocks, monkeypatch):
+    """The last block computes the class row only: the embedding, every
+    gradient and the generator's end state are those of the branch that
+    runs it on all rows and then takes row 0."""
+    cfg = ModelConfig(image_dims=(4, 8, 8, 2), tubelet=(2, 4, 4),
+                      embed_dim=8, depth=depth, heads=2, dropout_rate=0.3,
+                      mode="image-only")
+    if blocks == "per_element":
+        monkeypatch.setattr(T, "ATTENTION_BLOCK_BYTES", 1)
+    params = init_params(cfg, 8)
+    rng = np.random.default_rng(9)
+    vol = rng.random((3,) + cfg.image_dims)
+    weights = rng.normal(size=(3, cfg.embed_dim))
+    results = []
+    for encode in (encode_image_branch, reference_encode_image_branch):
+        drop_rng = np.random.default_rng(10)
+        with Tape():
+            out = encode(vol, params, 0, cfg, training, drop_rng)
+            root = weighted_sum(out, weights)
+        backward(root)
+        results.append((out.data, {k: p.grad for k, p in params.items()
+                                   if p.grad is not None},
+                        drop_rng.bit_generator.state))
+        for p in params.values():
+            p.grad = None
+    (out, grads, state), (ref, ref_grads, ref_state) = results
+    assert out.shape == ref.shape == (3, cfg.embed_dim)
+    np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
+    assert grads.keys() == ref_grads.keys()
+    for name, grad in ref_grads.items():
+        np.testing.assert_allclose(grads[name], grad, rtol=0, atol=1e-12,
+                                   err_msg=name)
+    assert state == ref_state
 
 
 def test_mlp_branch_zero_weights():
@@ -426,6 +467,26 @@ def test_grad_check_image_branch_tiny():
 
     def f(p):
         return weighted_sum(encode_image_branch(vol, p, 0, cfg), weights)
+
+    errors = grad_check_params(f, shapes, rng, 0.3)
+    assert max(errors.values()) < 1e-5, errors
+
+
+def test_grad_check_image_branch_depth_two():
+    """Block 0 runs on every row and block 1 on the class row alone, both
+    with dropout drawn from a fixed seed."""
+    cfg = ModelConfig(image_dims=(2, 4, 4, 1), tubelet=(2, 2, 2), embed_dim=8,
+                      depth=2, heads=2, dropout_rate=0.3, mode="image-only")
+    shapes = {k: v for k, v in param_shapes(cfg).items()
+              if k.startswith("branch0.")}
+    rng = np.random.default_rng(18)
+    vol = rng.random((2, 2, 4, 4, 1))
+    weights = rng.normal(size=(2, 8))
+
+    def f(p):
+        out = encode_image_branch(vol, p, 0, cfg, True,
+                                  np.random.default_rng(19))
+        return weighted_sum(out, weights)
 
     errors = grad_check_params(f, shapes, rng, 0.3)
     assert max(errors.values()) < 1e-5, errors

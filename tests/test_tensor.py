@@ -412,6 +412,9 @@ def test_grad_check_every_op_random_shapes(seed):
         "dropout": (lambda x: weighted_sum(
             dropout(x, 0.4, training=True, rng=np.random.default_rng(99)), b),
             a),
+        "dropout_rows": (lambda x: weighted_sum(
+            dropout(x, 0.4, training=True, rng=np.random.default_rng(99),
+                    rows=3), b), a),
     }
     for name, (f, theta) in checks.items():
         err = grad_check(f, theta)
@@ -470,10 +473,55 @@ def test_attention_leaves_rng_where_one_draw_would(blocks, monkeypatch):
     B, M, heads = 5, 6, 2
     if blocks == "ragged":
         _blocks_of_two(monkeypatch, heads, M)
-    rng, ref = np.random.default_rng(4), np.random.default_rng(4)
-    attention(Tensor(np.ones((B, M, 6 * heads))), heads, 0.3, True, rng)
-    ref.random((B * heads, M, M))
-    np.testing.assert_array_equal(rng.random(3), ref.random(3))
+    for class_row in (False, True):
+        rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+        attention(Tensor(np.ones((B, M, 6 * heads))), heads, 0.3, True, rng,
+                  class_row)
+        ref.random((B * heads, M, M))
+        np.testing.assert_array_equal(rng.random(3), ref.random(3))
+
+
+@pytest.mark.parametrize("blocks", ["one", "ragged"])
+@pytest.mark.parametrize("rate,training", [(0.0, True), (0.3, True),
+                                           (0.3, False)])
+def test_attention_class_row_is_row_zero_of_unfused_reference(
+        blocks, rate, training, monkeypatch):
+    if blocks == "ragged":
+        _blocks_of_two(monkeypatch, 4, 5)
+    qkv = np.random.default_rng(8).normal(size=(5, 5, 24))
+    rng, ref_rng = np.random.default_rng(1), np.random.default_rng(1)
+    out = attention(Tensor(qkv), 4, rate, training, rng, class_row=True)
+    ref = _attention_reference(qkv, 4, rate if training else 0.0, ref_rng)
+    assert out.shape == (5, 8)
+    np.testing.assert_allclose(out.data, ref[:, 0], rtol=0, atol=1e-12)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("class_row", [False, True])
+@pytest.mark.parametrize("blocks", ["one", "ragged"])
+def test_attention_output_does_not_depend_on_the_tape(blocks, class_row,
+                                                      monkeypatch):
+    # Untaped, the op keeps one block of scores and mask; taped, all of them.
+    if blocks == "ragged":
+        _blocks_of_two(monkeypatch, 4, 5)
+    qkv = np.random.default_rng(8).normal(size=(5, 5, 24))
+    for rate, training in ((0.0, False), (0.3, True)):
+        bare = attention(Tensor(qkv), 4, rate, training,
+                         np.random.default_rng(1), class_row)
+        with Tape():
+            taped = attention(Tensor(qkv, requires_grad=True), 4, rate,
+                              training, np.random.default_rng(1), class_row)
+        assert taped.tape is not None and bare.tape is None
+        assert taped.data.tobytes() == bare.data.tobytes()
+
+
+def test_dropout_rows_is_row_zero_of_the_full_draw():
+    x = np.random.default_rng(6).normal(size=(3, 7, 4))
+    rng, ref_rng = np.random.default_rng(2), np.random.default_rng(2)
+    out = dropout(Tensor(x[:, 0]), 0.4, True, rng, rows=7)
+    ref = dropout(Tensor(x), 0.4, True, ref_rng)
+    assert out.data.tobytes() == np.ascontiguousarray(ref.data[:, 0]).tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_attention_rejects_unpackable_width():
@@ -491,6 +539,22 @@ def test_grad_check_attention():
             return weighted_sum(out, w)
 
         assert grad_check(f, qkv) < 1e-5, (rate, training)
+
+
+def test_grad_check_attention_class_row(monkeypatch):
+    rng = np.random.default_rng(3)
+    qkv = rng.normal(size=(5, 4, 12))
+    w = rng.normal(size=(5, 4))
+    for blocks in ("one", "ragged"):
+        if blocks == "ragged":
+            _blocks_of_two(monkeypatch, 2, 4)
+        for rate, training in ((0.0, False), (0.3, True)):
+            def f(x):
+                out = attention(x, 2, rate, training,
+                                np.random.default_rng(99), class_row=True)
+                return weighted_sum(out, w)
+
+            assert grad_check(f, qkv) < 1e-5, (blocks, rate, training)
 
 
 def test_grad_check_attention_across_blocks(monkeypatch):
@@ -546,10 +610,15 @@ _TAPE_CASES = {
     "linear:no_bias": lambda h: linear(h(4, 6), h(6, 4)),
     "attention": lambda h: attention(h(1, 4, 6), 1, 0.3, True,
                                      np.random.default_rng(2)),
+    "attention:class_row": lambda h: attention(h(2, 4, 6), 1, 0.3, True,
+                                               np.random.default_rng(2),
+                                               class_row=True),
     "softmax": lambda h: softmax(h(4, 6), 1),
     "layer_norm": lambda h: layer_norm(h(4, 6), h(6), h(6)),
     "gelu": lambda h: gelu(h(4, 6)),
     "dropout": lambda h: dropout(h(4, 6), 0.5, True, np.random.default_rng(2)),
+    "dropout:rows": lambda h: dropout(h(4, 6), 0.5, True,
+                                      np.random.default_rng(2), rows=3),
     "concat": lambda h: concat([h(4, 6), h(4, 6)], axis=0),
     "first_token": lambda h: first_token(h(2, 4, 6)),
     "nll": lambda h: nll(softmax(h(4, 6), 1), [0, 1, 2, 3]),
