@@ -544,7 +544,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--max-resource", type=float, default=27,
                            help="most epochs of one trial (>= 1)")
             p.add_argument("--eta", type=float, default=3,
-                           help="culling factor (>= 2)")
+                           help="culling factor (>= 2); a bracket stops once "
+                                "one config is left, so with a fractional "
+                                "eta it can end below --max-resource epochs")
         p.set_defaults(func=fn)
 
     p = sub.add_parser("eval", help="evaluate a trained model")

@@ -12,7 +12,8 @@ A checkpoint is an ``.npz`` of float64 arrays keyed by parameter name.
 Two widths are fixed, not config keys: each block's MLP is ``2 * embed_dim``
 wide, the one ratio any run used, and the tabular branch takes
 ``ModelConfig.tabular_dim`` = 4 features, the width of
-``data.tabular_features`` (age, MMSE, gender one-hot).
+``data.tabular_features`` (age, MMSE, gender one-hot). A config with
+more than ``MAX_PARAMS`` parameters is refused before any is allocated.
 """
 
 from __future__ import annotations
@@ -41,6 +42,12 @@ from .tensor import (
 
 MODE_MIXED = "mixed"
 MODE_IMAGE_ONLY = "image-only"
+
+# The most learnable scalars a config may have: 160 MB per float64 copy,
+# of which training holds several (parameters, gradients, Adam's m and v,
+# the best checkpoint). The paper config has 200,106; two ROI branches
+# with a whole-volume tubelet have about 10.1 million.
+MAX_PARAMS = 20_000_000
 
 
 class ConfigError(ValueError):
@@ -92,6 +99,9 @@ class ModelConfig:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.mode == MODE_MIXED and len(self.tabular_hidden) < 1:
             raise ConfigError("mixed mode needs at least one tabular layer")
+        if self.n_params > MAX_PARAMS:
+            raise ConfigError(f"{self.n_params:,} parameters exceed the "
+                              f"budget of {MAX_PARAMS:,}")
 
     @property
     def crop(self) -> tuple:
@@ -115,6 +125,16 @@ class ModelConfig:
         return 2 * self.embed_dim
 
     @property
+    def n_params(self) -> int:
+        """Learnable scalars in ``param_shapes``, counted from the shapes
+        outside the encoder blocks and ``depth`` times one block's, without
+        building each block's entries."""
+        def count(shapes: dict) -> int:
+            return sum(math.prod(shape) for shape in shapes.values())
+        return count(param_shapes(self, depth=0)) + \
+            self.num_branches * self.depth * count(block_shapes(self))
+
+    @property
     def fused_width(self) -> int:
         width = self.num_branches * self.embed_dim
         if self.mode == MODE_MIXED:
@@ -122,10 +142,25 @@ class ModelConfig:
         return width
 
 
-def param_shapes(config: ModelConfig) -> dict[str, tuple]:
-    """Every learnable tensor's shape, as a pure function of the config."""
+def block_shapes(config: ModelConfig) -> dict[str, tuple]:
+    """Every learnable tensor of one encoder block, by its name within the
+    block: the per-block table that ``param_shapes`` repeats ``depth``
+    times and ``ModelConfig.n_params`` multiplies by ``depth``."""
     d = config.embed_dim
     hidden = config.mlp_hidden
+    return {"ln1.gamma": (d,), "ln1.beta": (d,),
+            **{f"attn.w{proj}": (d, d) for proj in ("q", "k", "v", "o")},
+            "ln2.gamma": (d,), "ln2.beta": (d,),
+            "mlp.w1": (d, hidden), "mlp.b1": (hidden,),
+            "mlp.w2": (hidden, d), "mlp.b2": (d,)}
+
+
+def param_shapes(config: ModelConfig, *,
+                 depth: Optional[int] = None) -> dict[str, tuple]:
+    """Every learnable tensor's shape, as a pure function of the config,
+    with ``depth`` encoder blocks per branch (the config's by default)."""
+    d = config.embed_dim
+    block = block_shapes(config)
     shapes: dict[str, tuple] = {}
     for i in range(config.num_branches):
         p = f"branch{i}"
@@ -133,18 +168,9 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple]:
         shapes[f"{p}.tubelet.bias"] = (d,)
         shapes[f"{p}.cls"] = (1, d)
         shapes[f"{p}.pos"] = (config.n_tokens + 1, d)
-        for l in range(config.depth):
-            b = f"{p}.block{l}"
-            shapes[f"{b}.ln1.gamma"] = (d,)
-            shapes[f"{b}.ln1.beta"] = (d,)
-            for proj in ("q", "k", "v", "o"):
-                shapes[f"{b}.attn.w{proj}"] = (d, d)
-            shapes[f"{b}.ln2.gamma"] = (d,)
-            shapes[f"{b}.ln2.beta"] = (d,)
-            shapes[f"{b}.mlp.w1"] = (d, hidden)
-            shapes[f"{b}.mlp.b1"] = (hidden,)
-            shapes[f"{b}.mlp.w2"] = (hidden, d)
-            shapes[f"{b}.mlp.b2"] = (d,)
+        for l in range(config.depth if depth is None else depth):
+            shapes.update((f"{p}.block{l}.{name}", shape)
+                          for name, shape in block.items())
         shapes[f"{p}.norm.gamma"] = (d,)
         shapes[f"{p}.norm.beta"] = (d,)
     if config.mode == MODE_MIXED:

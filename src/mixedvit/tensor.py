@@ -1,10 +1,11 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 A ``Tape`` records every differentiable operation performed while it is
-active (define-by-run); ``backward`` replays it in reverse and returns the
-gradient of every leaf that was reached. The ops are exactly those the
-two-branch model and its loss use: ``add`` (broadcasting as numpy does),
-``linear`` (a dense layer, ``x @ w`` plus an optional bias, as one node),
+active (define-by-run); ``backward`` replays it in reverse and leaves the
+gradient of every leaf that was reached in the leaf's ``.grad``, the one
+place a gradient goes. The ops are exactly those the two-branch model
+and its loss use: ``add`` (broadcasting as numpy does), ``linear`` (a
+dense layer, ``x @ w`` plus an optional bias, as one node),
 ``attention``, ``softmax``, ``layer_norm``, ``gelu``, ``dropout``,
 ``concat``, ``first_token`` (the class-token readout) and ``nll`` (the
 training loss).
@@ -480,10 +481,10 @@ def nll(probs: Tensor, labels) -> Tensor:
     return _record("nll", (probs,), out, back)
 
 
-def backward(root: Tensor) -> dict[int, np.ndarray]:
-    """Reverse sweep from a scalar root. Returns leaf node_id -> gradient.
+def backward(root: Tensor) -> None:
+    """Reverse sweep from a scalar root: each leaf tensor with requires_grad
+    that the root depends on receives its gradient in ``.grad``.
 
-    Leaf tensors with requires_grad also receive the gradient in ``.grad``.
     Each intermediate gradient is dropped as soon as its node has passed
     it on to its parents, so at most one frontier of them is alive.
     """
@@ -508,4 +509,3 @@ def backward(root: Tensor) -> dict[int, np.ndarray]:
     for nid, leaf in tape._leaves.items():
         if nid in grads:
             leaf.grad = grads[nid]
-    return grads

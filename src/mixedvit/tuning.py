@@ -1,5 +1,18 @@
-"""Hyperband hyperparameter search: bracketed successive halving over
-randomly sampled configurations, with training epochs as the resource unit.
+"""Hyperband hyperparameter search (Li et al., arXiv:1603.06560):
+bracketed successive halving over randomly sampled configurations, with
+training epochs as the resource unit.
+
+``bracket_schedule`` plans each bracket's rounds and ``successive_halving``
+runs them, with no rule of its own. Bracket s, from s_max (the largest s
+with eta**s <= R) down to 0, starts with ceil((s_max + 1) / (s + 1) *
+eta**s) configs at R * eta**-s epochs. Each later round keeps the best
+max(1, floor(n / eta)) of the last round's n, at eta times its epochs, for
+at most s + 1 rounds; a round of one config is the last. Epochs are
+rounded, and at least 1. For an integer eta this is Li et al.'s
+Algorithm 1. For a fractional eta a bracket can reach one config before
+round s and stop below R epochs: at R = 10, eta = 2.1, bracket 3 runs 10,
+4 and 1 configs at 1, 2 and 5 epochs, where Algorithm 1 runs 10, 4, 2
+and 1 at 1, 2, 5 and 10.
 """
 
 from __future__ import annotations
@@ -7,8 +20,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass, fields
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -76,9 +89,7 @@ class TrialResult:
 @dataclass(frozen=True)
 class Bracket:
     s: int
-    n_configs: int
-    initial_resource: float
-    rounds: tuple  # ((n_i, r_i), ...) for i = 0..s
+    rounds: tuple  # ((configs, epochs), ...): every round that runs
 
 
 def parse_space(spec: dict) -> dict:
@@ -111,7 +122,9 @@ def sample_config(space: dict, rng: np.random.Generator) -> dict:
 
 def bracket_schedule(R: float, eta: float) -> list:
     """All Hyperband brackets for a finite budget R and culling factor eta
-    (R = inf has no last bracket, and NaN slips past every range check)."""
+    (R = inf has no last bracket, and NaN slips past every range check).
+    Each bracket's ``rounds`` is the schedule that ``successive_halving``
+    runs; see the module docstring for the rule."""
     for name, value, least in (("R", R, 1), ("eta", eta, 2)):
         if not math.isfinite(value):
             raise ValueError(f"{name}={value} must be finite")
@@ -123,81 +136,66 @@ def bracket_schedule(R: float, eta: float) -> list:
     brackets = []
     for s in range(s_max, -1, -1):
         n = math.ceil((s_max + 1) / (s + 1) * eta ** s)
-        r = R * eta ** (-s)
-        rounds = tuple((math.floor(n * eta ** (-i)), r * eta ** i)
-                       for i in range(s + 1))
-        brackets.append(Bracket(s=s, n_configs=n, initial_resource=r,
-                                rounds=rounds))
+        resource = R * eta ** (-s)
+        rounds = [(n, resource)]
+        while len(rounds) <= s and n > 1:
+            n = max(1, math.floor(n / eta))
+            resource *= eta
+            rounds.append((n, resource))
+        # Each resource as whole epochs, at least 1.
+        brackets.append(Bracket(s, tuple((n, max(1, round(r)))
+                                         for n, r in rounds)))
     return brackets
 
 
-def _as_epochs(resource: float) -> int:
-    return max(1, int(round(resource)))
+def _rank(trial: TrialResult) -> tuple:
+    """Best first: the higher score, ties to the lower trial id."""
+    return -trial.score, trial.trial_id
 
 
 def successive_halving(configs: Sequence[dict],
                        objective: Callable[[dict, int], float],
-                       r0: float, eta: float, R: float,
-                       trial_id_start: int = 0, bracket: int = 0,
-                       log: Optional[list] = None) -> list:
-    """Evaluate, keep the top 1/eta (ties to lower trial id), raise resource.
-
-    Stops once the resource budget R is exhausted or one config survives;
-    returns the last round's TrialResults. Every evaluation is appended to
-    ``log`` when given.
-    """
-    if not configs:
-        raise ValueError("successive halving needs at least one config")
-    ids = list(range(trial_id_start, trial_id_start + len(configs)))
-    current = list(zip(ids, configs))
-    resource = float(r0)
-    round_index = 0
-    while True:
-        results = [TrialResult(trial_id=tid, bracket=bracket,
-                               round=round_index,
-                               resource=_as_epochs(resource),
-                               score=float(objective(cfg, _as_epochs(resource))),
+                       bracket: Bracket, first_id: int = 0) -> list:
+    """Run ``bracket.rounds`` on ``configs``, trial ids from ``first_id``:
+    each round scores its configs at its epochs, and the next round's count
+    of the best by ``_rank`` go on. Returns every evaluation, in order."""
+    if len(configs) != bracket.rounds[0][0]:
+        raise ValueError(f"bracket {bracket.s} starts with "
+                         f"{bracket.rounds[0][0]} configs, got {len(configs)}")
+    log: list[TrialResult] = []
+    trials = list(enumerate(configs, first_id))
+    for index, (n, epochs) in enumerate(bracket.rounds):
+        if index:
+            kept = {t.trial_id
+                    for t in sorted(log[-len(trials):], key=_rank)[:n]}
+            trials = [(tid, cfg) for tid, cfg in trials if tid in kept]
+        log.extend(TrialResult(trial_id=tid, bracket=bracket.s, round=index,
+                               resource=epochs,
+                               score=float(objective(cfg, epochs)),
                                config=cfg)
-                   for tid, cfg in current]
-        if log is not None:
-            log.extend(results)
-        if len(results) == 1 or resource * eta > R * (1 + 1e-9):
-            return results
-        keep = max(1, math.floor(len(results) / eta))
-        survivors = sorted(results, key=lambda t: (-t.score, t.trial_id))[:keep]
-        survivors.sort(key=lambda t: t.trial_id)
-        current = [(t.trial_id, t.config) for t in survivors]
-        resource *= eta
-        round_index += 1
+                   for tid, cfg in trials)
+    return log
 
 
 def hyperband_run(space: dict, objective: Callable[[dict, int], float],
                   R: float, eta: float, seed: int):
-    """Run every bracket; return (best trial, full trial log).
-
-    Best = highest score over the whole log, ties to the lowest trial id.
-    """
+    """Run every bracket; return (best trial, full trial log), the best
+    by ``_rank``: the highest score, ties to the lowest trial id."""
     rng = np.random.default_rng([int(seed), 0x4B])
     log: list[TrialResult] = []
     next_id = 0
     for bracket in bracket_schedule(R, eta):
-        configs = [sample_config(space, rng) for _ in range(bracket.n_configs)]
-        successive_halving(configs, objective, bracket.initial_resource,
-                           eta, R, trial_id_start=next_id, bracket=bracket.s,
-                           log=log)
-        next_id += bracket.n_configs
-    best = min(log, key=lambda t: (-t.score, t.trial_id))
-    return best, log
-
-
-TRIAL_LOG_HEADER = ["trial_id", "bracket", "round", "resource", "score",
-                    "config"]
+        configs = [sample_config(space, rng)
+                   for _ in range(bracket.rounds[0][0])]
+        log.extend(successive_halving(configs, objective, bracket, next_id))
+        next_id += len(configs)
+    return min(log, key=_rank), log
 
 
 def save_trial_log(log: Sequence[TrialResult], path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(TRIAL_LOG_HEADER)
+        writer.writerow([f.name for f in fields(TrialResult)])
         for t in log:
             writer.writerow([t.trial_id, t.bracket, t.round, t.resource,
                              repr(t.score), json.dumps(t.config, sort_keys=True)])

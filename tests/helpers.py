@@ -1,7 +1,9 @@
 """Helpers that only tests use: a finite-difference gradient check, a
 scalar root for gradient tests, a single-sample forward pass, parameter
 flattening, a rank-statistic AUC oracle for the trapezoid AUC, a search
-space and analytic objective for Hyperband, and straightforward reference
+space and analytic objective for Hyperband, a Hyperband run whose
+successive halving works out its own keep counts and stop, whose log the
+planned schedule must reproduce, and straightforward reference
 versions of the synthetic generator, the modal centroid and the ROI images
 that the vectorised data path must equal bit for bit, and of the truncated
 normal draw and the tubelet patches that the model must equal bit for
@@ -33,7 +35,7 @@ from mixedvit.tensor import (
     first_token,
     layer_norm,
 )
-from mixedvit.tuning import Choice, LogUniform
+from mixedvit.tuning import Choice, LogUniform, TrialResult, sample_config
 
 
 def grad_check(f: Callable[[Tensor], Tensor], theta: np.ndarray,
@@ -125,6 +127,44 @@ def toy_objective(config: dict, resource: int) -> float:
     """Deterministic, resource-free objective peaked at TOY_TARGET_LR."""
     del resource
     return exp(-abs(log(config["initial_lr"] / TOY_TARGET_LR)))
+
+
+def reference_hyperband_run(space: dict,
+                            objective: Callable[[dict, int], float],
+                            R: float, eta: float, seed: int):
+    """``tuning.hyperband_run`` with each bracket's counts and epochs worked
+    out as it runs: keep the top ``max(1, floor(n / eta))`` by (-score,
+    trial id), multiply the resource by eta, and stop once one config is
+    left or the next resource would pass R."""
+    rng = np.random.default_rng([int(seed), 0x4B])
+    log = []
+    s_max = 0
+    while eta ** (s_max + 1) <= R * (1 + 1e-12):
+        s_max += 1
+    next_id = 0
+    for s in range(s_max, -1, -1):
+        n = math.ceil((s_max + 1) / (s + 1) * eta ** s)
+        current = [(next_id + i, sample_config(space, rng)) for i in range(n)]
+        next_id += n
+        resource = float(R * eta ** (-s))
+        round_index = 0
+        while True:
+            epochs = max(1, int(round(resource)))
+            results = [TrialResult(tid, s, round_index, epochs,
+                                   float(objective(cfg, epochs)), cfg)
+                       for tid, cfg in current]
+            log.extend(results)
+            if len(results) == 1 or resource * eta > R * (1 + 1e-9):
+                break
+            keep = max(1, math.floor(len(results) / eta))
+            survivors = sorted(results,
+                               key=lambda t: (-t.score, t.trial_id))[:keep]
+            survivors.sort(key=lambda t: t.trial_id)
+            current = [(t.trial_id, t.config) for t in survivors]
+            resource *= eta
+            round_index += 1
+    best = min(log, key=lambda t: (-t.score, t.trial_id))
+    return best, log
 
 
 def reference_generate_subject(cfg: data.SynthConfig, seed: int, index: int):

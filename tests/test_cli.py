@@ -774,6 +774,27 @@ def test_image_dims_that_do_not_fit_the_crops_exit_2(dataset, tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "cv", "tune"])
+@pytest.mark.parametrize("config", [{"embed_dim": 800_000_000},
+                                    {"tabular_hidden": [4_000_000_000]},
+                                    {"depth": 200_000_000}],
+                         ids=["wide", "wide_tabular", "deep"])
+def test_config_over_the_parameter_budget_exits_2_before_reading_data(
+        dataset, tmp_path, capsys, command, config):
+    """The configs are built, and the budget checked, before the manifest
+    and instance table are read: here neither exists."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    argv = _command_argv(dataset, tmp_path, command, path)
+    for flag in ("--manifest", "--instances"):
+        argv[argv.index(flag) + 1] = str(tmp_path / "missing")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "parameters exceed the budget of 20,000,000" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["train", "eval", "cv", "tune"])
 def test_slice_window_past_the_volume_exits_1(dataset, tmp_path, capsys,
                                               command):

@@ -1,7 +1,9 @@
 """Truncated and bit-flipped copies of each container format: a loader
 either returns or raises one of its documented errors, never KeyError,
 struct.error, IndexError, TypeError or another stray exception. A damaged
-checkpoint that loads must hold only original, unchanged values."""
+checkpoint that loads must hold only original, unchanged values. Likewise
+any JSON object over the config keys builds the configs or raises
+UsageError."""
 
 import json
 
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 from mixedvit import data as D
 from mixedvit import model as M
+from mixedvit.cli import CONFIG_KEYS, UsageError, build_configs
 from mixedvit.tensor import Tensor
 
 
@@ -93,3 +96,43 @@ def test_manifest_non_finite_age_names_the_line(tmp_path, age):
     with pytest.raises(ValueError, match="line 2: .*must be positive and "
                                          "finite"):
         D.load_manifest(path)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8)
+
+
+def _typed(default):
+    """Values of a config key's type, in and past its range: a tuple key
+    takes a list of ints, of about the default's length."""
+    if isinstance(default, tuple):
+        return st.lists(st.integers(-1, 64) | st.integers(),
+                        min_size=len(default) - 1, max_size=len(default) + 1)
+    if isinstance(default, float):
+        return st.floats(-0.5, 1.5) | st.floats()
+    return st.integers(-1, 64) | st.integers()
+
+
+# Keys with values of their type, and at most one key with any JSON value.
+CONFIG_OBJECTS = st.builds(
+    lambda typed, wild: {**typed, **wild},
+    st.fixed_dictionaries({}, optional={
+        key: _typed(default) for key, default in CONFIG_KEYS.items()}),
+    st.dictionaries(st.sampled_from(sorted(CONFIG_KEYS)), JSON_VALUES,
+                    max_size=1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(config=CONFIG_OBJECTS,
+       mode=st.sampled_from([M.MODE_MIXED, M.MODE_IMAGE_ONLY]),
+       num_branches=st.integers(1, 3))
+def test_config_object_builds_or_raises_usage_error(config, mode,
+                                                    num_branches):
+    try:
+        build_configs(config, mode, num_branches, 0)
+    except UsageError:
+        pass

@@ -1,4 +1,5 @@
 import io
+import math
 import warnings
 import zipfile
 
@@ -295,6 +296,35 @@ def test_config_validation_errors():
         ModelConfig(embed_dim=10, heads=4)
     with pytest.raises(ConfigError):
         ModelConfig(mode="banana")
+
+
+CI_CONFIG = {"image_dims": (8, 16, 16, 1), "tubelet": (4, 8, 8),
+             "embed_dim": 8, "depth": 1, "heads": 2, "tabular_hidden": (8, 4)}
+
+
+@pytest.mark.parametrize("cfg,expected", [
+    (ModelConfig(), 200_106),
+    (ModelConfig(tubelet=(25, 8, 8), mode=M.MODE_IMAGE_ONLY,
+                 num_branches=2), 883_074),
+    (ModelConfig(**CI_CONFIG), None),
+    (ModelConfig(**{**CI_CONFIG, "image_dims": (8, 16, 16, 3)}), None),
+    (ModelConfig(**{**CI_CONFIG, "depth": 2}, num_branches=2), None),
+    (TINY, None),
+], ids=["paper", "cv_coarse", "ci", "ci_3_channels", "ci_depth2_two_rois",
+        "tiny"])
+def test_n_params_counts_param_shapes(cfg, expected):
+    assert cfg.n_params == sum(math.prod(shape)
+                               for shape in param_shapes(cfg).values())
+    if expected is not None:
+        assert cfg.n_params == expected
+
+
+def test_parameter_budget_admits_its_bound(monkeypatch):
+    monkeypatch.setattr(M, "MAX_PARAMS", 200_106)
+    ModelConfig()
+    monkeypatch.setattr(M, "MAX_PARAMS", 200_105)
+    with pytest.raises(ConfigError, match="200,106 parameters"):
+        ModelConfig()
 
 
 def test_permutation_invariance_with_zero_pos():

@@ -3,10 +3,15 @@ import math
 
 import numpy as np
 import pytest
-from helpers import TOY_TARGET_LR, default_search_space, toy_objective
+from helpers import (
+    TOY_TARGET_LR,
+    default_search_space,
+    reference_hyperband_run,
+    toy_objective,
+)
 
 from mixedvit.tuning import (
-    Choice,
+    Bracket,
     LogUniform,
     SpaceError,
     TrialResult,
@@ -23,18 +28,25 @@ from mixedvit.tuning import (
 def test_bracket_table_r81_eta3():
     brackets = bracket_schedule(81, 3)
     assert [b.s for b in brackets] == [4, 3, 2, 1, 0]
-    top = brackets[0]
-    assert top.n_configs == 81 and top.initial_resource == 1.0
-    assert top.rounds == ((81, 1.0), (27, 3.0), (9, 9.0), (3, 27.0), (1, 81.0))
-    bottom = brackets[-1]
-    assert bottom.n_configs == 5 and bottom.initial_resource == 81.0
-    assert bottom.rounds == ((5, 81.0),)
+    assert brackets[0].rounds == ((81, 1), (27, 3), (9, 9), (3, 27), (1, 81))
+    assert brackets[-1].rounds == ((5, 81),)
 
 
 def test_bracket_r1_single():
     brackets = bracket_schedule(1, 3)
     assert len(brackets) == 1
-    assert brackets[0].rounds == ((1, 1.0),)
+    assert brackets[0].rounds == ((1, 1),)
+
+
+def test_bracket_last_round_reaches_r_despite_float_error():
+    # 729 * 3**-6 evaluates to 0.9999999999999999; the last round still
+    # holds one config, at R.
+    assert bracket_schedule(729, 3)[0].rounds[-1] == (1, 729)
+
+
+def test_bracket_fractional_eta_stops_at_one_config():
+    bracket = next(b for b in bracket_schedule(10, 2.1) if b.s == 3)
+    assert bracket.rounds == ((10, 1), (4, 2), (1, 5))
 
 
 def test_bracket_budget_law():
@@ -84,56 +96,70 @@ def test_parse_space_errors():
         parse_space({"x": {"type": "choice", "values": []}})
 
 
+NINE_THREE_ONE = Bracket(s=2, rounds=((9, 1), (3, 3), (1, 9)))
+
+
+def _last_round(log):
+    return [t for t in log if t.round == log[-1].round]
+
+
 def test_successive_halving_9_to_3_to_1():
     configs = [{"v": float(i)} for i in range(9)]
-    log = []
-    survivors = successive_halving(configs, lambda c, r: c["v"] / 10.0,
-                                   r0=1, eta=3, R=9, log=log)
-    rounds = {}
-    for t in log:
-        rounds.setdefault(t.round, []).append(t)
-    assert [len(rounds[i]) for i in sorted(rounds)] == [9, 3, 1]
-    assert len(survivors) == 1
-    assert survivors[0].config == {"v": 8.0}  # argmax of the known objective
+    log = successive_halving(configs, lambda c, r: c["v"] / 10.0,
+                             NINE_THREE_ONE)
+    assert [(t.round, t.resource) for t in log] == \
+        [(0, 1)] * 9 + [(1, 3)] * 3 + [(2, 9)]
+    assert log[-1].config == {"v": 8.0}  # argmax of the known objective
 
 
 def test_successive_halving_known_function_argmax():
     rng = np.random.default_rng(7)
     space = {"initial_lr": LogUniform(1e-5, 1e-3)}
     configs = [sample_config(space, rng) for _ in range(9)]
-    survivors = successive_halving(
+    log = successive_halving(
         configs, lambda c, r: math.exp(-abs(c["initial_lr"] - 3e-4) * 1e4),
-        r0=1, eta=3, R=9)
+        NINE_THREE_ONE)
     best_lr = min((c["initial_lr"] for c in configs),
                   key=lambda lr: abs(lr - 3e-4))
-    assert survivors[0].config["initial_lr"] == best_lr
+    assert _last_round(log)[0].config["initial_lr"] == best_lr
 
 
 def test_successive_halving_single_config_full_resource():
-    log = []
-    survivors = successive_halving([{"v": 1.0}], lambda c, r: 0.5,
-                                   r0=9, eta=3, R=9, log=log)
-    assert len(log) == 1 and len(survivors) == 1
-    assert survivors[0].resource == 9
+    log = successive_halving([{"v": 1.0}], lambda c, r: 0.5,
+                             Bracket(s=0, rounds=((1, 9),)))
+    assert len(log) == 1
+    assert log[0].resource == 9
 
 
 def test_successive_halving_tie_prefers_lower_trial_id():
     configs = [{"v": i} for i in range(4)]
-    survivors = successive_halving(configs, lambda c, r: 0.5,
-                                   r0=1, eta=2, R=2)
-    assert [t.trial_id for t in survivors] == [0, 1]
+    log = successive_halving(configs, lambda c, r: 0.5,
+                             Bracket(s=1, rounds=((4, 1), (2, 2))),
+                             first_id=10)
+    assert [t.trial_id for t in _last_round(log)] == [10, 11]
 
 
-def test_successive_halving_empty_errors():
-    with pytest.raises(ValueError):
-        successive_halving([], lambda c, r: 0.0, 1, 3, 9)
+def test_successive_halving_follows_the_planned_counts():
+    configs = [{"v": float(i)} for i in range(5)]
+    log = successive_halving(configs, lambda c, r: c["v"] / 10.0,
+                             Bracket(s=2, rounds=((5, 1), (4, 2), (3, 4))))
+    assert [t.trial_id for t in log if t.round == 1] == [1, 2, 3, 4]
+    assert [t.trial_id for t in log if t.round == 2] == [2, 3, 4]
+    assert [t.resource for t in log] == [1] * 5 + [2] * 4 + [4] * 3
+
+
+def test_successive_halving_config_count_mismatch_errors():
+    bracket = Bracket(s=0, rounds=((1, 9),))
+    for configs in ([], [{"v": 0.0}, {"v": 1.0}]):
+        with pytest.raises(ValueError):
+            successive_halving(configs, lambda c, r: 0.0, bracket)
 
 
 def test_monotone_survival():
     """A config eliminated in round i never shows up in a later round."""
     configs = [{"v": float(i)} for i in range(9)]
-    log = []
-    successive_halving(configs, lambda c, r: c["v"] / 10.0, 1, 3, 9, log=log)
+    log = successive_halving(configs, lambda c, r: c["v"] / 10.0,
+                             NINE_THREE_ONE)
     eliminated_at = {}
     for t in log:
         eliminated_at[t.trial_id] = max(eliminated_at.get(t.trial_id, 0),
@@ -145,6 +171,23 @@ def test_monotone_survival():
         seen_rounds.setdefault(t.trial_id, []).append(t.round)
     for rounds in seen_rounds.values():
         assert rounds == list(range(len(rounds)))
+
+
+def _tied_objective(cfg, epochs):
+    """Depends on the config and the epochs, with many ties."""
+    return (int(cfg["x"] * 4) + epochs % 3) / 5
+
+
+@pytest.mark.parametrize("eta", [2, 3, 2.1, 2.5, math.e])
+def test_hyperband_log_matches_reference(eta):
+    """Running the planned schedule gives the log of a successive halving
+    that works out its own counts, epochs and stop as it goes."""
+    space = {"x": Uniform(0.0, 1.0)}
+    for R in (1, 2, 3, 9, 10, 25.5, 27, 29.5, 98, 729):
+        for seed in (0, 1):
+            got = hyperband_run(space, _tied_objective, R, eta, seed)
+            assert got == reference_hyperband_run(space, _tied_objective,
+                                                  R, eta, seed), (R, seed)
 
 
 def test_hyperband_best_matches_log():
