@@ -24,11 +24,16 @@ from.
 ``data.holdout_split``: ``train`` scores its test subjects, and ``cv``
 (without ``--no-holdout-test``) and ``tune`` leave them out. All three fit
 through ``train.FitPlan`` and ``train.fit``: a split that cannot be trained
-or scored (``PlanError``) exits 2 before any training, and image_dims
-that do not match the ROI crops before any update. A corrupt volume or
-checkpoint, a manifest line whose CDR is neither 0 (CN) nor >= 1 (AD), or
-an instance-table row whose slice window runs past its volume's depth
-makes every command that reads it exit 1.
+or scored (``PlanError``) exits 2 before any training. ``train``, ``cv``,
+``tune`` and ``eval`` exit 2 before any volume is read when an instance-table
+row of a ROI they use selects a slice count other than image_dims' T
+(``train.model_samples``), and before any update when the image_dims plane
+is larger than a volume's. A model config over the parameter or attention
+budget, and a ``tune`` budget planning more than
+``tuning.MAX_EVALUATIONS`` evaluations, exit 2 before any data is read.
+A corrupt volume or checkpoint, a manifest line whose CDR is neither 0
+(CN) nor >= 1 (AD), or an instance-table row whose slice window runs past
+its volume's depth makes every command that reads it exit 1.
 
 Exit codes: 0 success, 1 runtime/I-O failure, 2 usage/config error.
 Every run writes a manifest with a config snapshot and output checksums.
@@ -399,10 +404,13 @@ def cmd_eval(args) -> int:
     started = time.time()
     model_dir = Path(args.model)
     path = model_dir / "config.json"
-    try:
+    try:  # main maps a CheckpointError to exit 1
         params = MO.load_checkpoint(model_dir / "checkpoint.npz")
-        with open(path, encoding="utf-8") as fh:
-            snapshot = json.load(fh)
+        text = path.read_bytes()
+    except FileNotFoundError as exc:
+        raise RuntimeFailure(f"model directory incomplete: {exc}") from exc
+    try:
+        snapshot = json.loads(text.decode("utf-8"))
         rois, config = snapshot["rois"], snapshot["config"]
         missing = set(CONFIG_KEYS) - set(config)
         if missing:  # a default must not fill in what a saved model means
@@ -410,10 +418,6 @@ def cmd_eval(args) -> int:
         model_cfg, train_cfg = build_configs(config, snapshot["mode"],
                                              len(rois), 0)
         fit = D.FitStats(**snapshot["fit"])
-    except FileNotFoundError as exc:
-        raise RuntimeFailure(f"model directory incomplete: {exc}") from exc
-    except MO.CheckpointError as exc:
-        raise RuntimeFailure(str(exc)) from exc
     except (UsageError, ValueError, KeyError, TypeError, AttributeError) as exc:
         raise RuntimeFailure(
             f"{path} is not a usable model config: {exc!r}") from exc
@@ -542,7 +546,10 @@ def build_parser() -> argparse.ArgumentParser:
                                 "values of the key's type, or a uniform or "
                                 "log_uniform float range")
             p.add_argument("--max-resource", type=float, default=27,
-                           help="most epochs of one trial (>= 1)")
+                           help="most epochs of one trial (>= 1); a "
+                                "budget that plans more than "
+                                f"{TU.MAX_EVALUATIONS:,} evaluations is "
+                                "refused")
             p.add_argument("--eta", type=float, default=3,
                            help="culling factor (>= 2); a bracket stops once "
                                 "one config is left, so with a fractional "

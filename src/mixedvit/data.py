@@ -110,7 +110,7 @@ class MixedSample:
 class MixedBatch:
     subject_ids: list
     tabular: np.ndarray  # (B, F)
-    images: list  # per ROI branch: the group's own (T, H', W', C) views
+    images: list  # per ROI branch: the group's own views, shapes unchecked
     labels: np.ndarray  # (B,)
 
 
@@ -363,28 +363,14 @@ def holdout_split(records: Sequence[SubjectRecord], seed: int):
                           np.random.default_rng([seed, 11]))
 
 
-def minmax_scale(values, fit_min: float, fit_max: float) -> np.ndarray:
-    """(v - min)/(max - min), clamped to [0,1] for out-of-fit values."""
-    if fit_max <= fit_min:
-        raise ValueError(
-            f"degenerate fit range [{fit_min}, {fit_max}]: constant feature")
-    scaled = (np.asarray(values, dtype=np.float64) - fit_min) / (fit_max - fit_min)
-    return np.clip(scaled, 0.0, 1.0)
-
-
-def one_hot_gender(gender: str) -> np.ndarray:
-    if gender == "F":
-        return np.array([1.0, 0.0])
-    if gender == "M":
-        return np.array([0.0, 1.0])
-    raise ValueError(f"unknown gender category {gender!r}")
-
-
 def tabular_features(record: SubjectRecord, fit: FitStats) -> np.ndarray:
-    """[age, mmse, gender one-hot] scaled to [0,1]; F=4."""
-    age = minmax_scale([record.age], fit.age_min, fit.age_max)[0]
-    mmse = minmax_scale([record.mmse], fit.mmse_min, fit.mmse_max)[0]
-    return np.concatenate([[age, mmse], one_hot_gender(record.gender)])
+    """[age, mmse, gender one-hot]; F=4. Age and MMSE are min-max scaled by
+    the ranges of ``fit``, which ``FitStats`` checks, and clamped to [0,1]."""
+    values = np.array([record.age, record.mmse], dtype=np.float64)
+    lo = np.array([fit.age_min, fit.mmse_min])
+    hi = np.array([fit.age_max, fit.mmse_max])
+    scaled = np.clip((values - lo) / (hi - lo), 0.0, 1.0)
+    return np.append(scaled, [record.gender == "F", record.gender == "M"])
 
 
 # ---------------------------------------------------------------------------
@@ -518,11 +504,12 @@ def build_samples(records: Sequence[SubjectRecord],
 
     Each image is the ROI's window of the raw volume, min-max scaled by the
     whole volume's range to float64, with the plane repeated ``channels``
-    times: (T, H', W', C). Only the cropped voxels are scaled, and each is
-    stored once: the image is a read-only view of one (T, H', W', 1) plane
-    (see ``scale_volume``). A volume with a NaN or infinite voxel, which
-    would scale every crop to NaN or 0, raises ``FormatError`` naming its
-    path.
+    times: (T, H', W', C), T being the instance's slice_count, which
+    ``train.model_samples`` checks. Only the cropped voxels are scaled, and
+    each is stored once: the image is a read-only view of one (T, H', W', 1)
+    plane (see ``scale_volume``). A volume with a NaN or infinite voxel,
+    which would scale every crop to NaN or 0, raises ``FormatError`` naming
+    its path.
     """
     index = {(i.subject_id, i.roi_name): i for i in instances}
     samples = []
@@ -553,8 +540,8 @@ def build_batches(samples: Sequence[MixedSample], batch_size: int,
                   ) -> Iterator[MixedBatch]:
     """Seeded shuffle (when rng given), then fixed-size batches. The checks
     and the shuffle's draw from ``rng`` run at the call; each batch is built,
-    as lists of the group's own images per branch, when it is reached, and
-    raises ``ValueError`` if a branch's images differ in shape."""
+    as lists of the group's own images per branch, when it is reached. Their
+    shapes are ``model.encode_image_branch``'s to check."""
     if not samples:
         raise ValueError("no samples to batch")
     if batch_size < 1:
@@ -568,10 +555,6 @@ def build_batches(samples: Sequence[MixedSample], batch_size: int,
             group = [samples[i] for i in order[start:start + batch_size]]
             images = [[s.images[b] for s in group]
                       for b in range(len(group[0].images))]
-            for branch in images:
-                if len({image.shape for image in branch}) > 1:
-                    raise ValueError("cannot batch images of shapes "
-                                     f"{sorted({i.shape for i in branch})}")
             yield MixedBatch(
                 subject_ids=[s.subject_id for s in group],
                 tabular=np.stack([s.tabular for s in group]),

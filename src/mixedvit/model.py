@@ -13,7 +13,9 @@ Two widths are fixed, not config keys: each block's MLP is ``2 * embed_dim``
 wide, the one ratio any run used, and the tabular branch takes
 ``ModelConfig.tabular_dim`` = 4 features, the width of
 ``data.tabular_features`` (age, MMSE, gender one-hot). A config with
-more than ``MAX_PARAMS`` parameters is refused before any is allocated.
+more than ``MAX_PARAMS`` parameters, or whose attention scores take more
+than ``MAX_ATTENTION_BYTES`` per batch element, is refused before any
+parameter is allocated.
 """
 
 from __future__ import annotations
@@ -48,6 +50,12 @@ MODE_IMAGE_ONLY = "image-only"
 # the best checkpoint). The paper config has 200,106; two ROI branches
 # with a whole-volume tubelet have about 10.1 million.
 MAX_PARAMS = 20_000_000
+
+# The most bytes of (heads, M, M) float64 attention scores one batch element
+# may take, M being the tokens plus the class token: a taped block keeps
+# (B, heads, M, M) probabilities for the backward pass. The paper config
+# takes 419,904; a 1x1x1 tubelet over a 25x32x32 crop would take 42 GB.
+MAX_ATTENTION_BYTES = 128 * 2**20
 
 
 class ConfigError(ValueError):
@@ -102,11 +110,13 @@ class ModelConfig:
         if self.n_params > MAX_PARAMS:
             raise ConfigError(f"{self.n_params:,} parameters exceed the "
                               f"budget of {MAX_PARAMS:,}")
-
-    @property
-    def crop(self) -> tuple:
-        """(H, W) and channel count of an ROI crop, as build_samples takes."""
-        return tuple(self.image_dims[1:3]), self.image_dims[3]
+        M = self.n_tokens + 1
+        scores = self.heads * M * M * 8
+        if scores > MAX_ATTENTION_BYTES:
+            raise ConfigError(
+                f"{self.heads} heads over {M:,} tokens take {scores:,} bytes "
+                f"of attention scores per element, over the budget of "
+                f"{MAX_ATTENTION_BYTES:,}")
 
     @property
     def n_tokens(self) -> int:
@@ -217,16 +227,15 @@ def extract_tubelet_patches(volumes, tubelet) -> np.ndarray:
     """Cut B volumes of one (T,H,W,C) shape, a (B,T,H,W,C) array or a list,
     into a (B,N,t*h*w*C) float64 patch matrix, copying each volume once, a
     channel at a time: a whole copy of a broadcast image runs numpy's inner
-    loop over the stride-0 channel axis and takes about twice as long.
+    loop over the stride-0 channel axis and takes about twice as long. The
+    shapes are the caller's to check: ``ModelConfig`` that the tubelet
+    divides image_dims, ``encode_image_branch`` that each volume has them.
 
     Token order is row-major over (temporal, height, width) block indices;
     each block flattens slice-major, then row, column, channel.
     """
     t, h, w = tubelet
     T, H, W, C = volumes[0].shape
-    if T % t or H % h or W % w:
-        raise ConfigError(
-            f"tubelet {tubelet} does not divide volume {(T, H, W)}")
     grid = (T // t, H // h, W // w)
     out = np.empty((len(volumes), *grid, t, h, w, C))
     for i, volume in enumerate(volumes):

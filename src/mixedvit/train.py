@@ -7,7 +7,7 @@ A ``FitPlan`` checks a subject split before any training starts, raising
 ``PlanError`` for one that cannot be trained and scored, and ``fit`` trains
 on it: the one way the ``train``, ``cv`` and ``tune`` commands fit.
 ``model_samples`` builds the crops a model takes, or raises ``ConfigError``
-when the model's image_dims do not fit the volumes.
+when the model's image_dims do not fit the instance table or the volumes.
 
 The decay schedule (rate 0.9 per 100,000 steps) and Adam's beta1 0.9,
 beta2 0.999 and eps 1e-8 are ``TrainConfig`` class constants, not config
@@ -282,12 +282,21 @@ class FitPlan:
 def model_samples(model_cfg: ModelConfig, records: Sequence[SubjectRecord],
                   instances, rois: Sequence[str],
                   fit_stats: FitStats) -> list[MixedSample]:
-    """``build_samples`` at the model's crop; ``ConfigError`` naming
-    image_dims when the crop plane is larger than a volume's. (A crop whose
-    slice count is not image_dims' fails the model's first forward pass.)"""
+    """``build_samples`` at the model's crop: the one check that a crop fits
+    the model. Before any volume is read, every instance of ``rois`` in
+    ``instances``, whichever subjects ``records`` name, must select
+    image_dims' T slices; ``ConfigError`` names the first that does not.
+    A crop plane larger than a volume's, found in the volume's header, is a
+    ``ConfigError`` naming image_dims too."""
+    T, H, W, C = model_cfg.image_dims
+    for inst in instances:
+        if inst.roi_name in rois and inst.slice_count != T:
+            raise ConfigError(
+                f"subject {inst.subject_id}, roi {inst.roi_name!r}: "
+                f"slice_count {inst.slice_count} is not the T of image_dims "
+                f"{model_cfg.image_dims}")
     try:
-        return build_samples(records, instances, rois, fit_stats,
-                             *model_cfg.crop)
+        return build_samples(records, instances, rois, fit_stats, (H, W), C)
     except CropError as exc:
         raise ConfigError(f"image_dims {model_cfg.image_dims} do not fit the "
                           f"volumes: {exc}") from exc

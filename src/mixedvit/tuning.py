@@ -12,7 +12,8 @@ rounded, and at least 1. For an integer eta this is Li et al.'s
 Algorithm 1. For a fractional eta a bracket can reach one config before
 round s and stop below R epochs: at R = 10, eta = 2.1, bracket 3 runs 10,
 4 and 1 configs at 1, 2 and 5 epochs, where Algorithm 1 runs 10, 4, 2
-and 1 at 1, 2, 5 and 10.
+and 1 at 1, 2, 5 and 10. A budget whose brackets plan more than
+``MAX_EVALUATIONS`` evaluations in all is refused.
 """
 
 from __future__ import annotations
@@ -24,6 +25,12 @@ from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
+
+
+# The most evaluations, each a training run of at least one epoch, that a
+# search may plan; R = 729, eta = 2 plans 2,338, and R = 1e15, eta = 2
+# would plan 2.3e15.
+MAX_EVALUATIONS = 100_000
 
 
 class SpaceError(ValueError):
@@ -124,16 +131,22 @@ def bracket_schedule(R: float, eta: float) -> list:
     """All Hyperband brackets for a finite budget R and culling factor eta
     (R = inf has no last bracket, and NaN slips past every range check).
     Each bracket's ``rounds`` is the schedule that ``successive_halving``
-    runs; see the module docstring for the rule."""
+    runs; see the module docstring for the rule. ``ValueError`` when the
+    brackets' rounds hold more than ``MAX_EVALUATIONS`` configs in all."""
     for name, value, least in (("R", R, 1), ("eta", eta, 2)):
         if not math.isfinite(value):
             raise ValueError(f"{name}={value} must be finite")
         if value < least:
             raise ValueError(f"{name}={value} must be >= {least}")
     s_max = 0
-    while eta ** (s_max + 1) <= R * (1 + 1e-12):
+    # Bracket s_max alone starts with at least eta**s_max configs: once
+    # that passes the bound, stop, before eta**(s_max + 1) can overflow;
+    # the count below then refuses the budget.
+    while (eta ** s_max <= MAX_EVALUATIONS
+           and eta ** (s_max + 1) <= R * (1 + 1e-12)):
         s_max += 1
     brackets = []
+    planned = 0
     for s in range(s_max, -1, -1):
         n = math.ceil((s_max + 1) / (s + 1) * eta ** s)
         resource = R * eta ** (-s)
@@ -142,6 +155,12 @@ def bracket_schedule(R: float, eta: float) -> list:
             n = max(1, math.floor(n / eta))
             resource *= eta
             rounds.append((n, resource))
+        # Counted before the rounding below, which a resource near the
+        # float maximum, grown to inf by rounding error, would overflow.
+        planned += sum(n for n, _ in rounds)
+        if planned > MAX_EVALUATIONS:
+            raise ValueError(f"R={R}, eta={eta} plans more than "
+                             f"{MAX_EVALUATIONS:,} evaluations")
         # Each resource as whole epochs, at least 1.
         brackets.append(Bracket(s, tuple((n, max(1, round(r)))
                                          for n, r in rounds)))

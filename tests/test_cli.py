@@ -620,10 +620,22 @@ def test_tune_tubelet_choice_runs(dataset, tmp_path):
      ["--eta", "nan"], "eta=nan must be finite"),
     ({"initial_lr": {"type": "log_uniform", "lo": 1e-3, "hi": 1e-2}},
      ["--eta", "inf"], "eta=inf must be finite"),
+    ({"initial_lr": {"type": "log_uniform", "lo": 1e-3, "hi": 1e-2}},
+     ["--max-resource", "1e15"], "plans more than 100,000 evaluations"),
+    ({"initial_lr": {"type": "log_uniform", "lo": 1e-3, "hi": 1e-2}},
+     ["--max-resource", "1.7e308"], "plans more than 100,000 evaluations"),
+    ({"initial_lr": {"type": "log_uniform", "lo": 1e-3, "hi": 1e-2}},
+     ["--max-resource", "1e308", "--eta", "1e308"],
+     "plans more than 100,000 evaluations"),
+    ({"initial_lr": {"type": "log_uniform", "lo": 1e-3, "hi": 1e-2}},
+     ["--max-resource", "1.7976931348623157e308", "--eta", "2.5"],
+     "plans more than 100,000 evaluations"),
 ], ids=["uniform_embed_dim", "embed_dim_not_dividing", "float_batch_size",
         "uniform_batch_size", "epochs", "unknown_key", "heads_not_dividing",
         "max_resource_half", "eta_1", "removed_decay_rate", "max_resource_inf",
-        "max_resource_nan", "eta_nan", "eta_inf"])
+        "max_resource_nan", "eta_nan", "eta_inf", "max_resource_1e15",
+        "max_resource_1.7e308", "max_resource_and_eta_1e308",
+        "max_resource_float_max"])
 def test_tune_unusable_space_or_budget_exits_2(dataset, tmp_path, capsys,
                                                 spec, extra, message):
     # The manifest does not exist: these are refused before data is read.
@@ -775,14 +787,21 @@ def test_image_dims_that_do_not_fit_the_crops_exit_2(dataset, tmp_path, capsys,
 
 
 @pytest.mark.parametrize("command", ["train", "cv", "tune"])
-@pytest.mark.parametrize("config", [{"embed_dim": 800_000_000},
-                                    {"tabular_hidden": [4_000_000_000]},
-                                    {"depth": 200_000_000}],
-                         ids=["wide", "wide_tabular", "deep"])
+@pytest.mark.parametrize("config,message", [
+    ({"embed_dim": 800_000_000}, "parameters exceed the budget of 20,000,000"),
+    ({"tabular_hidden": [4_000_000_000]},
+     "parameters exceed the budget of 20,000,000"),
+    ({"depth": 200_000_000}, "parameters exceed the budget of 20,000,000"),
+    ({"tubelet": [1, 1, 1], "image_dims": [25, 32, 32, 1]},
+     "8 heads over 25,601 tokens take 41,946,316,864 bytes of attention "
+     "scores per element, over the budget of 134,217,728"),
+], ids=["wide", "wide_tabular", "deep", "one_voxel_tubelet"])
 def test_config_over_the_parameter_budget_exits_2_before_reading_data(
-        dataset, tmp_path, capsys, command, config):
-    """The configs are built, and the budget checked, before the manifest
-    and instance table are read: here neither exists."""
+        dataset, tmp_path, capsys, command, config, message):
+    """The configs are built, and the parameter and attention budgets
+    checked, before the manifest and instance table are read: here neither
+    exists. A 1x1x1 tubelet over a 25x32x32 crop has 1,772,138 parameters,
+    under their budget, but 42 GB of attention scores per batch element."""
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     argv = _command_argv(dataset, tmp_path, command, path)
@@ -790,8 +809,45 @@ def test_config_over_the_parameter_budget_exits_2_before_reading_data(
         argv[argv.index(flag) + 1] = str(tmp_path / "missing")
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert "parameters exceed the budget of 20,000,000" in err
+    assert message in err
     assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "cv", "tune"])
+@pytest.mark.parametrize("edit,count", [
+    (lambda index, count: "9" if index % 2 == 0 else count, 9),
+    (lambda index, count: "12", 12),
+], ids=["mixed_depth", "all_mismatched"])
+def test_slice_count_not_image_dims_exits_2_before_any_volume_is_read(
+        dataset, tmp_path, capsys, monkeypatch, command, edit, count):
+    """image_dims take 8 slices: an instance table with rows of another
+    slice count is refused, naming the first such row, before any volume
+    is read."""
+    def load_volume(path):
+        raise AssertionError(f"{path} read")
+    monkeypatch.setattr("mixedvit.data.load_volume", load_volume)
+    rows = (dataset / "instances.csv").read_text().splitlines()
+    for i in range(1, len(rows)):
+        fields = rows[i].split(",")
+        fields[4] = edit(i - 1, fields[4])  # slice_count
+        rows[i] = ",".join(fields)
+    table = tmp_path / "instances.csv"
+    table.write_text("\n".join(rows) + "\n")
+    assert rows[1].startswith("S0000,CN,hippocampus_left,")
+    if command == "eval":
+        argv = _eval_argv(dataset, _init_model_dir(tmp_path / "model",
+                                                   _snapshot()),
+                          dataset / "data" / "manifest.jsonl",
+                          tmp_path / "out")
+    else:
+        argv = _command_argv(dataset, tmp_path, command,
+                             dataset / "config.json")
+    argv[argv.index("--instances") + 1] = str(table)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: subject S0000, roi 'hippocampus_left': slice_count {count} "
+        f"is not the T of image_dims (8, 16, 16, 1)\n")
     assert not (tmp_path / "out").exists()
 
 

@@ -28,9 +28,7 @@ from mixedvit.data import (
     load_instances,
     load_manifest,
     load_volume,
-    minmax_scale,
     modal_centroid,
-    one_hot_gender,
     save_instances,
     save_manifest,
     save_volume,
@@ -145,27 +143,6 @@ def test_split_stratification_within_one():
                 assert abs(got - total * ratio) <= 1.0
 
 
-def test_minmax_scale_endpoints():
-    np.testing.assert_allclose(minmax_scale([2, 4, 6], 2, 6), [0, 0.5, 1])
-
-
-def test_minmax_scale_clamps():
-    assert minmax_scale([8], 2, 6)[0] == 1.0
-    assert minmax_scale([0], 2, 6)[0] == 0.0
-
-
-def test_minmax_scale_degenerate():
-    with pytest.raises(ValueError):
-        minmax_scale([1, 2], 5, 5)
-
-
-def test_one_hot_gender():
-    np.testing.assert_array_equal(one_hot_gender("F"), [1, 0])
-    np.testing.assert_array_equal(one_hot_gender("M"), [0, 1])
-    with pytest.raises(ValueError):
-        one_hot_gender("X")
-
-
 @pytest.mark.parametrize("ranges", [(70.0, 70.0, 20.0, 30.0),
                                     (60.0, 90.0, 28.0, 28.0),
                                     (90.0, 60.0, 20.0, 30.0)],
@@ -181,6 +158,24 @@ def test_tabular_features_in_unit_range():
     feats = tabular_features(record(age=95.0, mmse=18), fit)
     assert feats.shape == (4,)
     assert (feats >= 0).all() and (feats <= 1).all()
+
+
+@pytest.mark.parametrize("age,mmse,gender,want", [
+    (2.0, 2, "F", [0.0, 0.0, 1.0, 0.0]),
+    (4.0, 4, "M", [0.5, 0.5, 0.0, 1.0]),
+    (6.0, 6, "F", [1.0, 1.0, 1.0, 0.0]),
+    (8.0, 0, "M", [1.0, 0.0, 0.0, 1.0]),
+    (1.0, 30, "F", [0.0, 1.0, 1.0, 0.0]),
+], ids=["low_ends", "midpoints", "high_ends", "age_above_mmse_below",
+        "age_below_mmse_above"])
+def test_tabular_features_scale_clamp_and_one_hot(age, mmse, gender, want):
+    """Age and MMSE min-max scaled by the fit ranges [2, 6], clamped to
+    [0, 1] outside them, then the gender one-hot (F, M). A constant range
+    and another gender are refused by ``FitStats`` and ``SubjectRecord``."""
+    feats = tabular_features(record(age=age, mmse=mmse, gender=gender),
+                             FitStats(2.0, 6.0, 2.0, 6.0))
+    assert feats.dtype == np.float64
+    np.testing.assert_array_equal(feats, want)
 
 
 # --- instance selection -----------------------------------------------------
@@ -605,18 +600,6 @@ def test_batches_equal_stacks_of_full_channel_copies():
             assert len(images) == len(group)
             assert all(image is s.images[b]
                        for image, s in zip(images, group, strict=True))
-
-
-def test_batch_of_images_of_two_shapes_raises():
-    """A (1, 4, 4, 3) image among (2, 4, 4, 3) ones raises when its batch
-    is reached, not at the call and not in an earlier batch."""
-    samples = _view_samples(5)
-    samples[4].images[1] = samples[4].images[1][:1]
-    batches = build_batches(samples, 3)
-    first = next(batches)
-    assert len(first.subject_ids) == 3
-    with pytest.raises(ValueError, match="shapes"):
-        next(batches)
 
 
 # --- synthetic generator ----------------------------------------------------

@@ -327,6 +327,15 @@ def test_parameter_budget_admits_its_bound(monkeypatch):
         ModelConfig()
 
 
+def test_attention_budget_admits_its_bound(monkeypatch):
+    monkeypatch.setattr(M, "MAX_ATTENTION_BYTES", 419_904)
+    ModelConfig()
+    monkeypatch.setattr(M, "MAX_ATTENTION_BYTES", 419_903)
+    with pytest.raises(ConfigError, match="8 heads over 81 tokens take "
+                                          "419,904 bytes"):
+        ModelConfig()
+
+
 def test_permutation_invariance_with_zero_pos():
     """With pos zeroed, permuting tubelet order cannot change the readout."""
     cfg = TINY

@@ -10,6 +10,7 @@ from helpers import (
     toy_objective,
 )
 
+from mixedvit import tuning as TU
 from mixedvit.tuning import (
     Bracket,
     LogUniform,
@@ -62,6 +63,17 @@ def test_bracket_validation():
         bracket_schedule(0, 3)
     with pytest.raises(ValueError):
         bracket_schedule(81, 1)
+
+
+def test_bracket_evaluation_bound_admits_its_bound(monkeypatch):
+    """R = 729, eta = 2 plans 2,338 evaluations: the largest search any
+    test or CI step runs."""
+    monkeypatch.setattr(TU, "MAX_EVALUATIONS", 2_338)
+    brackets = bracket_schedule(729, 2)
+    assert sum(n for b in brackets for n, _ in b.rounds) == 2_338
+    monkeypatch.setattr(TU, "MAX_EVALUATIONS", 2_337)
+    with pytest.raises(ValueError, match="plans more than 2,337 evaluations"):
+        bracket_schedule(729, 2)
 
 
 def test_sample_config_deterministic():
