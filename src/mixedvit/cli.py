@@ -27,7 +27,8 @@ through ``train.FitPlan`` and ``train.fit``: a split that cannot be trained
 or scored (``PlanError``) exits 2 before any training. ``train``, ``cv``,
 ``tune`` and ``eval`` exit 2 before any volume is read when an instance-table
 row of a ROI they use selects a slice count other than image_dims' T
-(``train.model_samples``), and before any update when the image_dims plane
+(``train.check_slice_counts``; ``tune`` checks every image_dims choice of
+its space before any trial), and before any update when the image_dims plane
 is larger than a volume's. A model config over the parameter or attention
 budget, and a ``tune`` budget planning more than
 ``tuning.MAX_EVALUATIONS`` evaluations, exit 2 before any data is read.
@@ -342,6 +343,9 @@ def cmd_tune(args) -> int:
     base = _config_of(*build_configs(cfg, args.mode, len(rois), args.seed))
     _check_space(space, cfg, args.mode, len(rois))
     records, instances = _dataset_for(args, rois)
+    dims = space.get("image_dims")
+    for value in dims.values if dims else [base["image_dims"]]:
+        TR.check_slice_counts(tuple(value), instances, rois)
     tr, va, _test = D.holdout_split(records, args.seed)
     plan = TR.FitPlan(tr, va)
 
@@ -545,12 +549,12 @@ def build_parser() -> argparse.ArgumentParser:
                                 "config keys other than epochs: a choice of "
                                 "values of the key's type, or a uniform or "
                                 "log_uniform float range")
-            p.add_argument("--max-resource", type=float, default=27,
+            p.add_argument("--max-resource", type=float, default=27.0,
                            help="most epochs of one trial (>= 1); a "
                                 "budget that plans more than "
                                 f"{TU.MAX_EVALUATIONS:,} evaluations is "
                                 "refused")
-            p.add_argument("--eta", type=float, default=3,
+            p.add_argument("--eta", type=float, default=3.0,
                            help="culling factor (>= 2); a bracket stops once "
                                 "one config is left, so with a fractional "
                                 "eta it can end below --max-resource epochs")

@@ -14,14 +14,15 @@ training loss).
 the class row alone, which is all the last encoder block needs. It works
 through the batch in blocks of as many elements as fit
 ``ATTENTION_BLOCK_BYTES`` of (heads, M, M) float64 scores, so that the
-softmax and dropout passes over a block stay in a core's L2 cache instead
-of streaming the whole score tensor from L3 once per pass. Its dropout
-mask is drawn block by block, in chunks that are exactly the values, and
-leave the generator exactly where, one ``rng.random((B*heads, M, M))``
-draw would, whatever R is. When a tape records the op, it saves the
-(B, heads, R, M) probabilities and a bool keep-mask for the backward pass;
-otherwise it keeps one block of each. ``dropout`` given only the class
-rows of a (B, M, ...) tensor likewise draws for the whole tensor.
+passes over a block stay in a core's L2 cache. In FlashAttention's algebra
+(Dao et al., arXiv:2205.14135), without the tiling, the score scale, the
+softmax normalisation and 1/(1 - rate) act on (R, dh) operands, and the
+backward pass takes its row term from the output, D = rowsum(dO * O). Its
+dropout mask equals the R computed rows of one ``rng.random((B*heads, M,
+M))`` draw; with R = 1 each head draws its row 0 and skips the rest with
+``bit_generator.advance``, as ``dropout`` does for class rows. So dropout
+in training mode needs a generator whose ``advance`` skips single draws,
+PCG64 (``np.random.default_rng``'s) or PCG64DXSM, and refuses any other.
 """
 
 from __future__ import annotations
@@ -57,6 +58,9 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # 2 MB per-core L2 with the block's other buffers; at the paper shape
 # (8 heads, 81 tokens) a block is one batch element of 420 KB.
 ATTENTION_BLOCK_BYTES = 512 * 1024
+
+# Bit generators whose ``advance(n)`` skips exactly n float64 draws.
+_SKIPPING = (np.random.PCG64, np.random.PCG64DXSM)
 
 
 class ShapeError(ValueError):
@@ -294,7 +298,29 @@ def _keep_scale(rate: float, training: bool,
         return None
     if rng is None:
         raise ValueError("dropout in training mode requires an rng")
+    if not isinstance(rng.bit_generator, _SKIPPING):
+        raise ValueError(
+            "dropout in training mode requires a PCG64 or PCG64DXSM "
+            "generator, whose advance skips single draws; got "
+            f"{type(rng.bit_generator).__name__}")
     return 1.0 / (1.0 - rate)
+
+
+def _first_rows(rng: np.random.Generator, out: np.ndarray, rows: int) -> None:
+    """Fill the (N, F) ``out`` with row 0 of each (rows, F) matrix of one
+    ``rng.random((N, rows, F))`` draw: each row draws its F uniforms and
+    skips the (rows - 1) * F that follow, leaving the generator where that
+    draw would."""
+    bit_generator = rng.bit_generator
+    before = bit_generator.state
+    skip = (rows - 1) * out.shape[1]
+    for row in out:
+        rng.random(out=row)
+        bit_generator.advance(skip)
+    # advance drops a buffered 32-bit half-word; random() never reads one.
+    if before["has_uint32"]:
+        bit_generator.state = dict(bit_generator.state, has_uint32=1,
+                                   uinteger=before["uinteger"])
 
 
 def dropout(x: Tensor, rate: float, training: bool,
@@ -305,14 +331,15 @@ def dropout(x: Tensor, rate: float, training: bool,
     With ``rows`` given, ``x`` is (B, ...), the class rows of a (B, rows, ...)
     tensor: the mask is row 0 of a draw of that whole shape, so row 0 gets
     the uniforms the full draw gives it, and the generator ends where the
-    full draw leaves it."""
+    full draw leaves it; the other rows' uniforms are skipped, not drawn."""
     scale = _keep_scale(rate, training, rng)
     if scale is None:
         return x
     if rows is None:
         keep = rng.random(x.shape)
     else:
-        keep = rng.random((x.shape[0], rows) + x.shape[1:])[:, 0].copy()
+        keep = np.empty(x.shape)
+        _first_rows(rng, keep.reshape(len(keep), -1), rows)
     np.multiply(keep >= rate, scale, out=keep)
     out = x.data * keep
 
@@ -334,16 +361,24 @@ def attention(qkv: Tensor, heads: int, rate: float, training: bool,
     all M keys and values: (heads, R, M) scores per batch element.
 
     The batch is processed in blocks of as many elements as fit
-    ``ATTENTION_BLOCK_BYTES`` of (heads, M, M) scores (at least one). Each
-    block's scores are normalised in place. The dropout draw fills a
-    (heads, M, M) buffer per element with ``rng.random(out=...)``, block
-    after block: the same values, in the same order, as one
-    ``rng.random((B*heads, M, M))`` draw, of which the mask keeps the R
-    computed rows. When a tape records the op, the scores go into one
-    (B, heads, R, M) ``probs`` array, which the backward pass keeps with a
-    bool keep-mask, one byte per score, rebuilding the 0 or 1/(1-rate)
-    multiplier from the mask one block at a time, in two buffers reused
-    across blocks; otherwise every block reuses one block of scores.
+    ``ATTENTION_BLOCK_BYTES`` of (heads, M, M) scores (at least one). A
+    block's scores are the scaled queries times the keys; in place they
+    become ``e = exp(s - rowmax)``, never normalised. ``e`` times the bool
+    keep-mask, times v, is the (R, dh) context up to the row factor
+    ``c = 1/((1 - rate) * rowsum(e))``, applied as the context is written
+    into the output. The keep-mask compares the uniforms that one
+    ``rng.random((B*heads, M, M))`` draw gives the R computed rows, drawn
+    block by block; with R = 1 each head draws its row 0 and skips the
+    rest with ``bit_generator.advance`` (``_first_rows``), so the generator
+    ends where the whole draw leaves it. A taped op keeps ``e`` for the
+    whole batch, the keep-mask (one byte per score) and ``c``; an untaped
+    one reuses one block of each, with the same output bits.
+
+    The backward pass takes the softmax's row term, rowsum(dP * P), as
+    FlashAttention's D = rowsum(dO * O) over the output, which its closure
+    keeps. With ``c`` folded into dO and D, the score gradient is
+    e * (mask * (dO v^T) - D): four passes over each (R, M) block, none to
+    normalise it. 1/sqrt(d/heads) scales the query and key gradients.
     """
     if qkv.data.ndim != 3 or heads < 1 or qkv.shape[2] % (3 * heads):
         raise ShapeError(
@@ -363,52 +398,55 @@ def attention(qkv: Tensor, heads: int, rate: float, training: bool,
     blocks = [slice(b, min(b + step, B)) for b in range(0, B, step)]
     block_shape = (min(step, B), heads, R, M)
     taped = qkv.requires_grad and _active_tape() is not None
-    probs = np.empty((B,) + block_shape[1:] if taped else block_shape)
-    mask = None if keep_scale is None else np.empty(probs.shape, dtype=bool)
-    draws = None if mask is None else np.empty((min(step, B), heads, M, M))
+    exps = np.empty((B,) + block_shape[1:] if taped else block_shape)
+    mask = None if keep_scale is None else np.empty(exps.shape, dtype=bool)
+    draws = None if mask is None else np.empty(block_shape)
+    row_scale = np.empty((B, heads, R, 1))
     out = np.empty((B, R, heads, dh))
+    ctx = out.transpose(0, 2, 1, 3)
     for blk in blocks:
         n = blk.stop - blk.start
         kept = blk if taped else slice(n)
-        p = probs[kept]
-        np.matmul(q[blk], kt[blk], out=p)
-        p *= scale
-        p -= p.max(axis=-1, keepdims=True)
-        np.exp(p, out=p)
-        p /= p.sum(axis=-1, keepdims=True)
-        w = p
+        e = exps[kept]
+        np.matmul(q[blk] * scale, kt[blk], out=e)
+        e -= e.max(axis=-1, keepdims=True)
+        np.exp(e, out=e)
+        c = np.divide(keep_scale or 1.0, e.sum(axis=-1, keepdims=True),
+                      out=row_scale[blk])
+        w = e
         if mask is not None:
-            rng.random(out=draws[:n])
-            w = draws[:n, :, :R]
-            np.greater_equal(w, rate, out=mask[kept])
-            np.multiply(mask[kept], keep_scale, out=w)
-            w *= p
-        out[blk] = (w @ v[blk]).transpose(0, 2, 1, 3)
+            u = draws[:n]
+            if class_row:
+                _first_rows(rng, u.reshape(n * heads, M), M)
+            else:
+                rng.random(out=u)
+            np.greater_equal(u, rate, out=mask[kept])
+            w = np.multiply(e, mask[kept], out=u)
+        np.multiply(w @ v[blk], c, out=ctx[blk])
 
     def back(g):
-        g = g.reshape(B, R, heads, dh).transpose(0, 2, 1, 3)
+        g = g.reshape(B, R, heads, dh)
+        # P = e * c / keep_scale by rows: c goes into dO, c / keep_scale
+        # into D.
+        D = (g * out).sum(axis=-1).transpose(0, 2, 1)[..., None] * (
+            row_scale / (keep_scale or 1.0))
+        g = g.transpose(0, 2, 1, 3) * row_scale
         gqkv = np.empty((B, M, 3, heads, dh))
         gq, gk, gv = gqkv.transpose(2, 0, 3, 1, 4)
         gq[:, :, R:] = 0.0
-        keep_buf, gs_buf = np.empty(block_shape), np.empty(block_shape)
+        gs_buf = np.empty(block_shape)
         for blk in blocks:
-            p, gb = probs[blk], g[blk]
-            n = len(p)
-            gs = gs_buf[:n]
-            w = p
-            if mask is not None:
-                keep = np.multiply(mask[blk], keep_scale, out=keep_buf[:n])
-                w = np.multiply(p, keep, out=gs)
+            e, gb = exps[blk], g[blk]
+            gs = gs_buf[:len(e)]
+            w = e if mask is None else np.multiply(e, mask[blk], out=gs)
             gv[blk] = w.transpose(0, 1, 3, 2) @ gb
             np.matmul(gb, v[blk].transpose(0, 1, 3, 2), out=gs)
             if mask is not None:
-                gs *= keep
-            gs -= np.multiply(gs, p, out=keep_buf[:n]).sum(axis=-1,
-                                                           keepdims=True)
-            gs *= p
-            gs *= scale
-            gq[blk, :, :R] = gs @ k[blk]
-            gk[blk] = gs.transpose(0, 1, 3, 2) @ q[blk]
+                gs *= mask[blk]
+            gs -= D[blk]
+            gs *= e
+            np.multiply(gs @ k[blk], scale, out=gq[blk, :, :R])
+            gk[blk] = gs.transpose(0, 1, 3, 2) @ (q[blk] * scale)
         return (gqkv.reshape(B, M, d3),)
 
     shape = (B, d) if class_row else (B, M, d)

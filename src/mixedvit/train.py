@@ -279,22 +279,29 @@ class FitPlan:
             raise PlanError(str(exc)) from exc
 
 
+def check_slice_counts(image_dims: tuple, instances,
+                       rois: Sequence[str]) -> None:
+    """Every instance of ``rois`` in ``instances`` must select image_dims'
+    T slices; ``ConfigError`` names the first that does not. Reads no
+    volume."""
+    for inst in instances:
+        if inst.roi_name in rois and inst.slice_count != image_dims[0]:
+            raise ConfigError(
+                f"subject {inst.subject_id}, roi {inst.roi_name!r}: "
+                f"slice_count {inst.slice_count} is not the T of image_dims "
+                f"{image_dims}")
+
+
 def model_samples(model_cfg: ModelConfig, records: Sequence[SubjectRecord],
                   instances, rois: Sequence[str],
                   fit_stats: FitStats) -> list[MixedSample]:
     """``build_samples`` at the model's crop: the one check that a crop fits
-    the model. Before any volume is read, every instance of ``rois`` in
-    ``instances``, whichever subjects ``records`` name, must select
-    image_dims' T slices; ``ConfigError`` names the first that does not.
-    A crop plane larger than a volume's, found in the volume's header, is a
-    ``ConfigError`` naming image_dims too."""
-    T, H, W, C = model_cfg.image_dims
-    for inst in instances:
-        if inst.roi_name in rois and inst.slice_count != T:
-            raise ConfigError(
-                f"subject {inst.subject_id}, roi {inst.roi_name!r}: "
-                f"slice_count {inst.slice_count} is not the T of image_dims "
-                f"{model_cfg.image_dims}")
+    the model. Before any volume is read, ``check_slice_counts`` checks the
+    whole table, whichever subjects ``records`` name. A crop plane larger
+    than a volume's, found in the volume's header, is a ``ConfigError``
+    naming image_dims too."""
+    check_slice_counts(model_cfg.image_dims, instances, rois)
+    _T, H, W, C = model_cfg.image_dims
     try:
         return build_samples(records, instances, rois, fit_stats, (H, W), C)
     except CropError as exc:

@@ -7,7 +7,8 @@ planned schedule must reproduce, and straightforward reference
 versions of the synthetic generator, the modal centroid and the ROI images
 that the vectorised data path must equal bit for bit, and of the truncated
 normal draw and the tubelet patches that the model must equal bit for
-bit, and of the image branch that runs its last block on every row."""
+bit, of the image branch that runs its last block on every row, and of
+the attention backward in its score form."""
 
 from __future__ import annotations
 
@@ -294,3 +295,38 @@ def reference_encode_image_branch(volumes, params: dict[str, Tensor],
                             config.dropout_rate, training, rng)
     return layer_norm(first_token(x), params[f"{p}.norm.gamma"],
                       params[f"{p}.norm.beta"])
+
+
+def reference_attention_grad(qkv: np.ndarray, heads: int, rate: float,
+                             training: bool, rng: Optional[np.random.Generator],
+                             class_row: bool, g: np.ndarray) -> np.ndarray:
+    """The gradient of sum(attention(qkv) * g) over the packed (B, M, 3d)
+    ``qkv``, in the score form: probabilities P = softmax(q k^T * scale),
+    dropout weights W = P * keep from one (B*heads, M, M) draw,
+    dP = (g v^T) * keep and dS = P * (dP - rowsum(dP * P)) * scale, from
+    which q and k get dS k and dS^T q; v gets W^T g. ``class_row`` keeps
+    query row 0 alone, with ``g`` of shape (B, d)."""
+    B, M, d3 = qkv.shape
+    d = d3 // 3
+    dh = d // heads
+    R = 1 if class_row else M
+    scale = 1.0 / math.sqrt(dh)
+    q, k, v = (qkv[..., i * d:(i + 1) * d].reshape(B, M, heads, dh)
+               .transpose(0, 2, 1, 3) for i in range(3))
+    q = q[:, :, :R]
+    s = (q @ k.transpose(0, 1, 3, 2)) * scale
+    e = np.exp(s - s.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    keep = np.ones_like(p)
+    if training and rate:
+        draw = rng.random((B * heads, M, M)).reshape(B, heads, M, M)
+        keep = (draw[:, :, :R] >= rate) / (1.0 - rate)
+    g = g.reshape(B, R, heads, dh).transpose(0, 2, 1, 3)
+    gv = (p * keep).transpose(0, 1, 3, 2) @ g
+    dp = (g @ v.transpose(0, 1, 3, 2)) * keep
+    ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * scale
+    gq = np.zeros((B, heads, M, dh))
+    gq[:, :, :R] = ds @ k
+    gk = ds.transpose(0, 1, 3, 2) @ q
+    return np.concatenate([t.transpose(0, 2, 1, 3).reshape(B, M, d)
+                           for t in (gq, gk, gv)], axis=-1)

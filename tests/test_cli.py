@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mixedvit.cli import CONFIG_KEYS, build_configs, main
+from mixedvit.cli import CONFIG_KEYS, build_configs, build_parser, main
 from mixedvit.data import FitStats, load_manifest, save_manifest, save_volume
 from mixedvit.model import ModelConfig, init_params, save_checkpoint
 from mixedvit.train import DivergenceError, TrainConfig
@@ -703,6 +703,40 @@ def test_tune_trains_and_selects_outside_the_test_split(dataset, tmp_path,
         assert not test_ids & set(ids(plan.train) + ids(plan.val))
         assert ids(plan.train) == ids(train_plan.train)
         assert ids(plan.val) == ids(train_plan.val)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_tune_image_dims_choice_the_table_lacks_exits_2_before_any_trial(
+        dataset, tmp_path, capsys, monkeypatch, seed):
+    """The instance table selects 8 slices: a space with a 12-slice
+    image_dims choice is refused once the table is read, whichever choice
+    the seed draws first, before any trial trains."""
+    fits = []
+    monkeypatch.setattr("mixedvit.train.fit", lambda *args: fits.append(args))
+    space = _space(tmp_path, {"image_dims": {
+        "type": "choice", "values": [[8, 16, 16, 1], [12, 16, 16, 1]]}})
+    argv = _tune_argv(dataset, space, tmp_path / "t", "--seed", str(seed))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert ("slice_count 8 is not the T of image_dims (12, 16, 16, 1)"
+            in err)
+    assert "Traceback" not in err
+    assert fits == []
+    assert not (tmp_path / "t" / "trials.csv").exists()
+
+
+def test_tune_budget_defaults_equal_the_values_given():
+    """The default --max-resource and --eta are the floats that the same
+    values given on the command line parse to, so they plan one search."""
+    argv = ["tune", "--space", "s", "--instances", "i", "--manifest", "m",
+            "--rois", "r", "--out", "o"]
+    default = build_parser().parse_args(argv)
+    given = build_parser().parse_args(
+        argv + ["--max-resource", "27", "--eta", "3"])
+    for name in ("max_resource", "eta"):
+        got, want = getattr(default, name), getattr(given, name)
+        assert (type(got), got) == (type(want), want) == (float, want)
+    assert json.dumps(default.eta) == "3.0"
 
 
 def test_tune_three_subjects_exits_2(dataset, tmp_path, capsys):

@@ -25,7 +25,7 @@ from mixedvit.tensor import (
     softmax,
 )
 
-from helpers import grad_check, weighted_sum
+from helpers import grad_check, reference_attention_grad, weighted_sum
 
 
 def test_add_identity():
@@ -232,7 +232,10 @@ _DROPOUT_OPS = {
     (1.0, np.random.default_rng(0), r"dropout rate must be in \[0, 1\), got 1.0"),
     (-0.1, np.random.default_rng(0), r"dropout rate must be in \[0, 1\), got -0.1"),
     (0.2, None, "dropout in training mode requires an rng"),
-], ids=["rate_one", "rate_negative", "no_rng"])
+    (0.2, np.random.Generator(np.random.MT19937(0)),
+     "requires a PCG64 or PCG64DXSM generator, whose advance skips single "
+     "draws; got MT19937"),
+], ids=["rate_one", "rate_negative", "no_rng", "mt19937"])
 def test_dropout_checks_are_shared_by_attention(op, rate, rng, message):
     with pytest.raises(ValueError, match=message):
         _DROPOUT_OPS[op](rate, rng)
@@ -521,6 +524,43 @@ def test_dropout_rows_is_row_zero_of_the_full_draw():
     out = dropout(Tensor(x[:, 0]), 0.4, True, rng, rows=7)
     ref = dropout(Tensor(x), 0.4, True, ref_rng)
     assert out.data.tobytes() == np.ascontiguousarray(ref.data[:, 0]).tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("class_row", [False, True])
+@pytest.mark.parametrize("blocks", ["one", "ragged"])
+@pytest.mark.parametrize("rate,training", [(0.0, True), (0.3, True),
+                                           (0.3, False)])
+def test_attention_backward_matches_the_score_form(blocks, class_row, rate,
+                                                   training, monkeypatch):
+    """The backward with its row terms on the (R, dh) side gives the
+    gradient that the score form dS = P * (dP - rowsum(dP * P)) gives."""
+    if blocks == "ragged":
+        _blocks_of_two(monkeypatch, 4, 5)
+    rng = np.random.default_rng(8)
+    qkv = rng.normal(size=(5, 5, 24))
+    g = rng.normal(size=(5, 8) if class_row else (5, 5, 8))
+    with Tape():
+        x = Tensor(qkv, requires_grad=True)
+        out = attention(x, 4, rate, training, np.random.default_rng(1),
+                        class_row)
+        loss = weighted_sum(out, g)
+    backward(loss)
+    ref = reference_attention_grad(qkv, 4, rate, training,
+                                   np.random.default_rng(1), class_row, g)
+    np.testing.assert_allclose(x.grad, ref, rtol=0, atol=1e-12)
+
+
+def test_skipped_draws_keep_a_buffered_half_word():
+    """A 32-bit draw leaves half a 64-bit output buffered, which a full
+    draw of doubles keeps; skipping rows must keep it too."""
+    x = np.random.default_rng(6).normal(size=(3, 4))
+    rng, ref_rng = np.random.default_rng(2), np.random.default_rng(2)
+    for r in (rng, ref_rng):
+        r.integers(2**31, dtype=np.uint32)
+    assert rng.bit_generator.state["has_uint32"] == 1
+    dropout(Tensor(x), 0.4, True, rng, rows=7)
+    ref_rng.random((3, 7, 4))
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
