@@ -428,15 +428,15 @@ def attention(qkv: Tensor, heads: int, rate: float, training: bool,
         g = g.reshape(B, R, heads, dh)
         # P = e * c / keep_scale by rows: c goes into dO, c / keep_scale
         # into D.
-        D = (g * out).sum(axis=-1).transpose(0, 2, 1)[..., None] * (
+        D = np.einsum("brhd,brhd->bhr", g, out)[..., None] * (
             row_scale / (keep_scale or 1.0))
-        g = g.transpose(0, 2, 1, 3) * row_scale
+        g = g.transpose(0, 2, 1, 3)
         gqkv = np.empty((B, M, 3, heads, dh))
         gq, gk, gv = gqkv.transpose(2, 0, 3, 1, 4)
         gq[:, :, R:] = 0.0
         gs_buf = np.empty(block_shape)
         for blk in blocks:
-            e, gb = exps[blk], g[blk]
+            e, gb = exps[blk], g[blk] * row_scale[blk]
             gs = gs_buf[:len(e)]
             w = e if mask is None else np.multiply(e, mask[blk], out=gs)
             gv[blk] = w.transpose(0, 1, 3, 2) @ gb
