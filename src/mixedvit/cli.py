@@ -187,15 +187,23 @@ def _load(loader, path, what: str) -> list:
 # synth
 
 
-def cmd_synth(args) -> int:
-    started = time.time()
-    dims = _parse_dims(args.dims)
-    rois = _parse_rois(args.rois)
+def synth_config(args) -> D.SynthConfig:
+    """The ``SynthConfig`` that synth's flags give; a flag left out keeps
+    its dataclass default."""
+    given = {"subjects": args.subjects, "separability": args.separability,
+             "dims": None if args.dims is None else _parse_dims(args.dims),
+             "rois": None if args.rois is None
+             else tuple(_parse_rois(args.rois))}
     try:
-        cfg = D.SynthConfig(subjects=args.subjects, dims=dims,
-                            separability=args.separability, rois=tuple(rois))
+        return D.SynthConfig(**{k: v for k, v in given.items()
+                                if v is not None})
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+
+
+def cmd_synth(args) -> int:
+    started = time.time()
+    cfg = synth_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     records = D.synth_generate(cfg, args.seed, out)
@@ -510,17 +518,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", parents=[seeded],
                        help="generate a synthetic dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--subjects", type=int, default=40)
-    p.add_argument("--dims", default="48,64,64")
-    p.add_argument("--separability", type=float, default=1.0)
-    p.add_argument("--rois", default="hippocampus_left")
+    p.add_argument("--subjects", type=int)
+    p.add_argument("--dims", help="D,H,W")
+    p.add_argument("--separability", type=float)
+    p.add_argument("--rois", help="comma-separated ROI names")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("select", help="select ROI instances")
     p.add_argument("--manifest", required=True)
     p.add_argument("--roi", required=True,
                    help="ROI name (comma-separated for several)")
-    p.add_argument("--slices", type=int, default=25)
+    p.add_argument("--slices", type=int,
+                   default=MO.ModelConfig.image_dims[0],
+                   help="slices per instance; by default the T of the "
+                        "model's image_dims")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_select)
 

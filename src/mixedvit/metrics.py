@@ -93,20 +93,17 @@ def stratified_kfold(subject_ids: Sequence[str], labels: dict, k: int,
 
 
 def confusion(predictions: Sequence[Prediction]) -> ConfusionMatrix:
-    """Counts with AD as the positive class."""
+    """Counts with AD as the positive class; what is not a true positive,
+    false positive or true negative counts as a false negative."""
     if not predictions:
         raise ValueError("no predictions to score")
-    tp = fp = tn = fn = 0
-    for p in predictions:
-        if p.predicted == AD and p.label == AD:
-            tp += 1
-        elif p.predicted == AD and p.label == CN:
-            fp += 1
-        elif p.predicted == CN and p.label == CN:
-            tn += 1
-        else:
-            fn += 1
-    return ConfusionMatrix(tp=tp, fp=fp, tn=tn, fn=fn)
+    predicted = np.array([p.predicted for p in predictions])
+    label = np.array([p.label for p in predictions])
+    tp = int(((predicted == AD) & (label == AD)).sum())
+    fp = int(((predicted == AD) & (label == CN)).sum())
+    tn = int(((predicted == CN) & (label == CN)).sum())
+    return ConfusionMatrix(tp=tp, fp=fp, tn=tn,
+                           fn=len(predictions) - tp - fp - tn)
 
 
 def accuracy(cm: ConfusionMatrix) -> float:
@@ -114,7 +111,11 @@ def accuracy(cm: ConfusionMatrix) -> float:
 
 
 def roc_points(scores: Sequence[float], labels: Sequence[int]) -> list:
-    """Threshold sweep over distinct scores, descending, with sentinels."""
+    """Threshold sweep over distinct scores, descending, with sentinels.
+
+    Each point counts the samples scoring at or above its threshold, read
+    from cumulative sums at the last of the tied scores; its threshold is
+    the first of them in stable order."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     n_pos = int((labels == AD).sum())
@@ -122,19 +123,16 @@ def roc_points(scores: Sequence[float], labels: Sequence[int]) -> list:
     if n_pos == 0 or n_neg == 0:
         raise ValueError("ROC needs both classes present")
     order = np.argsort(-scores, kind="stable")
-    points = [RocPoint(0.0, 0.0, math.inf)]
-    tp = fp = 0
-    i = 0
-    while i < len(order):
-        thr = scores[order[i]]
-        while i < len(order) and scores[order[i]] == thr:
-            if labels[order[i]] == AD:
-                tp += 1
-            else:
-                fp += 1
-            i += 1
-        points.append(RocPoint(fp / n_neg, tp / n_pos, float(thr)))
-    return points
+    ranked = scores[order]
+    positive = labels[order] == AD
+    new = ranked[1:] != ranked[:-1]
+    last = np.append(new, True)
+    tpr = np.cumsum(positive)[last] / n_pos
+    fpr = np.cumsum(~positive)[last] / n_neg
+    thresholds = ranked[np.insert(new, 0, True)]
+    return [RocPoint(0.0, 0.0, math.inf)] + [
+        RocPoint(f, t, thr) for f, t, thr in
+        zip(fpr.tolist(), tpr.tolist(), thresholds.tolist())]
 
 
 def auc_trapezoid(points: Sequence[RocPoint]) -> float:
@@ -162,15 +160,24 @@ def format_mean_std(mean: float, std: float) -> str:
 # hypothesis tests
 
 
+def _mean(values: np.ndarray):
+    """The mean; exactly the value when all values are equal, whose float
+    mean can miss it by an ulp and so give them a spread."""
+    return values[0] if values.min() == values.max() else values.mean()
+
+
 def t_test(a: Sequence[float], b: Sequence[float]):
-    """Pooled-variance two-sample Student t; two-sided p."""
+    """Pooled-variance two-sample Student t; two-sided p. t = 0, p = 1 when
+    the pooled variance is zero and the means equal;
+    ``DegenerateVarianceError`` when it is zero and they differ."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.size < 2 or b.size < 2:
         raise ValueError("each sample needs at least 2 values")
     df = a.size + b.size - 2
-    pooled = ((a.size - 1) * a.var(ddof=1) + (b.size - 1) * b.var(ddof=1)) / df
-    diff = a.mean() - b.mean()
+    mean_a, mean_b = _mean(a), _mean(b)
+    pooled = (((a - mean_a) ** 2).sum() + ((b - mean_b) ** 2).sum()) / df
+    diff = mean_a - mean_b
     if pooled == 0.0:
         if diff == 0.0:
             return 0.0, df, 1.0
@@ -182,7 +189,9 @@ def t_test(a: Sequence[float], b: Sequence[float]):
 
 
 def one_way_anova(groups: Sequence[Sequence[float]]):
-    """One-way fixed-effects ANOVA; p from the F distribution."""
+    """One-way fixed-effects ANOVA; p from the F distribution. F = 0, p = 1
+    when the within-group variance is zero and the means equal; F = inf,
+    p = 0 when it is zero and they differ."""
     if len(groups) < 2:
         raise ValueError("ANOVA needs at least 2 groups")
     arrays = [np.asarray(g, dtype=np.float64) for g in groups]
@@ -190,9 +199,10 @@ def one_way_anova(groups: Sequence[Sequence[float]]):
         raise ValueError("each group needs at least 2 values")
     n_total = sum(g.size for g in arrays)
     k = len(arrays)
-    grand = sum(g.sum() for g in arrays) / n_total
-    ss_between = sum(g.size * (g.mean() - grand) ** 2 for g in arrays)
-    ss_within = sum(((g - g.mean()) ** 2).sum() for g in arrays)
+    means = [_mean(g) for g in arrays]
+    grand = _mean(np.concatenate(arrays))
+    ss_between = sum(g.size * (m - grand) ** 2 for g, m in zip(arrays, means))
+    ss_within = sum(((g - m) ** 2).sum() for g, m in zip(arrays, means))
     df_between = k - 1
     df_within = n_total - k
     if ss_within == 0.0:

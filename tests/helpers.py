@@ -1,14 +1,15 @@
 """Helpers that only tests use: a finite-difference gradient check, a
 scalar root for gradient tests, a single-sample forward pass, parameter
-flattening, a rank-statistic AUC oracle for the trapezoid AUC, a search
-space and analytic objective for Hyperband, a Hyperband run whose
-successive halving works out its own keep counts and stop, whose log the
-planned schedule must reproduce, and straightforward reference
-versions of the synthetic generator, the modal centroid and the ROI images
-that the vectorised data path must equal bit for bit, and of the truncated
-normal draw and the tubelet patches that the model must equal bit for
-bit, of the image branch that runs its last block on every row, and of
-the attention backward in its score form."""
+flattening, a rank-statistic AUC oracle for the trapezoid AUC, loop forms
+of the ROC sweep and the confusion counts that the vectorised metrics must
+equal bit for bit, a search space and analytic objective for Hyperband, a
+Hyperband run whose successive halving works out its own keep counts and
+stop, whose log the planned schedule must reproduce, and straightforward
+reference versions of the synthetic generator, the modal centroid and the
+ROI images that the vectorised data path must equal bit for bit, and of
+the truncated normal draw and the tubelet patches that the model must
+equal bit for bit, of the image branch that runs its last block on every
+row, and of the attention backward in its score form."""
 
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ import numpy as np
 
 from mixedvit import data
 from mixedvit.data import AD, CN
+from mixedvit.metrics import ConfusionMatrix, RocPoint
 from mixedvit.model import (
     ModelConfig,
     add_cls_and_pos,
@@ -110,6 +112,44 @@ def auc_mannwhitney(scores: Sequence[float], labels: Sequence[int]) -> float:
         wins += int((p > neg).sum())
         ties += int((p == neg).sum())
     return (wins + 0.5 * ties) / (pos.size * neg.size)
+
+
+def reference_roc_points(scores: Sequence[float],
+                         labels: Sequence[int]) -> list:
+    """``metrics.roc_points`` as a loop over the ranked scores."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    n_pos = int((labels == AD).sum())
+    n_neg = int((labels == CN).sum())
+    order = np.argsort(-scores, kind="stable")
+    points = [RocPoint(0.0, 0.0, math.inf)]
+    tp = fp = 0
+    i = 0
+    while i < len(order):
+        thr = scores[order[i]]
+        while i < len(order) and scores[order[i]] == thr:
+            if labels[order[i]] == AD:
+                tp += 1
+            else:
+                fp += 1
+            i += 1
+        points.append(RocPoint(fp / n_neg, tp / n_pos, float(thr)))
+    return points
+
+
+def reference_confusion(predictions) -> ConfusionMatrix:
+    """``metrics.confusion`` as a loop over the predictions."""
+    tp = fp = tn = fn = 0
+    for p in predictions:
+        if p.predicted == AD and p.label == AD:
+            tp += 1
+        elif p.predicted == AD and p.label == CN:
+            fp += 1
+        elif p.predicted == CN and p.label == CN:
+            tn += 1
+        else:
+            fn += 1
+    return ConfusionMatrix(tp=tp, fp=fp, tn=tn, fn=fn)
 
 
 def default_search_space() -> dict:

@@ -22,7 +22,7 @@ from mixedvit.metrics import (
 )
 from mixedvit.train import PlanError, Prediction
 
-from helpers import auc_mannwhitney
+from helpers import auc_mannwhitney, reference_confusion, reference_roc_points
 
 
 def preds(pairs):
@@ -90,6 +90,15 @@ def test_confusion_empty_errors():
         confusion([])
 
 
+def test_confusion_equals_the_loop():
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        n = int(rng.integers(1, 40))
+        pairs = rng.integers(0, 3, size=(n, 2))  # 2 is neither class
+        got = confusion(preds(pairs.tolist()))
+        assert got == reference_confusion(preds(pairs.tolist()))
+
+
 def test_accuracy_complement_identity():
     rng = np.random.default_rng(2)
     for _ in range(30):
@@ -140,6 +149,23 @@ def test_roc_monotone_sequence():
         for a, b in zip(points[:-1], points[1:]):
             assert a.threshold > b.threshold
             assert b.fpr >= a.fpr and b.tpr >= a.tpr
+
+
+def test_roc_points_equal_the_loop_bit_for_bit():
+    """Tie-heavy scores, signed zeros among them, and labels outside the
+    two classes."""
+    rng = np.random.default_rng(9)
+    for _ in range(2000):
+        n = int(rng.integers(0, 40))
+        labels = np.concatenate([[AD, CN], rng.integers(0, 3, size=n)])
+        scores = np.round(rng.random(n + 2), int(rng.integers(0, 3)))
+        scores[rng.random(n + 2) < 0.1] *= -0.0
+        got = roc_points(scores, labels)
+        want = reference_roc_points(scores, labels)
+        assert [(p.fpr, p.tpr, p.threshold) for p in got] == \
+            [(p.fpr, p.tpr, p.threshold) for p in want]
+        assert [math.copysign(1.0, p.threshold) for p in got] == \
+            [math.copysign(1.0, p.threshold) for p in want]
 
 
 def test_auc_oracle_equivalence_200_random():
@@ -214,10 +240,29 @@ def test_t_test_antisymmetry():
     assert abs(p1 - p2) < 1e-12
 
 
+# Every fraction k/n with n <= 20: a fold accuracy of n test subjects.
+FRACTIONS = sorted({k / n for n in range(1, 21) for k in range(n + 1)})
+
+
 def test_t_test_degenerate_variance():
     assert t_test([2.0, 2.0], [2.0, 2.0]) == (0.0, 2, 1.0)
     with pytest.raises(DegenerateVarianceError):
         t_test([2.0, 2.0], [3.0, 3.0])
+    # Constancy is decided by the values: the float mean of 7 copies of
+    # 2/3 is not the mean of 10, and was read as a spread (t = -2.49).
+    assert t_test([2 / 3] * 7, [2 / 3] * 10) == (0.0, 15, 1.0)
+    assert t_test([0.1] * 3, [0.1] * 7) == (0.0, 8, 1.0)
+    with pytest.raises(DegenerateVarianceError):
+        t_test([0.1] * 3, [0.2] * 7)
+    for value in FRACTIONS:
+        for n_a in range(2, 11):
+            for n_b in range(2, 11):
+                assert t_test([value] * n_a, [value] * n_b) == \
+                    (0.0, n_a + n_b - 2, 1.0)
+    # A spread that underflows to zero variance keeps the same rules.
+    assert t_test([0.0, 1.5e-308], [0.0, 1.5e-308]) == (0.0, 2, 1.0)
+    with pytest.raises(DegenerateVarianceError):
+        t_test([0.0, 1.5e-308], [1.0, 1.0])
 
 
 def _mp_groups(rng):
@@ -276,6 +321,15 @@ def test_anova_identical_groups():
     f, dfb, dfw, p = one_way_anova([[1, 2, 3], [1, 2, 3], [1, 2, 3]])
     assert f == 0.0 and p == 1.0
     assert dfb == 2 and dfw == 6
+    # Constancy is decided by the values: the float means of 3 and of 7
+    # copies of 0.1 differ, and were read as a spread (F = 8, p = 0.022).
+    assert one_way_anova([[0.1] * 3, [0.1] * 7]) == (0.0, 1, 8, 1.0)
+    for value in FRACTIONS:
+        for n_a in range(2, 11):
+            for n_b in range(2, 11):
+                assert one_way_anova([[value] * n_a, [value] * n_b,
+                                      [value] * 2]) == \
+                    (0.0, 2, n_a + n_b - 1, 1.0)
 
 
 def test_anova_equals_t_squared_for_two_groups():
@@ -299,6 +353,8 @@ def test_anova_detects_separation():
 
 def test_anova_zero_within_nonzero_between():
     f, _, _, p = one_way_anova([[1.0, 1.0], [2.0, 2.0]])
+    assert math.isinf(f) and p == 0.0
+    f, _, _, p = one_way_anova([[0.1] * 3, [0.2] * 7])
     assert math.isinf(f) and p == 0.0
 
 
