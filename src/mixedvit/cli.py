@@ -35,6 +35,10 @@ budget, and a ``tune`` budget planning more than
 A corrupt volume or checkpoint, a manifest line whose CDR is neither 0
 (CN) nor >= 1 (AD), or an instance-table row whose slice window runs past
 its volume's depth makes every command that reads it exit 1.
+``compare`` reads each metrics file through
+``metrics.load_fold_accuracies``: a missing file exits 1, and one with
+fewer than 2 folds, or a fold accuracy that is not a finite number in
+[0, 1], exits 2.
 
 Exit codes: 0 success, 1 runtime/I-O failure, 2 usage/config error.
 Every run writes a manifest with a config snapshot and output checksums.
@@ -464,16 +468,11 @@ def cmd_eval(args) -> int:
 
 def _fold_accuracies(path) -> list:
     try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        accs = [f["accuracy"] for f in payload["folds"]]
+        return ME.load_fold_accuracies(path)
     except FileNotFoundError as exc:
         raise RuntimeFailure(f"metrics file not found: {path}") from exc
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise UsageError(f"{path} is not a metrics JSON: {exc}") from exc
-    if len(accs) < 2:
-        raise UsageError(f"{path} has {len(accs)} folds; need at least 2")
-    return accs
+    except ValueError as exc:
+        raise UsageError(f"{path}: {exc}") from exc
 
 
 def cmd_compare(args) -> int:

@@ -6,9 +6,10 @@ one-way ANOVA, with p-values from scipy's regularized incomplete beta.
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -304,20 +305,38 @@ def summary_line(summary: dict) -> str:
 
 
 def metrics_payload(reports: Sequence[FoldReport]) -> dict:
+    """The layout of ``metrics.json``; ``load_fold_accuracies`` reads it."""
     return {
         "folds": [{
             "fold": r.fold_index,
             "accuracy": r.accuracy,
             "auc": r.auc,
-            "confusion": {"tp": r.confusion.tp, "fp": r.confusion.fp,
-                          "tn": r.confusion.tn, "fn": r.confusion.fn},
+            "confusion": dataclasses.asdict(r.confusion),
         } for r in reports],
         "summary": summarize(reports),
     }
 
 
+def load_fold_accuracies(path) -> list:
+    """The fold accuracies of a ``metrics_payload`` JSON file, as
+    ``compare`` tests them. ``ValueError`` for a file that does not hold
+    that layout, for fewer than 2 folds, and for an accuracy that is not a
+    finite number in [0, 1] (JSON's true and false are not numbers)."""
+    with open(path, encoding="utf-8") as fh:
+        try:  # a ValueError here is bad JSON or bad UTF-8
+            accs = [f["accuracy"] for f in json.load(fh)["folds"]]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValueError(f"not a metrics JSON: {exc}") from exc
+    if len(accs) < 2:
+        raise ValueError(f"{len(accs)} folds; need at least 2")
+    for i, acc in enumerate(accs):
+        if type(acc) not in (int, float) or not 0.0 <= acc <= 1.0:
+            raise ValueError(f"fold {i}: accuracy {acc!r} is not a finite "
+                             f"number in [0, 1]")
+    return accs
+
+
 def save_roc_csv(points: Sequence[RocPoint], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("fpr,tpr,threshold\n")
-        for p in points:
-            fh.write(f"{p.fpr!r},{p.tpr!r},{p.threshold!r}\n")
+        fh.write(",".join(f.name for f in fields(RocPoint)) + "\n")
+        fh.writelines(",".join(map(repr, astuple(p))) + "\n" for p in points)

@@ -13,7 +13,7 @@ training loss).
 ``attention`` computes R query rows against all M keys: R = M, or R = 1,
 the class row alone, which is all the last encoder block needs. It works
 through the batch in blocks of as many elements as fit
-``ATTENTION_BLOCK_BYTES`` of (heads, M, M) float64 scores, so that the
+``ATTENTION_BLOCK_BYTES`` of (heads, R, M) float64 scores, so that the
 passes over a block stay in a core's L2 cache. In FlashAttention's algebra
 (Dao et al., arXiv:2205.14135), without the tiling, the score scale, the
 softmax normalisation and 1/(1 - rate) act on (R, dh) operands, and the
@@ -54,9 +54,10 @@ __all__ = [
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
-# Bytes of (heads, M, M) float64 scores in one attention block. It fits a
+# Bytes of (heads, R, M) float64 scores in one attention block. It fits a
 # 2 MB per-core L2 with the block's other buffers; at the paper shape
-# (8 heads, 81 tokens) a block is one batch element of 420 KB.
+# (8 heads, 81 tokens) a block of all rows is one batch element of 420 KB,
+# and one block of class rows (R = 1) holds up to 101 elements.
 ATTENTION_BLOCK_BYTES = 512 * 1024
 
 # Bit generators whose ``advance(n)`` skips exactly n float64 draws.
@@ -361,7 +362,7 @@ def attention(qkv: Tensor, heads: int, rate: float, training: bool,
     all M keys and values: (heads, R, M) scores per batch element.
 
     The batch is processed in blocks of as many elements as fit
-    ``ATTENTION_BLOCK_BYTES`` of (heads, M, M) scores (at least one). A
+    ``ATTENTION_BLOCK_BYTES`` of (heads, R, M) scores (at least one). A
     block's scores are the scaled queries times the keys; in place they
     become ``e = exp(s - rowmax)``, never normalised. ``e`` times the bool
     keep-mask, times v, is the (R, dh) context up to the row factor
@@ -394,7 +395,7 @@ def attention(qkv: Tensor, heads: int, rate: float, training: bool,
     q, k, v = qkv.data.reshape(B, M, 3, heads, dh).transpose(2, 0, 3, 1, 4)
     q = q[:, :, :R]
     kt = k.transpose(0, 1, 3, 2)
-    step = max(1, ATTENTION_BLOCK_BYTES // (heads * M * M * 8))
+    step = max(1, ATTENTION_BLOCK_BYTES // (heads * R * M * 8))
     blocks = [slice(b, min(b + step, B)) for b in range(0, B, step)]
     block_shape = (min(step, B), heads, R, M)
     taped = qkv.requires_grad and _active_tape() is not None

@@ -17,7 +17,7 @@ configurations that tests and ``tune`` could reach.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from typing import ClassVar, Optional, Sequence
 
 import numpy as np
@@ -143,19 +143,29 @@ def _copy_params(params: dict) -> dict:
             for k, p in params.items()}
 
 
-def evaluate(model_cfg: ModelConfig, params: dict,
-             samples: Sequence[MixedSample], batch_size: int):
-    """Mean per-sample loss and accuracy with dropout disabled. Batches
-    are built as they are used (``build_batches``), not the whole set at
-    once."""
-    total_loss = 0.0
-    correct = 0
+def _eval_batches(model_cfg: ModelConfig, params: dict,
+                  samples: Sequence[MixedSample], batch_size: int):
+    """Each batch of ``samples`` with its (B, 2) probabilities, dropout
+    disabled, and its predicted classes: AD iff p_AD > 0.5, so a tie
+    classifies as CN. Batches are built as they are used
+    (``build_batches``), not the whole set at once."""
+    # The previous batch stays alive until the next is reached; it holds
+    # views of the samples' images, not a copy, so that costs next to nothing.
     for batch in build_batches(samples, batch_size):
         probs = forward_batch(model_cfg, params, batch.tabular, batch.images,
                               training=False)
+        yield batch, probs, np.where(probs.data[:, AD] > 0.5, AD, CN)
+
+
+def evaluate(model_cfg: ModelConfig, params: dict,
+             samples: Sequence[MixedSample], batch_size: int):
+    """Mean per-sample loss and accuracy with dropout disabled."""
+    total_loss = 0.0
+    correct = 0
+    for batch, probs, classes in _eval_batches(model_cfg, params, samples,
+                                               batch_size):
         total_loss += batch_loss(probs, batch.labels).item() * len(batch.labels)
-        preds = (probs.data[:, AD] > 0.5).astype(np.int64)
-        correct += int((preds == batch.labels).sum())
+        correct += int((classes == batch.labels).sum())
     n = len(samples)
     return total_loss / n, correct / n
 
@@ -225,21 +235,13 @@ def train(model_cfg: ModelConfig, params: dict,
 def predict(model_cfg: ModelConfig, params: dict,
             samples: Sequence[MixedSample],
             batch_size: int = 6) -> list[Prediction]:
-    """Deterministic inference; probability ties classify as CN. Batches
-    are built as they are used (``build_batches``), not the whole set at
-    once."""
-    out: list[Prediction] = []
-    # The previous batch stays alive until the next is reached; it holds
-    # views of the samples' images, not a copy, so that costs next to nothing.
-    for batch in build_batches(samples, batch_size):
-        probs = forward_batch(model_cfg, params, batch.tabular, batch.images,
-                              training=False)
-        for sid, p, label in zip(batch.subject_ids, probs.data[:, AD],
-                                 batch.labels):
-            out.append(Prediction(subject_id=sid, p_ad=float(p),
-                                  predicted=AD if p > 0.5 else CN,
-                                  label=int(label)))
-    return out
+    """Deterministic inference, one ``Prediction`` per sample in order."""
+    return [Prediction(subject_id=sid, p_ad=float(p), predicted=int(c),
+                       label=int(label))
+            for batch, probs, classes in _eval_batches(model_cfg, params,
+                                                       samples, batch_size)
+            for sid, p, c, label in zip(batch.subject_ids, probs.data[:, AD],
+                                        classes, batch.labels)]
 
 
 def require_both_classes(records: Sequence[SubjectRecord], what: str,
@@ -325,12 +327,8 @@ def fit(model_cfg: ModelConfig, train_cfg: TrainConfig, plan: FitPlan,
     return best, history, preds
 
 
-HISTORY_HEADER = "epoch,train_loss,val_loss,val_accuracy,lr"
-
-
 def save_history(history: Sequence[EpochStats], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(HISTORY_HEADER + "\n")
-        for row in history:
-            fh.write(f"{row.epoch},{row.train_loss!r},{row.val_loss!r},"
-                     f"{row.val_accuracy!r},{row.lr!r}\n")
+        fh.write(",".join(f.name for f in fields(EpochStats)) + "\n")
+        fh.writelines(",".join(map(repr, astuple(row))) + "\n"
+                      for row in history)

@@ -270,27 +270,35 @@ def test_cv_jobs_matches_serial(dataset, tmp_path, rois, jobs, extra):
         (outs[1] / "metrics.json").read_bytes()
 
 
-def _image_only_cv_auc(root: Path, seed: int, separability: float) -> float:
-    """Mean fold AUC of a 4-fold image-only cv over 40 synthetic subjects
+def _cv_auc(root: Path, seed: int, separability: float, mode: str) -> float:
+    """Mean fold AUC of a 4-fold cv in ``mode`` over 40 synthetic subjects
     at ``separability``, with d=16 and 10 epochs on one ROI."""
     data = root / f"data_{separability}"
-    assert main(["synth", "--out", str(data), "--subjects", "40", "--seed",
-                 str(seed), "--dims", "33,40,40",
-                 "--separability", str(separability)]) == 0
-    assert main(["select", "--manifest", str(data / "manifest.jsonl"),
-                 "--roi", "hippocampus_left", "--slices", "8",
-                 "--out", str(data / "instances.csv")]) == 0
+    if not data.exists():
+        assert main(["synth", "--out", str(data), "--subjects", "40",
+                     "--seed", str(seed), "--dims", "33,40,40",
+                     "--separability", str(separability)]) == 0
+        assert main(["select", "--manifest", str(data / "manifest.jsonl"),
+                     "--roi", "hippocampus_left", "--slices", "8",
+                     "--out", str(data / "instances.csv")]) == 0
     config = root / "config.json"
     config.write_text(json.dumps({**TINY_CONFIG, "embed_dim": 16,
                                   "epochs": 10}))
-    out = root / f"cv_{separability}"
+    out = root / f"cv_{mode}_{separability}"
     assert main(["cv", "--instances", str(data / "instances.csv"),
                  "--manifest", str(data / "manifest.jsonl"),
                  "--config", str(config), "--rois", "hippocampus_left",
-                 "--mode", "image-only", "--folds", "4", "--no-holdout-test",
+                 "--mode", mode, "--folds", "4", "--no-holdout-test",
                  "--seed", "2", "--out", str(out)]) == 0
     return json.loads((out / "metrics.json").read_text())["summary"][
         "auc_mean"]
+
+
+# Each fold holds 5 CN and 5 AD subjects. Without signal a fold's AUC is a
+# Mann-Whitney statistic with mean 0.5 and sd sqrt(11 / 300) = 0.19, so the
+# mean of 4 folds, taken as independent, has sd 0.096: chance +- 3 sd is
+# [0.21, 0.79].
+CHANCE_BAND = 3 * math.sqrt(11 / 300) / math.sqrt(4)
 
 
 @pytest.mark.parametrize("seed", [5, 6, 7])
@@ -300,17 +308,26 @@ def test_image_only_cv_learns_the_image_signal(tmp_path, seed):
     carry none, stays at chance: a branch that never receives the image
     signal fails.
 
-    Each fold holds 5 CN and 5 AD subjects. Without signal a fold's AUC is
-    a Mann-Whitney statistic with mean 0.5 and sd sqrt(11 / 300) = 0.19, so
-    the mean of 4 folds, taken as independent, has sd 0.096. The control
-    must stay within chance +- 3 sd, [0.21, 0.79]; the separable run must
-    pass its upper end, and the control. Measured: 1.0 against 0.52, 0.46
-    and 0.67 at seeds 5, 6 and 7."""
-    band = 3 * math.sqrt(11 / 300) / math.sqrt(4)
-    control = _image_only_cv_auc(tmp_path, seed, 0.0)
-    separable = _image_only_cv_auc(tmp_path, seed, 1.0)
-    assert abs(control - 0.5) <= band
-    assert separable > max(0.5 + band, control)
+    The control must stay within ``CHANCE_BAND`` of 0.5; the separable run
+    must pass its upper end, and the control. Measured: 1.0 against 0.52,
+    0.46 and 0.67 at seeds 5, 6 and 7."""
+    control = _cv_auc(tmp_path, seed, 0.0, "image-only")
+    separable = _cv_auc(tmp_path, seed, 1.0, "image-only")
+    assert abs(control - 0.5) <= CHANCE_BAND
+    assert separable > max(0.5 + CHANCE_BAND, control)
+
+
+@pytest.mark.parametrize("seed", [5, 6, 7])
+def test_mixed_cv_learns_the_tabular_signal(tmp_path, seed):
+    """At separability 0 the images carry no signal but MMSE still does, so
+    mixed mode must rank the classes through its tabular branch: above the
+    upper end of ``CHANCE_BAND`` and above the image-only control on the
+    same subjects. A tabular branch that never receives its features fails.
+    Measured: 0.84, 0.83 and 0.91 against 0.52, 0.46 and 0.67 at seeds 5,
+    6 and 7."""
+    control = _cv_auc(tmp_path, seed, 0.0, "image-only")
+    mixed = _cv_auc(tmp_path, seed, 0.0, "mixed")
+    assert mixed > max(0.5 + CHANCE_BAND, control)
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])
@@ -1147,6 +1164,28 @@ def test_compare_too_few_folds_exits_2(tmp_path):
     path.write_text(json.dumps({"folds": [{"fold": 0, "accuracy": 1.0}],
                                 "summary": {}}))
     assert main(["compare", "--metrics", str(path), str(path)]) == 2
+
+
+@pytest.mark.parametrize("accuracy", ['"x"', "NaN", "true", "1.5", "-0.1"])
+def test_compare_malformed_accuracy_exits_2(tmp_path, capsys, accuracy):
+    """Python's json reads NaN, and true is an int to isinstance: a fold
+    accuracy must be a finite number in [0, 1]."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({
+        "folds": [{"fold": i, "accuracy": 0.5 if i else "ACC"}
+                  for i in range(3)],
+        "summary": {}}).replace('"ACC"', accuracy))
+    assert main(["compare", "--metrics", str(path), str(path)]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "fold 0: accuracy" in err
+    assert "Traceback" not in err
+
+
+def test_compare_non_utf8_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert main(["compare", "--metrics", str(path), str(path)]) == 2
+    assert f"{path}: not a metrics JSON" in capsys.readouterr().err
 
 
 def test_run_manifest_contents(dataset):

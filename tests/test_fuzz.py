@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixedvit import data as D
+from mixedvit import metrics as ME
 from mixedvit import model as M
 from mixedvit.cli import CONFIG_KEYS, UsageError, build_configs
 from mixedvit.tensor import Tensor
@@ -52,6 +53,13 @@ def _instances(path):
                                        10 * i, 12) for i in range(3)], path)
 
 
+def _metrics(path):
+    cm = ME.ConfusionMatrix(tp=1, fp=0, tn=1, fn=0)
+    reports = [ME.FoldReport(i, 0.5 + 0.25 * i, 0.75, cm, [], [])
+               for i in range(3)]
+    path.write_text(json.dumps(ME.metrics_payload(reports)))
+
+
 # format -> (writer of a valid file, loader, the errors it documents)
 FORMATS = {
     "volume": (_volume, D.load_volume,
@@ -59,6 +67,7 @@ FORMATS = {
     "checkpoint": (_checkpoint, _load_checkpoint, (M.CheckpointError,)),
     "manifest": (_manifest, D.load_manifest, (ValueError,)),
     "instances": (_instances, D.load_instances, (ValueError,)),
+    "metrics": (_metrics, ME.load_fold_accuracies, (ValueError,)),
 }
 
 

@@ -45,23 +45,23 @@ def test_bias_broadcast_add():
 
 
 # linear without a bias is the matrix product x @ w.
-def test_matmul_identity():
+def test_linear_identity():
     a = np.array([[1.0, 2.0], [3.0, 4.0]])
     out = linear(Tensor(np.eye(2)), Tensor(a))
     np.testing.assert_array_equal(out.data, a)
 
 
-def test_matmul_dot_product():
+def test_linear_dot_product():
     out = linear(Tensor([[1.0, 2.0]]), Tensor([[3.0], [4.0]]))
     np.testing.assert_array_equal(out.data, [[11.0]])
 
 
-def test_matmul_mismatch():
+def test_linear_mismatch():
     with pytest.raises(ShapeError):
         linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
 
 
-def test_matmul_batched_shape():
+def test_linear_batched_shape():
     rng = np.random.default_rng(4)
     a = rng.normal(size=(5, 2, 3))
     b = rng.normal(size=(3, 4))
@@ -453,9 +453,10 @@ def test_attention_matches_unfused_reference(rate):
     np.testing.assert_allclose(out.data, ref, rtol=0, atol=1e-12)
 
 
-def _blocks_of_two(monkeypatch, heads, M):
-    """Budget attention blocks at two batch elements each."""
-    monkeypatch.setattr(T, "ATTENTION_BLOCK_BYTES", 2 * heads * M * M * 8)
+def _blocks_of_two(monkeypatch, heads, R, M):
+    """Budget attention blocks of R query rows at two batch elements
+    each."""
+    monkeypatch.setattr(T, "ATTENTION_BLOCK_BYTES", 2 * heads * R * M * 8)
 
 
 @pytest.mark.parametrize("rate,training", [(0.0, True), (0.3, True),
@@ -463,7 +464,7 @@ def _blocks_of_two(monkeypatch, heads, M):
 def test_attention_matches_unfused_reference_across_blocks(rate, training,
                                                            monkeypatch):
     # B=5 in blocks of 2: two full blocks and a ragged last one.
-    _blocks_of_two(monkeypatch, 4, 5)
+    _blocks_of_two(monkeypatch, 4, 5, 5)
     qkv = np.random.default_rng(8).normal(size=(5, 5, 24))
     out = attention(Tensor(qkv), 4, rate, training, np.random.default_rng(1))
     ref = _attention_reference(qkv, 4, rate if training else 0.0,
@@ -474,9 +475,9 @@ def test_attention_matches_unfused_reference_across_blocks(rate, training,
 @pytest.mark.parametrize("blocks", ["one", "ragged"])
 def test_attention_leaves_rng_where_one_draw_would(blocks, monkeypatch):
     B, M, heads = 5, 6, 2
-    if blocks == "ragged":
-        _blocks_of_two(monkeypatch, heads, M)
     for class_row in (False, True):
+        if blocks == "ragged":
+            _blocks_of_two(monkeypatch, heads, 1 if class_row else M, M)
         rng, ref = np.random.default_rng(4), np.random.default_rng(4)
         attention(Tensor(np.ones((B, M, 6 * heads))), heads, 0.3, True, rng,
                   class_row)
@@ -490,7 +491,7 @@ def test_attention_leaves_rng_where_one_draw_would(blocks, monkeypatch):
 def test_attention_class_row_is_row_zero_of_unfused_reference(
         blocks, rate, training, monkeypatch):
     if blocks == "ragged":
-        _blocks_of_two(monkeypatch, 4, 5)
+        _blocks_of_two(monkeypatch, 4, 1, 5)
     qkv = np.random.default_rng(8).normal(size=(5, 5, 24))
     rng, ref_rng = np.random.default_rng(1), np.random.default_rng(1)
     out = attention(Tensor(qkv), 4, rate, training, rng, class_row=True)
@@ -506,7 +507,7 @@ def test_attention_output_does_not_depend_on_the_tape(blocks, class_row,
                                                       monkeypatch):
     # Untaped, the op keeps one block of scores and mask; taped, all of them.
     if blocks == "ragged":
-        _blocks_of_two(monkeypatch, 4, 5)
+        _blocks_of_two(monkeypatch, 4, 1 if class_row else 5, 5)
     qkv = np.random.default_rng(8).normal(size=(5, 5, 24))
     for rate, training in ((0.0, False), (0.3, True)):
         bare = attention(Tensor(qkv), 4, rate, training,
@@ -536,7 +537,7 @@ def test_attention_backward_matches_the_score_form(blocks, class_row, rate,
     """The backward with its row terms on the (R, dh) side gives the
     gradient that the score form dS = P * (dP - rowsum(dP * P)) gives."""
     if blocks == "ragged":
-        _blocks_of_two(monkeypatch, 4, 5)
+        _blocks_of_two(monkeypatch, 4, 1 if class_row else 5, 5)
     rng = np.random.default_rng(8)
     qkv = rng.normal(size=(5, 5, 24))
     g = rng.normal(size=(5, 8) if class_row else (5, 5, 8))
@@ -587,7 +588,7 @@ def test_grad_check_attention_class_row(monkeypatch):
     w = rng.normal(size=(5, 4))
     for blocks in ("one", "ragged"):
         if blocks == "ragged":
-            _blocks_of_two(monkeypatch, 2, 4)
+            _blocks_of_two(monkeypatch, 2, 1, 4)
         for rate, training in ((0.0, False), (0.3, True)):
             def f(x):
                 out = attention(x, 2, rate, training,
@@ -598,7 +599,7 @@ def test_grad_check_attention_class_row(monkeypatch):
 
 
 def test_grad_check_attention_across_blocks(monkeypatch):
-    _blocks_of_two(monkeypatch, 2, 4)
+    _blocks_of_two(monkeypatch, 2, 4, 4)
     rng = np.random.default_rng(3)
     qkv = rng.normal(size=(5, 4, 12))
     w = rng.normal(size=(5, 4, 4))
