@@ -53,7 +53,8 @@ MAX_PARAMS = 20_000_000
 
 # The most bytes of (heads, M, M) float64 attention scores one batch element
 # may take, M being the tokens plus the class token: a taped block keeps
-# (B, heads, M, M) probabilities for the backward pass. The paper config
+# (B, heads, M, M) unnormalised exponentials, and a one-byte keep-mask per
+# score under dropout, for the backward pass. The paper config
 # takes 419,904; a 1x1x1 tubelet over a 25x32x32 crop would take 42 GB.
 MAX_ATTENTION_BYTES = 128 * 2**20
 

@@ -17,12 +17,15 @@ through the batch in blocks of as many elements as fit
 passes over a block stay in a core's L2 cache. In FlashAttention's algebra
 (Dao et al., arXiv:2205.14135), without the tiling, the score scale, the
 softmax normalisation and 1/(1 - rate) act on (R, dh) operands, and the
-backward pass takes its row term from the output, D = rowsum(dO * O). Its
-dropout mask equals the R computed rows of one ``rng.random((B*heads, M,
-M))`` draw; with R = 1 each head draws its row 0 and skips the rest with
-``bit_generator.advance``, as ``dropout`` does for class rows. So dropout
-in training mode needs a generator whose ``advance`` skips single draws,
-PCG64 (``np.random.default_rng``'s) or PCG64DXSM, and refuses any other.
+backward pass takes its row term from the output, D = rowsum(dO * O). A
+row's shift cancels in its normalisation, so the scores are shifted by
+each head's largest, or by each row's should a row sum fall below 1e-250,
+and the row sums are products with ones. Its dropout mask equals the R
+computed rows of one ``rng.random((B*heads, M, M))`` draw; with R = 1 each
+head draws its row 0 and skips the rest with ``bit_generator.advance``, as
+``dropout`` does for class rows. So dropout in training mode needs a
+generator whose ``advance`` skips single draws, PCG64
+(``np.random.default_rng``'s) or PCG64DXSM, and refuses any other.
 """
 
 from __future__ import annotations
@@ -59,6 +62,10 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # (8 heads, 81 tokens) a block of all rows is one batch element of 420 KB,
 # and one block of class rows (R = 1) holds up to 101 elements.
 ATTENTION_BLOCK_BYTES = 512 * 1024
+
+# A row sum of exp(scores - head max) below this sends ``attention`` back
+# to shifting each row by its own maximum, before exp nears subnormals.
+_MIN_ROW_SUM = 1e-250
 
 # Bit generators whose ``advance(n)`` skips exactly n float64 draws.
 _SKIPPING = (np.random.PCG64, np.random.PCG64DXSM)
@@ -255,10 +262,12 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         raise ShapeError(
             f"layer_norm gamma/beta shapes {gamma.shape}/{beta.shape} "
             f"do not match last axis of {x.shape}")
-    # np.var centres x the same way, so reusing the centred values for the
-    # variance leaves every result bit-identical.
-    centred = x.data - x.data.mean(axis=-1, keepdims=True)
-    var = np.mean(centred * centred, axis=-1, keepdims=True)
+    # Row means as products with a column of ones, and the variance as an
+    # einsum: BLAS and einsum loops, not numpy's short-row reductions. The
+    # results differ from np.mean and np.var in their last bits.
+    ones = np.ones((d, 1))
+    centred = x.data - x.data @ ones / d
+    var = np.einsum("...i,...i->...", centred, centred)[..., None] / d
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = centred * inv_std
     gd = gamma.data
@@ -266,8 +275,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
     def back(g):
         gg = g * gd
-        dx = inv_std * (gg - gg.mean(axis=-1, keepdims=True)
-                        - xhat * (gg * xhat).mean(axis=-1, keepdims=True))
+        dx = inv_std * (gg - gg @ ones / d - xhat * ((gg * xhat) @ ones / d))
         axes = tuple(range(g.ndim - 1))
         dgamma = (g * xhat).sum(axis=axes)
         dbeta = g.sum(axis=axes)
@@ -279,12 +287,20 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 def gelu(x: Tensor) -> Tensor:
     """x * Phi(x) with the exact standard-normal CDF."""
     xd = x.data
-    cdf = 0.5 * (1.0 + erf(xd * _INV_SQRT2))
+    cdf = erf(xd * _INV_SQRT2)
+    cdf += 1.0
+    cdf *= 0.5
     out = xd * cdf
 
     def back(g):
-        pdf = np.exp(-0.5 * xd * xd) * _INV_SQRT2PI
-        return (g * (cdf + xd * pdf),)
+        grad = xd * xd
+        grad *= -0.5
+        np.exp(grad, out=grad)
+        grad *= _INV_SQRT2PI
+        grad *= xd
+        grad += cdf
+        grad *= g
+        return (grad,)
 
     return _record("gelu", (x,), out, back)
 
@@ -364,10 +380,15 @@ def attention(qkv: Tensor, heads: int, rate: float, training: bool,
     The batch is processed in blocks of as many elements as fit
     ``ATTENTION_BLOCK_BYTES`` of (heads, R, M) scores (at least one). A
     block's scores are the scaled queries times the keys; in place they
-    become ``e = exp(s - rowmax)``, never normalised. ``e`` times the bool
-    keep-mask, times v, is the (R, dh) context up to the row factor
-    ``c = 1/((1 - rate) * rowsum(e))``, applied as the context is written
-    into the output. The keep-mask compares the uniforms that one
+    become ``e = exp(s - headmax)``, shifted by the largest score of each
+    head's (R, M) block, and are never normalised. Their row sums are
+    ``e @ ones``. Should a row sum fall below ``_MIN_ROW_SUM`` (1e-250),
+    that row's largest score lies about 575 below its head's, and the
+    block's scores are computed again and shifted by each row's own
+    maximum. ``e`` times the bool keep-mask, times v, is the (R, dh)
+    context up to the row factor ``c = 1/((1 - rate) * rowsum(e))``, which
+    absorbs either shift; it is applied as the context is written into the
+    output. The keep-mask compares the uniforms that one
     ``rng.random((B*heads, M, M))`` draw gives the R computed rows, drawn
     block by block; with R = 1 each head draws its row 0 and skips the
     rest with ``bit_generator.advance`` (``_first_rows``), so the generator
@@ -403,17 +424,23 @@ def attention(qkv: Tensor, heads: int, rate: float, training: bool,
     mask = None if keep_scale is None else np.empty(exps.shape, dtype=bool)
     draws = None if mask is None else np.empty(block_shape)
     row_scale = np.empty((B, heads, R, 1))
+    ones = np.ones((M, 1))
     out = np.empty((B, R, heads, dh))
     ctx = out.transpose(0, 2, 1, 3)
     for blk in blocks:
         n = blk.stop - blk.start
         kept = blk if taped else slice(n)
         e = exps[kept]
-        np.matmul(q[blk] * scale, kt[blk], out=e)
-        e -= e.max(axis=-1, keepdims=True)
-        np.exp(e, out=e)
-        c = np.divide(keep_scale or 1.0, e.sum(axis=-1, keepdims=True),
-                      out=row_scale[blk])
+        # Shift by each head's largest score, or, should a row underflow,
+        # by each row's.
+        for shift_axes in ((-2, -1), -1):
+            np.matmul(q[blk] * scale, kt[blk], out=e)
+            e -= e.max(axis=shift_axes, keepdims=True)
+            np.exp(e, out=e)
+            sums = e @ ones
+            if sums.min() >= _MIN_ROW_SUM:
+                break
+        c = np.divide(keep_scale or 1.0, sums, out=row_scale[blk])
         w = e
         if mask is not None:
             u = draws[:n]

@@ -9,7 +9,8 @@ reference versions of the synthetic generator, the modal centroid and the
 ROI images that the vectorised data path must equal bit for bit, and of
 the truncated normal draw and the tubelet patches that the model must
 equal bit for bit, of the image branch that runs its last block on every
-row, and of the attention backward in its score form."""
+row, of the attention backward in its score form, and of layer
+normalisation by ``np.mean`` and ``np.var``."""
 
 from __future__ import annotations
 
@@ -370,3 +371,17 @@ def reference_attention_grad(qkv: np.ndarray, heads: int, rate: float,
     gk = ds.transpose(0, 1, 3, 2) @ q
     return np.concatenate([t.transpose(0, 2, 1, 3).reshape(B, M, d)
                            for t in (gq, gk, gv)], axis=-1)
+
+
+def reference_layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+                         g: np.ndarray, eps: float = 1e-5) -> tuple:
+    """``layer_norm``'s output and its x, gamma and beta gradients under the
+    upstream gradient ``g``, by ``np.mean`` and the population ``np.var``
+    over the last axis."""
+    inv_std = 1.0 / np.sqrt(np.var(x, axis=-1, keepdims=True) + eps)
+    xhat = (x - np.mean(x, axis=-1, keepdims=True)) * inv_std
+    gg = g * gamma
+    dx = inv_std * (gg - np.mean(gg, axis=-1, keepdims=True)
+                    - xhat * np.mean(gg * xhat, axis=-1, keepdims=True))
+    axes = tuple(range(x.ndim - 1))
+    return gamma * xhat + beta, dx, (g * xhat).sum(axis=axes), g.sum(axis=axes)

@@ -1,5 +1,6 @@
 import gc
 import math
+import warnings
 import weakref
 
 import numpy as np
@@ -25,7 +26,12 @@ from mixedvit.tensor import (
     softmax,
 )
 
-from helpers import grad_check, reference_attention_grad, weighted_sum
+from helpers import (
+    grad_check,
+    reference_attention_grad,
+    reference_layer_norm,
+    weighted_sum,
+)
 
 
 def test_add_identity():
@@ -175,6 +181,32 @@ def test_layer_norm_gamma_zero():
     out = layer_norm(Tensor([[1.0, 4.0]]), Tensor(np.zeros(2)),
                      Tensor([7.0, 8.0]))
     np.testing.assert_allclose(out.data, [[7.0, 8.0]])
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e6])
+@pytest.mark.parametrize("width", [1, 3, 48, 64, 128])
+def test_layer_norm_matches_mean_and_var_reference(width, offset):
+    """Forward and backward agree with np.mean / np.var to 1e-12 of each
+    result's scale. The inputs lie on a 2**-10 grid, so every row sum is
+    exact in float64 whatever the summation order, and rows offset by 1e6
+    test that the variance keeps full precision where E[x^2] - E[x]^2
+    would lose about twelve digits. A constant row maps to beta."""
+    rng = np.random.default_rng(width)
+    x = np.round(rng.normal(size=(2, 7, width)) * 1024) / 1024 + offset
+    x[0, 0] = offset - 7.25
+    gamma, beta = rng.normal(size=width), rng.normal(size=width)
+    g = rng.normal(size=x.shape)
+    with Tape():
+        inputs = [Tensor(a, requires_grad=True) for a in (x, gamma, beta)]
+        out = layer_norm(*inputs)
+        loss = weighted_sum(out, g)
+    backward(loss)
+    got = (out.data,) + tuple(t.grad for t in inputs)
+    ref = reference_layer_norm(x, gamma, beta, g)
+    for name, a, b in zip(("out", "dx", "dgamma", "dbeta"), got, ref):
+        np.testing.assert_allclose(a, b, rtol=1e-12,
+                                   atol=1e-12 * np.abs(b).max(), err_msg=name)
+    np.testing.assert_array_equal(got[0][0, 0], beta)
 
 
 @given(st.lists(st.floats(-10, 10), min_size=2, max_size=10))
@@ -550,6 +582,54 @@ def test_attention_backward_matches_the_score_form(blocks, class_row, rate,
     ref = reference_attention_grad(qkv, 4, rate, training,
                                    np.random.default_rng(1), class_row, g)
     np.testing.assert_allclose(x.grad, ref, rtol=0, atol=1e-12)
+
+
+def _far_row_qkv():
+    """(5, 5, 24) qkv for 4 heads of width 2. In elements 1 and 4, head 0's
+    query row 0 scores 850 against key 0 and at least 85 less against the
+    others, so its weights are one-hot to rounding and the gradient stays
+    of unit scale; head 0's other rows score within a few units of 0."""
+    qkv = np.random.default_rng(8).normal(size=(5, 5, 24))
+    for b in (1, 4):
+        qkv[b, 0, 0:2] = (1202.0, 0.0)  # head 0's query row 0
+        qkv[b, :, 8] = np.linspace(1.0, 0.6, 5)  # head 0's keys, first axis
+    return qkv
+
+
+@pytest.mark.parametrize("class_row", [False, True])
+@pytest.mark.parametrize("blocks", ["one", "ragged"])
+@pytest.mark.parametrize("rate,training", [(0.0, False), (0.3, True)])
+def test_attention_rows_far_below_their_head_max(blocks, class_row, rate,
+                                                 training, monkeypatch):
+    """Rows whose scores all lie over 700 below their head's largest would
+    underflow under a shift by the head's maximum; the op must shift them
+    by their own, and give the reference output and gradient, all finite
+    and without a warning."""
+    if blocks == "ragged":
+        _blocks_of_two(monkeypatch, 4, 1 if class_row else 5, 5)
+    qkv = _far_row_qkv()
+    q, k = qkv[:, :, 0:2], qkv[:, :, 8:10]
+    s = q @ k.transpose(0, 2, 1) / math.sqrt(2.0)
+    assert (s[[1, 4], 1:].max(axis=(1, 2)) < s[[1, 4]].max(axis=(1, 2))
+            - 700).all()
+    g = np.random.default_rng(9).normal(size=(5, 8) if class_row
+                                        else (5, 5, 8))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with Tape():
+            x = Tensor(qkv, requires_grad=True)
+            out = attention(x, 4, rate, training, np.random.default_rng(1),
+                            class_row)
+            loss = weighted_sum(out, g)
+        backward(loss)
+        ref = _attention_reference(qkv, 4, rate if training else 0.0,
+                                   np.random.default_rng(1))
+        ref_grad = reference_attention_grad(
+            qkv, 4, rate, training, np.random.default_rng(1), class_row, g)
+    assert np.isfinite(out.data).all() and np.isfinite(x.grad).all()
+    np.testing.assert_allclose(out.data, ref[:, 0] if class_row else ref,
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(x.grad, ref_grad, rtol=0, atol=1e-12)
 
 
 def test_skipped_draws_keep_a_buffered_half_word():
