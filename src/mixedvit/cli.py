@@ -175,6 +175,8 @@ def _parse_rois(text: str):
     rois = [r.strip() for r in text.split(",") if r.strip()]
     if not rois:
         raise UsageError("empty ROI list")
+    if len(set(rois)) != len(rois):
+        raise UsageError(f"repeated ROI name in {text!r}")
     return rois
 
 
@@ -229,8 +231,8 @@ def cmd_select(args) -> int:
     started = time.time()
     if args.slices < 1:
         raise UsageError(f"--slices must be >= 1, got {args.slices}")
-    records = _load(D.load_manifest, args.manifest, "manifest")
     rois = _parse_rois(args.roi)
+    records = _load(D.load_manifest, args.manifest, "manifest")
     try:
         instances = [inst for roi in rois
                      for inst in D.select_instances(records, roi, args.slices)]
@@ -341,6 +343,7 @@ def _check_space(space: dict, cfg: dict, mode: str, num_branches: int):
 
 def cmd_tune(args) -> int:
     started = time.time()
+    rois = _parse_rois(args.rois)
     try:
         with open(args.space, encoding="utf-8") as fh:
             space = TU.parse_space(json.load(fh))
@@ -350,7 +353,6 @@ def cmd_tune(args) -> int:
     except ValueError as exc:  # bad JSON, SpaceError or the Hyperband budget
         raise UsageError(f"malformed search space, --max-resource or "
                          f"--eta: {exc}") from exc
-    rois = _parse_rois(args.rois)
     cfg = load_config(args.config)
     base = _config_of(*build_configs(cfg, args.mode, len(rois), args.seed))
     _check_space(space, cfg, args.mode, len(rois))
@@ -476,9 +478,12 @@ def _fold_accuracies(path) -> list:
 
 
 def cmd_compare(args) -> int:
+    n = len(args.metrics)
+    if n < 2 or (args.test == "ttest" and n > 2):
+        need = "exactly" if args.test == "ttest" else "at least"
+        raise UsageError(
+            f"--test {args.test} needs {need} 2 metrics files, got {n}")
     groups = [_fold_accuracies(p) for p in args.metrics]
-    if args.test == "ttest" and len(groups) != 2:
-        raise UsageError("--test ttest needs exactly 2 metrics files")
     try:
         if args.test == "ttest":
             t, df, p = ME.t_test(groups[0], groups[1])

@@ -284,7 +284,7 @@ def attention_block(x: Tensor, p: dict[str, Tensor], prefix: str, heads: int,
     h = layer_norm(x, p[f"{prefix}.ln2.gamma"], p[f"{prefix}.ln2.beta"])
     h = gelu(linear(h, p[f"{prefix}.mlp.w1"], p[f"{prefix}.mlp.b1"]))
     h = linear(h, p[f"{prefix}.mlp.w2"], p[f"{prefix}.mlp.b2"])
-    h = dropout(h, dropout_rate, training, rng, tokens if class_row else None)
+    h = dropout(h, dropout_rate, training, rng, tokens if class_row else 1)
     return add(x, h)
 
 
@@ -340,7 +340,7 @@ def fuse_classify(embeddings: list[Tensor], params: dict[str, Tensor],
     fused = embeddings[0] if len(embeddings) == 1 else concat(embeddings, axis=1)
     fused = dropout(fused, config.dropout_rate, training, rng)
     logits = linear(fused, params["head.weight"], params["head.bias"])
-    return softmax(logits, axis=1)
+    return softmax(logits)
 
 
 def forward_batch(config: ModelConfig, params: dict[str, Tensor],

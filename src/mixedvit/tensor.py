@@ -107,7 +107,8 @@ class _Node:
 
     def __init__(self, op: str, parents: tuple, backward_fn: Callable):
         self.op = op
-        self.parents = parents  # node ids (None for non-grad inputs)
+        # Per input: None (no gradient), an op node id, or the leaf Tensor.
+        self.parents = parents
         self.backward_fn = backward_fn  # upstream grad -> per-parent grads
 
 
@@ -123,20 +124,22 @@ def _tape_stack() -> list:
 
 
 class Tape:
-    """Ordered op record for one forward pass. Parents precede children.
+    """Ordered record of the ops of one forward pass, parents before
+    children. Only ops are nodes: a parameter, or any other gradient-taking
+    input that no op on this tape produced, is a parent, held as the leaf
+    ``Tensor`` itself by each node that reads it.
 
     An op's backward closure captures arrays and shapes only, never a
     ``Tensor``: an op output points to its tape through ``.tape``, so a
     captured output would make the tape a reference cycle that only the
-    cyclic garbage collector frees. Kept acyclic, a tape and every
+    cyclic garbage collector frees. A leaf parent makes no cycle, since a
+    leaf has no ``.tape`` on this tape. Kept acyclic, a tape and every
     activation it saved are freed as soon as the last output referring to
     it is dropped.
     """
 
     def __init__(self):
         self.nodes: list[_Node] = []
-        self._leaf_ids: dict[int, int] = {}  # id(tensor) -> node id
-        self._leaves: dict[int, Tensor] = {}  # node id -> leaf tensor
 
     def __enter__(self) -> "Tape":
         _tape_stack().append(self)
@@ -144,15 +147,6 @@ class Tape:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         _tape_stack().pop()
-
-    def _leaf_node(self, t: Tensor) -> int:
-        nid = self._leaf_ids.get(id(t))
-        if nid is None:
-            nid = len(self.nodes)
-            self.nodes.append(_Node("leaf", (), lambda g: ()))
-            self._leaf_ids[id(t)] = nid
-            self._leaves[nid] = t
-        return nid
 
 
 def _active_tape() -> Optional[Tape]:
@@ -168,16 +162,10 @@ def _record(op: str, inputs: Sequence[Tensor], out_data: np.ndarray,
     tape = _active_tape()
     if tape is None or not out.requires_grad:
         return out
-    parents = []
-    for t in inputs:
-        if not t.requires_grad:
-            parents.append(None)
-        elif t.tape is tape and t.node_id is not None:
-            parents.append(t.node_id)
-        else:
-            parents.append(tape._leaf_node(t))
+    parents = tuple(None if not t.requires_grad
+                    else t.node_id if t.tape is tape else t for t in inputs)
     nid = len(tape.nodes)
-    tape.nodes.append(_Node(op, tuple(parents), backward_fn))
+    tape.nodes.append(_Node(op, parents, backward_fn))
     out.node_id = nid
     out.tape = tape
     return out
@@ -241,15 +229,14 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     return _record("linear", inputs, out, back)
 
 
-def softmax(x: Tensor, axis: int) -> Tensor:
-    if not -x.data.ndim <= axis < x.data.ndim:
-        raise ShapeError(f"softmax axis {axis} invalid for shape {x.shape}")
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+def softmax(x: Tensor) -> Tensor:
+    """Softmax over the last axis."""
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+    out = e / e.sum(axis=-1, keepdims=True)
 
     def back(g):
-        dot = (g * out).sum(axis=axis, keepdims=True)
+        dot = (g * out).sum(axis=-1, keepdims=True)
         return (out * (g - dot),)
 
     return _record("softmax", (x,), out, back)
@@ -324,12 +311,17 @@ def _keep_scale(rate: float, training: bool,
 
 
 def _first_rows(rng: np.random.Generator, out: np.ndarray, rows: int) -> None:
-    """Fill the (N, F) ``out`` with row 0 of each (rows, F) matrix of one
-    ``rng.random((N, rows, F))`` draw: each row draws its F uniforms and
-    skips the (rows - 1) * F that follow, leaving the generator where that
-    draw would."""
+    """Fill ``out``, (N, ...), with row 0 of each (rows, ...) block of one
+    ``rng.random((N, rows, ...))`` draw, leaving the generator where that
+    draw would. With ``rows == 1`` that is ``rng.random(out=out)``; above
+    it, each of the N rows draws its uniforms and skips those of the
+    (rows - 1) rows that follow."""
+    if rows == 1:
+        rng.random(out=out)
+        return
     bit_generator = rng.bit_generator
     before = bit_generator.state
+    out = out.reshape(len(out), -1)
     skip = (rows - 1) * out.shape[1]
     for row in out:
         rng.random(out=row)
@@ -342,21 +334,20 @@ def _first_rows(rng: np.random.Generator, out: np.ndarray, rows: int) -> None:
 
 def dropout(x: Tensor, rate: float, training: bool,
             rng: Optional[np.random.Generator] = None,
-            rows: Optional[int] = None) -> Tensor:
+            rows: int = 1) -> Tensor:
     """Inverted dropout: survivors scaled by 1/(1-rate); inference is identity.
 
-    With ``rows`` given, ``x`` is (B, ...), the class rows of a (B, rows, ...)
-    tensor: the mask is row 0 of a draw of that whole shape, so row 0 gets
-    the uniforms the full draw gives it, and the generator ends where the
-    full draw leaves it; the other rows' uniforms are skipped, not drawn."""
+    With ``rows == 1``, the default, the mask compares one
+    ``rng.random(x.shape)`` draw. With ``rows > 1``, ``x`` is (B, ...), the
+    class rows of a (B, rows, ...) tensor: the mask is row 0 of a draw of
+    that whole shape, so row 0 gets the uniforms the full draw gives it,
+    and the generator ends where the full draw leaves it; the other rows'
+    uniforms are skipped, not drawn."""
     scale = _keep_scale(rate, training, rng)
     if scale is None:
         return x
-    if rows is None:
-        keep = rng.random(x.shape)
-    else:
-        keep = np.empty(x.shape)
-        _first_rows(rng, keep.reshape(len(keep), -1), rows)
+    keep = np.empty(x.shape)
+    _first_rows(rng, keep, rows)
     np.multiply(keep >= rate, scale, out=keep)
     out = x.data * keep
 
@@ -444,10 +435,7 @@ def attention(qkv: Tensor, heads: int, rate: float, training: bool,
         w = e
         if mask is not None:
             u = draws[:n]
-            if class_row:
-                _first_rows(rng, u.reshape(n * heads, M), M)
-            else:
-                rng.random(out=u)
+            _first_rows(rng, u.reshape(n * heads, -1), M if class_row else 1)
             np.greater_equal(u, rate, out=mask[kept])
             w = np.multiply(e, mask[kept], out=u)
         np.multiply(w @ v[blk], c, out=ctx[blk])
@@ -484,14 +472,12 @@ def attention(qkv: Tensor, heads: int, rate: float, training: bool,
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     if not tensors:
         raise ValueError("concat of an empty tensor list")
-    first = tensors[0].shape
-    for t in tensors[1:]:
-        if len(t.shape) != len(first) or any(
-                t.shape[i] != first[i] for i in range(len(first)) if i != axis % len(first)):
-            raise ShapeError(
-                f"concat shapes incompatible on axis {axis}: "
-                f"{[t.shape for t in tensors]}")
-    out = np.concatenate([t.data for t in tensors], axis=axis)
+    try:
+        out = np.concatenate([t.data for t in tensors], axis=axis)
+    except ValueError as exc:
+        raise ShapeError(
+            f"concat shapes incompatible on axis {axis}: "
+            f"{[t.shape for t in tensors]}") from exc
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum(sizes)[:-1]
 
@@ -559,19 +545,19 @@ def backward(root: Tensor) -> None:
     tape = root.tape
     if tape is None or root.node_id is None:
         raise ValueError("backward root is not attached to a tape")
-    grads: dict[int, np.ndarray] = {root.node_id: np.ones_like(root.data)}
+    # Keyed by op node id or by leaf Tensor; every node id is popped by the
+    # sweep, so the leaves' gradients are what is left.
+    grads: dict = {root.node_id: np.ones_like(root.data)}
     for nid in range(root.node_id, -1, -1):
-        node = tape.nodes[nid]
-        if node.op == "leaf" or nid not in grads:
+        if nid not in grads:
             continue
-        g = grads.pop(nid)
-        for pid, pg in zip(node.parents, node.backward_fn(g)):
-            if pid is None or pg is None:
+        node = tape.nodes[nid]
+        for parent, pg in zip(node.parents, node.backward_fn(grads.pop(nid))):
+            if parent is None or pg is None:
                 continue
-            if pid in grads:
-                grads[pid] = grads[pid] + pg
+            if parent in grads:
+                grads[parent] = grads[parent] + pg
             else:
-                grads[pid] = pg
-    for nid, leaf in tape._leaves.items():
-        if nid in grads:
-            leaf.grad = grads[nid]
+                grads[parent] = pg
+    for leaf, g in grads.items():
+        leaf.grad = g

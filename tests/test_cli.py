@@ -1113,6 +1113,30 @@ def test_negative_seed_exits_2(dataset, tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["synth", "select", "train", "cv", "tune"])
+def test_repeated_roi_name_exits_2_before_reading(dataset, tmp_path, capsys,
+                                                  command):
+    """A repeated ROI name is refused before any input is read: the manifest
+    given does not exist, which would exit 1 had it been read."""
+    missing = str(tmp_path / "missing.jsonl")
+    rois = "hippocampus_left,hippocampus_left"
+    out = tmp_path / "out"
+    if command == "synth":
+        argv = ["synth", "--out", str(out), "--subjects", "2", "--rois", rois]
+    elif command == "select":
+        argv = ["select", "--manifest", missing, "--roi", rois, "--slices",
+                "8", "--out", str(out / "instances.csv")]
+    else:
+        argv = _command_argv(dataset, tmp_path, command,
+                             dataset / "config.json")
+        argv[argv.index("--rois") + 1] = rois
+        argv[argv.index("--manifest") + 1] = missing
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "repeated ROI name" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_compare_identical_fail_to_reject(dataset, tmp_path, capsys):
     metrics = tmp_path / "m.json"
     metrics.write_text(json.dumps({
@@ -1157,6 +1181,22 @@ def test_compare_separated_rejects(tmp_path, capsys):
         paths.append(str(path))
     assert main(["compare", "--metrics", *paths]) == 0
     assert "reject H0 at 0.05" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("test,files", [("ttest", 1), ("anova", 1),
+                                        ("ttest", 3)])
+def test_compare_wrong_number_of_files_exits_2(tmp_path, capsys, test, files):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({
+        "folds": [{"fold": i, "accuracy": 0.9} for i in range(7)],
+        "summary": {}}))
+    assert main(["compare", "--metrics", *[str(path)] * files,
+                 "--test", test]) == 2
+    captured = capsys.readouterr()
+    need = "exactly" if test == "ttest" else "at least"
+    assert (f"--test {test} needs {need} 2 metrics files, got {files}"
+            in captured.err)
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 def test_compare_too_few_folds_exits_2(tmp_path):

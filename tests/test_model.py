@@ -2,6 +2,7 @@ import io
 import math
 import warnings
 import zipfile
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -287,6 +288,27 @@ def test_shape_audit_table_config():
         assert params[name].shape == shape
     assert shapes["branch0.pos"] == (81, 64)
     assert shapes["branch0.tubelet.weight"] == (5 * 8 * 8 * 3, 64)
+
+
+def test_paper_training_forward_records_its_ops_only():
+    """A paper-config training forward and its loss record one node per op,
+    62 in all; the 60 parameters are the nodes' leaf parents, not nodes."""
+    cfg = ModelConfig()
+    params = init_params(cfg, 0)
+    rng = np.random.default_rng(0)
+    with Tape() as tape:
+        probs = forward_batch(cfg, params, rng.random((2, 4)),
+                              [rng.random((2, 25, 32, 32, 3))], True,
+                              np.random.default_rng(1))
+        T.nll(probs, [0, 1])
+    assert Counter(node.op for node in tape.nodes) == {
+        "linear": 20, "add": 10, "layer_norm": 9, "concat": 6, "gelu": 5,
+        "dropout": 5, "attention": 4, "first_token": 1, "softmax": 1,
+        "nll": 1}
+    assert len(tape.nodes) == 62
+    leaves = {id(p) for node in tape.nodes for p in node.parents
+              if isinstance(p, Tensor)}
+    assert leaves == {id(p) for p in params.values()}
 
 
 def test_config_validation_errors():

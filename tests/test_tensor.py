@@ -116,7 +116,8 @@ def test_linear_constant_input_gets_no_gradient():
         out = linear(x, w, b)
         y = weighted_sum(out)
     backward(y)
-    assert x.grad is None and id(x) not in tape._leaf_ids
+    assert x.grad is None
+    assert not any(p is x for node in tape.nodes for p in node.parents)
     np.testing.assert_array_equal(w.grad, x.data.reshape(-1, 3).T @ np.ones((8, 5)))
     np.testing.assert_array_equal(b.grad, np.full(5, 8.0))
     node_grads = tape.nodes[out.node_id].backward_fn(np.ones((2, 4, 5)))
@@ -136,30 +137,25 @@ def test_first_token_rejects_non_3d_input(shape):
 
 
 def test_softmax_symmetry():
-    np.testing.assert_allclose(softmax(Tensor([0.0, 0.0]), 0).data, [0.5, 0.5])
+    np.testing.assert_allclose(softmax(Tensor([0.0, 0.0])).data, [0.5, 0.5])
 
 
 def test_softmax_closed_form():
-    out = softmax(Tensor([0.0, math.log(3.0)]), 0)
+    out = softmax(Tensor([0.0, math.log(3.0)]))
     np.testing.assert_allclose(out.data, [0.25, 0.75], atol=1e-12)
 
 
 def test_softmax_no_overflow():
-    out = softmax(Tensor([1000.0, 1000.0]), 0)
+    out = softmax(Tensor([1000.0, 1000.0]))
     np.testing.assert_allclose(out.data, [0.5, 0.5])
-
-
-def test_softmax_invalid_axis():
-    with pytest.raises(ShapeError):
-        softmax(Tensor([1.0, 2.0]), 3)
 
 
 @given(st.lists(st.floats(-50, 50), min_size=2, max_size=8),
        st.floats(-100, 100))
 def test_softmax_shift_invariance_and_normalization(xs, c):
     x = np.array(xs)
-    s1 = softmax(Tensor(x), 0).data
-    s2 = softmax(Tensor(x + c), 0).data
+    s1 = softmax(Tensor(x)).data
+    s2 = softmax(Tensor(x + c)).data
     assert abs(s1.sum() - 1.0) < 1e-9
     assert (s1 >= 0).all()
     np.testing.assert_allclose(s1, s2, atol=1e-12)
@@ -362,7 +358,7 @@ def test_backward_skips_non_grad_leaves():
         backward(y)
         np.testing.assert_array_equal(x.grad, [[3.0]])
         assert c.grad is None
-        assert id(c) not in tape._leaf_ids
+        assert not any(p is c for n in tape.nodes for p in n.parents)
         # Only leaves receive a gradient; the node in between does not.
         assert node.grad is None
         # The op's backward computes no gradient for the constant.
@@ -431,7 +427,7 @@ def test_grad_check_every_op_random_shapes(seed):
             linear(Tensor(b), Tensor(k), x), b @ k), a[:, 0]),
         "linear_bias_3d": (lambda x: weighted_sum(
             linear(Tensor(b3), Tensor(k), x), b3 @ k), a[:, 0]),
-        "softmax": (lambda x: weighted_sum(softmax(x, 1), b), a),
+        "softmax": (lambda x: weighted_sum(softmax(x), b), a),
         "layer_norm": (lambda x: weighted_sum(
             layer_norm(x, Tensor(np.linspace(0.5, 1.5, m)),
                        Tensor(np.linspace(-1, 1, m))), b), a),
@@ -443,7 +439,7 @@ def test_grad_check_every_op_random_shapes(seed):
             a.reshape(1, n, m)),
         "first_token": (lambda x: weighted_sum(first_token(x), b[:2]),
                         np.stack([a, b])),
-        "nll": (lambda x: nll(softmax(x, 1), labels), a),
+        "nll": (lambda x: nll(softmax(x), labels), a),
         "dropout": (lambda x: weighted_sum(
             dropout(x, 0.4, training=True, rng=np.random.default_rng(99)), b),
             a),
@@ -632,6 +628,17 @@ def test_attention_rows_far_below_their_head_max(blocks, class_row, rate,
     np.testing.assert_allclose(x.grad, ref_grad, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("shape", [(7,), (3, 4), (2, 3, 4)],
+                         ids=["1d", "2d", "3d"])
+def test_dropout_one_row_is_one_draw_of_the_input_shape(shape):
+    x = np.random.default_rng(6).normal(size=shape)
+    rng, ref_rng = np.random.default_rng(2), np.random.default_rng(2)
+    out = dropout(Tensor(x), 0.4, True, rng, rows=1)
+    keep = ref_rng.random(shape) >= 0.4
+    assert out.data.tobytes() == (x * (keep * (1.0 / (1.0 - 0.4)))).tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 def test_skipped_draws_keep_a_buffered_half_word():
     """A 32-bit draw leaves half a 64-bit output buffered, which a full
     draw of doubles keeps; skipping rows must keep it too."""
@@ -700,7 +707,7 @@ def test_determinism_bitwise():
             t = Tensor(x, requires_grad=True)
             h = gelu(linear(t, Tensor(x.T)))
             h = dropout(h, 0.3, training=True, rng=np.random.default_rng(5))
-            y = weighted_sum(softmax(h, 1))
+            y = weighted_sum(softmax(h))
         backward(y)
         return y.item(), t.grad.copy()
 
@@ -717,8 +724,11 @@ def test_tape_topological_order():
         z = weighted_sum(add(y, x))
     del z
     for nid, node in enumerate(tape.nodes):
-        for pid in node.parents:
-            assert pid is None or pid < nid
+        for parent in node.parents:
+            if isinstance(parent, int):
+                assert parent < nid
+            else:
+                assert isinstance(parent, Tensor) and parent.tape is not tape
 
 
 # Each case applies one op to operands made by h(*shape): op outputs that
@@ -734,7 +744,7 @@ _TAPE_CASES = {
     "attention:class_row": lambda h: attention(h(2, 4, 6), 1, 0.3, True,
                                                np.random.default_rng(2),
                                                class_row=True),
-    "softmax": lambda h: softmax(h(4, 6), 1),
+    "softmax": lambda h: softmax(h(4, 6)),
     "layer_norm": lambda h: layer_norm(h(4, 6), h(6), h(6)),
     "gelu": lambda h: gelu(h(4, 6)),
     "dropout": lambda h: dropout(h(4, 6), 0.5, True, np.random.default_rng(2)),
@@ -742,7 +752,7 @@ _TAPE_CASES = {
                                       np.random.default_rng(2), rows=3),
     "concat": lambda h: concat([h(4, 6), h(4, 6)], axis=0),
     "first_token": lambda h: first_token(h(2, 4, 6)),
-    "nll": lambda h: nll(softmax(h(4, 6), 1), [0, 1, 2, 3]),
+    "nll": lambda h: nll(softmax(h(4, 6)), [0, 1, 2, 3]),
 }
 
 
