@@ -213,7 +213,8 @@ def cmd_synth(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     records = D.synth_generate(cfg, args.seed, out)
-    outputs = sorted(p for p in out.rglob("*") if p.is_file())
+    outputs = [out / "manifest.jsonl"] + [
+        p for r in records for p in (r.volume_path, *r.roi_masks.values())]
     write_run_manifest(out / "run_manifest.json", "synth",
                        dataclasses.asdict(cfg), args.seed, [], outputs,
                        started)

@@ -588,6 +588,9 @@ class SynthConfig:
         if not 1 <= self.subjects <= MAX_SYNTH_SUBJECTS:
             raise ValueError(f"subjects {self.subjects} outside "
                              f"[1, {MAX_SYNTH_SUBJECTS}]")
+        if len(self.dims) != 3 or not all(isinstance(d, (int, np.integer))
+                                          for d in self.dims):
+            raise ValueError(f"dims {self.dims} must be three ints (D, H, W)")
         if any(d < m for d, m in zip(self.dims, MIN_SYNTH_DIMS)):
             raise ValueError(
                 f"dims {self.dims} below minimum {MIN_SYNTH_DIMS}")
@@ -605,7 +608,7 @@ def generate_subject(cfg: SynthConfig, seed: int, index: int):
     voxels; AD subjects get larger, brighter ellipsoids as ``separability``
     grows. Each mask is the uint8 indicator of its ellipsoid, whose
     normalised distance is a sum of three 1-D terms over open coordinate
-    grids, broadcast to the full volume once.
+    grids, evaluated only inside the ellipsoid's bounding box.
     """
     if index >= MAX_SYNTH_SUBJECTS:
         raise ValueError("subject index out of range")
@@ -615,20 +618,30 @@ def generate_subject(cfg: SynthConfig, seed: int, index: int):
 
     volume = rng.normal(0.3, SYNTH_NOISE, size=dims)
     masks = {}
-    grids = np.meshgrid(*[np.arange(d, dtype=np.float64) for d in dims],
-                        indexing="ij", sparse=True)
+    axes = [np.arange(d, dtype=np.float64) for d in dims]
     radius_gain = 1.0 + 0.25 * cfg.separability * (label == AD)
     intensity = 0.5 + 0.2 * cfg.separability * (label == AD)
     for k, roi in enumerate(cfg.rois):
         frac = _ROI_CENTRES[k % len(_ROI_CENTRES)]
         centre = [f * d + rng.integers(-2, 3) for f, d in zip(frac, dims)]
         radii = [r * radius_gain for r in _BASE_RADII]
-        dist = sum(((g - c) / r) ** 2
-                   for g, c, r in zip(grids, centre, radii))
-        mask = dist <= 1.0
-        volume[mask] = rng.normal(intensity, SYNTH_NOISE,
-                                  size=int(mask.sum()))
-        masks[roi] = mask.astype(np.uint8)
+        terms = [((a - c) / r) ** 2 for a, c, r in zip(axes, centre, radii)]
+        # Adding a non-negative term never lowers a float sum, so no voxel
+        # outside the span where each term is <= 1 is inside. Each term
+        # falls and then rises along its axis, so the span is one run, and
+        # never empty: every centre lies inside the volume.
+        box = tuple(slice(i[0], i[-1] + 1)
+                    for i in (np.flatnonzero(t <= 1.0) for t in terms))
+        inside = sum(np.meshgrid(*[t[b] for t, b in zip(terms, box)],
+                                 indexing="ij", sparse=True)) <= 1.0
+        # A view of the box walks its voxels in the volume's C order, so
+        # each draw lands on the voxel a full-volume mask would give it.
+        region = volume[box]
+        region[inside] = rng.normal(intensity, SYNTH_NOISE,
+                                    size=int(inside.sum()))
+        mask = np.zeros(dims, dtype=np.uint8)
+        mask[box] = inside
+        masks[roi] = mask
     volume = np.clip(volume, 0.0, 1.0, out=volume).astype(np.float32)
 
     age_mean = 74.36 if label == CN else 76.62

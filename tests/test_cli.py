@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import subprocess
@@ -66,6 +67,27 @@ def test_synth_identical_checksums(tmp_path):
     man_a = json.loads((tmp_path / "a" / "run_manifest.json").read_text())
     man_b = json.loads((tmp_path / "b" / "run_manifest.json").read_text())
     assert man_a["outputs"] == man_b["outputs"]
+
+
+def test_synth_manifest_lists_only_what_synth_wrote(tmp_path):
+    """A second run into a used directory holding a stray file lists just
+    the files it wrote, each with the hash of its bytes on disk."""
+    out = tmp_path / "d"
+    out.mkdir()
+    (out / "notes.txt").write_text("not synth's")
+    for subjects in ("3", "2"):
+        assert main(["synth", "--out", str(out), "--subjects", subjects,
+                     "--seed", "4", "--dims", "33,40,40",
+                     "--rois", "roi_x,roi_y"]) == 0
+    outputs = json.loads((out / "run_manifest.json").read_text())["outputs"]
+    written = {"manifest.jsonl": out / "manifest.jsonl"}
+    for sid in ("S0000", "S0001"):
+        written[f"{sid}.vol"] = out / "volumes" / f"{sid}.vol"
+        for roi in ("roi_x", "roi_y"):
+            written[f"{sid}_{roi}.mask"] = out / "masks" / f"{sid}_{roi}.mask"
+    assert outputs.keys() == written.keys()
+    for name, path in written.items():
+        assert outputs[name] == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_synth_dims_too_small_exits_2(tmp_path, capsys):

@@ -2,6 +2,7 @@ import hashlib
 import json
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -610,6 +611,12 @@ def test_synth_dims_too_small():
         SynthConfig(subjects=2, dims=(10, 10, 10))
 
 
+@pytest.mark.parametrize("dims", [(48, 64), (48, 64, 64, 2), (48.0, 64, 64)])
+def test_synth_dims_must_be_three_ints(dims):
+    with pytest.raises(ValueError, match="three ints"):
+        SynthConfig(subjects=2, dims=dims)
+
+
 def test_synth_threshold_oracle_separable():
     cfg = SynthConfig(subjects=100, separability=1.0)
     values, labels = [], []
@@ -686,22 +693,70 @@ def test_build_samples_end_to_end(tmp_path):
         assert (s.tabular >= 0).all() and (s.tabular <= 1).all()
 
 
+def _assert_equals_reference(cfg, seed, index):
+    """Returns the masks of ``generate_subject`` after checking its every
+    output byte against the dense-grid reference."""
+    volume, masks, meta = generate_subject(cfg, seed, index)
+    ref_volume, ref_masks, ref_meta = reference_generate_subject(
+        cfg, seed, index)
+    assert volume.dtype == ref_volume.dtype
+    assert volume.tobytes() == ref_volume.tobytes()
+    assert masks.keys() == ref_masks.keys()
+    for roi in masks:
+        assert masks[roi].dtype == ref_masks[roi].dtype
+        assert masks[roi].shape == ref_masks[roi].shape
+        assert masks[roi].tobytes() == ref_masks[roi].tobytes()
+    assert meta == ref_meta
+    return masks
+
+
+NINE_ROIS = tuple(f"roi_{k}" for k in range(9))  # the centre table wraps
+
+
 @pytest.mark.parametrize("dims", [(33, 40, 40), (48, 64, 64)])
-@pytest.mark.parametrize("rois", [("roi_x",), ("roi_x", "roi_y")])
+@pytest.mark.parametrize("rois", [("roi_x",), ("roi_x", "roi_y"), NINE_ROIS])
 @pytest.mark.parametrize("seed", [0, 5, 31])
 def test_generate_subject_equals_dense_grid_reference(seed, rois, dims):
     cfg = SynthConfig(subjects=2, dims=dims, rois=rois)
     for index in range(cfg.subjects):  # one CN and one AD subject
-        volume, masks, meta = generate_subject(cfg, seed, index)
-        ref_volume, ref_masks, ref_meta = reference_generate_subject(
-            cfg, seed, index)
-        assert volume.dtype == ref_volume.dtype
-        assert volume.tobytes() == ref_volume.tobytes()
-        assert masks.keys() == ref_masks.keys()
-        for roi in masks:
-            assert masks[roi].dtype == ref_masks[roi].dtype
-            assert masks[roi].tobytes() == ref_masks[roi].tobytes()
-        assert meta == ref_meta
+        _assert_equals_reference(cfg, seed, index)
+
+
+@pytest.mark.parametrize("separability", [0.0, 0.37])
+@pytest.mark.parametrize("dims", [(33, 40, 40), (48, 64, 64)])
+@pytest.mark.parametrize("rois", [("roi_x", "roi_y"), NINE_ROIS])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_generate_subject_equals_dense_grid_reference_below_separability_1(
+        seed, rois, dims, separability):
+    cfg = SynthConfig(subjects=2, dims=dims, rois=rois,
+                      separability=separability)
+    for index in range(cfg.subjects):
+        _assert_equals_reference(cfg, seed, index)
+
+
+def test_generate_subject_clipped_ellipsoid_equals_reference():
+    """An ellipsoid cut by the volume's border: its bounding box is clipped
+    on two axes, and the output still matches the reference."""
+    cfg = SynthConfig(subjects=2, dims=(33, 40, 40), rois=("roi_x", "roi_y"))
+    mask = _assert_equals_reference(cfg, 31, 1)["roi_y"]
+    assert [axis for axis in range(3)
+            if mask.take(0, axis=axis).any()
+            or mask.take(-1, axis=axis).any()] == [1, 2]
+
+
+def test_generate_subject_transient_memory_is_roi_sized():
+    """Each ellipsoid is evaluated in its bounding box, so one call's peak
+    stays below two float64 volumes: the volume itself, its float32 copy
+    and the uint8 masks."""
+    cfg = SynthConfig(subjects=2, dims=(48, 64, 64), rois=("roi_x", "roi_y"))
+    generate_subject(cfg, 3, 1)  # first-call allocations are not the call's
+    tracemalloc.start()
+    try:
+        generate_subject(cfg, 3, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * np.prod(cfg.dims) * 8
 
 
 def test_synth_output_is_pinned(tmp_path):
