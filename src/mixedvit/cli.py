@@ -32,9 +32,13 @@ its space before any trial), and before any update when the image_dims plane
 is larger than a volume's. A model config over the parameter or attention
 budget, and a ``tune`` budget planning more than
 ``tuning.MAX_EVALUATIONS`` evaluations, exit 2 before any data is read.
-A corrupt volume or checkpoint, a manifest line whose CDR is neither 0
-(CN) nor >= 1 (AD), or an instance-table row whose slice window runs past
-its volume's depth makes every command that reads it exit 1.
+A corrupt volume or checkpoint makes every command that reads it exit 1,
+as does a manifest line whose CDR is neither 0 (CN) nor >= 1 (AD) or that
+repeats a subject, and an instance-table row that repeats a subject and
+ROI, whose class is not that of its subject's CDR, or whose slice window
+runs past its volume's depth. An age or MMSE constant over the training
+subjects is accepted: it scales to 0, as a constant volume does, so an
+image-only run, which never reads it, is not refused for it.
 ``compare`` reads each metrics file through
 ``metrics.load_fold_accuracies``: a missing file exits 1, and one with
 fewer than 2 folds, or a fold accuracy that is not a finite number in
@@ -255,8 +259,20 @@ def cmd_select(args) -> int:
 
 
 def _dataset_for(args, rois):
+    """The manifest's subjects that have an instance of every ROI, and the
+    instance table. ``RuntimeFailure`` for a row whose class is not that of
+    its subject's CDR in the manifest, or when no subject is left."""
     records = _load(D.load_manifest, args.manifest, "manifest")
     instances = _load(D.load_instances, args.instances, "instance table")
+    labels = {r.subject_id: D.cdr_to_label(r.cdr) for r in records}
+    for inst in instances:
+        label = labels.get(inst.subject_id, inst.class_label)
+        if label != inst.class_label:
+            raise RuntimeFailure(
+                f"{args.instances}: subject {inst.subject_id}, roi "
+                f"{inst.roi_name!r} has class "
+                f"{D.LABEL_NAMES[inst.class_label]}, but its CDR in "
+                f"{args.manifest} makes it {D.LABEL_NAMES[label]}")
     have = {(i.subject_id, i.roi_name) for i in instances}
     usable = [r for r in records
               if all((r.subject_id, roi) in have for roi in rois)]

@@ -116,7 +116,9 @@ class MixedBatch:
 
 @dataclass(frozen=True)
 class FitStats:
-    """Min-max ranges fitted on the training split only."""
+    """Min-max ranges fitted on the training split only, each two ordered
+    numbers. A range may have zero width, a feature constant over the
+    split."""
     age_min: float
     age_max: float
     mmse_min: float
@@ -125,9 +127,11 @@ class FitStats:
     def __post_init__(self):
         for name, lo, hi in (("age", self.age_min, self.age_max),
                              ("mmse", self.mmse_min, self.mmse_max)):
-            if not hi > lo:
-                raise ValueError(
-                    f"degenerate {name} fit range [{lo}, {hi}]: constant feature")
+            numbers = all(isinstance(v, (int, float))
+                          and not isinstance(v, bool) for v in (lo, hi))
+            if not (numbers and lo <= hi):
+                raise ValueError(f"{name} fit range [{lo!r}, {hi!r}] is not "
+                                 f"two ordered numbers")
 
     @classmethod
     def from_records(cls, records: Sequence[SubjectRecord]) -> "FitStats":
@@ -220,20 +224,26 @@ def save_manifest(records: Sequence[SubjectRecord], path) -> None:
 def load_manifest(path) -> list[SubjectRecord]:
     """Records of a manifest written by ``save_manifest``. A malformed line
     (not UTF-8 JSON, a missing key, a value of the wrong type or one
-    ``SubjectRecord`` rejects) raises one ValueError naming file and line."""
+    ``SubjectRecord`` rejects), or one that repeats an earlier line's
+    subject, raises one ValueError naming file and line."""
     base = Path(path).parent
     records = []
+    lines: dict[str, int] = {}
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             if not raw.strip():
                 continue
             try:
-                records.append(_subject_record(json.loads(raw.decode("utf-8")),
-                                               base))
+                record = _subject_record(json.loads(raw.decode("utf-8")), base)
             except (ValueError, KeyError, TypeError, OverflowError) as exc:
                 raise ValueError(
                     f"{path}, line {lineno}: malformed subject record "
                     f"({exc!r})") from exc
+            first = lines.setdefault(record.subject_id, lineno)
+            if first != lineno:
+                raise ValueError(f"{path}, line {lineno}: subject "
+                                 f"{record.subject_id} repeats line {first}")
+            records.append(record)
     return records
 
 
@@ -274,7 +284,11 @@ def save_instances(instances: Sequence[InstanceRecord], path) -> None:
 
 
 def load_instances(path) -> list[InstanceRecord]:
+    """Rows of a table written by ``save_instances``. A malformed row, or one
+    that repeats an earlier row's subject and ROI, raises one ValueError
+    naming file and line."""
     out = []
+    lines: dict[tuple, int] = {}
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != INSTANCE_HEADER:
@@ -289,11 +303,15 @@ def load_instances(path) -> list[InstanceRecord]:
                                         int(cy))
                 if record.slice_count < 1:
                     raise ValueError(f"slice_count {record.slice_count} < 1")
-                out.append(record)
             except (ValueError, KeyError) as exc:
                 raise ValueError(
                     f"{path}, line {lineno}: malformed instance row "
                     f"{line.strip()!r}") from exc
+            first = lines.setdefault((sid, roi), lineno)
+            if first != lineno:
+                raise ValueError(f"{path}, line {lineno}: subject {sid}, roi "
+                                 f"{roi!r} repeats line {first}")
+            out.append(record)
     return out
 
 
@@ -365,11 +383,14 @@ def holdout_split(records: Sequence[SubjectRecord], seed: int):
 
 def tabular_features(record: SubjectRecord, fit: FitStats) -> np.ndarray:
     """[age, mmse, gender one-hot]; F=4. Age and MMSE are min-max scaled by
-    the ranges of ``fit``, which ``FitStats`` checks, and clamped to [0,1]."""
+    the ranges of ``fit`` and clamped to [0,1]; a feature of a zero-width
+    range, constant over the training split, scales to 0, as a constant
+    volume does in ``scale_volume``."""
     values = np.array([record.age, record.mmse], dtype=np.float64)
     lo = np.array([fit.age_min, fit.mmse_min])
-    hi = np.array([fit.age_max, fit.mmse_max])
-    scaled = np.clip((values - lo) / (hi - lo), 0.0, 1.0)
+    width = np.array([fit.age_max, fit.mmse_max]) - lo
+    scaled = np.divide(values - lo, width, out=np.zeros(2), where=width > 0)
+    np.clip(scaled, 0.0, 1.0, out=scaled)
     return np.append(scaled, [record.gender == "F", record.gender == "M"])
 
 

@@ -262,10 +262,10 @@ def add_cls_and_pos(tokens: Tensor, cls: Tensor, pos: Tensor) -> Tensor:
 
 
 def attention_block(x: Tensor, p: dict[str, Tensor], prefix: str, heads: int,
-                    dropout_rate: float, training: bool,
-                    rng: Optional[np.random.Generator],
+                    dropout_rate: float, rng: Optional[np.random.Generator],
                     class_row: bool = False) -> Tensor:
-    """Pre-norm residual block: x + MHSA(LN(x)), then x + MLP(LN(x)).
+    """Pre-norm residual block: x + MHSA(LN(x)), then x + MLP(LN(x)); given
+    an rng, dropout on the attention weights and the MLP output.
 
     With ``class_row`` the block computes the (B,d) class-token row of its
     output only: every row still gives keys and values, but only row 0
@@ -275,8 +275,7 @@ def attention_block(x: Tensor, p: dict[str, Tensor], prefix: str, heads: int,
     tokens = x.shape[1]
     h = layer_norm(x, p[f"{prefix}.ln1.gamma"], p[f"{prefix}.ln1.beta"])
     wqkv = concat([p[f"{prefix}.attn.w{proj}"] for proj in "qkv"], axis=1)
-    ctx = attention(linear(h, wqkv), heads, dropout_rate, training, rng,
-                    class_row)
+    ctx = attention(linear(h, wqkv), heads, dropout_rate, rng, class_row)
     if class_row:
         x = first_token(x)
     x = add(x, linear(ctx, p[f"{prefix}.attn.wo"]))
@@ -284,19 +283,19 @@ def attention_block(x: Tensor, p: dict[str, Tensor], prefix: str, heads: int,
     h = layer_norm(x, p[f"{prefix}.ln2.gamma"], p[f"{prefix}.ln2.beta"])
     h = gelu(linear(h, p[f"{prefix}.mlp.w1"], p[f"{prefix}.mlp.b1"]))
     h = linear(h, p[f"{prefix}.mlp.w2"], p[f"{prefix}.mlp.b2"])
-    h = dropout(h, dropout_rate, training, rng, tokens if class_row else 1)
+    h = dropout(h, dropout_rate, rng, tokens if class_row else 1)
     return add(x, h)
 
 
 def encode_image_branch(volumes, params: dict[str, Tensor],
-                        branch: int, config: ModelConfig, training: bool = False,
+                        branch: int, config: ModelConfig,
                         rng: Optional[np.random.Generator] = None) -> Tensor:
     """Full image branch: B (T,H,W,C) volumes, an array or a list -> (B,d)
-    class-token embedding. Only the class token reaches the classifier, and
-    no row of the last block's output feeds another row, so the last block
-    computes the class row alone (``attention_block``'s ``class_row``): at
-    depth 4 that skips about a fifth of the branch's work. The final layer
-    norm runs on that row."""
+    class-token embedding, dropout in each block given an rng. Only the
+    class token reaches the classifier, and no row of the last block's output
+    feeds another row, so the last block computes the class row alone
+    (``attention_block``'s ``class_row``): at depth 4 that skips about a fifth
+    of the branch's work. The final layer norm runs on that row."""
     for volume in volumes:
         if np.shape(volume) != tuple(config.image_dims):
             raise ConfigError(
@@ -308,7 +307,7 @@ def encode_image_branch(volumes, params: dict[str, Tensor],
     x = add_cls_and_pos(tokens, params[f"{p}.cls"], params[f"{p}.pos"])
     for l in range(config.depth):
         x = attention_block(x, params, f"{p}.block{l}", config.heads,
-                            config.dropout_rate, training, rng,
+                            config.dropout_rate, rng,
                             class_row=l == config.depth - 1)
     return layer_norm(x, params[f"{p}.norm.gamma"], params[f"{p}.norm.beta"])
 
@@ -332,13 +331,14 @@ def mlp_branch_forward(features: np.ndarray, params: dict[str, Tensor],
 
 
 def fuse_classify(embeddings: list[Tensor], params: dict[str, Tensor],
-                  config: ModelConfig, training: bool = False,
+                  config: ModelConfig,
                   rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Concatenate branch embeddings, dropout, dense to 2 logits, softmax."""
+    """Concatenate branch embeddings, dropout given an rng, dense to 2
+    logits, softmax."""
     if not embeddings:
         raise ValueError("fuse_classify needs at least one branch embedding")
     fused = embeddings[0] if len(embeddings) == 1 else concat(embeddings, axis=1)
-    fused = dropout(fused, config.dropout_rate, training, rng)
+    fused = dropout(fused, config.dropout_rate, rng)
     logits = linear(fused, params["head.weight"], params["head.bias"])
     return softmax(logits)
 
@@ -347,7 +347,10 @@ def forward_batch(config: ModelConfig, params: dict[str, Tensor],
                   tabular: Optional[np.ndarray], volumes: list[np.ndarray],
                   training: bool = False,
                   rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Class probabilities (B,2) for a batch of mixed samples."""
+    """Class probabilities (B,2) for a batch of mixed samples. Dropout draws
+    from ``rng`` in training mode only: the one place ``training`` is read."""
+    if training and config.dropout_rate > 0 and rng is None:
+        raise ValueError("dropout in training mode requires an rng")
     if len(volumes) != config.num_branches:
         raise ValueError(
             f"expected {config.num_branches} image branches, got {len(volumes)}")
@@ -356,10 +359,10 @@ def forward_batch(config: ModelConfig, params: dict[str, Tensor],
         if tabular is None:
             raise ValueError("mixed mode requires tabular features")
         embeddings.append(mlp_branch_forward(tabular, params, config))
+    rng = rng if training else None
     for i, vol in enumerate(volumes):
-        embeddings.append(encode_image_branch(vol, params, i, config,
-                                              training, rng))
-    return fuse_classify(embeddings, params, config, training, rng)
+        embeddings.append(encode_image_branch(vol, params, i, config, rng))
+    return fuse_classify(embeddings, params, config, rng)
 
 
 def save_checkpoint(path, params: dict[str, Tensor]) -> None:

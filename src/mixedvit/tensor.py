@@ -23,9 +23,9 @@ each head's largest, or by each row's should a row sum fall below 1e-250,
 and the row sums are products with ones. Its dropout mask equals the R
 computed rows of one ``rng.random((B*heads, M, M))`` draw; with R = 1 each
 head draws its row 0 and skips the rest with ``bit_generator.advance``, as
-``dropout`` does for class rows. So dropout in training mode needs a
-generator whose ``advance`` skips single draws, PCG64
-(``np.random.default_rng``'s) or PCG64DXSM, and refuses any other.
+``dropout`` does for class rows. Dropout is on exactly when an op is given
+an rng, which must be one whose ``advance`` skips single draws: PCG64
+(``np.random.default_rng``'s) or PCG64DXSM.
 """
 
 from __future__ import annotations
@@ -292,20 +292,18 @@ def gelu(x: Tensor) -> Tensor:
     return _record("gelu", (x,), out, back)
 
 
-def _keep_scale(rate: float, training: bool,
+def _keep_scale(rate: float,
                 rng: Optional[np.random.Generator]) -> Optional[float]:
-    """Survivor scale 1/(1-rate) of inverted dropout, or None when it is off;
-    checks the rate, and the rng when one is needed."""
+    """Survivor scale 1/(1-rate), or None when dropout is off (no rng, or
+    rate 0); checks the rate, and the rng when it is to draw."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
+    if rng is None or rate == 0.0:
         return None
-    if rng is None:
-        raise ValueError("dropout in training mode requires an rng")
     if not isinstance(rng.bit_generator, _SKIPPING):
         raise ValueError(
-            "dropout in training mode requires a PCG64 or PCG64DXSM "
-            "generator, whose advance skips single draws; got "
+            "dropout requires a PCG64 or PCG64DXSM generator, whose "
+            "advance skips single draws; got "
             f"{type(rng.bit_generator).__name__}")
     return 1.0 / (1.0 - rate)
 
@@ -332,10 +330,10 @@ def _first_rows(rng: np.random.Generator, out: np.ndarray, rows: int) -> None:
                                    uinteger=before["uinteger"])
 
 
-def dropout(x: Tensor, rate: float, training: bool,
+def dropout(x: Tensor, rate: float,
             rng: Optional[np.random.Generator] = None,
             rows: int = 1) -> Tensor:
-    """Inverted dropout: survivors scaled by 1/(1-rate); inference is identity.
+    """Inverted dropout, survivors scaled by 1/(1-rate); no rng: identity.
 
     With ``rows == 1``, the default, the mask compares one
     ``rng.random(x.shape)`` draw. With ``rows > 1``, ``x`` is (B, ...), the
@@ -343,7 +341,7 @@ def dropout(x: Tensor, rate: float, training: bool,
     that whole shape, so row 0 gets the uniforms the full draw gives it,
     and the generator ends where the full draw leaves it; the other rows'
     uniforms are skipped, not drawn."""
-    scale = _keep_scale(rate, training, rng)
+    scale = _keep_scale(rate, rng)
     if scale is None:
         return x
     keep = np.empty(x.shape)
@@ -357,14 +355,14 @@ def dropout(x: Tensor, rate: float, training: bool,
     return _record("dropout", (x,), out, back)
 
 
-def attention(qkv: Tensor, heads: int, rate: float, training: bool,
+def attention(qkv: Tensor, heads: int, rate: float,
               rng: Optional[np.random.Generator] = None,
               class_row: bool = False) -> Tensor:
     """Multi-head self-attention: packed q|k|v (B,M,3d) -> context (B,M,d),
     or, with ``class_row``, the (B,d) context of query row 0 alone.
 
-    Per head, softmax(q k^T / sqrt(d/heads)) weights, inverted dropout on
-    the weights, times v; the heads are merged back along the last axis.
+    Per head, softmax(q k^T / sqrt(d/heads)) weights, dropped out given an
+    rng, times v; the heads are merged back along the last axis.
     The op computes R query rows, R = M or R = 1 with ``class_row``, against
     all M keys and values: (heads, R, M) scores per batch element.
 
@@ -397,7 +395,7 @@ def attention(qkv: Tensor, heads: int, rate: float, training: bool,
         raise ShapeError(
             f"attention expects (B, M, 3*d) with d divisible by {heads} "
             f"heads, got {qkv.shape}")
-    keep_scale = _keep_scale(rate, training, rng)
+    keep_scale = _keep_scale(rate, rng)
     B, M, d3 = qkv.shape
     R = 1 if class_row else M
     d = d3 // 3

@@ -5,7 +5,9 @@ non-finite loss or gradient.
 
 A ``FitPlan`` checks a subject split before any training starts, raising
 ``PlanError`` for one that cannot be trained and scored, and ``fit`` trains
-on it: the one way the ``train``, ``cv`` and ``tune`` commands fit.
+on it: the one way the ``train``, ``cv`` and ``tune`` commands fit. An age
+or MMSE constant over the training subjects is no reason to refuse a
+split: it scales to 0 for every subject (``data.tabular_features``).
 ``model_samples`` builds the crops a model takes, or raises ``ConfigError``
 when the model's image_dims do not fit the instance table or the volumes.
 
@@ -186,7 +188,6 @@ def train(model_cfg: ModelConfig, params: dict,
     history: list[EpochStats] = []
     best_params = _copy_params(params)
     best_acc = -1.0
-    step = 0
     for epoch in range(config.epochs):
         shuffle_rng = np.random.default_rng([config.seed, 101, epoch])
         batches = build_batches(train_samples, config.batch_size, shuffle_rng)
@@ -194,7 +195,7 @@ def train(model_cfg: ModelConfig, params: dict,
         lr = config.initial_lr
         for bi, batch in enumerate(batches):
             drop_rng = np.random.default_rng([config.seed, 202, epoch, bi])
-            lr = lr_at_step(config, step)
+            lr = lr_at_step(config, state.step)
             with Tape():
                 probs = forward_batch(model_cfg, params, batch.tabular,
                                       batch.images, training=True,
@@ -219,7 +220,6 @@ def train(model_cfg: ModelConfig, params: dict,
                                       f"epoch {epoch}, step {bi}")
             adam_update(params, grads, state, lr, config)
             del grads  # so that the next backward does not run beside them
-            step += 1
         val_loss, val_acc = evaluate(model_cfg, params, val_samples,
                                      config.batch_size)
         history.append(EpochStats(epoch=epoch,
@@ -259,9 +259,9 @@ def require_both_classes(records: Sequence[SubjectRecord], what: str,
 class FitPlan:
     """A subject split checked before any training starts: the subjects to
     train on, to select the checkpoint by and to predict and ROC-score
-    (None: no scored set). ``PlanError`` for an empty training or
-    validation set, a scored set without both classes, or a degenerate
-    feature range in ``stats``, which is fitted on the training subjects."""
+    (None: no scored set), and the feature ranges fitted on the training
+    subjects. ``PlanError`` for an empty training or validation set, or a
+    scored set without both classes."""
     train: Sequence[SubjectRecord]
     val: Sequence[SubjectRecord]
     scored: Optional[Sequence[SubjectRecord]] = None
@@ -275,10 +275,7 @@ class FitPlan:
             raise PlanError("no validation subjects for checkpoint selection")
         if self.scored is not None:
             require_both_classes(self.scored, self.scored_name, PlanError)
-        try:
-            self.stats = FitStats.from_records(self.train)
-        except ValueError as exc:  # a constant age or MMSE
-            raise PlanError(str(exc)) from exc
+        self.stats = FitStats.from_records(self.train)
 
 
 def check_slice_counts(image_dims: tuple, instances,

@@ -99,8 +99,20 @@ class Bracket:
     rounds: tuple  # ((configs, epochs), ...): every round that runs
 
 
+def _field(name: str, dim: dict, key: str, types: tuple, what: str):
+    """``dim[key]`` when it has one of ``types`` (JSON true is not a
+    number), else ``SpaceError``."""
+    if key not in dim:
+        raise SpaceError(f"dimension {name!r} missing field {key!r}")
+    value = dim[key]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise SpaceError(f"dimension {name!r}: {key} {value!r} is not {what}")
+    return value
+
+
 def parse_space(spec: dict) -> dict:
-    """Build a search space from its JSON form."""
+    """Build a search space from its JSON form: a range's ends must be
+    numbers, and a choice's values a list."""
     if not isinstance(spec, dict) or not spec:
         raise SpaceError("search space must be a non-empty object")
     space = {}
@@ -108,17 +120,19 @@ def parse_space(spec: dict) -> dict:
         if not isinstance(dim, dict) or "type" not in dim:
             raise SpaceError(f"dimension {name!r} needs a 'type' field")
         kind = dim["type"]
-        try:
-            if kind == "log_uniform":
-                space[name] = LogUniform(float(dim["lo"]), float(dim["hi"]))
-            elif kind == "uniform":
-                space[name] = Uniform(float(dim["lo"]), float(dim["hi"]))
-            elif kind == "choice":
-                space[name] = Choice(tuple(dim["values"]))
-            else:
-                raise SpaceError(f"unknown dimension type {kind!r}")
-        except KeyError as exc:
-            raise SpaceError(f"dimension {name!r} missing field {exc}") from exc
+        if kind in ("log_uniform", "uniform"):
+            try:
+                lo, hi = (float(_field(name, dim, key, (int, float),
+                                       "a number")) for key in ("lo", "hi"))
+            except OverflowError as exc:  # an integer past the float range
+                raise SpaceError(f"dimension {name!r}: {exc}") from exc
+            space[name] = (LogUniform if kind == "log_uniform"
+                           else Uniform)(lo, hi)
+        elif kind == "choice":
+            space[name] = Choice(tuple(_field(name, dim, "values", (list,),
+                                              "a list")))
+        else:
+            raise SpaceError(f"unknown dimension type {kind!r}")
     return space
 
 

@@ -321,7 +321,6 @@ def reference_tubelet_patches(images, tubelet) -> np.ndarray:
 
 def reference_encode_image_branch(volumes, params: dict[str, Tensor],
                                   branch: int, config: ModelConfig,
-                                  training: bool = False,
                                   rng: Optional[np.random.Generator] = None
                                   ) -> Tensor:
     """``model.encode_image_branch`` with every block on every row: the
@@ -333,17 +332,18 @@ def reference_encode_image_branch(volumes, params: dict[str, Tensor],
     x = add_cls_and_pos(tokens, params[f"{p}.cls"], params[f"{p}.pos"])
     for l in range(config.depth):
         x = attention_block(x, params, f"{p}.block{l}", config.heads,
-                            config.dropout_rate, training, rng)
+                            config.dropout_rate, rng)
     return layer_norm(first_token(x), params[f"{p}.norm.gamma"],
                       params[f"{p}.norm.beta"])
 
 
 def reference_attention_grad(qkv: np.ndarray, heads: int, rate: float,
-                             training: bool, rng: Optional[np.random.Generator],
+                             rng: Optional[np.random.Generator],
                              class_row: bool, g: np.ndarray) -> np.ndarray:
     """The gradient of sum(attention(qkv) * g) over the packed (B, M, 3d)
     ``qkv``, in the score form: probabilities P = softmax(q k^T * scale),
-    dropout weights W = P * keep from one (B*heads, M, M) draw,
+    dropout weights W = P * keep from one (B*heads, M, M) draw of ``rng``
+    (keep = 1 without one),
     dP = (g v^T) * keep and dS = P * (dP - rowsum(dP * P)) * scale, from
     which q and k get dS k and dS^T q; v gets W^T g. ``class_row`` keeps
     query row 0 alone, with ``g`` of shape (B, d)."""
@@ -359,7 +359,7 @@ def reference_attention_grad(qkv: np.ndarray, heads: int, rate: float,
     e = np.exp(s - s.max(axis=-1, keepdims=True))
     p = e / e.sum(axis=-1, keepdims=True)
     keep = np.ones_like(p)
-    if training and rate:
+    if rng is not None and rate:
         draw = rng.random((B * heads, M, M)).reshape(B, heads, M, M)
         keep = (draw[:, :, :R] >= rate) / (1.0 - rate)
     g = g.reshape(B, R, heads, dh).transpose(0, 2, 1, 3)

@@ -19,6 +19,7 @@ from mixedvit.cli import (
 )
 from mixedvit.data import (
     FitStats,
+    PlanError,
     SynthConfig,
     load_manifest,
     save_manifest,
@@ -90,10 +91,17 @@ def test_synth_manifest_lists_only_what_synth_wrote(tmp_path):
         assert outputs[name] == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def test_synth_dims_too_small_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("dims,message", [
+    ("10,10,10", "dims (10, 10, 10) below minimum (33, 40, 40)"),
+    ("33,40", "dims must be D,H,W, got '33,40'"),
+], ids=["too_small", "two_dims"])
+def test_synth_unusable_dims_exit_2(tmp_path, capsys, dims, message):
     rc = main(["synth", "--out", str(tmp_path / "d"), "--subjects", "4",
-               "--dims", "10,10,10"])
+               "--dims", dims])
     assert rc == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "d").exists()
 
 
 @pytest.mark.parametrize("subjects", ["0", "-1", "8001"])
@@ -389,6 +397,9 @@ def test_cv_jobs_below_one_exits_2(dataset, tmp_path, capsys, jobs):
     ({"adam_eps": 1e-8}, "unknown config keys: ['adam_eps']", "cv"),
     ({"heads": 0}, "heads must be >= 1, got 0", "train"),
     ({"adam_beta1": 0.9}, "unknown config keys: ['adam_beta1']", "train"),
+    (None, "config file not found", "train"),
+    ("{not json", "is not valid JSON", "train"),
+    (None, "config file not found", "cv"),
 ], ids=["str_for_list", "str_in_list", "float_for_int", "bool_for_float",
         "removed_optimizer_key", "short_tuple", "not_object", "heads_0",
         "tubelet_0", "embed_dim_0", "tabular_width_0",
@@ -396,13 +407,17 @@ def test_cv_jobs_below_one_exits_2(dataset, tmp_path, capsys, jobs):
         "removed_key_decay_steps", "removed_key_decay_rate",
         "removed_key_adam_beta1", "removed_key_adam_beta2",
         "removed_key_adam_eps", "heads_0_train",
-        "removed_key_adam_beta1_train"])
+        "removed_key_adam_beta1_train", "missing_train", "not_json_train",
+        "missing"])
 def test_cv_config_value_of_wrong_type_exits_2(dataset, tmp_path, capsys,
                                                config, message, command):
-    """A malformed config is a usage error for cv, and for train in the
-    cases marked so."""
+    """A malformed config, or none at the path given (None), is a usage
+    error for cv, and for train in the cases marked so; a string is the
+    file's text."""
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(config))
+    if config is not None:
+        bad.write_text(config if isinstance(config, str)
+                       else json.dumps(config))
     assert main(_command_argv(dataset, tmp_path, command, bad)) == 2
     err = capsys.readouterr().err
     assert message in err
@@ -470,7 +485,9 @@ def _set(value, key, inner=None):
     _without("fit"), _without("rois"), _without("heads", "config"),
     _set([3, 8, 8], "tubelet", "config"), _set("x", "embed_dim", "config"),
     _set(0, "batch_size", "config"), _set({"age": 1}, "fit"),
-    _set({"age_min": 69.1, "age_max": 69.1, "mmse_min": 10.0,
+    _set({"age_min": 69.1, "age_max": 60.0, "mmse_min": 10.0,
+          "mmse_max": 30.0}, "fit"),
+    _set({"age_min": "60", "age_max": "90", "mmse_min": 10.0,
           "mmse_max": 30.0}, "fit"),
     _set(4.5, "batch_size", "config"), _set(8.0, "embed_dim", "config"),
     _set(2.0, "heads", "config"), _set([4.0, 8, 8], "tubelet", "config"),
@@ -478,7 +495,7 @@ def _set(value, key, inner=None):
     _old_layout, _set(0.9, "adam_beta1", "config"),
 ], ids=["not_json", "empty", "empty_model", "not_object", "no_fit", "no_rois",
         "no_heads", "tubelet_not_dividing", "embed_dim_text", "batch_size_0",
-        "fit_fields", "fit_zero_width", "batch_size_float", "embed_dim_float",
+        "fit_fields", "fit_reversed", "fit_text", "batch_size_float", "embed_dim_float",
         "heads_float", "tubelet_float", "old_dropout_key", "config_not_object",
         "old_layout", "old_adam_key"])
 def test_eval_malformed_config_exits_1(dataset, tmp_path, capsys, edit):
@@ -690,9 +707,22 @@ def test_tune_deterministic(dataset, tmp_path):
     assert len(rows) == planned_rows
 
 
-def test_tune_malformed_space_exits_2(dataset, tmp_path):
-    space = _space(tmp_path, {"x": {"type": "mystery"}})
+@pytest.mark.parametrize("dim,message", [
+    ({"type": "mystery"}, "unknown dimension type 'mystery'"),
+    ({"type": "choice", "values": 5}, "values 5 is not a list"),
+    ({"type": "uniform", "lo": [1], "hi": 0.01}, "lo [1] is not a number"),
+    ({"type": "uniform", "lo": None, "hi": 0.01}, "lo None is not a number"),
+    ({"type": "choice", "values": {"a": 1}}, "values {'a': 1} is not a list"),
+    ({"type": "uniform", "lo": True, "hi": 0.01}, "lo True is not a number"),
+], ids=["unknown_type", "int_values", "list_lo", "null_lo", "object_values",
+        "true_lo"])
+def test_tune_malformed_space_exits_2(dataset, tmp_path, capsys, dim,
+                                      message):
+    space = _space(tmp_path, {"initial_lr": dim})
     assert main(_tune_argv(dataset, space, tmp_path / "t")) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "t").exists()
 
 
 def test_tune_train_objective(dataset, tmp_path):
@@ -759,17 +789,21 @@ def test_tune_tubelet_choice_runs(dataset, tmp_path):
     ({"initial_lr": {"type": "log_uniform", "lo": 1e-3, "hi": 1e-2}},
      ["--max-resource", "1.7976931348623157e308", "--eta", "2.5"],
      "plans more than 100,000 evaluations"),
+    (None, [], "space file not found"),
 ], ids=["uniform_embed_dim", "embed_dim_not_dividing", "float_batch_size",
         "uniform_batch_size", "epochs", "unknown_key", "heads_not_dividing",
         "max_resource_half", "eta_1", "removed_decay_rate", "max_resource_inf",
         "max_resource_nan", "eta_nan", "eta_inf", "max_resource_1e15",
         "max_resource_1.7e308", "max_resource_and_eta_1e308",
-        "max_resource_float_max"])
+        "max_resource_float_max", "space_missing"])
 def test_tune_unusable_space_or_budget_exits_2(dataset, tmp_path, capsys,
                                                 spec, extra, message):
     # The manifest does not exist: these are refused before data is read.
-    argv = _tune_argv(dataset, _space(tmp_path, spec), tmp_path / "t",
-                      *extra, manifest=tmp_path / "missing.jsonl")
+    # A spec of None names a space file that does not exist.
+    space = (tmp_path / "missing.json" if spec is None
+             else _space(tmp_path, spec))
+    argv = _tune_argv(dataset, space, tmp_path / "t", *extra,
+                      manifest=tmp_path / "missing.jsonl")
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
@@ -883,17 +917,41 @@ def test_tune_three_subjects_exits_2(dataset, tmp_path, capsys):
     assert "no validation subjects" in err and "Traceback" not in err
 
 
-def test_cv_degenerate_fold_exits_2_before_any_training(dataset, tmp_path,
-                                                        capsys, monkeypatch):
-    """Every age but one is 70, so a fold whose inner training set lacks
-    that subject has a degenerate age range: no fold may train first."""
+def _constant_age_manifest(dataset, path) -> Path:
+    """The dataset's manifest at ``path`` with every age set to 70."""
     records = load_manifest(dataset / "data" / "manifest.jsonl")
-    odd = records[0].subject_id
-    manifest = tmp_path / "manifest.jsonl"
-    save_manifest([r if r.subject_id == odd
-                   else dataclasses.replace(r, age=70.0) for r in records],
-                  manifest)
+    save_manifest([dataclasses.replace(r, age=70.0) for r in records], path)
+    return path
+
+
+@pytest.mark.parametrize("mode", ["image-only", "mixed"])
+def test_constant_age_trains_and_evaluates(dataset, tmp_path, capsys, mode):
+    """Every age is 70: the age range fitted on the training subjects has
+    zero width, and every age scales to 0. An image-only model, which never
+    reads it, and a mixed one both train, and eval reads the saved range."""
+    manifest = _constant_age_manifest(dataset, tmp_path / "manifest.jsonl")
+    out = tmp_path / "model"
+    argv = _train_argv(dataset, manifest, dataset / "config.json", out)
+    assert main(argv + ["--mode", mode]) == 0
+    fit = json.loads((out / "config.json").read_text())["fit"]
+    assert fit["age_min"] == fit["age_max"] == 70.0
+    assert main(_eval_argv(dataset, out, manifest, tmp_path / "m.json")) == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_cv_refused_last_fold_exits_2_before_any_training(dataset, tmp_path,
+                                                          capsys, monkeypatch):
+    """Every fold is planned before any fold trains: a plan refused for the
+    last fold alone exits 2 with no training step taken."""
+    import mixedvit.metrics as ME
     import mixedvit.train as TR
+
+    def plan(train, val, scored, scored_name):
+        if scored_name == "held-out fold 3":
+            raise PlanError(f"{scored_name} refused")
+        return TR.FitPlan(train, val, scored, scored_name)
+
+    monkeypatch.setattr(ME, "FitPlan", plan)
     calls = []
 
     def counting(name):
@@ -907,11 +965,11 @@ def test_cv_degenerate_fold_exits_2_before_any_training(dataset, tmp_path,
     # train.fit calls train; every training step calls adam_update.
     counting("train")
     counting("adam_update")
-    argv = _train_argv(dataset, manifest, dataset / "config.json",
-                       tmp_path / "out")
+    argv = _train_argv(dataset, dataset / "data" / "manifest.jsonl",
+                       dataset / "config.json", tmp_path / "out")
     argv = ["cv"] + argv[1:] + ["--folds", "4", "--no-holdout-test"]
     assert main(argv) == 2
-    assert "degenerate age fit range" in capsys.readouterr().err
+    assert "held-out fold 3 refused" in capsys.readouterr().err
     assert calls == []
 
 
@@ -977,6 +1035,21 @@ def test_config_over_the_parameter_budget_exits_2_before_reading_data(
     assert not (tmp_path / "out").exists()
 
 
+def _argv_with_instances(dataset, tmp_path, command, table):
+    """argv running ``command`` (train, eval, cv or tune) on the dataset's
+    manifest with ``table`` as its instance table."""
+    if command == "eval":
+        argv = _eval_argv(dataset, _init_model_dir(tmp_path / "model",
+                                                   _snapshot()),
+                          dataset / "data" / "manifest.jsonl",
+                          tmp_path / "out" / "m.json")
+    else:
+        argv = _command_argv(dataset, tmp_path, command,
+                             dataset / "config.json")
+    argv[argv.index("--instances") + 1] = str(table)
+    return argv
+
+
 @pytest.mark.parametrize("command", ["train", "eval", "cv", "tune"])
 @pytest.mark.parametrize("edit,count", [
     (lambda index, count: "9" if index % 2 == 0 else count, 9),
@@ -998,16 +1071,8 @@ def test_slice_count_not_image_dims_exits_2_before_any_volume_is_read(
     table = tmp_path / "instances.csv"
     table.write_text("\n".join(rows) + "\n")
     assert rows[1].startswith("S0000,CN,hippocampus_left,")
-    if command == "eval":
-        argv = _eval_argv(dataset, _init_model_dir(tmp_path / "model",
-                                                   _snapshot()),
-                          dataset / "data" / "manifest.jsonl",
-                          tmp_path / "out")
-    else:
-        argv = _command_argv(dataset, tmp_path, command,
-                             dataset / "config.json")
-    argv[argv.index("--instances") + 1] = str(table)
-    assert main(argv) == 2
+    assert main(_argv_with_instances(dataset, tmp_path, command,
+                                     table)) == 2
     assert capsys.readouterr().err == (
         f"error: subject S0000, roi 'hippocampus_left': slice_count {count} "
         f"is not the T of image_dims (8, 16, 16, 1)\n")
@@ -1026,16 +1091,7 @@ def test_slice_window_past_the_volume_exits_1(dataset, tmp_path, capsys,
     rows[i] = ",".join(fields)
     bad = tmp_path / "instances.csv"
     bad.write_text("\n".join(rows) + "\n")
-    if command == "eval":
-        argv = _eval_argv(dataset, _init_model_dir(tmp_path / "model",
-                                                   _snapshot()),
-                          dataset / "data" / "manifest.jsonl",
-                          tmp_path / "out")
-    else:
-        argv = _command_argv(dataset, tmp_path, command,
-                             dataset / "config.json")
-    argv[argv.index("--instances") + 1] = str(bad)
-    assert main(argv) == 1
+    assert main(_argv_with_instances(dataset, tmp_path, command, bad)) == 1
     err = capsys.readouterr().err
     assert (f"malformed instance table {bad}: subject {fields[0]}, roi "
             f"'hippocampus_left': slice window [30, 38) outside depth 33"
@@ -1100,22 +1156,67 @@ def test_train_volume_of_unknown_version_exits_1_naming_it(dataset, tmp_path,
 
 
 @pytest.mark.parametrize("command", ["select", "train", "eval", "cv", "tune"])
-def test_manifest_subject_with_cdr_05_exits_1(dataset, tmp_path, capsys,
-                                              command):
-    """CDR 0.5 (MCI) is neither class: loading the manifest fails, naming
-    the file and line, before any command does its work."""
+@pytest.mark.parametrize("case", ["cdr_05", "repeated_subject", "missing"])
+def test_unusable_manifest_exits_1(dataset, tmp_path, capsys, command, case):
+    """CDR 0.5 (MCI) is neither class, and a subject listed twice would be
+    scored twice by eval: loading the manifest fails, naming the file and
+    line, before any command does its work, as it does for a manifest that
+    is not there."""
     lines = (dataset / "data" / "manifest.jsonl").read_text().splitlines()
-    obj = json.loads(lines[2])
-    obj["cdr"] = 0.5
-    lines[2] = json.dumps(obj)
     manifest = tmp_path / "manifest.jsonl"
-    manifest.write_text("\n".join(lines) + "\n")
+    if case == "cdr_05":
+        obj = json.loads(lines[2])
+        obj["cdr"] = 0.5
+        lines[2] = json.dumps(obj)
+        messages = [f"{manifest}, line 3: malformed subject record",
+                    "CDR 0.5 is outside the two study classes"]
+    elif case == "repeated_subject":
+        sid = json.loads(lines[3])["subject_id"]
+        lines.append(lines[3])
+        messages = [f"{manifest}, line 15: subject {sid} repeats line 4"]
+    else:
+        messages = [f"manifest not found: {manifest}"]
+    if case != "missing":
+        manifest.write_text("\n".join(lines) + "\n")
     assert main(_argv_with_manifest(dataset, tmp_path, command,
                                     manifest)) == 1
     err = capsys.readouterr().err
-    assert f"{manifest}, line 3: malformed subject record" in err
-    assert "CDR 0.5 is outside the two study classes" in err
+    assert all(message in err for message in messages), err
     assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "cv", "tune"])
+@pytest.mark.parametrize("case", ["repeated_row", "class_not_the_cdrs",
+                                  "no_row_of_the_roi"])
+def test_unusable_instance_table_exits_1(dataset, tmp_path, capsys, command,
+                                         case):
+    """A second row for one subject and ROI would silently replace the
+    first, and a row's class must be the class of its subject's CDR in the
+    manifest; a table with no row of the ROI used leaves no subject."""
+    rows = (dataset / "instances.csv").read_text().splitlines()
+    fields = rows[1].split(",")
+    assert fields[1:3] == ["CN", "hippocampus_left"]
+    table = tmp_path / "instances.csv"
+    if case == "repeated_row":
+        fields[3] = str(int(fields[3]) + 1)  # slice_start
+        rows.append(",".join(fields))
+        message = (f"{table}, line {len(rows)}: subject {fields[0]}, roi "
+                   f"'hippocampus_left' repeats line 2")
+    elif case == "class_not_the_cdrs":
+        fields[1] = "AD"
+        rows[1] = ",".join(fields)
+        message = (f"{table}: subject {fields[0]}, roi 'hippocampus_left' has "
+                   f"class AD, but its CDR in "
+                   f"{dataset / 'data' / 'manifest.jsonl'} makes it CN")
+    else:
+        rows = [row for row in rows if ",hippocampus_left," not in row]
+        message = "have instances for all of ['hippocampus_left']"
+    table.write_text("\n".join(rows) + "\n")
+    assert main(_argv_with_instances(dataset, tmp_path, command,
+                                     table)) == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 
@@ -1136,12 +1237,16 @@ def test_negative_seed_exits_2(dataset, tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["synth", "select", "train", "cv", "tune"])
-def test_repeated_roi_name_exits_2_before_reading(dataset, tmp_path, capsys,
-                                                  command):
-    """A repeated ROI name is refused before any input is read: the manifest
-    given does not exist, which would exit 1 had it been read."""
+@pytest.mark.parametrize("rois,message", [
+    ("hippocampus_left,hippocampus_left", "repeated ROI name"),
+    (",", "empty ROI list"),
+], ids=["repeated", "empty"])
+def test_unusable_roi_list_exits_2_before_reading(dataset, tmp_path, capsys,
+                                                  command, rois, message):
+    """A repeated ROI name, or a list of none, is refused before any input
+    is read: the manifest given does not exist, which would exit 1 had it
+    been read."""
     missing = str(tmp_path / "missing.jsonl")
-    rois = "hippocampus_left,hippocampus_left"
     out = tmp_path / "out"
     if command == "synth":
         argv = ["synth", "--out", str(out), "--subjects", "2", "--rois", rois]
@@ -1155,7 +1260,7 @@ def test_repeated_roi_name_exits_2_before_reading(dataset, tmp_path, capsys,
         argv[argv.index("--manifest") + 1] = missing
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert "repeated ROI name" in err and "Traceback" not in err
+    assert message in err and "Traceback" not in err
     assert not out.exists()
 
 
@@ -1241,6 +1346,26 @@ def test_compare_malformed_accuracy_exits_2(tmp_path, capsys, accuracy):
     err = capsys.readouterr().err
     assert str(path) in err and "fold 0: accuracy" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", ["missing_file", "zero_variance"])
+def test_compare_runtime_failure_exits_1(tmp_path, capsys, case):
+    """A metrics file that is not there, or two sets of constant fold
+    accuracies with different means, whose t statistic is undefined."""
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path, accuracy in zip(paths, (0.5, 0.7)):
+        path.write_text(json.dumps({
+            "folds": [{"fold": i, "accuracy": accuracy} for i in range(3)],
+            "summary": {}}))
+    if case == "missing_file":
+        paths[1].unlink()
+        message = f"metrics file not found: {paths[1]}"
+    else:
+        message = "zero pooled variance with unequal means"
+    assert main(["compare", "--metrics", *map(str, paths)]) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def test_compare_non_utf8_file_exits_2(tmp_path, capsys):

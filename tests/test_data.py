@@ -144,14 +144,28 @@ def test_split_stratification_within_one():
                 assert abs(got - total * ratio) <= 1.0
 
 
-@pytest.mark.parametrize("ranges", [(70.0, 70.0, 20.0, 30.0),
-                                    (60.0, 90.0, 28.0, 28.0),
-                                    (90.0, 60.0, 20.0, 30.0)],
-                         ids=["age_zero_width", "mmse_zero_width",
-                              "age_reversed"])
-def test_fit_stats_rejects_degenerate_range(ranges):
-    with pytest.raises(ValueError, match="degenerate"):
+@pytest.mark.parametrize("ranges", [(90.0, 60.0, 20.0, 30.0),
+                                    (60.0, 90.0, 30.0, 28.0),
+                                    (float("nan"), 90.0, 20.0, 30.0),
+                                    ("60", "90", 20.0, 30.0),
+                                    (60.0, 90.0, False, True)],
+                         ids=["age_reversed", "mmse_reversed", "age_nan",
+                              "age_text", "mmse_bool"])
+def test_fit_stats_rejects_a_range_that_is_not_two_ordered_numbers(ranges):
+    with pytest.raises(ValueError, match="is not two ordered numbers"):
         FitStats(*ranges)
+
+
+@pytest.mark.parametrize("age,mmse,want", [
+    (70.0, 20, [0.0, 0.0]), (80.0, 25, [0.0, 0.5]), (60.0, 30, [0.0, 1.0]),
+], ids=["at_the_constant", "above_it", "below_it"])
+def test_constant_feature_scales_to_zero(age, mmse, want):
+    """A zero-width range, an age constant over the training split, scales
+    every age to 0, as ``scale_volume`` does a constant volume; MMSE keeps
+    its [20, 30] scale."""
+    feats = tabular_features(record(age=age, mmse=mmse),
+                             FitStats(70.0, 70.0, 20.0, 30.0))
+    np.testing.assert_array_equal(feats[:2], want)
 
 
 def test_tabular_features_in_unit_range():
@@ -171,8 +185,8 @@ def test_tabular_features_in_unit_range():
         "age_below_mmse_above"])
 def test_tabular_features_scale_clamp_and_one_hot(age, mmse, gender, want):
     """Age and MMSE min-max scaled by the fit ranges [2, 6], clamped to
-    [0, 1] outside them, then the gender one-hot (F, M). A constant range
-    and another gender are refused by ``FitStats`` and ``SubjectRecord``."""
+    [0, 1] outside them, then the gender one-hot (F, M). Another gender is
+    refused by ``SubjectRecord``."""
     feats = tabular_features(record(age=age, mmse=mmse, gender=gender),
                              FitStats(2.0, 6.0, 2.0, 6.0))
     assert feats.dtype == np.float64
@@ -474,11 +488,12 @@ def test_manifest_round_trip(tmp_path):
     lambda obj: obj.update(mmse=99),
     lambda obj: obj.update(rois=["x"]),
     lambda obj: obj.update(age=None),
+    lambda obj: obj.update(subject_id="S0"),
     "{not json",
     "[1, 2]",
     b"\xff\xfe",
-], ids=["no_rois", "mmse_99", "rois_not_object", "age_null", "not_json",
-        "not_object", "not_utf8"])
+], ids=["no_rois", "mmse_99", "rois_not_object", "age_null",
+        "repeated_subject", "not_json", "not_object", "not_utf8"])
 def test_manifest_malformed_line(tmp_path, edit):
     path = tmp_path / "manifest.jsonl"
     save_manifest([SubjectRecord(f"S{i}", "2023-01-01", 70.0, 28, "F", 0.0,
@@ -510,7 +525,8 @@ def test_instance_csv_round_trip(tmp_path):
 @pytest.mark.parametrize("row", ["S2,CN,hip,3,25", "S2,MCI,hip,3,25,10,12",
                                  "S2,AD,hip,three,25,10,12",
                                  "S2,AD,hip,3,0,10,12",
-                                 "S2,AD,hip,3,-3,10,12"])
+                                 "S2,AD,hip,3,-3,10,12",
+                                 "S0,CN,hip,4,25,10,12"])
 def test_instance_csv_malformed_row(tmp_path, row):
     path = tmp_path / "inst.csv"
     save_instances([InstanceRecord("S0", CN, "hip", 3, 25, 10, 12)], path)

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 import warnings
@@ -137,7 +138,7 @@ def test_attention_block_zero_weights_is_identity():
                                   requires_grad=True)
     x = np.random.default_rng(4).normal(size=(2, 5, 8))
     out = attention_block(Tensor(x), params, "branch0.block0", cfg.heads,
-                          0.0, False, None)
+                          0.0, None)
     np.testing.assert_allclose(out.data, x, atol=1e-12)
 
 
@@ -147,7 +148,7 @@ def test_attention_single_token_is_softmax_of_singleton():
     params = init_params(cfg, 1)
     x = np.random.default_rng(5).normal(size=(1, 1, 8))
     out = attention_block(Tensor(x), params, "branch0.block0", cfg.heads,
-                          0.0, False, None)
+                          0.0, None)
     assert out.shape == (1, 1, 8)  # softmax over a singleton is [[1]]
 
 
@@ -162,9 +163,9 @@ def test_encode_image_branch_shape_and_determinism():
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3])
-@pytest.mark.parametrize("training", [False, True])
+@pytest.mark.parametrize("with_rng", [False, True])
 @pytest.mark.parametrize("blocks", ["one", "per_element"])
-def test_encode_image_branch_matches_all_rows_reference(depth, training,
+def test_encode_image_branch_matches_all_rows_reference(depth, with_rng,
                                                         blocks, monkeypatch):
     """The last block computes the class row only: the embedding, every
     gradient and the generator's end state are those of the branch that
@@ -182,7 +183,7 @@ def test_encode_image_branch_matches_all_rows_reference(depth, training,
     for encode in (encode_image_branch, reference_encode_image_branch):
         drop_rng = np.random.default_rng(10)
         with Tape():
-            out = encode(vol, params, 0, cfg, training, drop_rng)
+            out = encode(vol, params, 0, cfg, drop_rng if with_rng else None)
             root = weighted_sum(out, weights)
         backward(root)
         results.append((out.data, {k: p.grad for k, p in params.items()
@@ -260,6 +261,30 @@ def test_forward_missing_branch_errors():
     with pytest.raises(ValueError):
         forward_batch(cfg, params, None,
                       [np.zeros((1,) + tuple(cfg.image_dims))])
+
+
+def test_forward_batch_is_the_one_reader_of_training():
+    """Training mode at a rate above 0 needs an rng, and draws from it;
+    eval mode ignores a given rng, draws nothing from it, and gives the
+    probabilities of a call without one, as does rate 0 in training mode."""
+    cfg = dataclasses.replace(TINY, dropout_rate=0.3)
+    params = init_params(cfg, 0)
+    rng = np.random.default_rng(9)
+    batch = (rng.random((3, 4)), [rng.random((3,) + cfg.image_dims)])
+    with pytest.raises(ValueError,
+                       match="dropout in training mode requires an rng"):
+        forward_batch(cfg, params, *batch, training=True)
+    bare = forward_batch(cfg, params, *batch).data
+    given = np.random.default_rng(1)
+    evaluated = forward_batch(cfg, params, *batch, False, given).data
+    assert evaluated.tobytes() == bare.tobytes()
+    assert given.random() == np.random.default_rng(1).random()
+    trained = forward_batch(cfg, params, *batch, True,
+                            np.random.default_rng(1)).data
+    assert trained.tobytes() != bare.tobytes()
+    no_rate = dataclasses.replace(cfg, dropout_rate=0.0)
+    assert forward_batch(no_rate, params, *batch, True).data.tobytes() == \
+        bare.tobytes()
 
 
 def test_multi_branch_config_shapes():
@@ -493,7 +518,7 @@ def test_grad_check_attention_block():
 
     def f(p):
         out = attention_block(Tensor(x), p, "branch0.block0", cfg.heads,
-                              0.0, False, None)
+                              0.0, None)
         return weighted_sum(out, weights)
 
     errors = grad_check_params(f, shapes, rng, 0.5)
@@ -545,8 +570,7 @@ def test_grad_check_image_branch_depth_two():
     weights = rng.normal(size=(2, 8))
 
     def f(p):
-        out = encode_image_branch(vol, p, 0, cfg, True,
-                                  np.random.default_rng(19))
+        out = encode_image_branch(vol, p, 0, cfg, np.random.default_rng(19))
         return weighted_sum(out, weights)
 
     errors = grad_check_params(f, shapes, rng, 0.3)

@@ -226,32 +226,33 @@ def test_gelu_values():
 
 def test_dropout_rate_zero_identity():
     x = Tensor([1.0, 2.0])
-    assert dropout(x, 0.0, training=True) is x
+    rng = np.random.default_rng(7)
+    assert dropout(x, 0.0, rng) is x
+    assert rng.random() == np.random.default_rng(7).random()  # nothing drawn
 
 
-def test_dropout_inference_identity():
+def test_dropout_without_rng_identity():
     x = Tensor([1.0, 2.0])
-    assert dropout(x, 0.2, training=False) is x
+    assert dropout(x, 0.2) is x
 
 
 def test_dropout_seeded_mask_repeats():
     x = Tensor(np.ones(100))
-    a = dropout(x, 0.5, training=True, rng=np.random.default_rng(7)).data
-    b = dropout(x, 0.5, training=True, rng=np.random.default_rng(7)).data
+    a = dropout(x, 0.5, rng=np.random.default_rng(7)).data
+    b = dropout(x, 0.5, rng=np.random.default_rng(7)).data
     np.testing.assert_array_equal(a, b)
     assert set(np.unique(a)) <= {0.0, 2.0}
 
 
 def test_dropout_rate_out_of_range():
     with pytest.raises(ValueError):
-        dropout(Tensor([1.0]), 1.0, training=True, rng=np.random.default_rng(0))
+        dropout(Tensor([1.0]), 1.0, rng=np.random.default_rng(0))
 
 
 _DROPOUT_OPS = {
-    "dropout": lambda rate, rng: dropout(Tensor(np.ones((2, 6))), rate, True,
-                                         rng),
+    "dropout": lambda rate, rng: dropout(Tensor(np.ones((2, 6))), rate, rng),
     "attention": lambda rate, rng: attention(Tensor(np.ones((1, 2, 6))), 1,
-                                             rate, True, rng),
+                                             rate, rng),
 }
 
 
@@ -259,11 +260,11 @@ _DROPOUT_OPS = {
 @pytest.mark.parametrize("rate,rng,message", [
     (1.0, np.random.default_rng(0), r"dropout rate must be in \[0, 1\), got 1.0"),
     (-0.1, np.random.default_rng(0), r"dropout rate must be in \[0, 1\), got -0.1"),
-    (0.2, None, "dropout in training mode requires an rng"),
+    (1.0, None, r"dropout rate must be in \[0, 1\), got 1.0"),
     (0.2, np.random.Generator(np.random.MT19937(0)),
      "requires a PCG64 or PCG64DXSM generator, whose advance skips single "
      "draws; got MT19937"),
-], ids=["rate_one", "rate_negative", "no_rng", "mt19937"])
+], ids=["rate_one", "rate_negative", "rate_one_no_rng", "mt19937"])
 def test_dropout_checks_are_shared_by_attention(op, rate, rng, message):
     with pytest.raises(ValueError, match=message):
         _DROPOUT_OPS[op](rate, rng)
@@ -435,17 +436,15 @@ def test_grad_check_every_op_random_shapes(seed):
         "concat": (lambda x: weighted_sum(concat([x, Tensor(b)], axis=0),
                                           np.vstack([b, a])), a),
         "attention": (lambda x: weighted_sum(attention(
-            linear(x, Tensor(w_qkv)), 1, 0.0, False), b[:, :2]),
+            linear(x, Tensor(w_qkv)), 1, 0.0), b[:, :2]),
             a.reshape(1, n, m)),
         "first_token": (lambda x: weighted_sum(first_token(x), b[:2]),
                         np.stack([a, b])),
         "nll": (lambda x: nll(softmax(x), labels), a),
         "dropout": (lambda x: weighted_sum(
-            dropout(x, 0.4, training=True, rng=np.random.default_rng(99)), b),
-            a),
+            dropout(x, 0.4, np.random.default_rng(99)), b), a),
         "dropout_rows": (lambda x: weighted_sum(
-            dropout(x, 0.4, training=True, rng=np.random.default_rng(99),
-                    rows=3), b), a),
+            dropout(x, 0.4, np.random.default_rng(99), rows=3), b), a),
     }
     for name, (f, theta) in checks.items():
         err = grad_check(f, theta)
@@ -476,7 +475,7 @@ def _attention_reference(qkv, heads, rate, rng):
 @pytest.mark.parametrize("rate", [0.0, 0.3])
 def test_attention_matches_unfused_reference(rate):
     qkv = np.random.default_rng(8).normal(size=(3, 5, 24))
-    out = attention(Tensor(qkv), 4, rate, True, np.random.default_rng(1))
+    out = attention(Tensor(qkv), 4, rate, np.random.default_rng(1))
     ref = _attention_reference(qkv, 4, rate, np.random.default_rng(1))
     np.testing.assert_allclose(out.data, ref, rtol=0, atol=1e-12)
 
@@ -487,15 +486,21 @@ def _blocks_of_two(monkeypatch, heads, R, M):
     monkeypatch.setattr(T, "ATTENTION_BLOCK_BYTES", 2 * heads * R * M * 8)
 
 
-@pytest.mark.parametrize("rate,training", [(0.0, True), (0.3, True),
+def _drop_rng(with_rng: bool, seed: int = 1):
+    """A seeded generator for an op to draw its dropout from, or None for
+    an op without dropout."""
+    return np.random.default_rng(seed) if with_rng else None
+
+
+@pytest.mark.parametrize("rate,with_rng", [(0.0, True), (0.3, True),
                                            (0.3, False)])
-def test_attention_matches_unfused_reference_across_blocks(rate, training,
+def test_attention_matches_unfused_reference_across_blocks(rate, with_rng,
                                                            monkeypatch):
     # B=5 in blocks of 2: two full blocks and a ragged last one.
     _blocks_of_two(monkeypatch, 4, 5, 5)
     qkv = np.random.default_rng(8).normal(size=(5, 5, 24))
-    out = attention(Tensor(qkv), 4, rate, training, np.random.default_rng(1))
-    ref = _attention_reference(qkv, 4, rate if training else 0.0,
+    out = attention(Tensor(qkv), 4, rate, _drop_rng(with_rng))
+    ref = _attention_reference(qkv, 4, rate if with_rng else 0.0,
                                np.random.default_rng(1))
     np.testing.assert_allclose(out.data, ref, rtol=0, atol=1e-12)
 
@@ -507,23 +512,24 @@ def test_attention_leaves_rng_where_one_draw_would(blocks, monkeypatch):
         if blocks == "ragged":
             _blocks_of_two(monkeypatch, heads, 1 if class_row else M, M)
         rng, ref = np.random.default_rng(4), np.random.default_rng(4)
-        attention(Tensor(np.ones((B, M, 6 * heads))), heads, 0.3, True, rng,
+        attention(Tensor(np.ones((B, M, 6 * heads))), heads, 0.3, rng,
                   class_row)
         ref.random((B * heads, M, M))
         np.testing.assert_array_equal(rng.random(3), ref.random(3))
 
 
 @pytest.mark.parametrize("blocks", ["one", "ragged"])
-@pytest.mark.parametrize("rate,training", [(0.0, True), (0.3, True),
+@pytest.mark.parametrize("rate,with_rng", [(0.0, True), (0.3, True),
                                            (0.3, False)])
 def test_attention_class_row_is_row_zero_of_unfused_reference(
-        blocks, rate, training, monkeypatch):
+        blocks, rate, with_rng, monkeypatch):
     if blocks == "ragged":
         _blocks_of_two(monkeypatch, 4, 1, 5)
     qkv = np.random.default_rng(8).normal(size=(5, 5, 24))
     rng, ref_rng = np.random.default_rng(1), np.random.default_rng(1)
-    out = attention(Tensor(qkv), 4, rate, training, rng, class_row=True)
-    ref = _attention_reference(qkv, 4, rate if training else 0.0, ref_rng)
+    out = attention(Tensor(qkv), 4, rate, rng if with_rng else None,
+                    class_row=True)
+    ref = _attention_reference(qkv, 4, rate if with_rng else 0.0, ref_rng)
     assert out.shape == (5, 8)
     np.testing.assert_allclose(out.data, ref[:, 0], rtol=0, atol=1e-12)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -537,12 +543,11 @@ def test_attention_output_does_not_depend_on_the_tape(blocks, class_row,
     if blocks == "ragged":
         _blocks_of_two(monkeypatch, 4, 1 if class_row else 5, 5)
     qkv = np.random.default_rng(8).normal(size=(5, 5, 24))
-    for rate, training in ((0.0, False), (0.3, True)):
-        bare = attention(Tensor(qkv), 4, rate, training,
-                         np.random.default_rng(1), class_row)
+    for rate, with_rng in ((0.0, False), (0.3, True)):
+        bare = attention(Tensor(qkv), 4, rate, _drop_rng(with_rng), class_row)
         with Tape():
             taped = attention(Tensor(qkv, requires_grad=True), 4, rate,
-                              training, np.random.default_rng(1), class_row)
+                              _drop_rng(with_rng), class_row)
         assert taped.tape is not None and bare.tape is None
         assert taped.data.tobytes() == bare.data.tobytes()
 
@@ -550,18 +555,18 @@ def test_attention_output_does_not_depend_on_the_tape(blocks, class_row,
 def test_dropout_rows_is_row_zero_of_the_full_draw():
     x = np.random.default_rng(6).normal(size=(3, 7, 4))
     rng, ref_rng = np.random.default_rng(2), np.random.default_rng(2)
-    out = dropout(Tensor(x[:, 0]), 0.4, True, rng, rows=7)
-    ref = dropout(Tensor(x), 0.4, True, ref_rng)
+    out = dropout(Tensor(x[:, 0]), 0.4, rng, rows=7)
+    ref = dropout(Tensor(x), 0.4, ref_rng)
     assert out.data.tobytes() == np.ascontiguousarray(ref.data[:, 0]).tobytes()
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("class_row", [False, True])
 @pytest.mark.parametrize("blocks", ["one", "ragged"])
-@pytest.mark.parametrize("rate,training", [(0.0, True), (0.3, True),
+@pytest.mark.parametrize("rate,with_rng", [(0.0, True), (0.3, True),
                                            (0.3, False)])
 def test_attention_backward_matches_the_score_form(blocks, class_row, rate,
-                                                   training, monkeypatch):
+                                                   with_rng, monkeypatch):
     """The backward with its row terms on the (R, dh) side gives the
     gradient that the score form dS = P * (dP - rowsum(dP * P)) gives."""
     if blocks == "ragged":
@@ -571,12 +576,11 @@ def test_attention_backward_matches_the_score_form(blocks, class_row, rate,
     g = rng.normal(size=(5, 8) if class_row else (5, 5, 8))
     with Tape():
         x = Tensor(qkv, requires_grad=True)
-        out = attention(x, 4, rate, training, np.random.default_rng(1),
-                        class_row)
+        out = attention(x, 4, rate, _drop_rng(with_rng), class_row)
         loss = weighted_sum(out, g)
     backward(loss)
-    ref = reference_attention_grad(qkv, 4, rate, training,
-                                   np.random.default_rng(1), class_row, g)
+    ref = reference_attention_grad(qkv, 4, rate, _drop_rng(with_rng),
+                                   class_row, g)
     np.testing.assert_allclose(x.grad, ref, rtol=0, atol=1e-12)
 
 
@@ -594,9 +598,9 @@ def _far_row_qkv():
 
 @pytest.mark.parametrize("class_row", [False, True])
 @pytest.mark.parametrize("blocks", ["one", "ragged"])
-@pytest.mark.parametrize("rate,training", [(0.0, False), (0.3, True)])
+@pytest.mark.parametrize("rate,with_rng", [(0.0, False), (0.3, True)])
 def test_attention_rows_far_below_their_head_max(blocks, class_row, rate,
-                                                 training, monkeypatch):
+                                                 with_rng, monkeypatch):
     """Rows whose scores all lie over 700 below their head's largest would
     underflow under a shift by the head's maximum; the op must shift them
     by their own, and give the reference output and gradient, all finite
@@ -614,14 +618,13 @@ def test_attention_rows_far_below_their_head_max(blocks, class_row, rate,
         warnings.simplefilter("error")
         with Tape():
             x = Tensor(qkv, requires_grad=True)
-            out = attention(x, 4, rate, training, np.random.default_rng(1),
-                            class_row)
+            out = attention(x, 4, rate, _drop_rng(with_rng), class_row)
             loss = weighted_sum(out, g)
         backward(loss)
-        ref = _attention_reference(qkv, 4, rate if training else 0.0,
+        ref = _attention_reference(qkv, 4, rate if with_rng else 0.0,
                                    np.random.default_rng(1))
         ref_grad = reference_attention_grad(
-            qkv, 4, rate, training, np.random.default_rng(1), class_row, g)
+            qkv, 4, rate, _drop_rng(with_rng), class_row, g)
     assert np.isfinite(out.data).all() and np.isfinite(x.grad).all()
     np.testing.assert_allclose(out.data, ref[:, 0] if class_row else ref,
                                rtol=0, atol=1e-12)
@@ -633,7 +636,7 @@ def test_attention_rows_far_below_their_head_max(blocks, class_row, rate,
 def test_dropout_one_row_is_one_draw_of_the_input_shape(shape):
     x = np.random.default_rng(6).normal(size=shape)
     rng, ref_rng = np.random.default_rng(2), np.random.default_rng(2)
-    out = dropout(Tensor(x), 0.4, True, rng, rows=1)
+    out = dropout(Tensor(x), 0.4, rng, rows=1)
     keep = ref_rng.random(shape) >= 0.4
     assert out.data.tobytes() == (x * (keep * (1.0 / (1.0 - 0.4)))).tobytes()
     assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -647,26 +650,26 @@ def test_skipped_draws_keep_a_buffered_half_word():
     for r in (rng, ref_rng):
         r.integers(2**31, dtype=np.uint32)
     assert rng.bit_generator.state["has_uint32"] == 1
-    dropout(Tensor(x), 0.4, True, rng, rows=7)
+    dropout(Tensor(x), 0.4, rng, rows=7)
     ref_rng.random((3, 7, 4))
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_attention_rejects_unpackable_width():
     with pytest.raises(ShapeError):
-        attention(Tensor(np.zeros((2, 3, 16))), 2, 0.0, False)
+        attention(Tensor(np.zeros((2, 3, 16))), 2, 0.0)
 
 
 def test_grad_check_attention():
     rng = np.random.default_rng(3)
     qkv = rng.normal(size=(2, 4, 12))
     w = rng.normal(size=(2, 4, 4))
-    for rate, training in ((0.0, False), (0.3, True)):
+    for rate, with_rng in ((0.0, False), (0.3, True)):
         def f(x):
-            out = attention(x, 2, rate, training, np.random.default_rng(99))
+            out = attention(x, 2, rate, _drop_rng(with_rng, 99))
             return weighted_sum(out, w)
 
-        assert grad_check(f, qkv) < 1e-5, (rate, training)
+        assert grad_check(f, qkv) < 1e-5, (rate, with_rng)
 
 
 def test_grad_check_attention_class_row(monkeypatch):
@@ -676,13 +679,13 @@ def test_grad_check_attention_class_row(monkeypatch):
     for blocks in ("one", "ragged"):
         if blocks == "ragged":
             _blocks_of_two(monkeypatch, 2, 1, 4)
-        for rate, training in ((0.0, False), (0.3, True)):
+        for rate, with_rng in ((0.0, False), (0.3, True)):
             def f(x):
-                out = attention(x, 2, rate, training,
-                                np.random.default_rng(99), class_row=True)
+                out = attention(x, 2, rate, _drop_rng(with_rng, 99),
+                                class_row=True)
                 return weighted_sum(out, w)
 
-            assert grad_check(f, qkv) < 1e-5, (blocks, rate, training)
+            assert grad_check(f, qkv) < 1e-5, (blocks, rate, with_rng)
 
 
 def test_grad_check_attention_across_blocks(monkeypatch):
@@ -690,12 +693,12 @@ def test_grad_check_attention_across_blocks(monkeypatch):
     rng = np.random.default_rng(3)
     qkv = rng.normal(size=(5, 4, 12))
     w = rng.normal(size=(5, 4, 4))
-    for rate, training in ((0.0, False), (0.3, True), (0.3, False)):
+    for rate, with_rng in ((0.0, False), (0.3, True), (0.3, False)):
         def f(x):
-            out = attention(x, 2, rate, training, np.random.default_rng(99))
+            out = attention(x, 2, rate, _drop_rng(with_rng, 99))
             return weighted_sum(out, w)
 
-        assert grad_check(f, qkv) < 1e-5, (rate, training)
+        assert grad_check(f, qkv) < 1e-5, (rate, with_rng)
 
 
 def test_determinism_bitwise():
@@ -706,7 +709,7 @@ def test_determinism_bitwise():
         with Tape():
             t = Tensor(x, requires_grad=True)
             h = gelu(linear(t, Tensor(x.T)))
-            h = dropout(h, 0.3, training=True, rng=np.random.default_rng(5))
+            h = dropout(h, 0.3, np.random.default_rng(5))
             y = weighted_sum(softmax(h))
         backward(y)
         return y.item(), t.grad.copy()
@@ -739,17 +742,17 @@ _TAPE_CASES = {
     "add": lambda h: add(h(4, 6), h(4, 6)),
     "linear": lambda h: linear(h(4, 6), h(6, 4), h(4)),
     "linear:no_bias": lambda h: linear(h(4, 6), h(6, 4)),
-    "attention": lambda h: attention(h(1, 4, 6), 1, 0.3, True,
+    "attention": lambda h: attention(h(1, 4, 6), 1, 0.3,
                                      np.random.default_rng(2)),
-    "attention:class_row": lambda h: attention(h(2, 4, 6), 1, 0.3, True,
+    "attention:class_row": lambda h: attention(h(2, 4, 6), 1, 0.3,
                                                np.random.default_rng(2),
                                                class_row=True),
     "softmax": lambda h: softmax(h(4, 6)),
     "layer_norm": lambda h: layer_norm(h(4, 6), h(6), h(6)),
     "gelu": lambda h: gelu(h(4, 6)),
-    "dropout": lambda h: dropout(h(4, 6), 0.5, True, np.random.default_rng(2)),
-    "dropout:rows": lambda h: dropout(h(4, 6), 0.5, True,
-                                      np.random.default_rng(2), rows=3),
+    "dropout": lambda h: dropout(h(4, 6), 0.5, np.random.default_rng(2)),
+    "dropout:rows": lambda h: dropout(h(4, 6), 0.5, np.random.default_rng(2),
+                                      rows=3),
     "concat": lambda h: concat([h(4, 6), h(4, 6)], axis=0),
     "first_token": lambda h: first_token(h(2, 4, 6)),
     "nll": lambda h: nll(softmax(h(4, 6)), [0, 1, 2, 3]),

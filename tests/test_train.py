@@ -186,8 +186,7 @@ def _subject(sid, cdr, age=70.0):
     ([], ["c"], None, "no training subjects"),
     (["a", "b"], [], None, "no validation subjects"),
     (["a", "b"], ["c"], ["a"], "the scored set has no AD subject"),
-    (["a", "a"], ["c"], None, "degenerate age fit range"),
-], ids=["no_train", "no_val", "scored_one_class", "constant_age"])
+], ids=["no_train", "no_val", "scored_one_class"])
 def test_fit_plan_refusals_are_plan_errors(train_set, val, scored, message):
     """Every split FitPlan refuses is a PlanError, the one error the train,
     cv and tune commands turn into exit 2."""
@@ -199,6 +198,14 @@ def test_fit_plan_refusals_are_plan_errors(train_set, val, scored, message):
 
     with pytest.raises(PlanError, match=message):
         FitPlan(pick(train_set), pick(val), pick(scored))
+
+
+def test_fit_plan_fits_a_constant_age_to_a_zero_width_range():
+    """A training set of one age is planned, not refused: its age range has
+    zero width, and ``tabular_features`` scales every age by it to 0."""
+    plan = FitPlan([_subject("a", 0.0, 70.0), _subject("b", 1.0, 70.0)],
+                   [_subject("c", 1.0, 75.0)])
+    assert (plan.stats.age_min, plan.stats.age_max) == (70.0, 70.0)
 
 
 def test_config_validation():
@@ -402,6 +409,26 @@ def test_train_frees_each_steps_gradients_before_the_next_forward(
     assert len(refs) == 4 * len(params)
     assert forwards == [0, len(params), 2 * len(params),
                         2 * len(params), 3 * len(params), 4 * len(params)]
+
+
+def test_each_step_decays_the_lr_by_the_adam_steps_before_it(monkeypatch):
+    """Step n of a run, counted across epochs from 0, updates at
+    ``lr_at_step(n)``, n being the Adam state's count when it starts; an
+    epoch's history row records its last step's rate."""
+    seen = []
+
+    def adam_spy(params, grads, state, lr, config):
+        seen.append((state.step, lr))
+        adam_update(params, grads, state, lr, config)
+
+    monkeypatch.setattr(train_module, "adam_update", adam_spy)
+    samples = make_samples(10, seed=13)
+    cfg = TrainConfig(initial_lr=1e-3, batch_size=4, epochs=3, seed=5)
+    _, history = train(SMALL_MODEL, init_params(SMALL_MODEL, 4), samples[:7],
+                       samples[7:], cfg)
+    assert [step for step, _ in seen] == list(range(6))
+    assert [lr for _, lr in seen] == [lr_at_step(cfg, n) for n in range(6)]
+    assert [h.lr for h in history] == [seen[n][1] for n in (1, 3, 5)]
 
 
 def test_history_csv(tmp_path):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -97,15 +98,35 @@ def test_sample_config_ranges():
         assert cfg["batch"] in (6, 12)
 
 
-def test_parse_space_errors():
-    with pytest.raises(SpaceError):
-        parse_space({})
-    with pytest.raises(SpaceError):
-        parse_space({"x": {"type": "nope"}})
-    with pytest.raises(SpaceError):
-        parse_space({"x": {"type": "log_uniform", "lo": 1.0, "hi": 0.5}})
-    with pytest.raises(SpaceError):
-        parse_space({"x": {"type": "choice", "values": []}})
+@pytest.mark.parametrize("spec,message", [
+    ({}, "search space must be a non-empty object"),
+    ({"x": {"type": "nope"}}, "unknown dimension type 'nope'"),
+    ({"x": {"type": "log_uniform", "lo": 1.0, "hi": 0.5}},
+     "log-uniform needs 0 < lo < hi"),
+    ({"x": {"type": "choice", "values": []}}, "choice set must be non-empty"),
+    ({"x": {"type": "choice", "values": 5}}, "values 5 is not a list"),
+    ({"x": {"type": "choice", "values": {"a": 1}}},
+     "values {'a': 1} is not a list"),
+    ({"x": {"type": "uniform", "lo": [1], "hi": 2.0}},
+     "lo [1] is not a number"),
+    ({"x": {"type": "uniform", "lo": None, "hi": 2.0}},
+     "lo None is not a number"),
+    ({"x": {"type": "log_uniform", "lo": 1e-4, "hi": True}},
+     "hi True is not a number"),
+    ({"x": {"type": "uniform", "lo": "0.1", "hi": 2.0}},
+     "lo '0.1' is not a number"),
+    ({"x": {"type": "uniform", "lo": 0.0, "hi": 10**400}},
+     "int too large to convert to float"),
+    ({"x": {"type": "uniform", "hi": 2.0}}, "missing field 'lo'"),
+    ({"x": {"type": "choice"}}, "missing field 'values'"),
+], ids=["empty", "unknown_type", "lo_above_hi", "no_choices", "int_values",
+        "object_values", "list_lo", "null_lo", "true_hi", "string_lo",
+        "int_past_float", "no_lo", "no_values"])
+def test_parse_space_errors(spec, message):
+    """A range's ends must be JSON numbers, not true, and a choice's values
+    a JSON list."""
+    with pytest.raises(SpaceError, match=re.escape(message)):
+        parse_space(spec)
 
 
 NINE_THREE_ONE = Bracket(s=2, rounds=((9, 1), (3, 3), (1, 9)))
