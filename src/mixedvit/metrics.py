@@ -191,8 +191,9 @@ def t_test(a: Sequence[float], b: Sequence[float]):
 
 def one_way_anova(groups: Sequence[Sequence[float]]):
     """One-way fixed-effects ANOVA; p from the F distribution. F = 0, p = 1
-    when the within-group variance is zero and the means equal; F = inf,
-    p = 0 when it is zero and they differ."""
+    when the within-group variance is zero and the means equal;
+    ``DegenerateVarianceError`` when it is zero and they differ, as
+    ``t_test`` raises for two groups."""
     if len(groups) < 2:
         raise ValueError("ANOVA needs at least 2 groups")
     arrays = [np.asarray(g, dtype=np.float64) for g in groups]
@@ -209,7 +210,8 @@ def one_way_anova(groups: Sequence[Sequence[float]]):
     if ss_within == 0.0:
         if ss_between == 0.0:
             return 0.0, df_between, df_within, 1.0
-        return math.inf, df_between, df_within, 0.0
+        raise DegenerateVarianceError(
+            "zero within-group variance with unequal means")
     f = (ss_between / df_between) / (ss_within / df_within)
     p = betainc(df_within / 2.0, df_between / 2.0,
                 df_within / (df_within + df_between * f))

@@ -100,39 +100,66 @@ def lr_at_step(config: TrainConfig, step: int) -> float:
     return config.initial_lr * config.decay_rate ** (step / config.decay_steps)
 
 
+# Values per chunk of ``adam_update``'s walk. The chunk's slices of a
+# parameter, its gradient, m and v and the two scratch rows take 6 x 128 KB,
+# so the 14 passes over a chunk stay in a core's L2 cache.
+ADAM_CHUNK = 16384
+
+
 def adam_update(params: dict, grads: dict, state: OptimizerState, lr: float,
                 config: TrainConfig) -> None:
-    """Standard bias-corrected Adam; mutates params and state in place."""
+    """Standard bias-corrected Adam; mutates params and state in place.
+
+    Each parameter is walked in ``ADAM_CHUNK``-value chunks of flat views of
+    it, its gradient, m and v, with two scratch rows made once per call, so
+    that no full-size temporary is made; a parameter without a gradient
+    reads zeros from a scratch row."""
     b1, b2, eps = config.adam_beta1, config.adam_beta2, config.adam_eps
     state.step += 1
     t = state.step
+    bias1, bias2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+    buf_row, step_row = np.empty(ADAM_CHUNK), np.empty(ADAM_CHUNK)
     for name, p in params.items():
         g = grads.get(name)
-        if g is None:
-            g = np.zeros(p.shape)
-        if g.shape != p.data.shape:
+        if g is not None and g.shape != p.data.shape:
             raise ValueError(
                 f"gradient shape {g.shape} mismatches parameter "
                 f"{name} {p.data.shape}")
-        # In place, in the operation order of the textbook form
-        #   m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
-        #   p -= (lr * m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps)
-        # so that every value is bit-identical to it.
         m, v = state.m[name], state.v[name]
-        buf = np.multiply(g, 1.0 - b1)
-        m *= b1
-        m += buf
-        np.multiply(g, 1.0 - b2, out=buf)
-        buf *= g
-        v *= b2
-        v += buf
-        np.divide(v, 1.0 - b2 ** t, out=buf)
-        np.sqrt(buf, out=buf)
-        buf += eps
-        step = np.divide(m, 1.0 - b1 ** t)
-        step *= lr
-        step /= buf
-        p.data -= step
+        if not (p.data.flags.c_contiguous and m.flags.c_contiguous
+                and v.flags.c_contiguous):
+            # ravel would copy, and the update would go to the copy.
+            raise ValueError(f"parameter {name} or its moments are not "
+                             f"C-contiguous")
+        p_flat, m_flat, v_flat = p.data.ravel(), m.ravel(), v.ravel()
+        g_flat = None if g is None else g.ravel()
+        for lo in range(0, p_flat.size, ADAM_CHUNK):
+            hi = lo + ADAM_CHUNK
+            pc, mc, vc = p_flat[lo:hi], m_flat[lo:hi], v_flat[lo:hi]
+            buf, step = buf_row[:pc.size], step_row[:pc.size]
+            if g_flat is None:
+                gc = step  # read before ``step`` is first written below
+                gc.fill(0.0)
+            else:
+                gc = g_flat[lo:hi]
+            # In place, in the operation order of the textbook form
+            #   m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
+            #   p -= (lr * m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps)
+            # so that every value is bit-identical to it.
+            np.multiply(gc, 1.0 - b1, out=buf)
+            mc *= b1
+            mc += buf
+            np.multiply(gc, 1.0 - b2, out=buf)
+            buf *= gc
+            vc *= b2
+            vc += buf
+            np.divide(vc, bias2, out=buf)
+            np.sqrt(buf, out=buf)
+            buf += eps
+            np.divide(mc, bias1, out=step)
+            step *= lr
+            step /= buf
+            pc -= step
 
 
 def batch_loss(probs: Tensor, labels: np.ndarray) -> Tensor:

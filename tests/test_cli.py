@@ -1348,10 +1348,14 @@ def test_compare_malformed_accuracy_exits_2(tmp_path, capsys, accuracy):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("case", ["missing_file", "zero_variance"])
-def test_compare_runtime_failure_exits_1(tmp_path, capsys, case):
+@pytest.mark.parametrize("case,test", [
+    ("missing_file", "ttest"), ("zero_variance", "ttest"),
+    ("zero_variance", "anova")],
+    ids=["missing_file", "zero_variance", "zero_variance_anova"])
+def test_compare_runtime_failure_exits_1(tmp_path, capsys, case, test):
     """A metrics file that is not there, or two sets of constant fold
-    accuracies with different means, whose t statistic is undefined."""
+    accuracies with different means, whose t and F statistics are
+    undefined."""
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
     for path, accuracy in zip(paths, (0.5, 0.7)):
         path.write_text(json.dumps({
@@ -1360,9 +1364,12 @@ def test_compare_runtime_failure_exits_1(tmp_path, capsys, case):
     if case == "missing_file":
         paths[1].unlink()
         message = f"metrics file not found: {paths[1]}"
-    else:
+    elif test == "ttest":
         message = "zero pooled variance with unequal means"
-    assert main(["compare", "--metrics", *map(str, paths)]) == 1
+    else:
+        message = "zero within-group variance with unequal means"
+    assert main(["compare", "--metrics", *map(str, paths),
+                 "--test", test]) == 1
     captured = capsys.readouterr()
     assert message in captured.err and "Traceback" not in captured.err
     assert captured.out == ""

@@ -352,10 +352,10 @@ def test_anova_detects_separation():
 
 
 def test_anova_zero_within_nonzero_between():
-    f, _, _, p = one_way_anova([[1.0, 1.0], [2.0, 2.0]])
-    assert math.isinf(f) and p == 0.0
-    f, _, _, p = one_way_anova([[0.1] * 3, [0.2] * 7])
-    assert math.isinf(f) and p == 0.0
+    with pytest.raises(DegenerateVarianceError):
+        one_way_anova([[1.0, 1.0], [2.0, 2.0]])
+    with pytest.raises(DegenerateVarianceError):
+        one_way_anova([[0.1] * 3, [0.2] * 7])
 
 
 def test_anova_validation():

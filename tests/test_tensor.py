@@ -124,6 +124,33 @@ def test_linear_constant_input_gets_no_gradient():
     assert node_grads[0] is None
 
 
+def test_linear_folds_a_constant_input_into_one_product():
+    """A constant (B, N, K) input, the tubelet patch matrix at the
+    ``cv_coarse`` shape of 16 rows per element and K = 4800, runs as one
+    2-D product: it equals the stacked product to rounding, and its weight
+    and bias gradients equal those of the batched op, whose input takes a
+    gradient."""
+    rng = np.random.default_rng(8)
+    x, w, b = (rng.normal(size=s) for s in ((3, 16, 4800), (4800, 16), (16,)))
+    upstream = rng.normal(size=(3, 16, 16))
+    runs = []
+    for x_grad in (False, True):
+        with Tape():
+            tx = Tensor(x, requires_grad=x_grad)
+            tw, tb = (Tensor(a, requires_grad=True) for a in (w, b))
+            out = linear(tx, tw, tb)
+            y = weighted_sum(out, upstream)
+        backward(y)
+        runs.append((out.data, tw.grad, tb.grad))
+    want = x @ w + b
+    for out_data, _, _ in runs:
+        assert out_data.shape == want.shape
+        assert np.abs(out_data - want).max() <= 1e-12 * np.abs(want).max()
+    (_, gw_fold, gb_fold), (_, gw, gb) = runs
+    np.testing.assert_array_equal(gw_fold, gw)
+    np.testing.assert_array_equal(gb_fold, gb)
+
+
 def test_first_token_takes_row_zero_of_axis_one():
     x = np.arange(24.0).reshape(2, 3, 4)
     np.testing.assert_array_equal(first_token(Tensor(x)).data, x[:, 0])

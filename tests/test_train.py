@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -131,6 +132,84 @@ def test_adam_in_place_matches_reference_bitwise(monkeypatch):
         np.testing.assert_array_equal(p1[k].data, p2[k].data)
         np.testing.assert_array_equal(s1.m[k], s2.m[k])
         np.testing.assert_array_equal(s1.v[k], s2.v[k])
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "column_slice"])
+def test_adam_chunks_match_reference_bitwise(monkeypatch, layout):
+    """Parameters longer than two chunks, with a gradient that is
+    contiguous or a column slice (what ``concat``'s backward gives wq, wk
+    and wv); one of them takes no gradient at one step."""
+    monkeypatch.setattr(TrainConfig, "adam_beta1", 0.8)
+    monkeypatch.setattr(TrainConfig, "adam_beta2", 0.95)
+    cfg = TrainConfig()
+    chunk = train_module.ADAM_CHUNK
+    shapes = {"flat": (2 * chunk + 3,), "wide": (3, chunk - 1)}
+    rng = np.random.default_rng(8)
+    init = {k: rng.normal(size=s) for k, s in shapes.items()}
+    runs = []
+    for update in (adam_update, _adam_reference):
+        params = {k: Tensor(v.copy(), requires_grad=True)
+                  for k, v in init.items()}
+        state = OptimizerState.for_params(params)
+        grad_rng = np.random.default_rng(9)
+        for step in range(4):
+            grads = {}
+            for k, (*lead, n) in shapes.items():
+                g = grad_rng.normal(scale=10.0 ** (step - 2),
+                                    size=(*lead, 3 * n))
+                grads[k] = g[..., :n] if layout == "column_slice" else \
+                    np.ascontiguousarray(g[..., :n])
+            if step == 2:
+                del grads["wide"]
+            update(params, grads, state, 0.5 * 0.9 ** step, cfg)
+        runs.append((params, state))
+    (p1, s1), (p2, s2) = runs
+    for k in shapes:
+        np.testing.assert_array_equal(p1[k].data, p2[k].data)
+        np.testing.assert_array_equal(s1.m[k], s2.m[k])
+        np.testing.assert_array_equal(s1.v[k], s2.v[k])
+
+
+def test_adam_updates_the_parameter_and_moment_arrays_in_place():
+    """The update lands in the arrays the caller holds, not in flat copies."""
+    cfg = TrainConfig()
+    shape = (3, train_module.ADAM_CHUNK)
+    params = {"w": Tensor(np.ones(shape), requires_grad=True)}
+    state = OptimizerState.for_params(params)
+    held = (params["w"].data, state.m["w"], state.v["w"])
+    adam_update(params, {"w": np.full(shape, 0.5)}, state, 0.1, cfg)
+    assert all(a is b for a, b in zip(
+        held, (params["w"].data, state.m["w"], state.v["w"])))
+    for a in held:
+        assert (a != 1.0).all() and (a != 0.0).all()
+
+
+def test_adam_refuses_a_non_contiguous_parameter():
+    cfg = TrainConfig()
+    params = {"w": Tensor(np.ones((4, 3)), requires_grad=True)}
+    state = OptimizerState.for_params(params)
+    params["w"].data = np.ones((3, 4)).T
+    with pytest.raises(ValueError, match="C-contiguous"):
+        adam_update(params, {"w": np.ones((4, 3))}, state, 0.1, cfg)
+
+
+def test_adam_allocates_less_than_one_parameter():
+    """Chunks and two scratch rows: updating a parameter of about 1e6
+    values, with a gradient and without one, allocates less than one
+    full-size array."""
+    cfg = TrainConfig()
+    params = {k: Tensor(np.ones(1_000_003), requires_grad=True)
+              for k in ("with_grad", "no_grad")}
+    state = OptimizerState.for_params(params)
+    grads = {"with_grad": np.full(1_000_003, 0.5)}
+    tracemalloc.start()
+    try:
+        adam_update(params, grads, state, 0.1, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < params["no_grad"].data.nbytes
+    assert (params["with_grad"].data < 1.0).all()
 
 
 def _one_row_loss(probs, label: int) -> float:
