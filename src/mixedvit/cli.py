@@ -27,22 +27,24 @@ through ``train.FitPlan`` and ``train.fit``: a split that cannot be trained
 or scored (``PlanError``) exits 2 before any training. ``train``, ``cv``,
 ``tune`` and ``eval`` exit 2 before any volume is read when an instance-table
 row of a ROI they use selects a slice count other than image_dims' T
-(``train.check_slice_counts``; ``tune`` checks every image_dims choice of
-its space before any trial), and before any update when the image_dims plane
-is larger than a volume's. A model config over the parameter or attention
-budget, and a ``tune`` budget planning more than
-``tuning.MAX_EVALUATIONS`` evaluations, exit 2 before any data is read.
-A corrupt volume or checkpoint makes every command that reads it exit 1,
-as does a manifest line whose CDR is neither 0 (CN) nor >= 1 (AD) or that
+(``train.check_slice_counts``), and before any update when the image_dims
+plane is larger than a volume's; ``tune`` checks both for each image_dims
+choice of its space before any trial. A model config over the parameter or
+attention budget, in any trial ``tune`` plans, and a ``tune`` budget
+planning more than ``tuning.MAX_EVALUATIONS`` evaluations, exit 2 before
+any data is read. A corrupt volume or checkpoint, NaN or inf in a
+checkpoint array among it, makes every command that reads it exit 1, as
+does a manifest line whose CDR is neither 0 (CN) nor >= 1 (AD) or that
 repeats a subject, and an instance-table row that repeats a subject and
 ROI, whose class is not that of its subject's CDR, or whose slice window
 runs past its volume's depth. An age or MMSE constant over the training
 subjects is accepted: it scales to 0, as a constant volume does, so an
-image-only run, which never reads it, is not refused for it.
-``compare`` reads each metrics file through
-``metrics.load_fold_accuracies``: a missing file exits 1, and one with
-fewer than 2 folds, or a fold accuracy that is not a finite number in
-[0, 1], exits 2.
+image-only run, which never reads it, is not refused for it; a ``fit``
+range end that is not finite makes ``eval`` exit 1. ``compare`` reads each
+metrics file through ``metrics.load_fold_accuracies``: a missing file
+exits 1, and one with fewer than 2 folds, or a fold accuracy that is not a
+finite number in [0, 1], exits 2. ``--test ttest`` is ``--test anova`` of
+two files, with t = sign(mean difference) * sqrt(F).
 
 Exit codes: 0 success, 1 runtime/I-O failure, 2 usage/config error.
 Every run writes a manifest with a config snapshot and output checksums.
@@ -295,9 +297,9 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     MO.save_checkpoint(out / "checkpoint.npz", best)
-    TR.save_history(history, out / "history.csv")
+    TR.save_rows(history, TR.EpochStats, out / "history.csv")
     _write_json(out / "metrics.json", ME.metrics_payload([report]))
-    ME.save_roc_csv(report.roc, out / "roc.csv")
+    TR.save_rows(report.roc, ME.RocPoint, out / "roc.csv")
     snapshot = {"config": _config_of(model_cfg, train_cfg), "rois": rois,
                 "mode": args.mode, "fit": dataclasses.asdict(plan.stats)}
     _write_json(out / "config.json", snapshot)
@@ -327,7 +329,7 @@ def cmd_cv(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "metrics.json", ME.metrics_payload(reports))
     for r in reports:
-        ME.save_roc_csv(r.roc, out / f"roc_fold{r.fold_index}.csv")
+        TR.save_rows(r.roc, ME.RocPoint, out / f"roc_fold{r.fold_index}.csv")
     snapshot = {"config": _config_of(model_cfg, train_cfg), "rois": rois,
                 "mode": args.mode, "folds": args.folds,
                 "holdout_test": not args.no_holdout_test}
@@ -373,12 +375,22 @@ def cmd_tune(args) -> int:
     cfg = load_config(args.config)
     base = _config_of(*build_configs(cfg, args.mode, len(rois), args.seed))
     _check_space(space, cfg, args.mode, len(rois))
+    # Values that pass alone can fail together (embed_dim and heads).
+    trials = TU.hyperband_plan(space, args.max_resource, args.eta, args.seed)
+    for sampled in [c for _bracket, configs in trials for c in configs]:
+        build_configs({**cfg, **sampled}, args.mode, len(rois), args.seed)
     records, instances = _dataset_for(args, rois)
     dims = space.get("image_dims")
-    for value in dims.values if dims else [base["image_dims"]]:
-        TR.check_slice_counts(tuple(value), instances, rois)
+    dims = [tuple(v) for v in dims.values] if dims else [base["image_dims"]]
+    for value in dims:
+        TR.check_slice_counts(value, instances, rois)
     tr, va, _test = D.holdout_split(records, args.seed)
     plan = TR.FitPlan(tr, va)
+    planes = {D.load_volume(r.volume_path).shape[1:] for r in [*tr, *va]}
+    for value in dims:
+        if any(value[1] > h or value[2] > w for h, w in planes):
+            raise UsageError(f"image_dims {value} do not fit the volumes: "
+                             f"their planes are {sorted(planes)}")
 
     def objective(sampled: dict, epochs: int) -> float:
         _best, history, _ = TR.fit(
@@ -414,14 +426,8 @@ def cmd_tune(args) -> int:
 def _roc_svg(points, auc_value: float) -> str:
     size, margin = 320, 40
     span = size - 2 * margin
-
-    def sx(fpr):
-        return margin + fpr * span
-
-    def sy(tpr):
-        return size - margin - tpr * span
-
-    coords = " ".join(f"{sx(p.fpr):.2f},{sy(p.tpr):.2f}" for p in points)
+    coords = " ".join(f"{margin + p.fpr * span:.2f},"
+                      f"{size - margin - p.tpr * span:.2f}" for p in points)
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
         f'height="{size}">'
@@ -468,7 +474,7 @@ def cmd_eval(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     _write_json(out, ME.metrics_payload([report]))
     roc_path = out.with_name(out.stem + "_roc.csv")
-    ME.save_roc_csv(report.roc, roc_path)
+    TR.save_rows(report.roc, ME.RocPoint, roc_path)
     outputs = [out, roc_path]
     if args.roc_svg:
         Path(args.roc_svg).write_text(_roc_svg(report.roc, report.auc),

@@ -117,8 +117,8 @@ class MixedBatch:
 @dataclass(frozen=True)
 class FitStats:
     """Min-max ranges fitted on the training split only, each two ordered
-    numbers. A range may have zero width, a feature constant over the
-    split."""
+    finite numbers (Python's json reads Infinity). A range may have zero
+    width, a feature constant over the split."""
     age_min: float
     age_max: float
     mmse_min: float
@@ -127,11 +127,11 @@ class FitStats:
     def __post_init__(self):
         for name, lo, hi in (("age", self.age_min, self.age_max),
                              ("mmse", self.mmse_min, self.mmse_max)):
-            numbers = all(isinstance(v, (int, float))
-                          and not isinstance(v, bool) for v in (lo, hi))
+            numbers = all(type(v) in (int, float) and math.isfinite(v)
+                          for v in (lo, hi))
             if not (numbers and lo <= hi):
                 raise ValueError(f"{name} fit range [{lo!r}, {hi!r}] is not "
-                                 f"two ordered numbers")
+                                 f"two ordered numbers, both finite")
 
     @classmethod
     def from_records(cls, records: Sequence[SubjectRecord]) -> "FitStats":

@@ -1,6 +1,8 @@
 """Evaluation and statistics: stratified k-fold CV, confusion/accuracy,
 ROC/AUC by the trapezoid rule, mean±std reporting, pooled t-test and
 one-way ANOVA, with p-values from scipy's regularized incomplete beta.
+Every mean and sum of squares comes from ``_mean_ss``, which gives equal
+values their value as mean and 0.0 as sum; the t-test is two-group ANOVA.
 """
 
 from __future__ import annotations
@@ -9,7 +11,7 @@ import dataclasses
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -144,13 +146,12 @@ def auc_trapezoid(points: Sequence[RocPoint]) -> float:
 
 
 def mean_std(values: Sequence[float]):
-    """Mean and sample (n-1) standard deviation; std is 0 for n=1."""
+    """Mean and sample (n-1) standard deviation; equal values give std 0."""
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
         raise ValueError("mean_std of an empty sequence")
-    mean = float(values.mean())
-    std = float(values.std(ddof=1)) if values.size > 1 else 0.0
-    return mean, std
+    mean, ss = _mean_ss(values)
+    return float(mean), math.sqrt(ss / max(values.size - 1, 1))
 
 
 def format_mean_std(mean: float, std: float) -> str:
@@ -161,52 +162,31 @@ def format_mean_std(mean: float, std: float) -> str:
 # hypothesis tests
 
 
-def _mean(values: np.ndarray):
-    """The mean; exactly the value when all values are equal, whose float
-    mean can miss it by an ulp and so give them a spread."""
-    return values[0] if values.min() == values.max() else values.mean()
-
-
-def t_test(a: Sequence[float], b: Sequence[float]):
-    """Pooled-variance two-sample Student t; two-sided p. t = 0, p = 1 when
-    the pooled variance is zero and the means equal;
-    ``DegenerateVarianceError`` when it is zero and they differ."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.size < 2 or b.size < 2:
-        raise ValueError("each sample needs at least 2 values")
-    df = a.size + b.size - 2
-    mean_a, mean_b = _mean(a), _mean(b)
-    pooled = (((a - mean_a) ** 2).sum() + ((b - mean_b) ** 2).sum()) / df
-    diff = mean_a - mean_b
-    if pooled == 0.0:
-        if diff == 0.0:
-            return 0.0, df, 1.0
-        raise DegenerateVarianceError(
-            "zero pooled variance with unequal means")
-    t = diff / math.sqrt(pooled * (1.0 / a.size + 1.0 / b.size))
-    p = betainc(df / 2.0, 0.5, df / (df + t * t))
-    return float(t), df, float(p)
+def _mean_ss(values: np.ndarray):
+    """The mean and the sum of squared deviations from it: exactly
+    (value, 0.0) when all values are equal, whose float mean can miss the
+    value by an ulp and so give them a spread."""
+    if values.min() == values.max():
+        return values[0], 0.0
+    mean = values.mean()
+    return mean, float(((values - mean) ** 2).sum())
 
 
 def one_way_anova(groups: Sequence[Sequence[float]]):
     """One-way fixed-effects ANOVA; p from the F distribution. F = 0, p = 1
     when the within-group variance is zero and the means equal;
-    ``DegenerateVarianceError`` when it is zero and they differ, as
-    ``t_test`` raises for two groups."""
+    ``DegenerateVarianceError`` when it is zero and they differ."""
     if len(groups) < 2:
         raise ValueError("ANOVA needs at least 2 groups")
     arrays = [np.asarray(g, dtype=np.float64) for g in groups]
     if any(g.size < 2 for g in arrays):
         raise ValueError("each group needs at least 2 values")
-    n_total = sum(g.size for g in arrays)
-    k = len(arrays)
-    means = [_mean(g) for g in arrays]
-    grand = _mean(np.concatenate(arrays))
-    ss_between = sum(g.size * (m - grand) ** 2 for g, m in zip(arrays, means))
-    ss_within = sum(((g - m) ** 2).sum() for g, m in zip(arrays, means))
-    df_between = k - 1
-    df_within = n_total - k
+    stats = [_mean_ss(g) for g in arrays]
+    grand, _ = _mean_ss(np.concatenate(arrays))
+    ss_between = sum(g.size * (m - grand) ** 2
+                     for g, (m, _) in zip(arrays, stats))
+    ss_within = sum(ss for _, ss in stats)
+    df_between, df_within = len(arrays) - 1, sum(g.size - 1 for g in arrays)
     if ss_within == 0.0:
         if ss_between == 0.0:
             return 0.0, df_between, df_within, 1.0
@@ -216,6 +196,16 @@ def one_way_anova(groups: Sequence[Sequence[float]]):
     p = betainc(df_within / 2.0, df_between / 2.0,
                 df_within / (df_within + df_between * f))
     return float(f), df_between, df_within, float(p)
+
+
+def t_test(a: Sequence[float], b: Sequence[float]):
+    """Pooled-variance two-sample Student t, two-sided: ``one_way_anova``'s
+    df, p and zero-variance rules for [a, b], t = sign(mean_a - mean_b) *
+    sqrt(F)."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    f, _, df, p = one_way_anova([a, b])
+    sign = np.sign(_mean_ss(a)[0] - _mean_ss(b)[0])
+    return float(sign) * math.sqrt(f), df, p
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +329,3 @@ def load_fold_accuracies(path) -> list:
                              f"number in [0, 1]")
     return accs
 
-
-def save_roc_csv(points: Sequence[RocPoint], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(f.name for f in fields(RocPoint)) + "\n")
-        fh.writelines(",".join(map(repr, astuple(p))) + "\n" for p in points)

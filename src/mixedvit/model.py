@@ -382,7 +382,7 @@ def load_checkpoint(path) -> dict[str, Tensor]:
     ``NpzFile`` that np.load returns for an ``.npz``. ``CheckpointError`` for
     a file that is not an ``.npz``, lists fewer or more members than its
     end-of-central-directory record counts, fails a CRC-32 check, repeats a
-    name or holds a member that is not a float64 array."""
+    name or holds a member that is not a finite float64 array."""
     with open(path, "rb") as fh:  # closed even when numpy fails to parse
         try:
             with NpzFile(fh, allow_pickle=False) as archive:
@@ -409,5 +409,7 @@ def load_checkpoint(path) -> dict[str, Tensor]:
             raise CheckpointError(f"checkpoint holds {name!r} twice")
         if not isinstance(arr, np.ndarray) or arr.dtype != np.float64:
             raise CheckpointError(f"checkpoint member {name!r} is not float64")
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"checkpoint member {name!r} is not finite")
         params[name] = Tensor(arr, requires_grad=True)
     return params

@@ -351,8 +351,9 @@ def fit(model_cfg: ModelConfig, train_cfg: TrainConfig, plan: FitPlan,
     return best, history, preds
 
 
-def save_history(history: Sequence[EpochStats], path) -> None:
+def save_rows(rows: Sequence, row_type: type, path) -> None:
+    """CSV of ``row_type``'s field names, then each row's values by repr."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(f.name for f in fields(EpochStats)) + "\n")
+        fh.write(",".join(f.name for f in fields(row_type)) + "\n")
         fh.writelines(",".join(map(repr, astuple(row))) + "\n"
-                      for row in history)
+                      for row in rows)

@@ -210,16 +210,21 @@ def successive_halving(configs: Sequence[dict],
     return log
 
 
+def hyperband_plan(space: dict, R: float, eta: float, seed: int) -> list:
+    """(bracket, its starting configs) for each bracket, drawn from
+    ``space`` at ``seed``: what ``hyperband_run`` runs, known up front."""
+    rng = np.random.default_rng([int(seed), 0x4B])
+    return [(b, [sample_config(space, rng) for _ in range(b.rounds[0][0])])
+            for b in bracket_schedule(R, eta)]
+
+
 def hyperband_run(space: dict, objective: Callable[[dict, int], float],
                   R: float, eta: float, seed: int):
-    """Run every bracket; return (best trial, full trial log), the best
+    """Run ``hyperband_plan``; return (best trial, full trial log), the best
     by ``_rank``: the highest score, ties to the lowest trial id."""
-    rng = np.random.default_rng([int(seed), 0x4B])
     log: list[TrialResult] = []
     next_id = 0
-    for bracket in bracket_schedule(R, eta):
-        configs = [sample_config(space, rng)
-                   for _ in range(bracket.rounds[0][0])]
+    for bracket, configs in hyperband_plan(space, R, eta, seed):
         log.extend(successive_halving(configs, objective, bracket, next_id))
         next_id += len(configs)
     return min(log, key=_rank), log

@@ -260,6 +260,25 @@ def test_eval_damaged_checkpoint_exits_1(dataset, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf],
+                         ids=["nan", "inf"])
+def test_eval_checkpoint_holding_nan_or_inf_exits_1(dataset, tmp_path, capsys,
+                                                    value):
+    """A non-finite weight makes every score NaN, which ROC and AUC would
+    still rank: eval refuses the checkpoint and writes nothing."""
+    params = init_params(TINY_MODEL, 0)
+    params["head.bias"].data[0] = value
+    model = _init_model_dir(tmp_path / "model", _snapshot())
+    save_checkpoint(model / "checkpoint.npz", params)
+    out = tmp_path / "m.json"
+    assert main(_eval_argv(dataset, model,
+                           dataset / "data" / "manifest.jsonl", out)) == 1
+    err = capsys.readouterr().err
+    assert "checkpoint member 'head.bias' is not finite" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [model]
+
+
 def test_cv_summary_and_determinism(dataset, tmp_path, capsys):
     outs = []
     for name in ("cv1", "cv2"):
@@ -493,11 +512,13 @@ def _set(value, key, inner=None):
     _set(2.0, "heads", "config"), _set([4.0, 8, 8], "tubelet", "config"),
     _set(0.2, "dropout", "config"), _set(list(CONFIG_KEYS), "config"),
     _old_layout, _set(0.9, "adam_beta1", "config"),
+    _set({"age_min": -math.inf, "age_max": math.inf, "mmse_min": 10.0,
+          "mmse_max": 30.0}, "fit"),
 ], ids=["not_json", "empty", "empty_model", "not_object", "no_fit", "no_rois",
         "no_heads", "tubelet_not_dividing", "embed_dim_text", "batch_size_0",
         "fit_fields", "fit_reversed", "fit_text", "batch_size_float", "embed_dim_float",
         "heads_float", "tubelet_float", "old_dropout_key", "config_not_object",
-        "old_layout", "old_adam_key"])
+        "old_layout", "old_adam_key", "fit_infinite"])
 def test_eval_malformed_config_exits_1(dataset, tmp_path, capsys, edit):
     model = tmp_path / "model"
     model.mkdir()
@@ -884,6 +905,33 @@ def test_tune_image_dims_choice_the_table_lacks_exits_2_before_any_trial(
     assert ("slice_count 8 is not the T of image_dims (12, 16, 16, 1)"
             in err)
     assert "Traceback" not in err
+    assert fits == []
+    assert not (tmp_path / "t" / "trials.csv").exists()
+
+
+@pytest.mark.parametrize("config,spec,message", [
+    ({"embed_dim": 16},
+     {"embed_dim": {"type": "choice", "values": [16, 24]},
+      "heads": {"type": "choice", "values": [2, 16]}},
+     "embed_dim 24 not divisible by heads 16"),
+    ({}, {"image_dims": {"type": "choice",
+                         "values": [[8, 32, 32, 3], [8, 48, 48, 3]]}},
+     "image_dims (8, 48, 48, 3) do not fit the volumes"),
+], ids=["embed_dim_with_heads", "image_dims_plane"])
+def test_tune_space_with_a_trial_that_cannot_run_exits_2_before_any_trial(
+        dataset, tmp_path, capsys, monkeypatch, config, spec, message):
+    """Every value fits the config alone, but at --seed 3 the fourth trial
+    pairs embed_dim 24 with 16 heads, and the volumes' 40x40 plane has no
+    48x48 crop: both are refused before the first trial trains."""
+    fits = []
+    monkeypatch.setattr("mixedvit.train.fit", lambda *args: fits.append(args))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**TINY_CONFIG, **config}))
+    argv = _tune_argv(dataset, _space(tmp_path, spec), tmp_path / "t",
+                      "--seed", "3", "--config", str(path))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
     assert fits == []
     assert not (tmp_path / "t" / "trials.csv").exists()
 
@@ -1364,9 +1412,7 @@ def test_compare_runtime_failure_exits_1(tmp_path, capsys, case, test):
     if case == "missing_file":
         paths[1].unlink()
         message = f"metrics file not found: {paths[1]}"
-    elif test == "ttest":
-        message = "zero pooled variance with unequal means"
-    else:
+    else:  # the t-test is ANOVA's two-group case, and raises its error
         message = "zero within-group variance with unequal means"
     assert main(["compare", "--metrics", *map(str, paths),
                  "--test", test]) == 1

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import re
 import struct
 import tracemalloc
@@ -148,9 +149,12 @@ def test_split_stratification_within_one():
                                     (60.0, 90.0, 30.0, 28.0),
                                     (float("nan"), 90.0, 20.0, 30.0),
                                     ("60", "90", 20.0, 30.0),
-                                    (60.0, 90.0, False, True)],
+                                    (60.0, 90.0, False, True),
+                                    (-math.inf, 90.0, 20.0, 30.0),
+                                    (60.0, 90.0, 20.0, math.inf)],
                          ids=["age_reversed", "mmse_reversed", "age_nan",
-                              "age_text", "mmse_bool"])
+                              "age_text", "mmse_bool", "age_infinite",
+                              "mmse_infinite"])
 def test_fit_stats_rejects_a_range_that_is_not_two_ordered_numbers(ranges):
     with pytest.raises(ValueError, match="is not two ordered numbers"):
         FitStats(*ranges)

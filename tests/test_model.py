@@ -692,9 +692,12 @@ _F8 = "{'descr': '<f8', 'fortran_order': False, 'shape': "
     (_overlapping_entries(), "'b.npy' is damaged"),
     (_npz([("w.npy", _npy_header(_F8 + "(1,"))]), "EOF in multi-line"),
     (_swallowed_entry(), "lists 3 entries, its end record counts 4"),
+    (_npz([("w.npy", _npy(np.array([1.0, np.nan])))]), "'w' is not finite"),
+    (_npz([("w.npy", _npy(np.array([-np.inf])))]), "'w' is not finite"),
 ], ids=["short_header", "flipped_payload_byte", "not_npy_member",
         "object_array", "int64_member", "negative_dim", "repeated_name",
-        "overlapping_entries", "unterminated_header", "swallowed_entry"])
+        "overlapping_entries", "unterminated_header", "swallowed_entry",
+        "nan_member", "inf_member"])
 def test_checkpoint_malformed(tmp_path, blob, cause):
     path = tmp_path / "bad.npz"
     path.write_bytes(blob)

@@ -23,7 +23,7 @@ from mixedvit.train import (
     evaluate,
     lr_at_step,
     predict,
-    save_history,
+    save_rows,
     train,
 )
 
@@ -514,7 +514,7 @@ def test_history_csv(tmp_path):
     rows = [EpochStats(0, 0.5, 0.6, 0.75, 1e-4),
             EpochStats(1, 0.4, 0.55, 0.8, 9.9e-5)]
     path = tmp_path / "history.csv"
-    save_history(rows, path)
+    save_rows(rows, EpochStats, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "epoch,train_loss,val_loss,val_accuracy,lr"
     assert lines[1].startswith("0,0.5,0.6,0.75,")
