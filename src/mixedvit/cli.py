@@ -386,7 +386,7 @@ def cmd_tune(args) -> int:
         TR.check_slice_counts(value, instances, rois)
     tr, va, _test = D.holdout_split(records, args.seed)
     plan = TR.FitPlan(tr, va)
-    planes = {D.load_volume(r.volume_path).shape[1:] for r in [*tr, *va]}
+    planes = {D.volume_dims(r.volume_path)[1:] for r in [*tr, *va]}
     for value in dims:
         if any(value[1] > h or value[2] > w for h, w in planes):
             raise UsageError(f"image_dims {value} do not fit the volumes: "

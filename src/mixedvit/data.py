@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,7 +34,8 @@ MIN_SYNTH_DIMS = (25 + SYNTH_MARGIN, 32 + SYNTH_MARGIN, 32 + SYNTH_MARGIN)
 
 
 class FormatError(ValueError):
-    """The volume container has a bad magic or malformed header."""
+    """The volume container has a bad magic or malformed header, or its
+    array cannot be a subject's volume or mask: not 3-D, or not finite."""
 
 
 class TruncatedPayloadError(ValueError):
@@ -159,43 +161,71 @@ def save_volume(arr: np.ndarray, path) -> None:
         fh.write(arr.data)  # the contiguous buffer itself, not a copy
 
 
-def load_volume(path) -> np.ndarray:
-    """The array of a container written by ``save_volume``. A malformed
-    container raises ``FormatError``, ``TruncatedPayloadError`` or
-    ``DimOverflowError`` with a message that names ``path``. The file's
-    bytes are copied once, into a ``bytearray``; the array is a writable
-    view of it."""
-    with open(path, "rb") as fh:
-        blob = bytearray(fh.read())
-    if blob[:4] != VOLUME_MAGIC:
-        raise FormatError(f"bad magic {bytes(blob[:4])!r} in {path}")
-    if len(blob) < 12:
+def _read_header(fh, path) -> tuple:
+    """(dims, dtype) from the header of an open container, leaving ``fh``
+    at the payload. A malformed header raises ``FormatError``,
+    ``TruncatedPayloadError`` or ``DimOverflowError`` naming ``path``."""
+    head = fh.read(12)
+    if head[:4] != VOLUME_MAGIC:
+        raise FormatError(f"bad magic {head[:4]!r} in {path}")
+    if len(head) < 12:
         raise TruncatedPayloadError(
-            f"{path} is {len(blob)} bytes, shorter than its 12-byte header")
-    version, ndim = struct.unpack("<II", blob[4:12])
+            f"{path} is {len(head)} bytes, shorter than its 12-byte header")
+    version, ndim = struct.unpack("<II", head[4:12])
     if version != VOLUME_VERSION:
         raise FormatError(f"unsupported container version {version} in {path}")
     if ndim > 8:
         raise DimOverflowError(f"ndim {ndim} too large in {path}")
-    offset = 12 + 4 * ndim
-    if len(blob) < offset + 4:
+    rest = fh.read(4 * ndim + 4)
+    if len(rest) < 4 * ndim + 4:
         raise TruncatedPayloadError(
-            f"{path} is {len(blob)} bytes, shorter than its "
-            f"{offset + 4}-byte header")
-    dims = struct.unpack(f"<{ndim}I", blob[12:offset])
+            f"{path} is {12 + len(rest)} bytes, shorter than its "
+            f"{16 + 4 * ndim}-byte header")
+    dims = struct.unpack(f"<{ndim}I", rest[:4 * ndim])
     if any(d == 0 for d in dims) or math.prod(dims) > _MAX_VOXELS:
         raise DimOverflowError(f"dims {dims} overflow plausible bounds in {path}")
-    (code,) = struct.unpack("<I", blob[offset:offset + 4])
+    (code,) = struct.unpack("<I", rest[4 * ndim:])
     dtype = _DTYPE_CODES.get(code)
     if dtype is None:
         raise FormatError(f"unknown dtype code {code} in {path}")
-    payload = len(blob) - (offset + 4)
-    expected = math.prod(dims) * dtype.itemsize
-    if payload != expected:
-        raise TruncatedPayloadError(
-            f"{path}: payload is {payload} bytes, dims {dims} require "
-            f"{expected}")
-    return np.frombuffer(blob, dtype=dtype, offset=offset + 4).reshape(dims)
+    return dims, dtype
+
+
+def load_volume(path) -> np.ndarray:
+    """The array of a container written by ``save_volume``, of any rank. A
+    malformed container raises ``FormatError``, ``TruncatedPayloadError`` or
+    ``DimOverflowError`` with a message that names ``path``. The payload is
+    read straight into a ``bytearray`` of its size, with no ``bytes`` copy
+    beside it; the array is a writable view of it."""
+    with open(path, "rb") as fh:
+        dims, dtype = _read_header(fh, path)
+        expected = math.prod(dims) * dtype.itemsize
+        payload = os.fstat(fh.fileno()).st_size - fh.tell()
+        if payload != expected:
+            raise TruncatedPayloadError(
+                f"{path}: payload is {payload} bytes, dims {dims} require "
+                f"{expected}")
+        blob = bytearray(expected)
+        fh.readinto(blob)
+    return np.frombuffer(blob, dtype=dtype).reshape(dims)
+
+
+def _require_3d(dims: tuple, path) -> None:
+    """A subject's volume or mask is (D, H, W): another rank is a
+    ``FormatError`` naming ``path`` and the dims."""
+    if len(dims) != 3:
+        raise FormatError(f"{path} holds a {len(dims)}-D array of dims "
+                          f"{tuple(dims)}; a subject volume or mask is 3-D "
+                          f"(D, H, W)")
+
+
+def volume_dims(path) -> tuple:
+    """The (D, H, W) dims of a subject's volume or mask, read from the
+    container's header alone; another rank is a ``FormatError``."""
+    with open(path, "rb") as fh:
+        dims, _dtype = _read_header(fh, path)
+    _require_3d(dims, path)
+    return dims
 
 
 # ---------------------------------------------------------------------------
@@ -464,8 +494,9 @@ def select_instances(records: Sequence[SubjectRecord], roi: str,
             raise EmptyMaskError(
                 f"subject {record.subject_id} has no mask for roi {roi!r}")
         try:
-            out.append(select_instance(record, roi, slice_count,
-                                       load_volume(path)))
+            mask = load_volume(path)
+            _require_3d(mask.shape, path)
+            out.append(select_instance(record, roi, slice_count, mask))
         except (EmptyMaskError, SliceWindowError) as exc:
             raise type(exc)(f"subject {record.subject_id}: {exc}") from exc
     return out
@@ -536,6 +567,7 @@ def build_samples(records: Sequence[SubjectRecord],
     samples = []
     for record in records:
         raw = load_volume(record.volume_path)
+        _require_3d(raw.shape, record.volume_path)
         lo, hi = float(raw.min()), float(raw.max())
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise FormatError(f"{record.volume_path} holds a non-finite "

@@ -11,6 +11,20 @@ split: it scales to 0 for every subject (``data.tabular_features``).
 ``model_samples`` builds the crops a model takes, or raises ``ConfigError``
 when the model's image_dims do not fit the instance table or the volumes.
 
+A step's gradients stay in the parameters' ``.grad`` until the next step's
+forward pass has run, and go just before its backward; an epoch's last ones
+go before its validation pass. So at most one set is alive, and no backward
+runs beside the previous one. The reason is the heap. The gradients are
+allocated during the backward pass, above the step's activations, and while
+they live the next forward refills the hole the freed activations left below
+them. Freed right after the Adam update, they left the whole region free at
+the heap top; glibc trims a free top larger than its dynamic threshold
+(twice the largest mmapped block freed so far), and the next forward faulted
+it back in: up to 52,000 minor page faults per 8-step ``train_paper``
+benchmark cycle. Now most such cycles take fewer than 100. The top is still
+trimmed now and then: at an epoch's end, or when a step's tape landed above
+its gradients.
+
 The decay schedule (rate 0.9 per 100,000 steps) and Adam's beta1 0.9,
 beta2 0.999 and eps 1e-8 are ``TrainConfig`` class constants, not config
 keys: no run sets another value, so a key would only multiply the
@@ -199,6 +213,11 @@ def evaluate(model_cfg: ModelConfig, params: dict,
     return total_loss / n, correct / n
 
 
+def _release_grads(params: dict) -> None:
+    for p in params.values():
+        p.grad = None
+
+
 def train(model_cfg: ModelConfig, params: dict,
           train_samples: Sequence[MixedSample],
           val_samples: Sequence[MixedSample],
@@ -210,6 +229,10 @@ def train(model_cfg: ModelConfig, params: dict,
     accuracy (ties keep the earlier).
     A non-finite loss or gradient raises ``DivergenceError`` before the
     Adam update, so the parameters keep their last finite values.
+    A step's gradients are released after the next step's forward and
+    before its backward, at the epoch's end, or on a divergence, so that
+    glibc does not trim and refault the step's heap between steps (see the
+    module docstring); ``params`` come back without a ``.grad``.
     """
     state = OptimizerState.for_params(params)
     history: list[EpochStats] = []
@@ -229,6 +252,9 @@ def train(model_cfg: ModelConfig, params: dict,
                                       rng=drop_rng)
                 loss = batch_loss(probs, batch.labels)
             value = loss.item()
+            # The previous step's gradients go only now: while they lived,
+            # this forward refilled the hole below them in place.
+            _release_grads(params)
             if not np.isfinite(value):
                 raise DivergenceError(
                     f"loss {value} at epoch {epoch}, step {bi}")
@@ -237,16 +263,17 @@ def train(model_cfg: ModelConfig, params: dict,
             # The last references to this step's tape, with its patch
             # matrices, and to its batch: free them before the next batch.
             del probs, loss, batch
-            grads = {name: p.grad for name, p in params.items()}
-            for p in params.values():
-                p.grad = None
-            bad = [name for name, g in grads.items()
-                   if g is not None and not np.isfinite(g).all()]
+            bad = [name for name, p in params.items()
+                   if p.grad is not None and not np.isfinite(p.grad).all()]
             if bad:
+                _release_grads(params)
                 raise DivergenceError(f"non-finite gradient of {bad[0]} at "
                                       f"epoch {epoch}, step {bi}")
-            adam_update(params, grads, state, lr, config)
-            del grads  # so that the next backward does not run beside them
+            adam_update(params, {name: p.grad for name, p in params.items()},
+                        state, lr, config)
+        # Kept through validation, cv_coarse's 7 MB of gradients raised its
+        # peak memory by 3-7%.
+        _release_grads(params)
         val_loss, val_acc = evaluate(model_cfg, params, val_samples,
                                      config.batch_size)
         history.append(EpochStats(epoch=epoch,

@@ -22,6 +22,7 @@ from mixedvit.data import (
     PlanError,
     SynthConfig,
     load_manifest,
+    load_volume,
     save_manifest,
     save_volume,
 )
@@ -1178,6 +1179,32 @@ def test_corrupt_volume_exits_1(dataset, tmp_path, capsys, command):
                                     manifest)) == 1
     err = capsys.readouterr().err
     assert f"bad magic b'XXXX' in {bad}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["select", "train", "eval", "cv", "tune"])
+def test_volume_or_mask_not_3d_exits_1_naming_it(dataset, tmp_path, capsys,
+                                                 command):
+    """One subject's volume (for select, its hippocampus mask) saved as
+    (33, 40, 40, 1): every reader of subject data refuses it, naming the
+    file and its dims, before anything is written."""
+    records = load_manifest(dataset / "data" / "manifest.jsonl")
+    bad = tmp_path / "bad.vol"
+    if command == "select":
+        path = records[0].roi_masks["hippocampus_left"]
+        save_volume(load_volume(path)[..., None], bad)
+        record = dataclasses.replace(records[0], roi_masks={
+            **records[0].roi_masks, "hippocampus_left": str(bad)})
+    else:
+        save_volume(load_volume(records[0].volume_path)[..., None], bad)
+        record = dataclasses.replace(records[0], volume_path=str(bad))
+    manifest = tmp_path / "manifest.jsonl"
+    save_manifest([record] + records[1:], manifest)
+    assert main(_argv_with_manifest(dataset, tmp_path, command,
+                                    manifest)) == 1
+    err = capsys.readouterr().err
+    assert f"error: {bad} holds a 4-D array of dims (33, 40, 40, 1)" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 

@@ -39,6 +39,7 @@ from mixedvit.data import (
     split_subjects,
     synth_generate,
     tabular_features,
+    volume_dims,
 )
 
 from helpers import (
@@ -467,6 +468,24 @@ def test_volume_error_names_the_file(tmp_path, damage, error):
     path.write_bytes(damage(path.read_bytes()))
     with pytest.raises(error, match=re.escape(str(path))):
         load_volume(path)
+
+
+def test_volume_dims_reads_the_header_alone(tmp_path):
+    """The dims of a subject container come from its header: a payload cut
+    short is not read, and a rank other than 3 is a FormatError naming the
+    file and its dims."""
+    path = tmp_path / "v.vol"
+    save_volume(np.zeros((2, 3, 4), dtype=np.float32), path)
+    path.write_bytes(path.read_bytes()[:-8])
+    assert volume_dims(path) == (2, 3, 4)
+    save_volume(np.zeros((3, 4), dtype=np.uint8), path)
+    with pytest.raises(FormatError, match=re.escape(
+            f"{path} holds a 2-D array of dims (3, 4)")):
+        volume_dims(path)
+    save_volume(np.zeros((1, 3, 4), dtype=np.uint8), path)
+    path.write_bytes(path.read_bytes()[:20])
+    with pytest.raises(TruncatedPayloadError, match=re.escape(str(path))):
+        volume_dims(path)
 
 
 def test_volume_dim_overflow(tmp_path):

@@ -393,6 +393,37 @@ def test_train_stops_on_non_finite_gradient_before_update():
         train(SMALL_MODEL, params, samples[:6], samples[6:],
               TrainConfig(epochs=1, batch_size=3))
     np.testing.assert_array_equal(flatten_params(params), before)
+    assert all(p.grad is None for p in params.values())
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("logit_ad,message", [
+    (-1e4, "loss inf at epoch 0, step 1"),
+    (-744.0, "non-finite gradient .* at epoch 0, step 1"),
+], ids=["loss", "gradient"])
+def test_train_stops_at_a_later_step_with_no_gradient_kept(
+        monkeypatch, logit_ad, message):
+    """A divergence after the first step, while the first step's gradients
+    are still held, releases them too; the parameters keep the values of
+    the last finite update."""
+    after_update = []
+
+    def adam_spy(params, grads, state, lr, config):
+        adam_update(params, grads, state, lr, config)
+        # Saturate the head as _saturated_head does: the next step diverges.
+        params["head.weight"].data[:] = 0.0
+        params["head.bias"].data[:] = [0.0, logit_ad]
+        after_update.append(flatten_params(params))
+
+    monkeypatch.setattr(train_module, "adam_update", adam_spy)
+    params = init_params(SMALL_MODEL, 5)
+    samples = make_samples(8)
+    with pytest.raises(DivergenceError, match=message):
+        train(SMALL_MODEL, params, samples[:6], samples[6:],
+              TrainConfig(epochs=1, batch_size=3))
+    assert len(after_update) == 1
+    np.testing.assert_array_equal(flatten_params(params), after_update[0])
+    assert all(p.grad is None for p in params.values())
 
 
 def test_train_best_checkpoint_selection():
@@ -460,34 +491,47 @@ def test_predict_and_evaluate_equal_forward_over_list_built_batches():
                                                        correct / 7)
 
 
-def test_train_frees_each_steps_gradients_before_the_next_forward(
+def test_train_frees_each_steps_gradients_before_the_next_backward(
         monkeypatch):
     """Every gradient that ``adam_update`` was given is freed before the
-    next forward pass, so no backward runs beside the previous step's
-    gradients."""
-    refs, forwards = [], []
+    next backward pass, so no backward runs beside the previous step's
+    gradients. It is still alive when the next training forward pass of
+    its epoch starts: the step's freed activations below it are refilled in
+    place, and glibc does not trim the heap top between steps. An epoch's
+    last gradients are freed before its validation pass."""
+    refs, forwards, backwards = [], [], []
+
+    def alive():
+        return sum(ref() is not None for ref in refs)
 
     def adam_spy(params, grads, state, lr, config):
         refs.extend(weakref.ref(g) for g in grads.values() if g is not None)
         adam_update(params, grads, state, lr, config)
 
     def forward_spy(*args, **kwargs):
-        alive = [ref for ref in refs if ref() is not None]
-        assert not alive, f"{len(alive)} of {len(refs)} gradients alive"
-        forwards.append(len(refs))
+        forwards.append((kwargs["training"], len(refs), alive()))
         return forward_batch(*args, **kwargs)
+
+    def backward_spy(root):
+        backwards.append((len(refs), alive()))
+        backward(root)
 
     monkeypatch.setattr(train_module, "adam_update", adam_spy)
     monkeypatch.setattr(train_module, "forward_batch", forward_spy)
+    monkeypatch.setattr(train_module, "backward", backward_spy)
     samples = make_samples(10, seed=13)
     params = init_params(SMALL_MODEL, 4)
     train(SMALL_MODEL, params, samples[:7], samples[7:],
           TrainConfig(initial_lr=1e-3, batch_size=4, epochs=2, seed=5))
     # 2 steps and 1 validation batch an epoch; every parameter has a
     # gradient at every step.
-    assert len(refs) == 4 * len(params)
-    assert forwards == [0, len(params), 2 * len(params),
-                        2 * len(params), 3 * len(params), 4 * len(params)]
+    n = len(params)
+    assert len(refs) == 4 * n
+    assert backwards == [(0, 0), (n, 0), (2 * n, 0), (3 * n, 0)]
+    assert forwards == [(True, 0, 0), (True, n, n), (False, 2 * n, 0),
+                        (True, 2 * n, 0), (True, 3 * n, n),
+                        (False, 4 * n, 0)]
+    assert all(p.grad is None for p in params.values())
 
 
 def test_each_step_decays_the_lr_by_the_adam_steps_before_it(monkeypatch):
