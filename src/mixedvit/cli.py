@@ -25,11 +25,14 @@ from.
 (without ``--no-holdout-test``) and ``tune`` leave them out. All three fit
 through ``train.FitPlan`` and ``train.fit``: a split that cannot be trained
 or scored (``PlanError``) exits 2 before any training. ``train``, ``cv``,
-``tune`` and ``eval`` exit 2 before any volume is read when an instance-table
-row of a ROI they use selects a slice count other than image_dims' T
-(``train.check_slice_counts``), and before any update when the image_dims
-plane is larger than a volume's; ``tune`` checks both for each image_dims
-choice of its space before any trial. A model config over the parameter or
+``tune`` and ``eval`` each build every crop they need once, before any
+training (``train.model_crops``; ``tune`` one set for each image_dims value
+its space can take), and that build is the check that the crops fit: they
+exit 2 before any volume is read when an instance-table row of a ROI they
+use selects a slice count other than image_dims' T, and before any training
+when the image_dims plane is larger than a volume's, and a volume that
+cannot be cropped exits 1 before any training. Only then do ``train``,
+``cv`` and ``tune`` create ``--out``. A model config over the parameter or
 attention budget, in any trial ``tune`` plans, and a ``tune`` budget
 planning more than ``tuning.MAX_EVALUATIONS`` evaluations, exit 2 before
 any data is read. A corrupt volume or checkpoint, NaN or inf in a
@@ -291,11 +294,11 @@ def cmd_train(args) -> int:
                                          len(rois), args.seed)
     records, instances = _dataset_for(args, rois)
     plan = TR.FitPlan(*D.holdout_split(records, args.seed), "the test split")
-    best, history, preds = TR.fit(model_cfg, train_cfg, plan, instances, rois)
-    report = ME.evaluate_fold(preds, 0)
-
+    crops = TR.model_crops(model_cfg.image_dims, records, instances, rois)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    best, history, preds = TR.fit(model_cfg, train_cfg, plan, crops)
+    report = ME.evaluate_fold(preds, 0)
     MO.save_checkpoint(out / "checkpoint.npz", best)
     TR.save_rows(history, TR.EpochStats, out / "history.csv")
     _write_json(out / "metrics.json", ME.metrics_payload([report]))
@@ -320,13 +323,13 @@ def cmd_cv(args) -> int:
     model_cfg, train_cfg = build_configs(load_config(args.config), args.mode,
                                          len(rois), args.seed)
     records, instances = _dataset_for(args, rois)
-    reports, summary = ME.cv_run(records, instances, rois, model_cfg,
-                                 train_cfg, k=args.folds, seed=args.seed,
-                                 holdout_test=not args.no_holdout_test,
-                                 jobs=args.jobs)
-
+    run_folds = ME.cv_prepare(records, instances, rois, model_cfg, train_cfg,
+                              k=args.folds, seed=args.seed,
+                              holdout_test=not args.no_holdout_test,
+                              jobs=args.jobs)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    reports, summary = run_folds()
     _write_json(out / "metrics.json", ME.metrics_payload(reports))
     for r in reports:
         TR.save_rows(r.roc, ME.RocPoint, out / f"roc_fold{r.fold_index}.csv")
@@ -380,30 +383,28 @@ def cmd_tune(args) -> int:
     for sampled in [c for _bracket, configs in trials for c in configs]:
         build_configs({**cfg, **sampled}, args.mode, len(rois), args.seed)
     records, instances = _dataset_for(args, rois)
-    dims = space.get("image_dims")
-    dims = [tuple(v) for v in dims.values] if dims else [base["image_dims"]]
+    dims = space.get("image_dims", TU.Choice((base["image_dims"],)))
+    dims = dict.fromkeys(map(tuple, dims.values))  # each value once
     for value in dims:
         TR.check_slice_counts(value, instances, rois)
     tr, va, _test = D.holdout_split(records, args.seed)
     plan = TR.FitPlan(tr, va)
-    planes = {D.volume_dims(r.volume_path)[1:] for r in [*tr, *va]}
-    for value in dims:
-        if any(value[1] > h or value[2] > w for h, w in planes):
-            raise UsageError(f"image_dims {value} do not fit the volumes: "
-                             f"their planes are {sorted(planes)}")
+    crops = {value: TR.model_crops(value, [*tr, *va], instances, rois)
+             for value in dims}
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
 
     def objective(sampled: dict, epochs: int) -> float:
-        _best, history, _ = TR.fit(
-            *build_configs({**cfg, **sampled, "epochs": epochs}, args.mode,
-                           len(rois), args.seed), plan, instances, rois)
+        model_cfg, train_cfg = build_configs(
+            {**cfg, **sampled, "epochs": epochs}, args.mode, len(rois),
+            args.seed)
+        _best, history, _ = TR.fit(model_cfg, train_cfg, plan,
+                                   crops[model_cfg.image_dims])
         # The best-validation checkpoint's accuracy on the validation set.
         return max(h.val_accuracy for h in history)
 
     best, log = TU.hyperband_run(space, objective, args.max_resource,
                                  args.eta, args.seed)
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     TU.save_trial_log(log, out / "trials.csv")
     _write_json(out / "best_config.json",
                 {"config": best.config, "score": best.score,
@@ -453,6 +454,8 @@ def cmd_eval(args) -> int:
     try:
         snapshot = json.loads(text.decode("utf-8"))
         rois, config = snapshot["rois"], snapshot["config"]
+        if _parse_rois(",".join(rois)) != rois:  # the rule of --rois
+            raise ValueError(f"rois {rois!r} is not a list of ROI names")
         missing = set(CONFIG_KEYS) - set(config)
         if missing:  # a default must not fill in what a saved model means
             raise ValueError(f"config lacks keys {sorted(missing)}")
@@ -466,7 +469,8 @@ def cmd_eval(args) -> int:
         raise RuntimeFailure("checkpoint does not match its model config")
     records, instances = _dataset_for(args, rois)
     TR.require_both_classes(records, "the evaluation set", RuntimeFailure)
-    samples = TR.model_samples(model_cfg, records, instances, rois, fit)
+    crops = TR.model_crops(model_cfg.image_dims, records, instances, rois)
+    samples = [D.mixed_sample(r, crops[r.subject_id], fit) for r in records]
     preds = TR.predict(model_cfg, params, samples, train_cfg.batch_size)
     report = ME.evaluate_fold(preds, 0)
 

@@ -1,6 +1,11 @@
 """Dataset construction: subject metadata, volume I/O, splits,
 preprocessing, ROI instance selection, 3D crops, batches, and a synthetic
 volume generator used in place of restricted clinical data.
+
+``iter_crops`` is the one crop loop and ``mixed_sample`` the one join of a
+record's crops with its tabular features. A command builds its crops once,
+before any training (``train.model_crops``), and that build is the check
+that they fit; a fold or trial only joins them with its own ``FitStats``.
 """
 
 from __future__ import annotations
@@ -80,6 +85,10 @@ class SubjectRecord:
     roi_masks: dict
 
     def __post_init__(self):
+        sid = self.subject_id  # a field of the comma-separated table
+        if not (isinstance(sid, str) and sid) or set(sid) & set(",\r\n"):
+            raise ValueError(f"subject_id {sid!r} is not a non-empty string "
+                             f"free of ',', CR and LF")
         if not 0 <= self.mmse <= 30:
             raise ValueError(f"mmse {self.mmse} outside [0, 30]")
         if not (math.isfinite(self.age) and self.age > 0):
@@ -161,36 +170,6 @@ def save_volume(arr: np.ndarray, path) -> None:
         fh.write(arr.data)  # the contiguous buffer itself, not a copy
 
 
-def _read_header(fh, path) -> tuple:
-    """(dims, dtype) from the header of an open container, leaving ``fh``
-    at the payload. A malformed header raises ``FormatError``,
-    ``TruncatedPayloadError`` or ``DimOverflowError`` naming ``path``."""
-    head = fh.read(12)
-    if head[:4] != VOLUME_MAGIC:
-        raise FormatError(f"bad magic {head[:4]!r} in {path}")
-    if len(head) < 12:
-        raise TruncatedPayloadError(
-            f"{path} is {len(head)} bytes, shorter than its 12-byte header")
-    version, ndim = struct.unpack("<II", head[4:12])
-    if version != VOLUME_VERSION:
-        raise FormatError(f"unsupported container version {version} in {path}")
-    if ndim > 8:
-        raise DimOverflowError(f"ndim {ndim} too large in {path}")
-    rest = fh.read(4 * ndim + 4)
-    if len(rest) < 4 * ndim + 4:
-        raise TruncatedPayloadError(
-            f"{path} is {12 + len(rest)} bytes, shorter than its "
-            f"{16 + 4 * ndim}-byte header")
-    dims = struct.unpack(f"<{ndim}I", rest[:4 * ndim])
-    if any(d == 0 for d in dims) or math.prod(dims) > _MAX_VOXELS:
-        raise DimOverflowError(f"dims {dims} overflow plausible bounds in {path}")
-    (code,) = struct.unpack("<I", rest[4 * ndim:])
-    dtype = _DTYPE_CODES.get(code)
-    if dtype is None:
-        raise FormatError(f"unknown dtype code {code} in {path}")
-    return dims, dtype
-
-
 def load_volume(path) -> np.ndarray:
     """The array of a container written by ``save_volume``, of any rank. A
     malformed container raises ``FormatError``, ``TruncatedPayloadError`` or
@@ -198,7 +177,32 @@ def load_volume(path) -> np.ndarray:
     read straight into a ``bytearray`` of its size, with no ``bytes`` copy
     beside it; the array is a writable view of it."""
     with open(path, "rb") as fh:
-        dims, dtype = _read_header(fh, path)
+        head = fh.read(12)
+        if head[:4] != VOLUME_MAGIC:
+            raise FormatError(f"bad magic {head[:4]!r} in {path}")
+        if len(head) < 12:
+            raise TruncatedPayloadError(
+                f"{path} is {len(head)} bytes, shorter than its 12-byte "
+                f"header")
+        version, ndim = struct.unpack("<II", head[4:12])
+        if version != VOLUME_VERSION:
+            raise FormatError(
+                f"unsupported container version {version} in {path}")
+        if ndim > 8:
+            raise DimOverflowError(f"ndim {ndim} too large in {path}")
+        rest = fh.read(4 * ndim + 4)
+        if len(rest) < 4 * ndim + 4:
+            raise TruncatedPayloadError(
+                f"{path} is {12 + len(rest)} bytes, shorter than its "
+                f"{16 + 4 * ndim}-byte header")
+        dims = struct.unpack(f"<{ndim}I", rest[:4 * ndim])
+        if any(d == 0 for d in dims) or math.prod(dims) > _MAX_VOXELS:
+            raise DimOverflowError(
+                f"dims {dims} overflow plausible bounds in {path}")
+        (code,) = struct.unpack("<I", rest[4 * ndim:])
+        dtype = _DTYPE_CODES.get(code)
+        if dtype is None:
+            raise FormatError(f"unknown dtype code {code} in {path}")
         expected = math.prod(dims) * dtype.itemsize
         payload = os.fstat(fh.fileno()).st_size - fh.tell()
         if payload != expected:
@@ -217,15 +221,6 @@ def _require_3d(dims: tuple, path) -> None:
         raise FormatError(f"{path} holds a {len(dims)}-D array of dims "
                           f"{tuple(dims)}; a subject volume or mask is 3-D "
                           f"(D, H, W)")
-
-
-def volume_dims(path) -> tuple:
-    """The (D, H, W) dims of a subject's volume or mask, read from the
-    container's header alone; another rank is a ``FormatError``."""
-    with open(path, "rb") as fh:
-        dims, _dtype = _read_header(fh, path)
-    _require_3d(dims, path)
-    return dims
 
 
 # ---------------------------------------------------------------------------
@@ -548,23 +543,22 @@ def crop_roi(volume: np.ndarray, instance: InstanceRecord,
                   top:top + hp, left:left + wp]
 
 
-def build_samples(records: Sequence[SubjectRecord],
-                  instances: Sequence[InstanceRecord], rois: Sequence[str],
-                  fit: FitStats, size=(32, 32),
-                  channels: int = 3) -> list[MixedSample]:
-    """Assemble one MixedSample per subject with a crop per requested ROI.
+def iter_crops(records: Sequence[SubjectRecord],
+               instances: Sequence[InstanceRecord], rois: Sequence[str],
+               size=(32, 32), channels: int = 3) -> Iterator[tuple]:
+    """Each record with its images, a crop per requested ROI, its volume
+    loaded when the record is reached: the one crop loop.
 
     Each image is the ROI's window of the raw volume, min-max scaled by the
     whole volume's range to float64, with the plane repeated ``channels``
     times: (T, H', W', C), T being the instance's slice_count, which
-    ``train.model_samples`` checks. Only the cropped voxels are scaled, and
+    ``train.model_crops`` checks. Only the cropped voxels are scaled, and
     each is stored once: the image is a read-only view of one (T, H', W', 1)
     plane (see ``scale_volume``). A volume with a NaN or infinite voxel,
     which would scale every crop to NaN or 0, raises ``FormatError`` naming
     its path.
     """
     index = {(i.subject_id, i.roi_name): i for i in instances}
-    samples = []
     for record in records:
         raw = load_volume(record.volume_path)
         _require_3d(raw.shape, record.volume_path)
@@ -580,12 +574,23 @@ def build_samples(records: Sequence[SubjectRecord],
                     f"no instance for subject {record.subject_id}, roi {roi!r}")
             images.append(scale_volume(crop_roi(raw, inst, size), lo, hi,
                                        channels))
-        samples.append(MixedSample(
-            subject_id=record.subject_id,
-            tabular=tabular_features(record, fit),
-            images=images,
-            label=cdr_to_label(record.cdr)))
-    return samples
+        yield record, images
+
+
+def mixed_sample(record: SubjectRecord, images: list,
+                 fit: FitStats) -> MixedSample:
+    """The one join of a record's crops and its features scaled by ``fit``."""
+    return MixedSample(record.subject_id, tabular_features(record, fit),
+                       images, cdr_to_label(record.cdr))
+
+
+def build_samples(records: Sequence[SubjectRecord],
+                  instances: Sequence[InstanceRecord], rois: Sequence[str],
+                  fit: FitStats, size=(32, 32),
+                  channels: int = 3) -> list[MixedSample]:
+    """One MixedSample per subject, each joined right after its crops."""
+    return [mixed_sample(record, images, fit) for record, images
+            in iter_crops(records, instances, rois, size, channels)]
 
 
 def build_batches(samples: Sequence[MixedSample], batch_size: int,

@@ -28,7 +28,7 @@ from .data import (
     split_subjects,
 )
 from .model import ModelConfig
-from .train import FitPlan, Prediction, TrainConfig, fit
+from .train import FitPlan, Prediction, TrainConfig, fit, model_crops
 
 
 class DegenerateVarianceError(ValueError):
@@ -231,22 +231,12 @@ def evaluate_fold(predictions: Sequence[Prediction],
                       predictions=list(predictions))
 
 
-def cv_run(records: Sequence[SubjectRecord],
-           instances: Sequence[InstanceRecord], rois: Sequence[str],
-           model_cfg: ModelConfig, train_cfg: TrainConfig, k: int = 7,
-           seed: int = 0, holdout_test: bool = True, jobs: int = 1):
-    """k-fold CV over the pooled train and validation subjects of
-    ``holdout_split``, whose test subjects stay out (all subjects without
-    ``holdout_test``).
-
-    Each fold trains on the other k-1 folds, with an inner ``VAL_FRACTION``
-    carve for checkpoint selection, and is scored on the held-out fold.
-    Every fold is planned (and so checked) before any fold trains:
-    ``PlanError`` for a split or fold set it cannot plan. Folds train on
-    ``jobs`` threads, each from its own seed, so the numbers do not depend
-    on ``jobs``. Returns the fold reports, in fold order, and a mean±std
-    summary.
-    """
+def cv_prepare(records: Sequence[SubjectRecord],
+               instances: Sequence[InstanceRecord], rois: Sequence[str],
+               model_cfg: ModelConfig, train_cfg: TrainConfig, k: int = 7,
+               seed: int = 0, holdout_test: bool = True, jobs: int = 1):
+    """``cv_run`` up to its first training step; returns the function that
+    trains the folds and returns what ``cv_run`` returns."""
     if holdout_test:
         tr, va, _te = holdout_split(records, seed)
         pool = tr + va
@@ -266,21 +256,43 @@ def cv_run(records: Sequence[SubjectRecord],
         plans.append(FitPlan(inner_train, inner_val,
                              [by_id[sid] for sid in held],
                              f"held-out fold {fold_index}"))
+    crops = model_crops(model_cfg.image_dims, pool, instances, rois)
 
     def run_fold(fold_index: int) -> FoldReport:
         fold_cfg = dataclasses.replace(
             train_cfg, seed=_derive_seed(seed, 31, fold_index))
         _params, _history, preds = fit(model_cfg, fold_cfg, plans[fold_index],
-                                       instances, rois)
+                                       crops)
         return evaluate_fold(preds, fold_index)
 
-    # One job runs on the calling thread: a worker thread allocates from a
-    # malloc arena of its own, which raised cv_coarse's peak RSS by 6%. The
-    # executor starts no thread until its map is called.
-    with ThreadPoolExecutor(max_workers=jobs) as pool_exec:
-        run = pool_exec.map if jobs > 1 else map
-        reports = list(run(run_fold, range(k)))
-    return reports, summarize(reports)
+    def run_folds():
+        # One job runs on the calling thread: a worker thread allocates from
+        # a malloc arena of its own, which raised cv_coarse's peak RSS by 6%.
+        # The executor starts no thread until its map is called.
+        with ThreadPoolExecutor(max_workers=jobs) as pool_exec:
+            run = pool_exec.map if jobs > 1 else map
+            reports = list(run(run_fold, range(k)))
+        return reports, summarize(reports)
+    return run_folds
+
+
+def cv_run(records: Sequence[SubjectRecord],
+           instances: Sequence[InstanceRecord], rois: Sequence[str],
+           model_cfg: ModelConfig, train_cfg: TrainConfig, k: int = 7,
+           seed: int = 0, holdout_test: bool = True, jobs: int = 1):
+    """k-fold CV over the pooled train and validation subjects of
+    ``holdout_split``, whose test subjects stay out (all subjects without
+    ``holdout_test``). Each fold trains on the other k-1 folds, with an
+    inner ``VAL_FRACTION`` carve for checkpoint selection, and is scored on
+    the held-out fold. Every fold is planned, and the pool's crops built
+    (``model_crops``), before any fold trains: ``PlanError`` for a split or
+    fold set it cannot plan. The crops are held for the whole run, 1/k more
+    than a fold's, and shared by the folds, which train on ``jobs`` threads,
+    each from its own seed, so the numbers do not depend on ``jobs``.
+    Returns the fold reports, in fold order, and a mean±std summary.
+    """
+    return cv_prepare(records, instances, rois, model_cfg, train_cfg, k,
+                      seed, holdout_test, jobs)()
 
 
 def summarize(reports: Sequence[FoldReport]) -> dict:

@@ -8,8 +8,11 @@ A ``FitPlan`` checks a subject split before any training starts, raising
 on it: the one way the ``train``, ``cv`` and ``tune`` commands fit. An age
 or MMSE constant over the training subjects is no reason to refuse a
 split: it scales to 0 for every subject (``data.tabular_features``).
-``model_samples`` builds the crops a model takes, or raises ``ConfigError``
+``model_crops`` builds the crops a model takes, or raises ``ConfigError``
 when the model's image_dims do not fit the instance table or the volumes.
+Each command builds its crops once, before any training, and that build is
+the one check that they fit; ``fit`` takes them, so a volume that cannot be
+cropped stops a command before its first training step.
 
 A step's gradients stay in the parameters' ``.grad`` until the next step's
 forward pass has run, and go just before its backward; an epoch's last ones
@@ -48,8 +51,9 @@ from .data import (
     PlanError,
     SubjectRecord,
     build_batches,
-    build_samples,
     cdr_to_label,
+    iter_crops,
+    mixed_sample,
 )
 from .model import ConfigError, ModelConfig, forward_batch, init_params
 from .tensor import Tape, Tensor, backward, nll
@@ -345,30 +349,31 @@ def check_slice_counts(image_dims: tuple, instances,
                 f"{image_dims}")
 
 
-def model_samples(model_cfg: ModelConfig, records: Sequence[SubjectRecord],
-                  instances, rois: Sequence[str],
-                  fit_stats: FitStats) -> list[MixedSample]:
-    """``build_samples`` at the model's crop: the one check that a crop fits
-    the model. Before any volume is read, ``check_slice_counts`` checks the
-    whole table, whichever subjects ``records`` name. A crop plane larger
-    than a volume's, found in the volume's header, is a ``ConfigError``
-    naming image_dims too."""
-    check_slice_counts(model_cfg.image_dims, instances, rois)
-    _T, H, W, C = model_cfg.image_dims
+def model_crops(image_dims: tuple, records: Sequence[SubjectRecord],
+                instances, rois: Sequence[str]) -> dict:
+    """Each record's images at the crop of ``image_dims``, by subject id:
+    the one check that a crop fits the model. Before any volume is read,
+    ``check_slice_counts`` checks the whole table, whichever subjects
+    ``records`` name. A crop plane larger than a volume's is a
+    ``ConfigError`` naming image_dims too."""
+    check_slice_counts(image_dims, instances, rois)
+    _T, H, W, C = image_dims
     try:
-        return build_samples(records, instances, rois, fit_stats, (H, W), C)
+        return {record.subject_id: images for record, images
+                in iter_crops(records, instances, rois, (H, W), C)}
     except CropError as exc:
-        raise ConfigError(f"image_dims {model_cfg.image_dims} do not fit the "
+        raise ConfigError(f"image_dims {image_dims} do not fit the "
                           f"volumes: {exc}") from exc
 
 
 def fit(model_cfg: ModelConfig, train_cfg: TrainConfig, plan: FitPlan,
-        instances, rois: Sequence[str]):
-    """Train a model on a planned split from ``init_params`` at the run
-    seed; returns (best-validation params, epoch history, predictions on
-    the scored set, empty when the plan has none)."""
+        crops: dict):
+    """Train a model on a planned split's ``crops`` (``model_crops``) from
+    ``init_params`` at the run seed; returns (best-validation params, epoch
+    history, predictions on the scored set, empty when the plan has none)."""
     def samples(records):
-        return model_samples(model_cfg, records, instances, rois, plan.stats)
+        return [mixed_sample(r, crops[r.subject_id], plan.stats)
+                for r in records]
 
     params = init_params(model_cfg, train_cfg.seed)
     best, history = train(model_cfg, params, samples(plan.train),

@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -21,11 +22,14 @@ from mixedvit.data import (
     FitStats,
     PlanError,
     SynthConfig,
+    cdr_to_label,
+    holdout_split,
     load_manifest,
     load_volume,
     save_manifest,
     save_volume,
 )
+from mixedvit.metrics import stratified_kfold
 from mixedvit.model import ModelConfig, init_params, save_checkpoint
 from mixedvit.train import DivergenceError, TrainConfig
 
@@ -515,11 +519,15 @@ def _set(value, key, inner=None):
     _old_layout, _set(0.9, "adam_beta1", "config"),
     _set({"age_min": -math.inf, "age_max": math.inf, "mmse_min": 10.0,
           "mmse_max": 30.0}, "fit"),
+    _set([["hippocampus_left"]], "rois"), _set("hippocampus_left", "rois"),
+    _set(["hippocampus_left", "hippocampus_left"], "rois"),
+    _set([], "rois"), _set(["a,b"], "rois"),
 ], ids=["not_json", "empty", "empty_model", "not_object", "no_fit", "no_rois",
         "no_heads", "tubelet_not_dividing", "embed_dim_text", "batch_size_0",
         "fit_fields", "fit_reversed", "fit_text", "batch_size_float", "embed_dim_float",
         "heads_float", "tubelet_float", "old_dropout_key", "config_not_object",
-        "old_layout", "old_adam_key", "fit_infinite"])
+        "old_layout", "old_adam_key", "fit_infinite", "rois_nested",
+        "rois_text", "rois_repeated", "rois_empty", "rois_comma"])
 def test_eval_malformed_config_exits_1(dataset, tmp_path, capsys, edit):
     model = tmp_path / "model"
     model.mkdir()
@@ -1165,6 +1173,92 @@ def _argv_with_manifest(dataset, tmp_path, command, manifest):
     return argv
 
 
+def _counting(monkeypatch, target: str) -> list:
+    """The arguments of each call to ``target``, which still runs."""
+    module, name = target.rsplit(".", 1)
+    real = getattr(sys.modules[module], name)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(target, spy)
+    return calls
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("train", []), ("eval", []), ("cv", ["--jobs", "1"]),
+    ("cv", ["--jobs", "2"]), ("tune", [])],
+    ids=["train", "eval", "cv_jobs1", "cv_jobs2", "tune_two_image_dims"])
+def test_each_command_reads_each_volume_once_per_image_dims(
+        dataset, tmp_path, monkeypatch, command, extra):
+    """A command builds its crops once, before training: train, eval and
+    every fold of cv read each volume once, and tune each volume of its
+    training and validation subjects once per image_dims value."""
+    records = load_manifest(dataset / "data" / "manifest.jsonl")
+    reads = _counting(monkeypatch, "mixedvit.data.load_volume")
+    if command == "tune":
+        space = _space(tmp_path, {"image_dims": {
+            "type": "choice", "values": [[8, 16, 16, 1], [8, 24, 24, 1]]}})
+        argv = _tune_argv(dataset, space, tmp_path / "out")
+        train_set, val_set, _test = holdout_split(records, 1)  # --seed 1
+        expected = {r.volume_path: 2 for r in train_set + val_set}
+    else:
+        argv = _argv_with_manifest(dataset, tmp_path, command,
+                                   dataset / "data" / "manifest.jsonl")
+        expected = {r.volume_path: 1 for r in records}
+    assert main(argv + extra) == 0
+    assert Counter(path for (path,) in reads) == expected
+
+
+@pytest.mark.parametrize("command", ["train", "cv"])
+def test_nan_voxel_in_a_scored_subject_exits_1_before_any_training(
+        dataset, tmp_path, capsys, monkeypatch, command):
+    """A subject that train scores on its test split, or that cv scores in
+    held-out fold 0, has a NaN voxel: the crops are built before training,
+    so the command exits 1 before its first Adam step."""
+    records = load_manifest(dataset / "data" / "manifest.jsonl")
+    if command == "train":  # seed 2, as _train_argv gives
+        scored = holdout_split(records, 2)[2]
+    else:  # --folds 3 --no-holdout-test at seed 2
+        labels = {r.subject_id: cdr_to_label(r.cdr) for r in records}
+        held = stratified_kfold(list(labels), labels, 3,
+                                np.random.default_rng([2, 23]))[0]
+        scored = [r for r in records if r.subject_id in held]
+    victim = scored[0]
+    volume = load_volume(victim.volume_path).copy()
+    volume[0, 0, 0] = np.nan
+    bad = tmp_path / "nan.vol"
+    save_volume(volume, bad)
+    manifest = tmp_path / "manifest.jsonl"
+    save_manifest([dataclasses.replace(r, volume_path=str(bad))
+                   if r is victim else r for r in records], manifest)
+    steps = _counting(monkeypatch, "mixedvit.train.adam_update")
+    assert main(_argv_with_manifest(dataset, tmp_path, command,
+                                    manifest)) == 1
+    err = capsys.readouterr().err
+    assert f"{bad} holds a non-finite voxel" in err
+    assert "Traceback" not in err
+    assert steps == []
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "cv", "tune"])
+def test_out_under_a_regular_file_exits_1_before_any_training(
+        dataset, tmp_path, capsys, monkeypatch, command):
+    """--out is created after every check and before the first training
+    step, so an --out that cannot be a directory costs no training."""
+    (tmp_path / "file").write_text("a regular file")
+    argv = _command_argv(dataset, tmp_path, command, dataset / "config.json")
+    argv[argv.index("--out") + 1] = str(tmp_path / "file" / "out")
+    steps = _counting(monkeypatch, "mixedvit.train.adam_update")
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert str(tmp_path / "file" / "out") in err
+    assert "Traceback" not in err
+    assert steps == []
+
+
 @pytest.mark.parametrize("command", ["train", "eval", "cv", "tune"])
 def test_corrupt_volume_exits_1(dataset, tmp_path, capsys, command):
     """One subject's volume has XXXX over its magic: a runtime failure for
@@ -1231,20 +1325,26 @@ def test_train_volume_of_unknown_version_exits_1_naming_it(dataset, tmp_path,
 
 
 @pytest.mark.parametrize("command", ["select", "train", "eval", "cv", "tune"])
-@pytest.mark.parametrize("case", ["cdr_05", "repeated_subject", "missing"])
+@pytest.mark.parametrize("case", ["cdr_05", "repeated_subject", "missing",
+                                  "subject_id_number", "subject_id_comma"])
 def test_unusable_manifest_exits_1(dataset, tmp_path, capsys, command, case):
-    """CDR 0.5 (MCI) is neither class, and a subject listed twice would be
-    scored twice by eval: loading the manifest fails, naming the file and
-    line, before any command does its work, as it does for a manifest that
-    is not there."""
+    """CDR 0.5 (MCI) is neither class, a subject listed twice would be
+    scored twice by eval, and a subject id must be a string that the
+    comma-separated instance table can hold: loading the manifest fails,
+    naming the file and line, before any command does its work, as it does
+    for a manifest that is not there."""
     lines = (dataset / "data" / "manifest.jsonl").read_text().splitlines()
     manifest = tmp_path / "manifest.jsonl"
-    if case == "cdr_05":
+    edits = {"cdr_05": ("cdr", 0.5, "CDR 0.5 is outside the two study "
+                                    "classes"),
+             "subject_id_number": ("subject_id", 7, "subject_id 7 is not"),
+             "subject_id_comma": ("subject_id", "S,1", "subject_id 'S,1'")}
+    if case in edits:
+        key, value, message = edits[case]
         obj = json.loads(lines[2])
-        obj["cdr"] = 0.5
+        obj[key] = value
         lines[2] = json.dumps(obj)
-        messages = [f"{manifest}, line 3: malformed subject record",
-                    "CDR 0.5 is outside the two study classes"]
+        messages = [f"{manifest}, line 3: malformed subject record", message]
     elif case == "repeated_subject":
         sid = json.loads(lines[3])["subject_id"]
         lines.append(lines[3])

@@ -39,7 +39,6 @@ from mixedvit.data import (
     split_subjects,
     synth_generate,
     tabular_features,
-    volume_dims,
 )
 
 from helpers import (
@@ -470,24 +469,6 @@ def test_volume_error_names_the_file(tmp_path, damage, error):
         load_volume(path)
 
 
-def test_volume_dims_reads_the_header_alone(tmp_path):
-    """The dims of a subject container come from its header: a payload cut
-    short is not read, and a rank other than 3 is a FormatError naming the
-    file and its dims."""
-    path = tmp_path / "v.vol"
-    save_volume(np.zeros((2, 3, 4), dtype=np.float32), path)
-    path.write_bytes(path.read_bytes()[:-8])
-    assert volume_dims(path) == (2, 3, 4)
-    save_volume(np.zeros((3, 4), dtype=np.uint8), path)
-    with pytest.raises(FormatError, match=re.escape(
-            f"{path} holds a 2-D array of dims (3, 4)")):
-        volume_dims(path)
-    save_volume(np.zeros((1, 3, 4), dtype=np.uint8), path)
-    path.write_bytes(path.read_bytes()[:20])
-    with pytest.raises(TruncatedPayloadError, match=re.escape(str(path))):
-        volume_dims(path)
-
-
 def test_volume_dim_overflow(tmp_path):
     import struct
     path = tmp_path / "o.vol"
@@ -512,11 +493,17 @@ def test_manifest_round_trip(tmp_path):
     lambda obj: obj.update(rois=["x"]),
     lambda obj: obj.update(age=None),
     lambda obj: obj.update(subject_id="S0"),
+    lambda obj: obj.update(subject_id=7),
+    lambda obj: obj.update(subject_id="S,1"),
+    lambda obj: obj.update(subject_id="S\n1"),
+    lambda obj: obj.update(subject_id=""),
     "{not json",
     "[1, 2]",
     b"\xff\xfe",
 ], ids=["no_rois", "mmse_99", "rois_not_object", "age_null",
-        "repeated_subject", "not_json", "not_object", "not_utf8"])
+        "repeated_subject", "subject_id_number", "subject_id_comma",
+        "subject_id_line_break", "subject_id_empty", "not_json",
+        "not_object", "not_utf8"])
 def test_manifest_malformed_line(tmp_path, edit):
     path = tmp_path / "manifest.jsonl"
     save_manifest([SubjectRecord(f"S{i}", "2023-01-01", 70.0, 28, "F", 0.0,
