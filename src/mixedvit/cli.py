@@ -37,17 +37,20 @@ attention budget, in any trial ``tune`` plans, and a ``tune`` budget
 planning more than ``tuning.MAX_EVALUATIONS`` evaluations, exit 2 before
 any data is read. A corrupt volume or checkpoint, NaN or inf in a
 checkpoint array among it, makes every command that reads it exit 1, as
-does a manifest line whose CDR is neither 0 (CN) nor >= 1 (AD) or that
-repeats a subject, and an instance-table row that repeats a subject and
-ROI, whose class is not that of its subject's CDR, or whose slice window
-runs past its volume's depth. An age or MMSE constant over the training
-subjects is accepted: it scales to 0, as a constant volume does, so an
-image-only run, which never reads it, is not refused for it; a ``fit``
-range end that is not finite makes ``eval`` exit 1. ``compare`` reads each
-metrics file through ``metrics.load_fold_accuracies``: a missing file
-exits 1, and one with fewer than 2 folds, or a fold accuracy that is not a
-finite number in [0, 1], exits 2. ``--test ttest`` is ``--test anova`` of
-two files, with t = sign(mean difference) * sqrt(F).
+does a manifest line whose age, MMSE or CDR is not a ``data.is_number``
+(``"70"`` or ``true`` is not coerced) or whose MMSE is not an int, whose
+CDR is neither 0 (CN) nor >= 1 (AD), or that repeats a subject, and an
+instance-table row with an integer field that ``select`` would not write
+so (``+10``, ``010``), that repeats a subject and ROI, whose class is not
+that of its subject's CDR, or whose slice window runs past its volume's
+depth or whose centre lies outside its plane. An age or MMSE constant over
+the training subjects is accepted: it scales to 0, as a constant volume
+does, so an image-only run, which never reads it, is not refused for it; a
+``fit`` range end that is not finite makes ``eval`` exit 1. ``compare``
+reads each metrics file through ``metrics.load_fold_accuracies``: a
+missing file exits 1, and one with fewer than 2 folds, or a fold accuracy
+that is not a ``data.is_number`` in [0, 1], exits 2. ``--test ttest`` is
+``--test anova`` of two files, with t = sign(mean difference) * sqrt(F).
 
 Exit codes: 0 success, 1 runtime/I-O failure, 2 usage/config error.
 Every run writes a manifest with a config snapshot and output checksums.
@@ -91,16 +94,14 @@ CONFIG_KEYS = {f.name: f.default
 
 
 def _same_type(value, default) -> bool:
-    """Whether a config value has the type of its default: an int passes
-    for a float, and a tuple default takes a list of its elements' type."""
+    """Whether a config value has the type of its default: a float key takes
+    any ``data.is_number``, a tuple default a list of its elements' type."""
     if isinstance(default, tuple):
         return isinstance(value, list) and all(
             _same_type(v, default[0]) for v in value)
-    if isinstance(value, bool):  # JSON true is an int to isinstance
-        return isinstance(default, bool)
     if isinstance(default, float):
-        return isinstance(value, (int, float))
-    return isinstance(value, type(default))
+        return D.is_number(value)
+    return type(value) is type(default)
 
 
 def build_configs(config, mode: str, num_branches: int, seed: int) -> tuple:
@@ -403,8 +404,7 @@ def cmd_tune(args) -> int:
         # The best-validation checkpoint's accuracy on the validation set.
         return max(h.val_accuracy for h in history)
 
-    best, log = TU.hyperband_run(space, objective, args.max_resource,
-                                 args.eta, args.seed)
+    best, log = TU.hyperband_run(trials, objective)
     TU.save_trial_log(log, out / "trials.csv")
     _write_json(out / "best_config.json",
                 {"config": best.config, "score": best.score,

@@ -6,6 +6,9 @@ volume generator used in place of restricted clinical data.
 record's crops with its tabular features. A command builds its crops once,
 before any training (``train.model_crops``), and that build is the check
 that they fit; a fold or trial only joins them with its own ``FitStats``.
+
+``is_number`` is the one number rule of every file the pipeline reads: the
+manifest, ``FitStats``, a config, a search space and a metrics file.
 """
 
 from __future__ import annotations
@@ -38,6 +41,13 @@ SYNTH_MARGIN = 8
 MIN_SYNTH_DIMS = (25 + SYNTH_MARGIN, 32 + SYNTH_MARGIN, 32 + SYNTH_MARGIN)
 
 
+def is_number(value) -> bool:
+    """An int or a finite float. JSON's true and false are ints to Python,
+    and its NaN and Infinity are floats: none of them is a number here."""
+    return type(value) is int or (type(value) is float
+                                  and math.isfinite(value))
+
+
 class FormatError(ValueError):
     """The volume container has a bad magic or malformed header, or its
     array cannot be a subject's volume or mask: not 3-D, or not finite."""
@@ -64,8 +74,9 @@ class CropError(ValueError):
 
 
 class SliceWindowError(ValueError):
-    """A slice window runs past its volume's depth: an instance-table
-    row's, or a selection window deeper than the mask."""
+    """An instance-table row that does not fit its volume, its slice window
+    past the depth or its centre outside the plane, or a selection window
+    deeper than the mask."""
 
 
 class PlanError(ValueError):
@@ -76,7 +87,9 @@ class PlanError(ValueError):
 @dataclass(frozen=True)
 class SubjectRecord:
     subject_id: str
-    visit_date: str  # ISO-8601, lexicographic order == chronological
+    # No decision reads it; it stays for the manifest bytes that the
+    # benchmark's prep_synth golden value hashes.
+    visit_date: str
     age: float
     mmse: int
     gender: str
@@ -89,10 +102,10 @@ class SubjectRecord:
         if not (isinstance(sid, str) and sid) or set(sid) & set(",\r\n"):
             raise ValueError(f"subject_id {sid!r} is not a non-empty string "
                              f"free of ',', CR and LF")
-        if not 0 <= self.mmse <= 30:
-            raise ValueError(f"mmse {self.mmse} outside [0, 30]")
-        if not (math.isfinite(self.age) and self.age > 0):
-            raise ValueError(f"age {self.age} must be positive and finite")
+        if not (type(self.mmse) is int and 0 <= self.mmse <= 30):
+            raise ValueError(f"mmse {self.mmse!r} is not an int in [0, 30]")
+        if not (is_number(self.age) and self.age > 0):
+            raise ValueError(f"age {self.age!r} must be positive and finite")
         cdr_to_label(self.cdr)  # one of the two study classes
         if self.gender not in ("F", "M"):
             raise ValueError(f"gender {self.gender!r} not in {{F, M}}")
@@ -138,15 +151,13 @@ class FitStats:
     def __post_init__(self):
         for name, lo, hi in (("age", self.age_min, self.age_max),
                              ("mmse", self.mmse_min, self.mmse_max)):
-            numbers = all(type(v) in (int, float) and math.isfinite(v)
-                          for v in (lo, hi))
-            if not (numbers and lo <= hi):
+            if not (is_number(lo) and is_number(hi) and lo <= hi):
                 raise ValueError(f"{name} fit range [{lo!r}, {hi!r}] is not "
                                  f"two ordered numbers, both finite")
 
     @classmethod
     def from_records(cls, records: Sequence[SubjectRecord]) -> "FitStats":
-        ages = [r.age for r in records]
+        ages = [float(r.age) for r in records]
         mmses = [r.mmse for r in records]
         return cls(min(ages), max(ages), float(min(mmses)), float(max(mmses)))
 
@@ -279,10 +290,10 @@ def _subject_record(obj: dict, base: Path) -> SubjectRecord:
     return SubjectRecord(
         subject_id=obj["subject_id"],
         visit_date=obj["visit_date"],
-        age=float(obj["age"]),
-        mmse=int(obj["mmse"]),
+        age=obj["age"],
+        mmse=obj["mmse"],
         gender=obj["gender"],
-        cdr=float(obj["cdr"]),
+        cdr=obj["cdr"],
         volume_path=str(base / obj["volume"]),
         roi_masks={name: str(base / p) for name, p in rois.items()},
     )
@@ -309,9 +320,10 @@ def save_instances(instances: Sequence[InstanceRecord], path) -> None:
 
 
 def load_instances(path) -> list[InstanceRecord]:
-    """Rows of a table written by ``save_instances``. A malformed row, or one
-    that repeats an earlier row's subject and ROI, raises one ValueError
-    naming file and line."""
+    """Rows of a table written by ``save_instances``. A malformed row, one
+    with an integer field that ``str`` would not write so (``+10``, ``010``,
+    ``1_2``, a space), or one that repeats an earlier row's subject and ROI,
+    raises one ValueError naming file and line."""
     out = []
     lines: dict[tuple, int] = {}
     with open(path, encoding="utf-8") as fh:
@@ -322,10 +334,11 @@ def load_instances(path) -> list[InstanceRecord]:
             if not line.strip():
                 continue
             try:
-                sid, cls, roi, start, count, cx, cy = line.strip().split(",")
-                record = InstanceRecord(sid, LABEL_CODES[cls], roi,
-                                        int(start), int(count), int(cx),
-                                        int(cy))
+                sid, cls, roi, *texts = line.rstrip("\n").split(",")
+                ints = [int(text) for text in texts]
+                if len(ints) != 4 or list(map(str, ints)) != texts:
+                    raise ValueError("not four integers as str writes them")
+                record = InstanceRecord(sid, LABEL_CODES[cls], roi, *ints)
                 if record.slice_count < 1:
                     raise ValueError(f"slice_count {record.slice_count} < 1")
             except (ValueError, KeyError) as exc:
@@ -345,9 +358,8 @@ def load_instances(path) -> list[InstanceRecord]:
 
 
 def cdr_to_label(cdr: float) -> int:
-    cdr = float(cdr)
-    if cdr not in VALID_CDR:
-        raise ValueError(f"cdr {cdr} not in {VALID_CDR}")
+    if not (is_number(cdr) and cdr in VALID_CDR):
+        raise ValueError(f"cdr {cdr!r} not in {VALID_CDR}, or not a number")
     if cdr == 0.0:
         return CN
     if cdr >= 1.0:
@@ -525,22 +537,25 @@ def crop_roi(volume: np.ndarray, instance: InstanceRecord,
     """The (T, H', W') window of a (D, H, W) volume, a view, centred on the
     modal centroid.
 
-    Windows near a border are shifted (not padded) to stay inside the plane.
+    Windows near a border are shifted (not padded) to stay inside the plane;
+    a centre outside the plane is a ``SliceWindowError``.
     """
     depth, H, W = volume.shape
     hp, wp = size
     if H < hp or W < wp:
         raise CropError(f"plane {(H, W)} smaller than crop window {size}")
-    if instance.slice_start < 0 or instance.slice_start + instance.slice_count > depth:
-        raise SliceWindowError(
-            f"subject {instance.subject_id}, roi {instance.roi_name!r}: slice "
-            f"window [{instance.slice_start}, "
-            f"{instance.slice_start + instance.slice_count}) outside depth {depth}")
-    top = min(max(instance.cx - hp // 2, 0), H - hp)
-    left = min(max(instance.cy - wp // 2, 0), W - wp)
-    return volume[instance.slice_start:
-                  instance.slice_start + instance.slice_count,
-                  top:top + hp, left:left + wp]
+    start, cx, cy = instance.slice_start, instance.cx, instance.cy
+    end = start + instance.slice_count
+    where = f"subject {instance.subject_id}, roi {instance.roi_name!r}"
+    if start < 0 or end > depth:
+        raise SliceWindowError(f"{where}: slice window [{start}, {end}) "
+                               f"outside depth {depth}")
+    if not (0 <= cx < H and 0 <= cy < W):
+        raise SliceWindowError(f"{where}: centre ({cx}, {cy}) outside plane "
+                               f"{(H, W)}")
+    top = min(max(cx - hp // 2, 0), H - hp)
+    left = min(max(cy - wp // 2, 0), W - wp)
+    return volume[start:end, top:top + hp, left:left + wp]
 
 
 def iter_crops(records: Sequence[SubjectRecord],

@@ -25,6 +25,7 @@ from .data import (
     SubjectRecord,
     cdr_to_label,
     holdout_split,
+    is_number,
     split_subjects,
 )
 from .model import ModelConfig
@@ -336,7 +337,7 @@ def load_fold_accuracies(path) -> list:
     if len(accs) < 2:
         raise ValueError(f"{len(accs)} folds; need at least 2")
     for i, acc in enumerate(accs):
-        if type(acc) not in (int, float) or not 0.0 <= acc <= 1.0:
+        if not (is_number(acc) and 0.0 <= acc <= 1.0):
             raise ValueError(f"fold {i}: accuracy {acc!r} is not a finite "
                              f"number in [0, 1]")
     return accs

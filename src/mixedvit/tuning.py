@@ -26,6 +26,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .data import is_number
+
 
 # The most evaluations, each a training run of at least one epoch, that a
 # search may plan; R = 729, eta = 2 plans 2,338, and R = 1e15, eta = 2
@@ -58,8 +60,9 @@ class Uniform:
     hi: float
 
     def __post_init__(self):
-        if not self.lo < self.hi:
-            raise SpaceError(f"uniform needs lo < hi, got ({self.lo}, {self.hi})")
+        if not (self.lo < self.hi and math.isfinite(self.hi - self.lo)):
+            raise SpaceError(f"uniform needs lo < hi, a finite width apart, "
+                             f"got ({self.lo}, {self.hi})")
 
     def sample(self, rng: np.random.Generator):
         return float(rng.uniform(self.lo, self.hi))
@@ -99,13 +102,12 @@ class Bracket:
     rounds: tuple  # ((configs, epochs), ...): every round that runs
 
 
-def _field(name: str, dim: dict, key: str, types: tuple, what: str):
-    """``dim[key]`` when it has one of ``types`` (JSON true is not a
-    number), else ``SpaceError``."""
+def _field(name: str, dim: dict, key: str, test: Callable, what: str):
+    """``dim[key]`` when it passes ``test``, else ``SpaceError``."""
     if key not in dim:
         raise SpaceError(f"dimension {name!r} missing field {key!r}")
     value = dim[key]
-    if isinstance(value, bool) or not isinstance(value, types):
+    if not test(value):
         raise SpaceError(f"dimension {name!r}: {key} {value!r} is not {what}")
     return value
 
@@ -122,15 +124,15 @@ def parse_space(spec: dict) -> dict:
         kind = dim["type"]
         if kind in ("log_uniform", "uniform"):
             try:
-                lo, hi = (float(_field(name, dim, key, (int, float),
+                lo, hi = (float(_field(name, dim, key, is_number,
                                        "a number")) for key in ("lo", "hi"))
             except OverflowError as exc:  # an integer past the float range
                 raise SpaceError(f"dimension {name!r}: {exc}") from exc
             space[name] = (LogUniform if kind == "log_uniform"
                            else Uniform)(lo, hi)
         elif kind == "choice":
-            space[name] = Choice(tuple(_field(name, dim, "values", (list,),
-                                              "a list")))
+            space[name] = Choice(tuple(_field(
+                name, dim, "values", lambda v: isinstance(v, list), "a list")))
         else:
             raise SpaceError(f"unknown dimension type {kind!r}")
     return space
@@ -218,13 +220,12 @@ def hyperband_plan(space: dict, R: float, eta: float, seed: int) -> list:
             for b in bracket_schedule(R, eta)]
 
 
-def hyperband_run(space: dict, objective: Callable[[dict, int], float],
-                  R: float, eta: float, seed: int):
-    """Run ``hyperband_plan``; return (best trial, full trial log), the best
-    by ``_rank``: the highest score, ties to the lowest trial id."""
+def hyperband_run(plan: list, objective: Callable[[dict, int], float]):
+    """Run a ``hyperband_plan``; return (best trial, full trial log), the
+    best by ``_rank``: the highest score, ties to the lowest trial id."""
     log: list[TrialResult] = []
     next_id = 0
-    for bracket, configs in hyperband_plan(space, R, eta, seed):
+    for bracket, configs in plan:
         log.extend(successive_halving(configs, objective, bracket, next_id))
         next_id += len(configs)
     return min(log, key=_rank), log

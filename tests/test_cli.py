@@ -324,24 +324,27 @@ def test_cv_jobs_matches_serial(dataset, tmp_path, rois, jobs, extra):
         (outs[1] / "metrics.json").read_bytes()
 
 
-def _cv_auc(root: Path, seed: int, separability: float, mode: str) -> float:
+def _cv_auc(root: Path, seed: int, separability: float, mode: str,
+            slices: int = 8, config: dict | None = None) -> float:
     """Mean fold AUC of a 4-fold cv in ``mode`` over 40 synthetic subjects
-    at ``separability``, with d=16 and 10 epochs on one ROI."""
+    at ``separability`` on one ROI: ``config`` on ``slices`` slices, by
+    default the tiny config with d=16 and 10 epochs on 8."""
     data = root / f"data_{separability}"
     if not data.exists():
         assert main(["synth", "--out", str(data), "--subjects", "40",
                      "--seed", str(seed), "--dims", "33,40,40",
                      "--separability", str(separability)]) == 0
         assert main(["select", "--manifest", str(data / "manifest.jsonl"),
-                     "--roi", "hippocampus_left", "--slices", "8",
+                     "--roi", "hippocampus_left", "--slices", str(slices),
                      "--out", str(data / "instances.csv")]) == 0
-    config = root / "config.json"
-    config.write_text(json.dumps({**TINY_CONFIG, "embed_dim": 16,
-                                  "epochs": 10}))
+    if config is None:
+        config = {**TINY_CONFIG, "embed_dim": 16, "epochs": 10}
+    config_path = root / "config.json"
+    config_path.write_text(json.dumps(config))
     out = root / f"cv_{mode}_{separability}"
     assert main(["cv", "--instances", str(data / "instances.csv"),
                  "--manifest", str(data / "manifest.jsonl"),
-                 "--config", str(config), "--rois", "hippocampus_left",
+                 "--config", str(config_path), "--rois", "hippocampus_left",
                  "--mode", mode, "--folds", "4", "--no-holdout-test",
                  "--seed", "2", "--out", str(out)]) == 0
     return json.loads((out / "metrics.json").read_text())["summary"][
@@ -367,6 +370,21 @@ def test_image_only_cv_learns_the_image_signal(tmp_path, seed):
     0.46 and 0.67 at seeds 5, 6 and 7."""
     control = _cv_auc(tmp_path, seed, 0.0, "image-only")
     separable = _cv_auc(tmp_path, seed, 1.0, "image-only")
+    assert abs(control - 0.5) <= CHANCE_BAND
+    assert separable > max(0.5 + CHANCE_BAND, control)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", [5, 6, 7])
+def test_image_only_cv_learns_the_image_signal_at_the_paper_shape(tmp_path,
+                                                                  seed):
+    """The pair above at the paper's config, for 15 epochs, on 25 slices:
+    8 heads over 81 tokens in every one of 4 blocks, at LR 1e-4, which no
+    tier-1 learning test runs. Held to the same bounds. Measured: 1.00
+    against 0.63, 0.49 and 0.45 at seeds 5, 6 and 7."""
+    control = _cv_auc(tmp_path, seed, 0.0, "image-only", 25, {"epochs": 15})
+    separable = _cv_auc(tmp_path, seed, 1.0, "image-only", 25,
+                        {"epochs": 15})
     assert abs(control - 0.5) <= CHANCE_BAND
     assert separable > max(0.5 + CHANCE_BAND, control)
 
@@ -1157,6 +1175,29 @@ def test_slice_window_past_the_volume_exits_1(dataset, tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "eval", "cv", "tune"])
+@pytest.mark.parametrize("cx", ["-5", "500"])
+def test_centre_outside_the_plane_exits_1(dataset, tmp_path, capsys, command,
+                                          cx):
+    """The volumes' planes are 40 wide: a row whose centre lies outside
+    one is a malformed instance table, found when the volume is cropped,
+    and not a window shifted to the border."""
+    rows = (dataset / "instances.csv").read_text().splitlines()
+    i = next(i for i, row in enumerate(rows) if ",hippocampus_left," in row)
+    fields = rows[i].split(",")
+    fields[5] = cx
+    rows[i] = ",".join(fields)
+    bad = tmp_path / "instances.csv"
+    bad.write_text("\n".join(rows) + "\n")
+    assert main(_argv_with_instances(dataset, tmp_path, command, bad)) == 1
+    err = capsys.readouterr().err
+    assert (f"malformed instance table {bad}: subject {fields[0]}, roi "
+            f"'hippocampus_left': centre ({cx}, {fields[6]}) outside plane "
+            f"(40, 40)" in err)
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def _argv_with_manifest(dataset, tmp_path, command, manifest):
     """argv running ``command`` (select, train, eval, cv or tune) on the
     dataset's instance table with ``manifest`` as its manifest."""
@@ -1326,19 +1367,32 @@ def test_train_volume_of_unknown_version_exits_1_naming_it(dataset, tmp_path,
 
 @pytest.mark.parametrize("command", ["select", "train", "eval", "cv", "tune"])
 @pytest.mark.parametrize("case", ["cdr_05", "repeated_subject", "missing",
-                                  "subject_id_number", "subject_id_comma"])
+                                  "subject_id_number", "subject_id_comma",
+                                  "mmse_fraction", "mmse_float", "mmse_text",
+                                  "mmse_true", "age_text", "age_true",
+                                  "cdr_text", "cdr_true"])
 def test_unusable_manifest_exits_1(dataset, tmp_path, capsys, command, case):
     """CDR 0.5 (MCI) is neither class, a subject listed twice would be
-    scored twice by eval, and a subject id must be a string that the
-    comma-separated instance table can hold: loading the manifest fails,
-    naming the file and line, before any command does its work, as it does
-    for a manifest that is not there."""
+    scored twice by eval, a subject id must be a string that the
+    comma-separated instance table can hold, and age, MMSE and CDR are
+    numbers, MMSE an int, not values a reader would coerce: loading the
+    manifest fails, naming the file and line, before any command does its
+    work, as it does for a manifest that is not there."""
     lines = (dataset / "data" / "manifest.jsonl").read_text().splitlines()
     manifest = tmp_path / "manifest.jsonl"
     edits = {"cdr_05": ("cdr", 0.5, "CDR 0.5 is outside the two study "
                                     "classes"),
              "subject_id_number": ("subject_id", 7, "subject_id 7 is not"),
-             "subject_id_comma": ("subject_id", "S,1", "subject_id 'S,1'")}
+             "subject_id_comma": ("subject_id", "S,1", "subject_id 'S,1'"),
+             "mmse_fraction": ("mmse", 27.5, "mmse 27.5 is not an int"),
+             "mmse_float": ("mmse", 28.0, "mmse 28.0 is not an int"),
+             "mmse_text": ("mmse", "28", "mmse '28' is not an int"),
+             "mmse_true": ("mmse", True, "mmse True is not an int"),
+             "age_text": ("age", "70", "age '70' must be positive and "
+                                       "finite"),
+             "age_true": ("age", True, "age True must be positive"),
+             "cdr_text": ("cdr", "0", "cdr '0' not in"),
+             "cdr_true": ("cdr", True, "cdr True not in")}
     if case in edits:
         key, value, message = edits[case]
         obj = json.loads(lines[2])

@@ -376,6 +376,17 @@ def test_crop_slice_window_outside_depth_names_subject_and_roi(start, window):
         crop_roi(vol, InstanceRecord("S7", CN, "r", start, 25, 10, 10))
 
 
+@pytest.mark.parametrize("cx,cy", [(-5, 10), (500, 10), (40, 10),
+                                   (10, -1), (10, 40)])
+def test_crop_centre_outside_the_plane_names_subject_and_roi(cx, cy):
+    """Only a centre inside the plane has its window shifted to the border;
+    no selection writes one outside it."""
+    vol = np.zeros((30, 40, 40))
+    message = f"subject S7, roi 'r': centre ({cx}, {cy}) outside plane (40, 40)"
+    with pytest.raises(D.SliceWindowError, match=re.escape(message)):
+        crop_roi(vol, InstanceRecord("S7", CN, "r", 0, 25, cx, cy))
+
+
 def test_crop_random_instances_always_inside():
     rng = np.random.default_rng(11)
     for _ in range(100):
@@ -500,16 +511,24 @@ def test_manifest_round_trip(tmp_path):
     "{not json",
     "[1, 2]",
     b"\xff\xfe",
+    lambda obj: obj.update(mmse=27.5),
+    lambda obj: obj.update(mmse=28.0),
+    lambda obj: obj.update(mmse="28"),
+    lambda obj: obj.update(mmse=True),
+    lambda obj: obj.update(age="70"),
+    lambda obj: obj.update(age=True),
+    lambda obj: obj.update(cdr="0"),
+    lambda obj: obj.update(cdr=True),
 ], ids=["no_rois", "mmse_99", "rois_not_object", "age_null",
         "repeated_subject", "subject_id_number", "subject_id_comma",
         "subject_id_line_break", "subject_id_empty", "not_json",
-        "not_object", "not_utf8"])
+        "not_object", "not_utf8", "mmse_fraction", "mmse_float",
+        "mmse_text", "mmse_true", "age_text", "age_true", "cdr_text",
+        "cdr_true"])
 def test_manifest_malformed_line(tmp_path, edit):
-    path = tmp_path / "manifest.jsonl"
-    save_manifest([SubjectRecord(f"S{i}", "2023-01-01", 70.0, 28, "F", 0.0,
-                                 str(tmp_path / f"S{i}.vol"),
-                                 {"hip": str(tmp_path / f"S{i}.mask")})
-                   for i in range(3)], path)
+    """A value that is not what its field holds is refused, not coerced:
+    ``data.is_number`` for age and CDR, and an int for MMSE."""
+    path = _manifest_of_three(tmp_path)
     lines = path.read_bytes().splitlines()
     if callable(edit):
         obj = json.loads(lines[1])
@@ -520,6 +539,29 @@ def test_manifest_malformed_line(tmp_path, edit):
     path.write_bytes(b"\n".join(lines) + b"\n")
     with pytest.raises(ValueError, match="line 2"):
         load_manifest(path)
+
+
+def _manifest_of_three(tmp_path):
+    path = tmp_path / "manifest.jsonl"
+    save_manifest([SubjectRecord(f"S{i}", "2023-01-01", 70.0, 28, "F", 0.0,
+                                 str(tmp_path / f"S{i}.vol"),
+                                 {"hip": str(tmp_path / f"S{i}.mask")})
+                   for i in range(3)], path)
+    return path
+
+
+def test_manifest_integer_age_and_cdr_load_as_written(tmp_path):
+    """JSON 70 and 0 are numbers: they load, with the type the line gives
+    them."""
+    path = _manifest_of_three(tmp_path)
+    lines = path.read_text().splitlines()
+    obj = json.loads(lines[1])
+    obj.update(age=70, cdr=0)
+    lines[1] = json.dumps(obj)
+    path.write_text("\n".join(lines) + "\n")
+    record = load_manifest(path)[1]
+    assert (record.age, record.cdr) == (70, 0)
+    assert type(record.age) is type(record.cdr) is int
 
 
 def test_instance_csv_round_trip(tmp_path):
@@ -536,8 +578,16 @@ def test_instance_csv_round_trip(tmp_path):
                                  "S2,AD,hip,three,25,10,12",
                                  "S2,AD,hip,3,0,10,12",
                                  "S2,AD,hip,3,-3,10,12",
-                                 "S0,CN,hip,4,25,10,12"])
+                                 "S0,CN,hip,4,25,10,12",
+                                 "S2,AD,hip,3,25,10,12,7",
+                                 "S2,AD,hip,3,25,1_2,12",
+                                 "S2,AD,hip,3,25,\uff11\uff12,12",
+                                 "S2,AD,hip,3,25,10, 14 ",
+                                 "S2,AD,hip,+10,25,10,12",
+                                 "S2,AD,hip,3,25,010,12",
+                                 "S2,AD,hip,-0,25,10,12"])
 def test_instance_csv_malformed_row(tmp_path, row):
+    """Each integer field only in the form ``save_instances`` writes it."""
     path = tmp_path / "inst.csv"
     save_instances([InstanceRecord("S0", CN, "hip", 3, 25, 10, 12)], path)
     with open(path, "a", encoding="utf-8") as fh:

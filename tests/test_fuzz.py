@@ -1,9 +1,10 @@
 """Truncated and bit-flipped copies of each container format: a loader
 either returns or raises one of its documented errors, never KeyError,
 struct.error, IndexError, TypeError or another stray exception. A damaged
-checkpoint that loads must hold only original, unchanged values. Likewise
-any JSON object over the config keys builds the configs or raises
-UsageError."""
+checkpoint that loads must hold only original, unchanged values, and a
+damaged manifest or instance table that loads only what its lines say, in
+the form its writer writes it. Likewise any JSON object over the config
+keys builds the configs or raises UsageError."""
 
 import json
 
@@ -48,9 +49,36 @@ def _manifest(path):
         {"hip": str(path.parent / f"m{i}.mask")}) for i in range(3)], path)
 
 
+def _load_manifest(path):
+    """``load_manifest``, asserting that each non-path field of a record it
+    returns has the JSON value and type of its line."""
+    lines = [raw for raw in path.read_bytes().split(b"\n") if raw.strip()]
+    records = D.load_manifest(path)
+    assert len(records) == len(lines)
+    for record, raw in zip(records, lines):
+        obj = json.loads(raw.decode("utf-8"))
+        for key in ("subject_id", "visit_date", "age", "mmse", "gender",
+                    "cdr"):
+            value = getattr(record, key)
+            assert (type(value), value) == (type(obj[key]), obj[key]), key
+
+
 def _instances(path):
     D.save_instances([D.InstanceRecord(f"S{i}", i % 2, "hip", 3 + i, 25,
                                        10 * i, 12) for i in range(3)], path)
+
+
+def _load_instances(path):
+    """``load_instances``, asserting that the text of each row it accepts is
+    exactly what ``save_instances`` writes for the record it returned."""
+    records = D.load_instances(path)
+    with open(path, encoding="utf-8") as fh:
+        rows = [line for line in fh.readlines()[1:] if line.strip()]
+    assert len(records) == len(rows)
+    for record, row in zip(records, rows):
+        written = path.with_name("written")
+        D.save_instances([record], written)
+        assert row.rstrip("\n") == written.read_text().split("\n")[1]
 
 
 def _metrics(path):
@@ -65,8 +93,8 @@ FORMATS = {
     "volume": (_volume, D.load_volume,
                (D.FormatError, D.TruncatedPayloadError, D.DimOverflowError)),
     "checkpoint": (_checkpoint, _load_checkpoint, (M.CheckpointError,)),
-    "manifest": (_manifest, D.load_manifest, (ValueError,)),
-    "instances": (_instances, D.load_instances, (ValueError,)),
+    "manifest": (_manifest, _load_manifest, (ValueError,)),
+    "instances": (_instances, _load_instances, (ValueError,)),
     "metrics": (_metrics, ME.load_fold_accuracies, (ValueError,)),
 }
 

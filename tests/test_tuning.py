@@ -19,6 +19,7 @@ from mixedvit.tuning import (
     TrialResult,
     Uniform,
     bracket_schedule,
+    hyperband_plan,
     hyperband_run,
     parse_space,
     sample_config,
@@ -117,11 +118,18 @@ def test_sample_config_ranges():
      "lo '0.1' is not a number"),
     ({"x": {"type": "uniform", "lo": 0.0, "hi": 10**400}},
      "int too large to convert to float"),
+    ({"x": {"type": "uniform", "lo": math.nan, "hi": 2.0}},
+     "lo nan is not a number"),
+    ({"x": {"type": "uniform", "lo": 0.0, "hi": math.inf}},
+     "hi inf is not a number"),
+    ({"x": {"type": "uniform", "lo": -1e308, "hi": 1e308}},
+     "uniform needs lo < hi, a finite width apart, got (-1e+308, 1e+308)"),
     ({"x": {"type": "uniform", "hi": 2.0}}, "missing field 'lo'"),
     ({"x": {"type": "choice"}}, "missing field 'values'"),
 ], ids=["empty", "unknown_type", "lo_above_hi", "no_choices", "int_values",
         "object_values", "list_lo", "null_lo", "true_hi", "string_lo",
-        "int_past_float", "no_lo", "no_values"])
+        "int_past_float", "nan_lo", "infinite_hi", "infinite_width", "no_lo",
+        "no_values"])
 def test_parse_space_errors(spec, message):
     """A range's ends must be JSON numbers, not true, and a choice's values
     a JSON list."""
@@ -218,14 +226,16 @@ def test_hyperband_log_matches_reference(eta):
     space = {"x": Uniform(0.0, 1.0)}
     for R in (1, 2, 3, 9, 10, 25.5, 27, 29.5, 98, 729):
         for seed in (0, 1):
-            got = hyperband_run(space, _tied_objective, R, eta, seed)
+            got = hyperband_run(hyperband_plan(space, R, eta, seed),
+                                _tied_objective)
             assert got == reference_hyperband_run(space, _tied_objective,
                                                   R, eta, seed), (R, seed)
 
 
 def test_hyperband_best_matches_log():
     space = {"initial_lr": LogUniform(1e-5, 1e-3)}
-    best, log = hyperband_run(space, toy_objective, R=9, eta=3, seed=3)
+    best, log = hyperband_run(hyperband_plan(space, R=9, eta=3, seed=3),
+                              toy_objective)
     top = max(t.score for t in log)
     assert best.score == top
     candidates = [t.trial_id for t in log if t.score == top]
@@ -234,7 +244,8 @@ def test_hyperband_best_matches_log():
 
 def test_hyperband_toy_argmax_analytic():
     space = {"initial_lr": LogUniform(1e-5, 1e-3)}
-    best, log = hyperband_run(space, toy_objective, R=27, eta=3, seed=11)
+    best, log = hyperband_run(hyperband_plan(space, R=27, eta=3, seed=11),
+                              toy_objective)
     sampled = {t.trial_id: t.config["initial_lr"] for t in log}
     target = min(sampled.values(),
                  key=lambda lr: abs(math.log(lr / TOY_TARGET_LR)))
@@ -247,15 +258,18 @@ def test_hyperband_reproducible():
     def objective(cfg, r):
         return toy_objective({"initial_lr": cfg["initial_lr"]}, r)
 
-    a_best, a_log = hyperband_run(space, objective, R=9, eta=3, seed=21)
-    b_best, b_log = hyperband_run(space, objective, R=9, eta=3, seed=21)
+    a_best, a_log = hyperband_run(
+        hyperband_plan(space, R=9, eta=3, seed=21), objective)
+    b_best, b_log = hyperband_run(
+        hyperband_plan(space, R=9, eta=3, seed=21), objective)
     assert a_best == b_best
     assert a_log == b_log
 
 
 def test_hyperband_budget_accounting():
     space = {"initial_lr": LogUniform(1e-5, 1e-3)}
-    _, log = hyperband_run(space, toy_objective, R=81, eta=3, seed=1)
+    _, log = hyperband_run(hyperband_plan(space, R=81, eta=3, seed=1),
+                           toy_objective)
     brackets = bracket_schedule(81, 3)
     for bracket in brackets:
         spent = sum(t.resource for t in log if t.bracket == bracket.s)
@@ -283,7 +297,8 @@ def test_hyperband_retrain_beats_median():
         return acc
 
     space = {"initial_lr": LogUniform(1e-4, 1e-2)}
-    best, log = hyperband_run(space, objective, R=4, eta=2, seed=2)
+    best, log = hyperband_run(hyperband_plan(space, R=4, eta=2, seed=2),
+                              objective)
     rescore = objective(best.config, 4)
     median = float(np.median([t.score for t in log]))
     assert rescore >= median
