@@ -47,10 +47,19 @@ depth or whose centre lies outside its plane. An age or MMSE constant over
 the training subjects is accepted: it scales to 0, as a constant volume
 does, so an image-only run, which never reads it, is not refused for it; a
 ``fit`` range end that is not finite makes ``eval`` exit 1. ``compare``
-reads each metrics file through ``metrics.load_fold_accuracies``: a
-missing file exits 1, and one with fewer than 2 folds, or a fold accuracy
-that is not a ``data.is_number`` in [0, 1], exits 2. ``--test ttest`` is
-``--test anova`` of two files, with t = sign(mean difference) * sqrt(F).
+reads each metrics file through ``metrics.load_fold_accuracies``: one with
+fewer than 2 folds, or a fold accuracy that is not a ``data.is_number`` in
+[0, 1], exits 2. ``--test ttest`` is ``--test anova`` of two files, with
+t = sign(mean difference) * sqrt(F).
+
+Every text file a command reads is read as bytes, its JSON through
+``data.parse_json`` and the lines of the manifest and instance table
+through ``data``'s one line loop, which names file and line. A file that is
+not UTF-8, a JSON object that repeats a key, or an instance-table header
+not exactly as ``select`` writes it, is malformed. A missing or malformed
+``--config`` or ``--space`` file exits 2; a missing or malformed manifest,
+instance table or ``eval``'s ``config.json`` exits 1; a missing metrics file
+exits 1, and a malformed one 2.
 
 Exit codes: 0 success, 1 runtime/I-O failure, 2 usage/config error.
 Every run writes a manifest with a config snapshot and output checksums.
@@ -140,11 +149,10 @@ def load_config(path) -> dict:
     if path is None:
         return {}
     try:
-        with open(path, encoding="utf-8") as fh:
-            config = json.load(fh)
+        config = D.parse_json(Path(path).read_bytes())
     except FileNotFoundError as exc:
         raise UsageError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise UsageError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise UsageError(f"config file {path} does not hold a JSON object")
@@ -190,13 +198,14 @@ def _parse_rois(text: str):
     return rois
 
 
-def _load(loader, path, what: str) -> list:
+def _load(loader, path, what: str, malformed=RuntimeFailure) -> list:
+    """A missing file raises RuntimeFailure, a malformed one ``malformed``."""
     try:
         return loader(path)
     except FileNotFoundError as exc:
         raise RuntimeFailure(f"{what} not found: {path}") from exc
     except ValueError as exc:
-        raise RuntimeFailure(str(exc)) from exc
+        raise malformed(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -368,14 +377,13 @@ def cmd_tune(args) -> int:
     started = time.time()
     rois = _parse_rois(args.rois)
     try:
-        with open(args.space, encoding="utf-8") as fh:
-            space = TU.parse_space(json.load(fh))
+        space = TU.parse_space(D.parse_json(Path(args.space).read_bytes()))
         TU.bracket_schedule(args.max_resource, args.eta)
     except FileNotFoundError as exc:
         raise UsageError(f"space file not found: {args.space}") from exc
     except ValueError as exc:  # bad JSON, SpaceError or the Hyperband budget
-        raise UsageError(f"malformed search space, --max-resource or "
-                         f"--eta: {exc}") from exc
+        raise UsageError(f"malformed search space {args.space}, "
+                         f"--max-resource or --eta: {exc}") from exc
     cfg = load_config(args.config)
     base = _config_of(*build_configs(cfg, args.mode, len(rois), args.seed))
     _check_space(space, cfg, args.mode, len(rois))
@@ -452,7 +460,7 @@ def cmd_eval(args) -> int:
     except FileNotFoundError as exc:
         raise RuntimeFailure(f"model directory incomplete: {exc}") from exc
     try:
-        snapshot = json.loads(text.decode("utf-8"))
+        snapshot = D.parse_json(text)
         rois, config = snapshot["rois"], snapshot["config"]
         if _parse_rois(",".join(rois)) != rois:  # the rule of --rois
             raise ValueError(f"rois {rois!r} is not a list of ROI names")
@@ -495,22 +503,14 @@ def cmd_eval(args) -> int:
 # compare
 
 
-def _fold_accuracies(path) -> list:
-    try:
-        return ME.load_fold_accuracies(path)
-    except FileNotFoundError as exc:
-        raise RuntimeFailure(f"metrics file not found: {path}") from exc
-    except ValueError as exc:
-        raise UsageError(f"{path}: {exc}") from exc
-
-
 def cmd_compare(args) -> int:
     n = len(args.metrics)
     if n < 2 or (args.test == "ttest" and n > 2):
         need = "exactly" if args.test == "ttest" else "at least"
         raise UsageError(
             f"--test {args.test} needs {need} 2 metrics files, got {n}")
-    groups = [_fold_accuracies(p) for p in args.metrics]
+    groups = [_load(ME.load_fold_accuracies, p, "metrics file", UsageError)
+              for p in args.metrics]
     try:
         if args.test == "ttest":
             t, df, p = ME.t_test(groups[0], groups[1])

@@ -9,6 +9,9 @@ that they fit; a fold or trial only joins them with its own ``FitStats``.
 
 ``is_number`` is the one number rule of every file the pipeline reads: the
 manifest, ``FitStats``, a config, a search space and a metrics file.
+``parse_json`` is their one JSON parse, and ``_read_lines`` the one loop
+over the lines of the manifest and the instance table: every text file the
+pipeline reads is read as bytes and goes through one or both.
 """
 
 from __future__ import annotations
@@ -46,6 +49,24 @@ def is_number(value) -> bool:
     and its NaN and Infinity are floats: none of them is a number here."""
     return type(value) is int or (type(value) is float
                                   and math.isfinite(value))
+
+
+def parse_json(blob: bytes):
+    """The value of a UTF-8 JSON document. An object that repeats a key is
+    refused, where Python's json lets the last value win (RFC 8259 section
+    4: names SHOULD be unique). Every failure is a ``ValueError``."""
+    try:
+        return json.loads(blob.decode("utf-8"), object_pairs_hook=_unique)
+    except RecursionError as exc:  # nested past Python's recursion limit
+        raise ValueError(f"JSON nested too deeply: {exc}") from exc
+
+
+def _unique(pairs: list) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"key {max(keys, key=keys.count)!r} repeats")
+    return obj
 
 
 class FormatError(ValueError):
@@ -259,31 +280,16 @@ def save_manifest(records: Sequence[SubjectRecord], path) -> None:
 
 def load_manifest(path) -> list[SubjectRecord]:
     """Records of a manifest written by ``save_manifest``. A malformed line
-    (not UTF-8 JSON, a missing key, a value of the wrong type or one
-    ``SubjectRecord`` rejects), or one that repeats an earlier line's
-    subject, raises one ValueError naming file and line."""
+    (not UTF-8 JSON, a repeated key, a missing key, a value of the wrong
+    type or one ``SubjectRecord`` rejects), or one that repeats an earlier
+    line's subject, raises one ValueError naming file and line."""
     base = Path(path).parent
-    records = []
-    lines: dict[str, int] = {}
-    with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            if not raw.strip():
-                continue
-            try:
-                record = _subject_record(json.loads(raw.decode("utf-8")), base)
-            except (ValueError, KeyError, TypeError, OverflowError) as exc:
-                raise ValueError(
-                    f"{path}, line {lineno}: malformed subject record "
-                    f"({exc!r})") from exc
-            first = lines.setdefault(record.subject_id, lineno)
-            if first != lineno:
-                raise ValueError(f"{path}, line {lineno}: subject "
-                                 f"{record.subject_id} repeats line {first}")
-            records.append(record)
-    return records
+    return _read_lines(path, lambda line: _subject_record(line, base),
+                       lambda r: f"subject {r.subject_id}", "subject record")
 
 
-def _subject_record(obj: dict, base: Path) -> SubjectRecord:
+def _subject_record(line: bytes, base: Path) -> SubjectRecord:
+    obj = parse_json(line)
     rois = obj["rois"]
     if not isinstance(rois, dict):
         raise TypeError(f"rois {rois!r} is not an object")
@@ -320,37 +326,51 @@ def save_instances(instances: Sequence[InstanceRecord], path) -> None:
 
 
 def load_instances(path) -> list[InstanceRecord]:
-    """Rows of a table written by ``save_instances``. A malformed row, one
-    with an integer field that ``str`` would not write so (``+10``, ``010``,
-    ``1_2``, a space), or one that repeats an earlier row's subject and ROI,
-    raises one ValueError naming file and line."""
-    out = []
-    lines: dict[tuple, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != INSTANCE_HEADER:
-            raise ValueError(f"unexpected instance CSV header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
+    """Rows of a table written by ``save_instances``, header and all. A
+    header or row not as it writes them (an integer ``+10``, ``010``,
+    ``1_2``, a space), or one that repeats an earlier row's subject and
+    ROI, raises one ValueError naming file and line."""
+    return _read_lines(path, _instance_row,
+                       lambda r: f"subject {r.subject_id}, roi {r.roi_name!r}",
+                       "instance row", INSTANCE_HEADER)
+
+
+def _instance_row(line: bytes) -> InstanceRecord:
+    sid, cls, roi, *texts = line.decode("utf-8").split(",")
+    ints = [int(text) for text in texts]
+    if len(ints) != 4 or list(map(str, ints)) != texts:
+        raise ValueError(f"{texts} are not four integers as str writes them")
+    if ints[1] < 1:
+        raise ValueError(f"slice_count {ints[1]} < 1")
+    return InstanceRecord(sid, LABEL_CODES[cls], roi, *ints)
+
+
+def _read_lines(path, parse, key, what: str, header=None) -> list:
+    """The one line loop: ``parse`` of each non-blank line's bytes, without
+    the LF or CRLF that ends it, after a first line that must be ``header``
+    when one is given. A line ``parse`` refuses, or whose ``key`` repeats an
+    earlier line's, raises one ValueError naming file and line."""
+    items, first = [], {}
+    with open(path, "rb") as fh:
+        if header is not None:
+            line = fh.readline().removesuffix(b"\n").removesuffix(b"\r")
+            if line != header.encode():
+                raise ValueError(f"{path}, line 1: {line!r} is not the "
+                                 f"header {header!r}")
+        for lineno, raw in enumerate(fh, start=1 + (header is not None)):
+            if not raw.strip():
                 continue
             try:
-                sid, cls, roi, *texts = line.rstrip("\n").split(",")
-                ints = [int(text) for text in texts]
-                if len(ints) != 4 or list(map(str, ints)) != texts:
-                    raise ValueError("not four integers as str writes them")
-                record = InstanceRecord(sid, LABEL_CODES[cls], roi, *ints)
-                if record.slice_count < 1:
-                    raise ValueError(f"slice_count {record.slice_count} < 1")
-            except (ValueError, KeyError) as exc:
-                raise ValueError(
-                    f"{path}, line {lineno}: malformed instance row "
-                    f"{line.strip()!r}") from exc
-            first = lines.setdefault((sid, roi), lineno)
-            if first != lineno:
-                raise ValueError(f"{path}, line {lineno}: subject {sid}, roi "
-                                 f"{roi!r} repeats line {first}")
-            out.append(record)
-    return out
+                item = parse(raw.removesuffix(b"\n").removesuffix(b"\r"))
+            except (ValueError, KeyError, TypeError, OverflowError) as exc:
+                raise ValueError(f"{path}, line {lineno}: malformed {what} "
+                                 f"({exc!r})") from exc
+            seen = first.setdefault(key(item), lineno)
+            if seen != lineno:
+                raise ValueError(f"{path}, line {lineno}: {key(item)} repeats "
+                                 f"line {seen}")
+            items.append(item)
+    return items
 
 
 # ---------------------------------------------------------------------------

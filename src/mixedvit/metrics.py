@@ -8,10 +8,10 @@ values their value as mean and 0.0 as sum; the t-test is two-group ANOVA.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -26,6 +26,7 @@ from .data import (
     cdr_to_label,
     holdout_split,
     is_number,
+    parse_json,
     split_subjects,
 )
 from .model import ModelConfig
@@ -325,20 +326,19 @@ def metrics_payload(reports: Sequence[FoldReport]) -> dict:
 
 
 def load_fold_accuracies(path) -> list:
-    """The fold accuracies of a ``metrics_payload`` JSON file, as
-    ``compare`` tests them. ``ValueError`` for a file that does not hold
-    that layout, for fewer than 2 folds, and for an accuracy that is not a
-    finite number in [0, 1] (JSON's true and false are not numbers)."""
-    with open(path, encoding="utf-8") as fh:
-        try:  # a ValueError here is bad JSON or bad UTF-8
-            accs = [f["accuracy"] for f in json.load(fh)["folds"]]
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ValueError(f"not a metrics JSON: {exc}") from exc
+    """The fold accuracies of a ``metrics_payload`` JSON file, as ``compare``
+    tests them. ``ValueError``, naming ``path``, for another layout, fewer
+    than 2 folds, or an accuracy that is not a finite number in [0, 1]
+    (JSON's true and false are not numbers)."""
+    blob = Path(path).read_bytes()
+    try:
+        accs = [f["accuracy"] for f in parse_json(blob)["folds"]]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: not a metrics JSON: {exc}") from exc
     if len(accs) < 2:
-        raise ValueError(f"{len(accs)} folds; need at least 2")
+        raise ValueError(f"{path}: {len(accs)} folds; need at least 2")
     for i, acc in enumerate(accs):
         if not (is_number(acc) and 0.0 <= acc <= 1.0):
-            raise ValueError(f"fold {i}: accuracy {acc!r} is not a finite "
-                             f"number in [0, 1]")
+            raise ValueError(f"{path}: fold {i}: accuracy {acc!r} is not a "
+                             f"finite number in [0, 1]")
     return accs
-

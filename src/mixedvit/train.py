@@ -20,13 +20,11 @@ go before its validation pass. So at most one set is alive, and no backward
 runs beside the previous one. The reason is the heap. The gradients are
 allocated during the backward pass, above the step's activations, and while
 they live the next forward refills the hole the freed activations left below
-them. Freed right after the Adam update, they left the whole region free at
-the heap top; glibc trims a free top larger than its dynamic threshold
-(twice the largest mmapped block freed so far), and the next forward faulted
-it back in: up to 52,000 minor page faults per 8-step ``train_paper``
-benchmark cycle. Now most such cycles take fewer than 100. The top is still
-trimmed now and then: at an epoch's end, or when a step's tape landed above
-its gradients.
+them. Freed right after the Adam update, they would leave the whole region
+free at the heap top; glibc trims a free top larger than its dynamic
+threshold (twice the largest mmapped block freed so far), and the next
+forward would fault it back in. The top is still trimmed now and then: at an
+epoch's end, or when a step's tape landed above its gradients.
 
 The decay schedule (rate 0.9 per 100,000 steps) and Adam's beta1 0.9,
 beta2 0.999 and eps 1e-8 are ``TrainConfig`` class constants, not config

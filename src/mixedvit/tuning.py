@@ -45,9 +45,9 @@ class LogUniform:
     hi: float
 
     def __post_init__(self):
-        if not 0 < self.lo < self.hi:
-            raise SpaceError(f"log-uniform needs 0 < lo < hi, got "
-                             f"({self.lo}, {self.hi})")
+        if not (0 < self.lo < self.hi and math.isfinite(self.hi)):
+            raise SpaceError(f"log-uniform needs 0 < lo < hi, both finite, "
+                             f"got ({self.lo}, {self.hi})")
 
     def sample(self, rng: np.random.Generator):
         return float(math.exp(rng.uniform(math.log(self.lo),

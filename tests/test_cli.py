@@ -442,6 +442,18 @@ def test_cv_jobs_below_one_exits_2(dataset, tmp_path, capsys, jobs):
     (None, "config file not found", "train"),
     ("{not json", "is not valid JSON", "train"),
     (None, "config file not found", "cv"),
+    (b'{"note": "caf\xe9"}', "is not valid JSON: 'utf-8' codec", "train"),
+    (b'{"epochs": ' + b"1" * 5000 + b"}", "is not valid JSON: Exceeds the "
+     "limit (4300 digits)", "train"),
+    (json.dumps(TINY_CONFIG)[:-1] + ', "heads": 4}',
+     "is not valid JSON: key 'heads' repeats", "train"),
+    (b"[" * 100_000, "is not valid JSON: JSON nested too deeply", "train"),
+    (b'{"note": "caf\xe9"}', "is not valid JSON: 'utf-8' codec", "cv"),
+    (b'{"epochs": ' + b"1" * 5000 + b"}", "is not valid JSON: Exceeds the "
+     "limit (4300 digits)", "cv"),
+    (json.dumps(TINY_CONFIG)[:-1] + ', "heads": 4}',
+     "is not valid JSON: key 'heads' repeats", "cv"),
+    (b"[" * 100_000, "is not valid JSON: JSON nested too deeply", "cv"),
 ], ids=["str_for_list", "str_in_list", "float_for_int", "bool_for_float",
         "removed_optimizer_key", "short_tuple", "not_object", "heads_0",
         "tubelet_0", "embed_dim_0", "tabular_width_0",
@@ -450,14 +462,18 @@ def test_cv_jobs_below_one_exits_2(dataset, tmp_path, capsys, jobs):
         "removed_key_adam_beta1", "removed_key_adam_beta2",
         "removed_key_adam_eps", "heads_0_train",
         "removed_key_adam_beta1_train", "missing_train", "not_json_train",
-        "missing"])
+        "missing", "not_utf8_train", "long_int_train", "repeated_key_train",
+        "nested_train", "not_utf8", "long_int", "repeated_key", "nested"])
 def test_cv_config_value_of_wrong_type_exits_2(dataset, tmp_path, capsys,
                                                config, message, command):
     """A malformed config, or none at the path given (None), is a usage
-    error for cv, and for train in the cases marked so; a string is the
-    file's text."""
+    error for cv, and for train in the cases marked so; a string or bytes
+    is the file's content. A key given twice is refused, not read as its
+    last value."""
     bad = tmp_path / "bad.json"
-    if config is not None:
+    if isinstance(config, bytes):
+        bad.write_bytes(config)
+    elif config is not None:
         bad.write_text(config if isinstance(config, str)
                        else json.dumps(config))
     assert main(_command_argv(dataset, tmp_path, command, bad)) == 2
@@ -540,12 +556,14 @@ def _set(value, key, inner=None):
     _set([["hippocampus_left"]], "rois"), _set("hippocampus_left", "rois"),
     _set(["hippocampus_left", "hippocampus_left"], "rois"),
     _set([], "rois"), _set(["a,b"], "rois"),
+    json.dumps(_snapshot())[:-1] + ', "mode": "image-only"}',
 ], ids=["not_json", "empty", "empty_model", "not_object", "no_fit", "no_rois",
         "no_heads", "tubelet_not_dividing", "embed_dim_text", "batch_size_0",
         "fit_fields", "fit_reversed", "fit_text", "batch_size_float", "embed_dim_float",
         "heads_float", "tubelet_float", "old_dropout_key", "config_not_object",
         "old_layout", "old_adam_key", "fit_infinite", "rois_nested",
-        "rois_text", "rois_repeated", "rois_empty", "rois_comma"])
+        "rois_text", "rois_repeated", "rois_empty", "rois_comma",
+        "mode_twice"])
 def test_eval_malformed_config_exits_1(dataset, tmp_path, capsys, edit):
     model = tmp_path / "model"
     model.mkdir()
@@ -732,8 +750,9 @@ def _tune_argv(dataset, space, out, *extra, manifest=None):
 
 
 def _space(tmp_path, spec) -> Path:
+    """A space file holding ``spec``, as JSON, or as its text if a str."""
     path = tmp_path / "space.json"
-    path.write_text(json.dumps(spec))
+    path.write_text(spec if isinstance(spec, str) else json.dumps(spec))
     return path
 
 
@@ -838,12 +857,15 @@ def test_tune_tubelet_choice_runs(dataset, tmp_path):
      ["--max-resource", "1.7976931348623157e308", "--eta", "2.5"],
      "plans more than 100,000 evaluations"),
     (None, [], "space file not found"),
+    ('{"initial_lr": {"type": "log_uniform", "lo": 1e-3, "hi": 1e-2}, '
+     '"initial_lr": {"type": "choice", "values": [0.1]}}', [],
+     "space.json, --max-resource or --eta: key 'initial_lr' repeats"),
 ], ids=["uniform_embed_dim", "embed_dim_not_dividing", "float_batch_size",
         "uniform_batch_size", "epochs", "unknown_key", "heads_not_dividing",
         "max_resource_half", "eta_1", "removed_decay_rate", "max_resource_inf",
         "max_resource_nan", "eta_nan", "eta_inf", "max_resource_1e15",
         "max_resource_1.7e308", "max_resource_and_eta_1e308",
-        "max_resource_float_max", "space_missing"])
+        "max_resource_float_max", "space_missing", "initial_lr_twice"])
 def test_tune_unusable_space_or_budget_exits_2(dataset, tmp_path, capsys,
                                                 spec, extra, message):
     # The manifest does not exist: these are refused before data is read.
@@ -1370,14 +1392,15 @@ def test_train_volume_of_unknown_version_exits_1_naming_it(dataset, tmp_path,
                                   "subject_id_number", "subject_id_comma",
                                   "mmse_fraction", "mmse_float", "mmse_text",
                                   "mmse_true", "age_text", "age_true",
-                                  "cdr_text", "cdr_true"])
+                                  "cdr_text", "cdr_true", "cdr_twice"])
 def test_unusable_manifest_exits_1(dataset, tmp_path, capsys, command, case):
     """CDR 0.5 (MCI) is neither class, a subject listed twice would be
     scored twice by eval, a subject id must be a string that the
     comma-separated instance table can hold, and age, MMSE and CDR are
-    numbers, MMSE an int, not values a reader would coerce: loading the
-    manifest fails, naming the file and line, before any command does its
-    work, as it does for a manifest that is not there."""
+    numbers, MMSE an int, not values a reader would coerce, and a key given
+    twice is not read as its last value: loading the manifest fails, naming
+    the file and line, before any command does its work, as it does for a
+    manifest that is not there."""
     lines = (dataset / "data" / "manifest.jsonl").read_text().splitlines()
     manifest = tmp_path / "manifest.jsonl"
     edits = {"cdr_05": ("cdr", 0.5, "CDR 0.5 is outside the two study "
@@ -1403,6 +1426,11 @@ def test_unusable_manifest_exits_1(dataset, tmp_path, capsys, command, case):
         sid = json.loads(lines[3])["subject_id"]
         lines.append(lines[3])
         messages = [f"{manifest}, line 15: subject {sid} repeats line 4"]
+    elif case == "cdr_twice":  # a CN subject, AD by its last value
+        assert '"cdr": 0.0, ' in lines[2]
+        lines[2] = lines[2].replace('"cdr": 0.0, ', '"cdr": 0.0, "cdr": 1.0, ')
+        messages = [f"{manifest}, line 3: malformed subject record",
+                    "key 'cdr' repeats"]
     else:
         messages = [f"manifest not found: {manifest}"]
     if case != "missing":
@@ -1417,12 +1445,15 @@ def test_unusable_manifest_exits_1(dataset, tmp_path, capsys, command, case):
 
 @pytest.mark.parametrize("command", ["train", "eval", "cv", "tune"])
 @pytest.mark.parametrize("case", ["repeated_row", "class_not_the_cdrs",
-                                  "no_row_of_the_roi"])
+                                  "no_row_of_the_roi", "not_utf8_row",
+                                  "padded_header"])
 def test_unusable_instance_table_exits_1(dataset, tmp_path, capsys, command,
                                          case):
     """A second row for one subject and ROI would silently replace the
     first, and a row's class must be the class of its subject's CDR in the
-    manifest; a table with no row of the ROI used leaves no subject."""
+    manifest; a table with no row of the ROI used leaves no subject. A row
+    that is not UTF-8 is named by its line, and the header must be exactly
+    as ``select`` writes it."""
     rows = (dataset / "instances.csv").read_text().splitlines()
     fields = rows[1].split(",")
     assert fields[1:3] == ["CN", "hippocampus_left"]
@@ -1438,10 +1469,18 @@ def test_unusable_instance_table_exits_1(dataset, tmp_path, capsys, command,
         message = (f"{table}: subject {fields[0]}, roi 'hippocampus_left' has "
                    f"class AD, but its CDR in "
                    f"{dataset / 'data' / 'manifest.jsonl'} makes it CN")
-    else:
+    elif case == "no_row_of_the_roi":
         rows = [row for row in rows if ",hippocampus_left," not in row]
         message = "have instances for all of ['hippocampus_left']"
-    table.write_text("\n".join(rows) + "\n")
+    elif case == "not_utf8_row":
+        rows[1] = "\udcff" + rows[1]  # written as the byte 0xff
+        message = (f"{table}, line 2: malformed instance row "
+                   f"(UnicodeDecodeError(")
+    else:
+        rows[0] = f"  {rows[0]} \t"
+        message = f"{table}, line 1: b'  subject_id,"
+    table.write_bytes(("\n".join(rows) + "\n").encode("utf-8",
+                                                       "surrogateescape"))
     assert main(_argv_with_instances(dataset, tmp_path, command,
                                      table)) == 1
     err = capsys.readouterr().err
@@ -1607,6 +1646,19 @@ def test_compare_non_utf8_file_exits_2(tmp_path, capsys):
     path.write_bytes(b"\xff\xfe{}")
     assert main(["compare", "--metrics", str(path), str(path)]) == 2
     assert f"{path}: not a metrics JSON" in capsys.readouterr().err
+
+
+def test_compare_metrics_file_repeating_a_key_exits_2(tmp_path, capsys):
+    """A fold that gives its accuracy twice is refused, not read as its
+    last value."""
+    path = tmp_path / "bad.json"
+    path.write_text('{"folds": [{"fold": 0, "accuracy": 0.5, "accuracy": 0.9}'
+                    ', {"fold": 1, "accuracy": 0.7}], "summary": {}}')
+    assert main(["compare", "--metrics", str(path), str(path)]) == 2
+    captured = capsys.readouterr()
+    assert f"{path}: not a metrics JSON: key 'accuracy' repeats" in \
+        captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 def test_run_manifest_contents(dataset):

@@ -519,15 +519,19 @@ def test_manifest_round_trip(tmp_path):
     lambda obj: obj.update(age=True),
     lambda obj: obj.update(cdr="0"),
     lambda obj: obj.update(cdr=True),
+    '{"age": 70.0, "cdr": 0.0, "cdr": 1.0, "gender": "F", "mmse": 28, '
+    '"rois": {"hip": "S1.mask"}, "subject_id": "S1", '
+    '"visit_date": "2023-01-01", "volume": "S1.vol"}',
 ], ids=["no_rois", "mmse_99", "rois_not_object", "age_null",
         "repeated_subject", "subject_id_number", "subject_id_comma",
         "subject_id_line_break", "subject_id_empty", "not_json",
         "not_object", "not_utf8", "mmse_fraction", "mmse_float",
         "mmse_text", "mmse_true", "age_text", "age_true", "cdr_text",
-        "cdr_true"])
+        "cdr_true", "cdr_twice"])
 def test_manifest_malformed_line(tmp_path, edit):
     """A value that is not what its field holds is refused, not coerced:
-    ``data.is_number`` for age and CDR, and an int for MMSE."""
+    ``data.is_number`` for age and CDR, and an int for MMSE. A key given
+    twice is refused, not read as its last value."""
     path = _manifest_of_three(tmp_path)
     lines = path.read_bytes().splitlines()
     if callable(edit):
@@ -594,6 +598,37 @@ def test_instance_csv_malformed_row(tmp_path, row):
         fh.write(row + "\n")
     with pytest.raises(ValueError, match="line 3"):
         load_instances(path)
+
+
+@pytest.mark.parametrize("header", [
+    "  subject_id,class,roi,slice_start,slice_count,cx,cy \t",
+    "subject_id,class,roi,slice_start,slice_count,cx,cy ",
+    "SUBJECT_ID,class,roi,slice_start,slice_count,cx,cy",
+    "", None], ids=["padded", "trailing_space", "upper_case", "blank",
+                    "empty_file"])
+def test_instance_csv_header_only_as_written(tmp_path, header):
+    """The header is the first line, exactly as ``save_instances`` writes
+    it; an empty file (None) has none."""
+    path = tmp_path / "inst.csv"
+    save_instances([InstanceRecord("S0", CN, "hip", 3, 25, 10, 12)], path)
+    rows = path.read_text().splitlines()
+    path.write_text("" if header is None
+                    else "\n".join([header] + rows[1:]) + "\n")
+    with pytest.raises(ValueError, match=f"{path}, line 1: "):
+        load_instances(path)
+
+
+def test_crlf_lines_load_as_their_lf_copies(tmp_path):
+    """A manifest and an instance table whose lines end in CRLF load to the
+    records of their LF copies."""
+    table = tmp_path / "inst.csv"
+    save_instances([InstanceRecord("S0", CN, "hip", 3, 25, 10, 12),
+                    InstanceRecord("S1", AD, "hip", 5, 25, 9, 30)], table)
+    for path, load in ((_manifest_of_three(tmp_path), load_manifest),
+                       (table, load_instances)):
+        crlf = path.with_name("crlf_" + path.name)
+        crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        assert load(crlf) == load(path) and len(load(path)) > 1
 
 
 # --- batches ----------------------------------------------------------------

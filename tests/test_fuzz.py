@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from mixedvit import data as D
 from mixedvit import metrics as ME
 from mixedvit import model as M
-from mixedvit.cli import CONFIG_KEYS, UsageError, build_configs
+from mixedvit.cli import CONFIG_KEYS, UsageError, build_configs, load_config
 from mixedvit.tensor import Tensor
 
 
@@ -69,16 +69,16 @@ def _instances(path):
 
 
 def _load_instances(path):
-    """``load_instances``, asserting that the text of each row it accepts is
-    exactly what ``save_instances`` writes for the record it returned."""
+    """``load_instances``, asserting that each row it accepts, a line up to
+    its LF or CRLF, is exactly what ``save_instances`` writes for the record
+    it returned."""
     records = D.load_instances(path)
-    with open(path, encoding="utf-8") as fh:
-        rows = [line for line in fh.readlines()[1:] if line.strip()]
+    rows = [raw for raw in path.read_bytes().split(b"\n")[1:] if raw.strip()]
     assert len(records) == len(rows)
     for record, row in zip(records, rows):
         written = path.with_name("written")
         D.save_instances([record], written)
-        assert row.rstrip("\n") == written.read_text().split("\n")[1]
+        assert row.removesuffix(b"\r") == written.read_bytes().split(b"\n")[1]
 
 
 def _metrics(path):
@@ -86,6 +86,11 @@ def _metrics(path):
     reports = [ME.FoldReport(i, 0.5 + 0.25 * i, 0.75, cm, [], [])
                for i in range(3)]
     path.write_text(json.dumps(ME.metrics_payload(reports)))
+
+
+def _config(path):
+    path.write_text(json.dumps({"embed_dim": 8, "heads": 2,
+                                "tubelet": [4, 8, 8], "dropout_rate": 0.1}))
 
 
 # format -> (writer of a valid file, loader, the errors it documents)
@@ -96,6 +101,7 @@ FORMATS = {
     "manifest": (_manifest, _load_manifest, (ValueError,)),
     "instances": (_instances, _load_instances, (ValueError,)),
     "metrics": (_metrics, ME.load_fold_accuracies, (ValueError,)),
+    "config": (_config, load_config, (UsageError,)),
 }
 
 

@@ -137,6 +137,14 @@ def test_parse_space_errors(spec, message):
         parse_space(spec)
 
 
+@pytest.mark.parametrize("hi", [math.inf, math.nan])
+def test_log_uniform_refuses_a_non_finite_end(hi):
+    """parse_space cannot build this range, since its ends are JSON numbers,
+    so the class itself refuses it: sampling it would overflow."""
+    with pytest.raises(SpaceError, match="both finite"):
+        LogUniform(1e-4, hi)
+
+
 NINE_THREE_ONE = Bracket(s=2, rounds=((9, 1), (3, 3), (1, 9)))
 
 
