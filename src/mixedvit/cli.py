@@ -55,8 +55,9 @@ t = sign(mean difference) * sqrt(F).
 Every text file a command reads is read as bytes, its JSON through
 ``data.parse_json`` and the lines of the manifest and instance table
 through ``data``'s one line loop, which names file and line. A file that is
-not UTF-8, a JSON object that repeats a key, or an instance-table header
-not exactly as ``select`` writes it, is malformed. A missing or malformed
+not UTF-8, a JSON object that repeats a key, a JSON string holding a lone
+surrogate, or an instance-table header not exactly as ``select`` writes
+it, is malformed. A missing, unreadable (a directory) or malformed
 ``--config`` or ``--space`` file exits 2; a missing or malformed manifest,
 instance table or ``eval``'s ``config.json`` exits 1; a missing metrics file
 exits 1, and a malformed one 2.
@@ -144,14 +145,25 @@ def _config_of(model_cfg: MO.ModelConfig, train_cfg: TR.TrainConfig) -> dict:
             for k, v in dataclasses.asdict(cfg).items() if k in CONFIG_KEYS}
 
 
+def _usage_bytes(path, what: str) -> bytes:
+    """The bytes of a ``--config`` or ``--space`` file; a ``UsageError``
+    when there is none to read: a missing path, a directory, or a file the
+    process may not read."""
+    try:
+        return Path(path).read_bytes()
+    except FileNotFoundError as exc:
+        raise UsageError(f"{what} not found: {path}") from exc
+    except OSError as exc:
+        raise UsageError(f"{what} {path} cannot be read: {exc.strerror}") \
+            from exc
+
+
 def load_config(path) -> dict:
     """The config keys in the ``--config`` file (none without one)."""
     if path is None:
         return {}
     try:
-        config = D.parse_json(Path(path).read_bytes())
-    except FileNotFoundError as exc:
-        raise UsageError(f"config file not found: {path}") from exc
+        config = D.parse_json(_usage_bytes(path, "config file"))
     except ValueError as exc:
         raise UsageError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
@@ -377,10 +389,9 @@ def cmd_tune(args) -> int:
     started = time.time()
     rois = _parse_rois(args.rois)
     try:
-        space = TU.parse_space(D.parse_json(Path(args.space).read_bytes()))
+        space = TU.parse_space(D.parse_json(_usage_bytes(args.space,
+                                                         "space file")))
         TU.bracket_schedule(args.max_resource, args.eta)
-    except FileNotFoundError as exc:
-        raise UsageError(f"space file not found: {args.space}") from exc
     except ValueError as exc:  # bad JSON, SpaceError or the Hyperband budget
         raise UsageError(f"malformed search space {args.space}, "
                          f"--max-resource or --eta: {exc}") from exc

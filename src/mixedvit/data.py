@@ -54,11 +54,18 @@ def is_number(value) -> bool:
 def parse_json(blob: bytes):
     """The value of a UTF-8 JSON document. An object that repeats a key is
     refused, where Python's json lets the last value win (RFC 8259 section
-    4: names SHOULD be unique). Every failure is a ``ValueError``."""
+    4: names SHOULD be unique), and so is a string holding a lone surrogate
+    (an unpaired ``\\ud800``-``\\udfff`` escape), which no UTF-8 file can
+    hold. Every failure is a ``ValueError``."""
     try:
-        return json.loads(blob.decode("utf-8"), object_pairs_hook=_unique)
+        value = json.loads(blob.decode("utf-8"), object_pairs_hook=_unique)
+        json.dumps(value, ensure_ascii=False).encode("utf-8")
     except RecursionError as exc:  # nested past Python's recursion limit
         raise ValueError(f"JSON nested too deeply: {exc}") from exc
+    except UnicodeEncodeError as exc:
+        raise ValueError(f"a string holds the lone surrogate "
+                         f"{exc.object[exc.start]!r}") from exc
+    return value
 
 
 def _unique(pairs: list) -> dict:

@@ -33,6 +33,7 @@ from .tensor import (
     Tensor,
     add,
     attention,
+    channel_sum,
     concat,
     dropout,
     first_token,
@@ -231,6 +232,8 @@ def extract_tubelet_patches(volumes, tubelet) -> np.ndarray:
     loop over the stride-0 channel axis and takes about twice as long. The
     shapes are the caller's to check: ``ModelConfig`` that the tubelet
     divides image_dims, ``encode_image_branch`` that each volume has them.
+    ``tubelet_embed`` passes the one-channel planes of volumes whose channel
+    axis has stride 0, and any other volumes as they are.
 
     Token order is row-major over (temporal, height, width) block indices;
     each block flattens slice-major, then row, column, channel.
@@ -249,7 +252,18 @@ def extract_tubelet_patches(volumes, tubelet) -> np.ndarray:
 
 def tubelet_embed(volumes, weight: Tensor, bias: Tensor, tubelet) -> Tensor:
     """Project the tubelets of B (T,H,W,C) volumes, an array or a list, to
-    (B,N,d) tokens; the tape keeps the patch matrix for the weight gradient."""
+    (B,N,d) tokens; the tape keeps the patch matrix for the weight gradient.
+
+    When C > 1 and every volume's channel axis has stride 0, as every crop
+    ``data.scale_volume`` makes has, the C channels hold one plane: the
+    patches are cut from that plane alone, K = t*h*w wide, and projected by
+    the weight summed over its channel rows (``channel_sum``), a third of
+    the work at C = 3. Any other input, such as a stacked array with
+    independent channels, is projected as it is."""
+    C = volumes[0].shape[-1]
+    if C > 1 and all(v.strides[-1] == 0 for v in volumes):
+        volumes = [v[..., :1] for v in volumes]
+        weight = channel_sum(weight, C)
     return linear(Tensor(extract_tubelet_patches(volumes, tubelet)), weight,
                   bias)
 

@@ -6,6 +6,7 @@ gradient of every leaf that was reached in the leaf's ``.grad``, the one
 place a gradient goes. The ops are exactly those the two-branch model
 and its loss use: ``add`` (broadcasting as numpy does), ``linear`` (a
 dense layer, ``x @ w`` plus an optional bias, as one node),
+``channel_sum`` (the tubelet weight summed over its channel rows),
 ``attention``, ``softmax``, ``layer_norm``, ``gelu``, ``dropout``,
 ``concat``, ``first_token`` (the class-token readout) and ``nll`` (the
 training loss).
@@ -48,6 +49,7 @@ __all__ = [
     "ShapeError",
     "add",
     "linear",
+    "channel_sum",
     "attention",
     "softmax",
     "layer_norm",
@@ -242,6 +244,22 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
         return (gx, gw, gb)[:n_inputs]
 
     return _record("linear", inputs, out, back)
+
+
+def channel_sum(w: Tensor, channels: int) -> Tensor:
+    """The (K, d) sum over channels of a (K*channels, d) weight whose rows
+    are indexed ``k*channels + c``, as a tubelet patch flattens its channel
+    last: what a patch whose channels are all equal sees of the weight.
+    The backward repeats the gradient along the channel rows."""
+    if w.data.ndim != 2 or channels < 1 or w.shape[0] % channels:
+        raise ShapeError(
+            f"channel_sum expects (K*{channels}, d) rows, got {w.shape}")
+    out = w.data.reshape(-1, channels, w.shape[1]).sum(axis=1)
+
+    def back(g):
+        return (np.repeat(g, channels, axis=0),)
+
+    return _record("channel_sum", (w,), out, back)
 
 
 def softmax(x: Tensor) -> Tensor:

@@ -454,6 +454,10 @@ def test_cv_jobs_below_one_exits_2(dataset, tmp_path, capsys, jobs):
     (json.dumps(TINY_CONFIG)[:-1] + ', "heads": 4}',
      "is not valid JSON: key 'heads' repeats", "cv"),
     (b"[" * 100_000, "is not valid JSON: JSON nested too deeply", "cv"),
+    ('{"heads": 2, "\\ud800": 1}',
+     "is not valid JSON: a string holds the lone surrogate", "train"),
+    ('{"heads": 2, "\\ud800": 1}',
+     "is not valid JSON: a string holds the lone surrogate", "cv"),
 ], ids=["str_for_list", "str_in_list", "float_for_int", "bool_for_float",
         "removed_optimizer_key", "short_tuple", "not_object", "heads_0",
         "tubelet_0", "embed_dim_0", "tabular_width_0",
@@ -463,7 +467,8 @@ def test_cv_jobs_below_one_exits_2(dataset, tmp_path, capsys, jobs):
         "removed_key_adam_eps", "heads_0_train",
         "removed_key_adam_beta1_train", "missing_train", "not_json_train",
         "missing", "not_utf8_train", "long_int_train", "repeated_key_train",
-        "nested_train", "not_utf8", "long_int", "repeated_key", "nested"])
+        "nested_train", "not_utf8", "long_int", "repeated_key", "nested",
+        "lone_surrogate_train", "lone_surrogate"])
 def test_cv_config_value_of_wrong_type_exits_2(dataset, tmp_path, capsys,
                                                config, message, command):
     """A malformed config, or none at the path given (None), is a usage
@@ -860,12 +865,17 @@ def test_tune_tubelet_choice_runs(dataset, tmp_path):
     ('{"initial_lr": {"type": "log_uniform", "lo": 1e-3, "hi": 1e-2}, '
      '"initial_lr": {"type": "choice", "values": [0.1]}}', [],
      "space.json, --max-resource or --eta: key 'initial_lr' repeats"),
+    ('{"initial_lr": {"type": "log_uniform", "lo": 1e-3, "hi": 1e-2, '
+     '"note": "\\udfff"}}', [],
+     "space.json, --max-resource or --eta: a string holds the lone "
+     "surrogate"),
 ], ids=["uniform_embed_dim", "embed_dim_not_dividing", "float_batch_size",
         "uniform_batch_size", "epochs", "unknown_key", "heads_not_dividing",
         "max_resource_half", "eta_1", "removed_decay_rate", "max_resource_inf",
         "max_resource_nan", "eta_nan", "eta_inf", "max_resource_1e15",
         "max_resource_1.7e308", "max_resource_and_eta_1e308",
-        "max_resource_float_max", "space_missing", "initial_lr_twice"])
+        "max_resource_float_max", "space_missing", "initial_lr_twice",
+        "lone_surrogate"])
 def test_tune_unusable_space_or_budget_exits_2(dataset, tmp_path, capsys,
                                                 spec, extra, message):
     # The manifest does not exist: these are refused before data is read.
@@ -1083,6 +1093,25 @@ def _command_argv(dataset, tmp_path, command, config):
     if command == "cv":
         argv = ["cv"] + argv[1:] + ["--folds", "3", "--no-holdout-test"]
     return argv
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("train", "--config"), ("cv", "--config"), ("tune", "--config"),
+    ("tune", "--space")])
+def test_config_or_space_that_is_a_directory_exits_2(dataset, tmp_path,
+                                                     capsys, command, flag):
+    """A ``--config`` or ``--space`` path with no file to read is a usage
+    error, a directory as much as a missing path."""
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    argv = _command_argv(dataset, tmp_path, command, dataset / "config.json")
+    argv += [flag, str(folder)]  # the last of a repeated flag wins
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    what = "config" if flag == "--config" else "space"
+    assert f"{what} file {folder} cannot be read" in err, err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["train", "cv", "tune"])
@@ -1392,15 +1421,17 @@ def test_train_volume_of_unknown_version_exits_1_naming_it(dataset, tmp_path,
                                   "subject_id_number", "subject_id_comma",
                                   "mmse_fraction", "mmse_float", "mmse_text",
                                   "mmse_true", "age_text", "age_true",
-                                  "cdr_text", "cdr_true", "cdr_twice"])
+                                  "cdr_text", "cdr_true", "cdr_twice",
+                                  "subject_id_lone_surrogate"])
 def test_unusable_manifest_exits_1(dataset, tmp_path, capsys, command, case):
     """CDR 0.5 (MCI) is neither class, a subject listed twice would be
     scored twice by eval, a subject id must be a string that the
     comma-separated instance table can hold, and age, MMSE and CDR are
     numbers, MMSE an int, not values a reader would coerce, and a key given
-    twice is not read as its last value: loading the manifest fails, naming
-    the file and line, before any command does its work, as it does for a
-    manifest that is not there."""
+    twice is not read as its last value, nor is a string holding a lone
+    surrogate, which no UTF-8 file can hold, read at all: loading the
+    manifest fails, naming the file and line, before any command does its
+    work, as it does for a manifest that is not there."""
     lines = (dataset / "data" / "manifest.jsonl").read_text().splitlines()
     manifest = tmp_path / "manifest.jsonl"
     edits = {"cdr_05": ("cdr", 0.5, "CDR 0.5 is outside the two study "
@@ -1415,7 +1446,10 @@ def test_unusable_manifest_exits_1(dataset, tmp_path, capsys, command, case):
                                        "finite"),
              "age_true": ("age", True, "age True must be positive"),
              "cdr_text": ("cdr", "0", "cdr '0' not in"),
-             "cdr_true": ("cdr", True, "cdr True not in")}
+             "cdr_true": ("cdr", True, "cdr True not in"),
+             "subject_id_lone_surrogate": ("subject_id", "S\ud800",
+                                           "a string holds the lone "
+                                           "surrogate")}
     if case in edits:
         key, value, message = edits[case]
         obj = json.loads(lines[2])

@@ -914,6 +914,27 @@ def test_sample_images_are_read_only_views_of_one_plane(tmp_path, kind):
         np.testing.assert_array_equal(image[..., c], before[..., 0])
 
 
+@pytest.mark.parametrize("channels", [2, 3])
+def test_every_crop_has_a_stride_0_channel_axis(tmp_path, channels):
+    """``model.tubelet_embed`` projects one channel of an image whose
+    channel axis has stride 0, and all of any other: a crop whose channels
+    were materialised would lose that fold without failing anything else."""
+    records, instances = [], []
+    for i, kind in enumerate(("float32", "uint8", "constant_zero")):
+        save_volume(_raw_volume(kind), tmp_path / f"{kind}.vol")
+        records.append(record(sid=f"S{i}", vol=str(tmp_path / f"{kind}.vol")))
+        instances += [InstanceRecord(f"S{i}", CN, "a", 2, 25, 16, 20),
+                      InstanceRecord(f"S{i}", CN, "b", 5, 25, 0, 43)]
+    crops = list(D.iter_crops(records, instances, ["a", "b"],
+                              channels=channels))
+    assert len(crops) == 3
+    for _record, images in crops:
+        assert len(images) == 2
+        for image in images:
+            assert image.shape == (25, 32, 32, channels)
+            assert image.strides[-1] == 0
+
+
 @pytest.mark.parametrize("kind", ["float32", "uint8", "constant_zero",
                                   "constant_uint8"])
 def test_build_samples_equals_scale_then_crop_reference(tmp_path, kind):

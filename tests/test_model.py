@@ -449,6 +449,112 @@ def test_patches_of_an_array_equal_patches_of_its_rows():
         list(vol), (3, 2, 4)).tobytes()
 
 
+# The paper config at its batch, and cv_coarse's: two image-only ROI
+# branches, a whole-depth 25x8x8 tubelet, B=8.
+_FOLD_CONFIGS = {
+    "paper": (ModelConfig(), 6),
+    "cv_coarse": (ModelConfig(tubelet=(25, 8, 8), mode="image-only",
+                              num_branches=2), 8),
+}
+
+
+@pytest.mark.parametrize("training", [False, True])
+@pytest.mark.parametrize("shape", sorted(_FOLD_CONFIGS))
+def test_folded_tubelet_embed_matches_contiguous_channels(shape, training):
+    """Volumes whose channels are one broadcast plane, as crops are, take
+    the folded tubelet product; contiguous copies of them take the full
+    one. Probabilities agree within 1e-14, every gradient within 1e-12 of
+    its norm."""
+    cfg, batch = _FOLD_CONFIGS[shape]
+    rng = np.random.default_rng(17)
+    tabular = rng.random((batch, cfg.tabular_dim))
+    views = [_broadcast_views(rng, batch, cfg.image_dims)
+             for _ in range(cfg.num_branches)]
+    copies = [[np.array(v) for v in branch] for branch in views]
+    runs = []
+    for volumes in (views, copies):
+        params = init_params(cfg, 18)
+        with Tape() as tape:
+            probs = forward_batch(cfg, params, tabular, volumes, training,
+                                  np.random.default_rng(19))
+            loss = T.nll(probs, np.arange(batch) % 2)
+        backward(loss)
+        runs.append((probs.data, {n: p.grad for n, p in params.items()},
+                     Counter(node.op for node in tape.nodes)))
+    (probs, grads, ops), (ref, ref_grads, ref_ops) = runs
+    assert ops["channel_sum"] == cfg.num_branches
+    assert ref_ops["channel_sum"] == 0
+    assert np.abs(probs - ref).max() <= 1e-14
+    assert grads.keys() == ref_grads.keys()
+    for name, grad in ref_grads.items():
+        assert np.abs(grads[name] - grad).max() <= \
+            1e-12 * np.linalg.norm(grad), name
+
+
+@pytest.mark.parametrize("batch, image_dims, tubelet", [
+    (8, (25, 32, 32, 3), (25, 8, 8)),  # cv_coarse
+    (6, (25, 32, 32, 3), (5, 8, 8)),  # the paper config
+    (4, (8, 16, 16, 3), (4, 8, 8)),  # the CLI tests' tubelet, three channels
+])
+def test_folded_tubelet_weight_gradient_is_the_full_patch_product(
+        batch, image_dims, tubelet):
+    """For one upstream gradient g, the folded weight gradient (the
+    one-channel product, repeated along the channel rows) equals P.T @ g of
+    the full C-channel patch matrix P bit for bit."""
+    rng = np.random.default_rng(20)
+    views = _broadcast_views(rng, batch, image_dims)
+    K, d = math.prod(tubelet) * image_dims[3], 64
+    weight = Tensor(rng.normal(0.0, 0.02, size=(K, d)), requires_grad=True)
+    bias = Tensor(np.zeros(d), requires_grad=True)
+    P = extract_tubelet_patches(views, tubelet)
+    g = rng.normal(size=(*P.shape[:2], d))
+    with Tape() as tape:
+        root = weighted_sum(tubelet_embed(views, weight, bias, tubelet), g)
+    backward(root)
+    assert [node.op for node in tape.nodes] == ["channel_sum", "linear",
+                                                "weighted_sum"]
+    want = P.reshape(-1, K).T @ g.reshape(-1, d)
+    assert weight.grad.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind, folds", [
+    ("broadcast_list", True),
+    ("broadcast_array", True),
+    ("independent_list", False),
+    ("independent_array", False),
+    ("one_broadcast_one_copy", False),
+    ("one_channel", False),
+])
+def test_only_volumes_with_stride_0_channels_fold(kind, folds):
+    """The fold applies when C > 1 and every volume's channel axis has
+    stride 0; any other input is projected as it is, by today's product of
+    the full patch matrix, bit for bit."""
+    rng = np.random.default_rng(21)
+    dims = (4, 8, 8, 1 if kind == "one_channel" else 3)
+    views = _broadcast_views(rng, 2, dims)
+    volumes = {
+        "broadcast_list": views,
+        "broadcast_array": np.broadcast_to(views[0], (2, *dims)),
+        "independent_list": list(rng.random((2, *dims))),
+        "independent_array": rng.random((2, *dims)),
+        "one_broadcast_one_copy": [views[0], np.array(views[1])],
+        "one_channel": views,
+    }[kind]
+    K = 2 * 4 * 4 * dims[3]
+    weight = Tensor(rng.normal(size=(K, 5)), requires_grad=True)
+    bias = Tensor(rng.normal(size=5), requires_grad=True)
+    with Tape() as tape:
+        tokens = tubelet_embed(volumes, weight, bias, (2, 4, 4))
+    assert [node.op for node in tape.nodes] == (
+        ["channel_sum", "linear"] if folds else ["linear"])
+    P = extract_tubelet_patches(volumes, (2, 4, 4))
+    want = (P.reshape(-1, K) @ weight.data).reshape(2, -1, 5) + bias.data
+    if folds:
+        np.testing.assert_allclose(tokens.data, want, rtol=0, atol=1e-14)
+    else:
+        assert tokens.data.tobytes() == want.tobytes()
+
+
 def test_encode_image_branch_list_with_one_misshapen_image_raises():
     cfg = TINY
     params = init_params(cfg, 7)

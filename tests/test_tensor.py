@@ -16,6 +16,7 @@ from mixedvit.tensor import (
     add,
     attention,
     backward,
+    channel_sum,
     concat,
     dropout,
     first_token,
@@ -413,6 +414,30 @@ def test_grad_check_constant():
     assert err == 0.0
 
 
+def test_channel_sum_sums_each_row_group_and_repeats_its_gradient():
+    """Rows ``k*C + c`` of a (K*C, d) weight sum to row k; the gradient of
+    row k goes to each of its C rows unchanged."""
+    rng = np.random.default_rng(9)
+    w = rng.normal(size=(12, 5))
+    upstream = rng.normal(size=(4, 5))
+    with Tape():
+        tw = Tensor(w, requires_grad=True)
+        out = channel_sum(tw, 3)
+        y = weighted_sum(out, upstream)
+    backward(y)
+    np.testing.assert_array_equal(out.data, w[0::3] + w[1::3] + w[2::3])
+    for c in range(3):
+        np.testing.assert_array_equal(tw.grad[c::3], upstream)
+    np.testing.assert_array_equal(channel_sum(Tensor(w), 1).data, w)
+
+
+@pytest.mark.parametrize("shape,channels", [((12, 5), 5), ((12,), 3),
+                                            ((2, 6, 5), 3), ((12, 5), 0)])
+def test_channel_sum_rejects_rows_it_cannot_group(shape, channels):
+    with pytest.raises(ShapeError, match="channel_sum"):
+        channel_sum(Tensor(np.ones(shape)), channels)
+
+
 def _rng_shapes(rng, max_params=64):
     # m >= 3: normalizing a length-2 axis is piecewise constant (output
     # always +-1), which makes finite differences meaningless there.
@@ -472,6 +497,8 @@ def test_grad_check_every_op_random_shapes(seed):
             dropout(x, 0.4, np.random.default_rng(99)), b), a),
         "dropout_rows": (lambda x: weighted_sum(
             dropout(x, 0.4, np.random.default_rng(99), rows=3), b), a),
+        "channel_sum": (lambda x: weighted_sum(channel_sum(x, 2), a),
+                        np.vstack([a, b])),
     }
     for name, (f, theta) in checks.items():
         err = grad_check(f, theta)
@@ -769,6 +796,7 @@ _TAPE_CASES = {
     "add": lambda h: add(h(4, 6), h(4, 6)),
     "linear": lambda h: linear(h(4, 6), h(6, 4), h(4)),
     "linear:no_bias": lambda h: linear(h(4, 6), h(6, 4)),
+    "channel_sum": lambda h: channel_sum(h(6, 4), 3),
     "attention": lambda h: attention(h(1, 4, 6), 1, 0.3,
                                      np.random.default_rng(2)),
     "attention:class_row": lambda h: attention(h(2, 4, 6), 1, 0.3,
