@@ -52,15 +52,19 @@ fewer than 2 folds, or a fold accuracy that is not a ``data.is_number`` in
 [0, 1], exits 2. ``--test ttest`` is ``--test anova`` of two files, with
 t = sign(mean difference) * sqrt(F).
 
-Every text file a command reads is read as bytes, its JSON through
-``data.parse_json`` and the lines of the manifest and instance table
-through ``data``'s one line loop, which names file and line. A file that is
-not UTF-8, a JSON object that repeats a key, a JSON string holding a lone
-surrogate, or an instance-table header not exactly as ``select`` writes
-it, is malformed. A missing, unreadable (a directory) or malformed
-``--config`` or ``--space`` file exits 2; a missing or malformed manifest,
-instance table or ``eval``'s ``config.json`` exits 1; a missing metrics file
-exits 1, and a malformed one 2.
+``_load`` is the one read of every file a command names (``--config``,
+``--space``, ``--manifest``, ``--instances``, ``--metrics``, ``eval``'s
+``checkpoint.npz`` and ``config.json``): a missing path is "<what> not
+found: <path>", any other ``OSError``, a directory among them, "<what>
+<path> cannot be read: <strerror>". Text is read as bytes, its JSON
+through ``data.parse_json`` and the manifest's and instance table's lines
+through ``data``'s one line loop, which names file and line; a file that
+is not UTF-8, a JSON object that repeats a key, a string holding a lone
+surrogate, or an instance-table header not as ``select`` writes it, is
+malformed. Config and space files exit 2; the manifest, instance table,
+checkpoint and ``config.json`` 1; a metrics file 1 when it cannot be read
+and 2 when malformed. Volumes and masks are read by ``data.load_volume``
+alone: malformed or not 3-D, they exit 1 with its ``FormatError``.
 
 Exit codes: 0 success, 1 runtime/I-O failure, 2 usage/config error.
 Every run writes a manifest with a config snapshot and output checksums.
@@ -145,25 +149,12 @@ def _config_of(model_cfg: MO.ModelConfig, train_cfg: TR.TrainConfig) -> dict:
             for k, v in dataclasses.asdict(cfg).items() if k in CONFIG_KEYS}
 
 
-def _usage_bytes(path, what: str) -> bytes:
-    """The bytes of a ``--config`` or ``--space`` file; a ``UsageError``
-    when there is none to read: a missing path, a directory, or a file the
-    process may not read."""
-    try:
-        return Path(path).read_bytes()
-    except FileNotFoundError as exc:
-        raise UsageError(f"{what} not found: {path}") from exc
-    except OSError as exc:
-        raise UsageError(f"{what} {path} cannot be read: {exc.strerror}") \
-            from exc
-
-
 def load_config(path) -> dict:
     """The config keys in the ``--config`` file (none without one)."""
     if path is None:
         return {}
     try:
-        config = D.parse_json(_usage_bytes(path, "config file"))
+        config = D.parse_json(_load(_bytes, path, "config file", UsageError))
     except ValueError as exc:
         raise UsageError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
@@ -210,12 +201,23 @@ def _parse_rois(text: str):
     return rois
 
 
-def _load(loader, path, what: str, malformed=RuntimeFailure) -> list:
-    """A missing file raises RuntimeFailure, a malformed one ``malformed``."""
+def _bytes(path) -> bytes:
+    return Path(path).read_bytes()
+
+
+def _load(read, path, what: str, unreadable=RuntimeFailure,
+          malformed=RuntimeFailure):
+    """``read(path)``, the one read of a file a command names. A missing
+    path raises ``unreadable`` naming ``what`` and the path, as does any
+    other ``OSError`` (a directory, a file the process may not read) with
+    its strerror; a ``ValueError`` of ``read`` raises ``malformed``."""
     try:
-        return loader(path)
+        return read(path)
     except FileNotFoundError as exc:
-        raise RuntimeFailure(f"{what} not found: {path}") from exc
+        raise unreadable(f"{what} not found: {path}") from exc
+    except OSError as exc:
+        raise unreadable(f"{what} {path} cannot be read: {exc.strerror}") \
+            from exc
     except ValueError as exc:
         raise malformed(str(exc)) from exc
 
@@ -389,8 +391,8 @@ def cmd_tune(args) -> int:
     started = time.time()
     rois = _parse_rois(args.rois)
     try:
-        space = TU.parse_space(D.parse_json(_usage_bytes(args.space,
-                                                         "space file")))
+        space = TU.parse_space(D.parse_json(_load(_bytes, args.space,
+                                                  "space file", UsageError)))
         TU.bracket_schedule(args.max_resource, args.eta)
     except ValueError as exc:  # bad JSON, SpaceError or the Hyperband budget
         raise UsageError(f"malformed search space {args.space}, "
@@ -465,11 +467,9 @@ def cmd_eval(args) -> int:
     started = time.time()
     model_dir = Path(args.model)
     path = model_dir / "config.json"
-    try:  # main maps a CheckpointError to exit 1
-        params = MO.load_checkpoint(model_dir / "checkpoint.npz")
-        text = path.read_bytes()
-    except FileNotFoundError as exc:
-        raise RuntimeFailure(f"model directory incomplete: {exc}") from exc
+    params = _load(MO.load_checkpoint, model_dir / "checkpoint.npz",
+                   "checkpoint")
+    text = _load(_bytes, path, "model config")
     try:
         snapshot = D.parse_json(text)
         rois, config = snapshot["rois"], snapshot["config"]
@@ -494,15 +494,17 @@ def cmd_eval(args) -> int:
     report = ME.evaluate_fold(preds, 0)
 
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    _write_json(out, ME.metrics_payload([report]))
     roc_path = out.with_name(out.stem + "_roc.csv")
-    TR.save_rows(report.roc, ME.RocPoint, roc_path)
     outputs = [out, roc_path]
     if args.roc_svg:
-        Path(args.roc_svg).write_text(_roc_svg(report.roc, report.auc),
-                                      encoding="utf-8")
         outputs.append(Path(args.roc_svg))
+    for p in outputs:
+        p.parent.mkdir(parents=True, exist_ok=True)
+    _write_json(out, ME.metrics_payload([report]))
+    TR.save_rows(report.roc, ME.RocPoint, roc_path)
+    if args.roc_svg:
+        outputs[-1].write_text(_roc_svg(report.roc, report.auc),
+                               encoding="utf-8")
     write_run_manifest(out.with_suffix(out.suffix + ".manifest.json"),
                        "eval", {"model": str(model_dir)}, None,
                        [args.manifest, args.instances], outputs, started)
@@ -520,8 +522,8 @@ def cmd_compare(args) -> int:
         need = "exactly" if args.test == "ttest" else "at least"
         raise UsageError(
             f"--test {args.test} needs {need} 2 metrics files, got {n}")
-    groups = [_load(ME.load_fold_accuracies, p, "metrics file", UsageError)
-              for p in args.metrics]
+    groups = [_load(ME.load_fold_accuracies, p, "metrics file",
+                    malformed=UsageError) for p in args.metrics]
     try:
         if args.test == "ttest":
             t, df, p = ME.t_test(groups[0], groups[1])
@@ -640,8 +642,7 @@ def main(argv=None) -> int:
         print(f"error: malformed instance table {args.instances}: {exc}",
               file=sys.stderr)
         return EXIT_RUNTIME
-    except (RuntimeFailure, OSError, D.FormatError, D.TruncatedPayloadError,
-            D.DimOverflowError, D.EmptyMaskError, MO.CheckpointError,
+    except (RuntimeFailure, OSError, D.FormatError, D.EmptyMaskError,
             TR.DivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -12,6 +12,9 @@ manifest, ``FitStats``, a config, a search space and a metrics file.
 ``parse_json`` is their one JSON parse, and ``_read_lines`` the one loop
 over the lines of the manifest and the instance table: every text file the
 pipeline reads is read as bytes and goes through one or both.
+``load_volume`` is the one reader of the binary volume container and owns
+what a subject volume or mask is, a 3-D array: every malformed container,
+another rank among them, is a ``FormatError`` naming its file.
 """
 
 from __future__ import annotations
@@ -77,20 +80,10 @@ def _unique(pairs: list) -> dict:
 
 
 class FormatError(ValueError):
-    """The volume container has a bad magic or malformed header, or its
-    array cannot be a subject's volume or mask: not 3-D, or not finite."""
-
-
-class TruncatedPayloadError(ValueError):
-    """Declared dims and dtype disagree with the payload length."""
-
-
-class DimOverflowError(ValueError):
-    """Declared dimensions are implausibly large."""
-
-
-class UnmappedCdrError(ValueError):
-    """CDR 0.5 falls outside the two study classes."""
+    """A volume container that is not a subject's volume or mask: a bad
+    magic, version or dtype code, a header or payload shorter or longer
+    than its dims say, implausible dims, a rank other than 3, or, once
+    read, a voxel that is not finite."""
 
 
 class EmptyMaskError(ValueError):
@@ -210,33 +203,32 @@ def save_volume(arr: np.ndarray, path) -> None:
 
 
 def load_volume(path) -> np.ndarray:
-    """The array of a container written by ``save_volume``, of any rank. A
-    malformed container raises ``FormatError``, ``TruncatedPayloadError`` or
-    ``DimOverflowError`` with a message that names ``path``. The payload is
-    read straight into a ``bytearray`` of its size, with no ``bytes`` copy
+    """The (D, H, W) array of a subject volume or mask that ``save_volume``
+    wrote: the one reader of the container, and so of what a volume is.
+    Every malformed container, a rank other than 3 among them, raises
+    ``FormatError`` with a message that names ``path``. The payload is read
+    straight into a ``bytearray`` of its size, with no ``bytes`` copy
     beside it; the array is a writable view of it."""
     with open(path, "rb") as fh:
         head = fh.read(12)
         if head[:4] != VOLUME_MAGIC:
             raise FormatError(f"bad magic {head[:4]!r} in {path}")
         if len(head) < 12:
-            raise TruncatedPayloadError(
-                f"{path} is {len(head)} bytes, shorter than its 12-byte "
-                f"header")
+            raise FormatError(f"{path} is {len(head)} bytes, shorter than its "
+                              f"12-byte header")
         version, ndim = struct.unpack("<II", head[4:12])
         if version != VOLUME_VERSION:
             raise FormatError(
                 f"unsupported container version {version} in {path}")
         if ndim > 8:
-            raise DimOverflowError(f"ndim {ndim} too large in {path}")
+            raise FormatError(f"ndim {ndim} too large in {path}")
         rest = fh.read(4 * ndim + 4)
         if len(rest) < 4 * ndim + 4:
-            raise TruncatedPayloadError(
-                f"{path} is {12 + len(rest)} bytes, shorter than its "
-                f"{16 + 4 * ndim}-byte header")
+            raise FormatError(f"{path} is {12 + len(rest)} bytes, shorter "
+                              f"than its {16 + 4 * ndim}-byte header")
         dims = struct.unpack(f"<{ndim}I", rest[:4 * ndim])
         if any(d == 0 for d in dims) or math.prod(dims) > _MAX_VOXELS:
-            raise DimOverflowError(
+            raise FormatError(
                 f"dims {dims} overflow plausible bounds in {path}")
         (code,) = struct.unpack("<I", rest[4 * ndim:])
         dtype = _DTYPE_CODES.get(code)
@@ -245,21 +237,14 @@ def load_volume(path) -> np.ndarray:
         expected = math.prod(dims) * dtype.itemsize
         payload = os.fstat(fh.fileno()).st_size - fh.tell()
         if payload != expected:
-            raise TruncatedPayloadError(
-                f"{path}: payload is {payload} bytes, dims {dims} require "
-                f"{expected}")
+            raise FormatError(f"{path}: payload is {payload} bytes, dims "
+                              f"{dims} require {expected}")
+        if ndim != 3:
+            raise FormatError(f"{path} holds a {ndim}-D array of dims {dims}; "
+                              f"a subject volume or mask is 3-D (D, H, W)")
         blob = bytearray(expected)
         fh.readinto(blob)
     return np.frombuffer(blob, dtype=dtype).reshape(dims)
-
-
-def _require_3d(dims: tuple, path) -> None:
-    """A subject's volume or mask is (D, H, W): another rank is a
-    ``FormatError`` naming ``path`` and the dims."""
-    if len(dims) != 3:
-        raise FormatError(f"{path} holds a {len(dims)}-D array of dims "
-                          f"{tuple(dims)}; a subject volume or mask is 3-D "
-                          f"(D, H, W)")
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +376,7 @@ def cdr_to_label(cdr: float) -> int:
         return CN
     if cdr >= 1.0:
         return AD
-    raise UnmappedCdrError(
+    raise ValueError(
         "CDR 0.5 is outside the two study classes (0 -> CN, >=1 -> AD)")
 
 
@@ -529,7 +514,6 @@ def select_instances(records: Sequence[SubjectRecord], roi: str,
                 f"subject {record.subject_id} has no mask for roi {roi!r}")
         try:
             mask = load_volume(path)
-            _require_3d(mask.shape, path)
             out.append(select_instance(record, roi, slice_count, mask))
         except (EmptyMaskError, SliceWindowError) as exc:
             raise type(exc)(f"subject {record.subject_id}: {exc}") from exc
@@ -603,7 +587,6 @@ def iter_crops(records: Sequence[SubjectRecord],
     index = {(i.subject_id, i.roi_name): i for i in instances}
     for record in records:
         raw = load_volume(record.volume_path)
-        _require_3d(raw.shape, record.volume_path)
         lo, hi = float(raw.min()), float(raw.max())
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise FormatError(f"{record.volume_path} holds a non-finite "

@@ -227,13 +227,12 @@ def init_params(config: ModelConfig, seed: int) -> dict[str, Tensor]:
 
 def extract_tubelet_patches(volumes, tubelet) -> np.ndarray:
     """Cut B volumes of one (T,H,W,C) shape, a (B,T,H,W,C) array or a list,
-    into a (B,N,t*h*w*C) float64 patch matrix, copying each volume once, a
-    channel at a time: a whole copy of a broadcast image runs numpy's inner
-    loop over the stride-0 channel axis and takes about twice as long. The
-    shapes are the caller's to check: ``ModelConfig`` that the tubelet
-    divides image_dims, ``encode_image_branch`` that each volume has them.
-    ``tubelet_embed`` passes the one-channel planes of volumes whose channel
-    axis has stride 0, and any other volumes as they are.
+    into a (B,N,t*h*w*C) float64 patch matrix, copying each volume once, in
+    one assignment. The shapes are the caller's to check: ``ModelConfig``
+    that the tubelet divides image_dims, ``encode_image_branch`` that each
+    volume has them. ``tubelet_embed`` passes the one-channel planes of
+    volumes whose channel axis has stride 0, and any other volumes as they
+    are.
 
     Token order is row-major over (temporal, height, width) block indices;
     each block flattens slice-major, then row, column, channel.
@@ -244,9 +243,7 @@ def extract_tubelet_patches(volumes, tubelet) -> np.ndarray:
     out = np.empty((len(volumes), *grid, t, h, w, C))
     for i, volume in enumerate(volumes):
         blocks = volume.reshape(grid[0], t, grid[1], h, grid[2], w, C)
-        blocks = blocks.transpose(0, 2, 4, 1, 3, 5, 6)
-        for c in range(C):
-            out[i, ..., c] = blocks[..., c]
+        out[i] = blocks.transpose(0, 2, 4, 1, 3, 5, 6)
     return out.reshape(len(volumes), math.prod(grid), t * h * w * C)
 
 

@@ -182,7 +182,7 @@ def test_select_slices_below_one_exits_2(dataset, capsys):
 ], ids=["one_channel", "three_channels", "depth_2"])
 def test_train_and_eval_round_trip(dataset, tmp_path, capsys, edit):
     """At 3 channels each image is a broadcast view of one stored plane,
-    which the model copies into its patches a channel at a time. The last
+    whose one channel the model cuts into its patches. The last
     encoder block computes the class row alone, so a depth-1 model never
     runs a block on every row; depth 2 does."""
     config = tmp_path / "config.json"
@@ -245,7 +245,7 @@ def test_eval_model_directory_of_the_old_format_exits_1(dataset, tmp_path,
                "--out", str(tmp_path / "m.json")])
     assert rc == 1
     err = capsys.readouterr().err
-    assert "model directory incomplete" in err and "checkpoint.npz" in err
+    assert f"checkpoint not found: {model / 'checkpoint.npz'}" in err
     assert "Traceback" not in err
     assert not (tmp_path / "m.json").exists()
 
@@ -1520,6 +1520,78 @@ def test_unusable_instance_table_exits_1(dataset, tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+# The role each named file has in cli's messages.
+ROLES = {"--manifest": "manifest", "--instances": "instance table",
+         "--metrics": "metrics file", "checkpoint.npz": "checkpoint",
+         "config.json": "model config"}
+
+
+def _argv_naming(dataset, tmp_path, command, role):
+    """argv running ``command`` on the dataset, and the path it names as
+    the file of ``role``, where nothing is: a flag's value, or a file of
+    eval's model directory, which is removed."""
+    path = tmp_path / "named"
+    if role == "--manifest":
+        return _argv_with_manifest(dataset, tmp_path, command, path), path
+    if role == "--instances":
+        return _argv_with_instances(dataset, tmp_path, command, path), path
+    if role == "--metrics":
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps({"folds": [
+            {"fold": i, "accuracy": 0.5} for i in range(3)], "summary": {}}))
+        return ["compare", "--metrics", str(good), str(path)], path
+    model = _init_model_dir(tmp_path / "model", _snapshot())
+    (model / role).unlink()
+    return _eval_argv(dataset, model, dataset / "data" / "manifest.jsonl",
+                      tmp_path / "out" / "m.json"), model / role
+
+
+# Each command with each file it reads whose path the command line names.
+NAMED = [("select", "--manifest"), ("train", "--manifest"),
+         ("cv", "--manifest"), ("tune", "--manifest"), ("eval", "--manifest"),
+         ("train", "--instances"), ("cv", "--instances"),
+         ("tune", "--instances"), ("eval", "--instances"),
+         ("compare", "--metrics"), ("eval", "checkpoint.npz"),
+         ("eval", "config.json")]
+
+
+@pytest.mark.parametrize("command,role,kind", [
+    *[(command, role, "directory") for command, role in NAMED],
+    *[(command, role, "missing") for command, role in NAMED
+      if role in ("--instances", "config.json")]])
+def test_named_file_that_cannot_be_read_exits_1(dataset, tmp_path, capsys,
+                                                command, role, kind):
+    """A path a command names that is a directory, or is not there, exits
+    1, naming the file's role and the path, before anything is written.
+    (Other tests cover a missing manifest, checkpoint and metrics file.)"""
+    argv, path = _argv_naming(dataset, tmp_path, command, role)
+    if kind == "directory":
+        path.mkdir()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    what = ROLES[role]
+    message = (f"{what} not found: {path}" if kind == "missing"
+               else f"{what} {path} cannot be read: Is a directory")
+    assert captured.err == f"error: {message}\n", captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_eval_roc_svg_into_a_directory_not_yet_there(dataset, tmp_path):
+    """eval creates the parent of --roc-svg, as it does --out's, before it
+    writes anything, and lists the SVG in its run manifest."""
+    model = _init_model_dir(tmp_path / "model", _snapshot())
+    out, svg = tmp_path / "m.json", tmp_path / "nodir" / "roc.svg"
+    argv = _eval_argv(dataset, model, dataset / "data" / "manifest.jsonl",
+                      out)
+    assert main(argv + ["--roc-svg", str(svg)]) == 0
+    root = ET.parse(svg).getroot()
+    assert len(root.findall(".//{http://www.w3.org/2000/svg}polyline")) == 1
+    run = json.loads(out.with_name("m.json.manifest.json").read_text())
+    assert run["outputs"]["roc.svg"] == hashlib.sha256(
+        svg.read_bytes()).hexdigest()
 
 
 @pytest.mark.parametrize("command", ["synth", "train", "cv", "tune"])

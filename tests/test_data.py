@@ -12,7 +12,6 @@ from mixedvit import data as D
 from mixedvit.data import (
     AD,
     CN,
-    DimOverflowError,
     EmptyMaskError,
     FitStats,
     FormatError,
@@ -20,8 +19,6 @@ from mixedvit.data import (
     SliceWindowError,
     SubjectRecord,
     SynthConfig,
-    TruncatedPayloadError,
-    UnmappedCdrError,
     build_batches,
     build_samples,
     cdr_to_label,
@@ -78,7 +75,8 @@ def test_cdr_mapping():
     assert cdr_to_label(0) == CN
     assert cdr_to_label(2) == AD
     assert cdr_to_label(1) == AD
-    with pytest.raises(UnmappedCdrError):
+    with pytest.raises(ValueError, match=r"^CDR 0\.5 is outside the two "
+                       r"study classes \(0 -> CN, >=1 -> AD\)$"):
         cdr_to_label(0.5)
     with pytest.raises(ValueError):
         cdr_to_label(4)
@@ -100,7 +98,8 @@ def test_record_validation():
 
 def test_record_cdr_must_map_to_a_class():
     """A record holds only a CDR that cdr_to_label maps to CN or AD."""
-    with pytest.raises(UnmappedCdrError):
+    with pytest.raises(ValueError, match="CDR 0.5 is outside the two study "
+                                         "classes"):
         record(cdr=0.5)
     assert [cdr_to_label(record(cdr=c).cdr) for c in (0.0, 1.0, 2.0, 3.0)] \
         == [CN, AD, AD, AD]
@@ -408,7 +407,7 @@ def test_crop_random_instances_always_inside():
 def test_volume_round_trip(tmp_path):
     rng = np.random.default_rng(12)
     for arr in (rng.random((4, 5, 6)).astype(np.float32),
-                (rng.random((3, 7)) > 0.5).astype(np.uint8)):
+                (rng.random((3, 7, 2)) > 0.5).astype(np.uint8)):
         path = tmp_path / "a.vol"
         save_volume(arr, path)
         out = load_volume(path)
@@ -437,10 +436,25 @@ def test_volume_load_is_writable(tmp_path):
 
 def test_volume_truncated(tmp_path):
     path = tmp_path / "t.vol"
-    save_volume(np.zeros((4, 4), dtype=np.float32), path)
+    save_volume(np.zeros((4, 4, 2), dtype=np.float32), path)
     blob = path.read_bytes()
     path.write_bytes(blob[:-8])
-    with pytest.raises(TruncatedPayloadError):
+    with pytest.raises(FormatError, match=re.escape(
+            f"{path}: payload is 120 bytes, dims (4, 4, 2) require 128")):
+        load_volume(path)
+
+
+@pytest.mark.parametrize("shape", [(5,), (3, 7), (2, 3, 4, 1),
+                                   (1, 1, 1, 1, 1, 1, 1, 1)],
+                         ids=["1d", "2d", "4d", "8d"])
+def test_volume_of_another_rank_is_refused(tmp_path, shape):
+    """A subject volume or mask is 3-D: the reader refuses any other rank
+    that ``save_volume`` writes, naming the file and its dims."""
+    path = tmp_path / "r.vol"
+    save_volume(np.zeros(shape, dtype=np.uint8), path)
+    with pytest.raises(FormatError, match=re.escape(
+            f"{path} holds a {len(shape)}-D array of dims {shape}; a subject "
+            f"volume or mask is 3-D (D, H, W)")):
         load_volume(path)
 
 
@@ -451,7 +465,9 @@ def test_volume_shorter_than_header(tmp_path, size):
     path = tmp_path / "h.vol"
     save_volume(np.zeros((2, 3, 4), dtype=np.float32), path)
     path.write_bytes(path.read_bytes()[:size])
-    with pytest.raises(TruncatedPayloadError):
+    header = 12 if size < 12 else 28
+    with pytest.raises(FormatError, match=re.escape(
+            f"{path} is {size} bytes, shorter than its {header}-byte header")):
         load_volume(path)
 
 
@@ -461,22 +477,25 @@ def _patched(blob: bytes, offset: int, value: int) -> bytes:
 
 # A (2, 3, 4) float32 container: magic, version at byte 4, ndim at 8, dims
 # at 12, 16 and 20, dtype code at 24 and 96 payload bytes from 28.
-@pytest.mark.parametrize("damage,error", [
-    (lambda b: b"XXXX" + b[4:], FormatError),
-    (lambda b: b[:10], TruncatedPayloadError),
-    (lambda b: _patched(b, 4, 3), FormatError),
-    (lambda b: _patched(b, 8, 9), DimOverflowError),
-    (lambda b: b[:20], TruncatedPayloadError),
-    (lambda b: _patched(b, 16, 0), DimOverflowError),
-    (lambda b: _patched(b, 24, 7), FormatError),
-    (lambda b: b[:-8], TruncatedPayloadError),
+@pytest.mark.parametrize("damage,message", [
+    (lambda b: b"XXXX" + b[4:], "bad magic b'XXXX' in {path}"),
+    (lambda b: b[:10], "{path} is 10 bytes, shorter than its 12-byte header"),
+    (lambda b: _patched(b, 4, 3), "unsupported container version 3 in {path}"),
+    (lambda b: _patched(b, 8, 9), "ndim 9 too large in {path}"),
+    (lambda b: b[:20], "{path} is 20 bytes, shorter than its 28-byte header"),
+    (lambda b: _patched(b, 16, 0),
+     "dims (2, 0, 4) overflow plausible bounds in {path}"),
+    (lambda b: _patched(b, 24, 7), "unknown dtype code 7 in {path}"),
+    (lambda b: b[:-8], "{path}: payload is 88 bytes, dims (2, 3, 4) require "
+                       "96"),
 ], ids=["magic", "short_header", "version", "ndim", "short_dims", "dims",
         "dtype_code", "payload_length"])
-def test_volume_error_names_the_file(tmp_path, damage, error):
+def test_volume_error_names_the_file(tmp_path, damage, message):
     path = tmp_path / "damaged.vol"
     save_volume(np.zeros((2, 3, 4), dtype=np.float32), path)
     path.write_bytes(damage(path.read_bytes()))
-    with pytest.raises(error, match=re.escape(str(path))):
+    with pytest.raises(FormatError,
+                       match=f"^{re.escape(message.format(path=path))}$"):
         load_volume(path)
 
 
@@ -487,7 +506,9 @@ def test_volume_dim_overflow(tmp_path):
     header += struct.pack("<3I", 1 << 30, 1 << 30, 1 << 30)
     header += struct.pack("<I", 1)
     path.write_bytes(header)
-    with pytest.raises(D.DimOverflowError):
+    with pytest.raises(FormatError, match=re.escape(
+            f"dims (1073741824, 1073741824, 1073741824) overflow plausible "
+            f"bounds in {path}")):
         load_volume(path)
 
 
