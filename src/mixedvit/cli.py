@@ -65,6 +65,8 @@ malformed. Config and space files exit 2; the manifest, instance table,
 checkpoint and ``config.json`` 1; a metrics file 1 when it cannot be read
 and 2 when malformed. Volumes and masks are read by ``data.load_volume``
 alone: malformed or not 3-D, they exit 1 with its ``FormatError``.
+``_outputs`` readies every output path before a command's first write; one
+that cannot be written exits 1, "<what> <path> cannot be written: ...".
 
 Exit codes: 0 success, 1 runtime/I-O failure, 2 usage/config error.
 Every run writes a manifest with a config snapshot and output checksums.
@@ -74,6 +76,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import hashlib
 import json
 import sys
@@ -222,6 +225,25 @@ def _load(read, path, what: str, unreadable=RuntimeFailure,
         raise malformed(str(exc)) from exc
 
 
+def _outputs(named: dict, directory: bool = False) -> list:
+    """The paths of ``named``, {what: path}, ready to be written before any
+    is: each directory made, or, once no file path is a directory, each
+    file's parent. Else ``RuntimeFailure`` "<what> <path> cannot be
+    written: <strerror>", as ``_load`` words a read."""
+    paths = {what: Path(path) for what, path in named.items()}
+    try:
+        for what, path in paths.items():
+            if not directory and path.is_dir():
+                raise IsADirectoryError(errno.EISDIR, "Is a directory")
+        for what, path in paths.items():
+            (path if directory else path.parent).mkdir(parents=True,
+                                                       exist_ok=True)
+    except OSError as exc:
+        raise RuntimeFailure(f"{what} {path} cannot be written: "
+                             f"{exc.strerror}") from exc
+    return list(paths.values())
+
+
 # ---------------------------------------------------------------------------
 # synth
 
@@ -243,8 +265,7 @@ def synth_config(args) -> D.SynthConfig:
 def cmd_synth(args) -> int:
     started = time.time()
     cfg = synth_config(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out, = _outputs({"--out": args.out}, directory=True)
     records = D.synth_generate(cfg, args.seed, out)
     outputs = [out / "manifest.jsonl"] + [
         p for r in records for p in (r.volume_path, *r.roi_masks.values())]
@@ -274,10 +295,11 @@ def cmd_select(args) -> int:
         raise UsageError(f"--slices {args.slices} exceeds a volume's depth "
                          f"({exc})") from exc
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    out, manifest = _outputs({"--out": out, "run manifest": out.with_suffix(
+        out.suffix + ".manifest.json")})
     D.save_instances(instances, out)
-    write_run_manifest(out.with_suffix(out.suffix + ".manifest.json"),
-                       "select", {"roi": rois, "slices": args.slices}, None,
+    write_run_manifest(manifest, "select",
+                       {"roi": rois, "slices": args.slices}, None,
                        [args.manifest], [out], started)
     print(f"wrote {len(instances)} instances to {out}")
     return EXIT_OK
@@ -319,8 +341,7 @@ def cmd_train(args) -> int:
     records, instances = _dataset_for(args, rois)
     plan = TR.FitPlan(*D.holdout_split(records, args.seed), "the test split")
     crops = TR.model_crops(model_cfg.image_dims, records, instances, rois)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out, = _outputs({"--out": args.out}, directory=True)
     best, history, preds = TR.fit(model_cfg, train_cfg, plan, crops)
     report = ME.evaluate_fold(preds, 0)
     MO.save_checkpoint(out / "checkpoint.npz", best)
@@ -351,8 +372,7 @@ def cmd_cv(args) -> int:
                               k=args.folds, seed=args.seed,
                               holdout_test=not args.no_holdout_test,
                               jobs=args.jobs)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out, = _outputs({"--out": args.out}, directory=True)
     reports, summary = run_folds()
     _write_json(out / "metrics.json", ME.metrics_payload(reports))
     for r in reports:
@@ -413,8 +433,7 @@ def cmd_tune(args) -> int:
     plan = TR.FitPlan(tr, va)
     crops = {value: TR.model_crops(value, [*tr, *va], instances, rois)
              for value in dims}
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out, = _outputs({"--out": args.out}, directory=True)
 
     def objective(sampled: dict, epochs: int) -> float:
         model_cfg, train_cfg = build_configs(
@@ -494,20 +513,18 @@ def cmd_eval(args) -> int:
     report = ME.evaluate_fold(preds, 0)
 
     out = Path(args.out)
-    roc_path = out.with_name(out.stem + "_roc.csv")
-    outputs = [out, roc_path]
+    named = {"--out": out, "ROC table": out.with_name(out.stem + "_roc.csv"),
+             "run manifest": out.with_suffix(out.suffix + ".manifest.json")}
     if args.roc_svg:
-        outputs.append(Path(args.roc_svg))
-    for p in outputs:
-        p.parent.mkdir(parents=True, exist_ok=True)
+        named["--roc-svg"] = args.roc_svg
+    out, roc_path, manifest, *svg = _outputs(named)
     _write_json(out, ME.metrics_payload([report]))
     TR.save_rows(report.roc, ME.RocPoint, roc_path)
-    if args.roc_svg:
-        outputs[-1].write_text(_roc_svg(report.roc, report.auc),
-                               encoding="utf-8")
-    write_run_manifest(out.with_suffix(out.suffix + ".manifest.json"),
-                       "eval", {"model": str(model_dir)}, None,
-                       [args.manifest, args.instances], outputs, started)
+    if svg:
+        svg[0].write_text(_roc_svg(report.roc, report.auc), encoding="utf-8")
+    write_run_manifest(manifest, "eval", {"model": str(model_dir)}, None,
+                       [args.manifest, args.instances], [out, roc_path, *svg],
+                       started)
     print(f"accuracy {report.accuracy:.4f}, auc {report.auc:.4f}")
     return EXIT_OK
 
@@ -593,8 +610,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--rois", required=True)
         p.add_argument("--out", required=True)
         if name == "cv":
-            p.add_argument("--folds", type=int, default=7)
-            p.add_argument("--jobs", type=int, default=1)
+            p.add_argument("--folds", type=int, default=7,
+                           help="stratified folds (>= 2)")
+            p.add_argument("--jobs", type=int, default=1,
+                           help="threads that run folds (>= 1); same numbers")
             p.add_argument("--no-holdout-test", action="store_true",
                            help="cross-validate over all subjects instead of "
                                 "holding out the 15%% test split")

@@ -281,8 +281,8 @@ def attention_block(x: Tensor, p: dict[str, Tensor], prefix: str, heads: int,
     With ``class_row`` the block computes the (B,d) class-token row of its
     output only: every row still gives keys and values, but only row 0
     queries them, and the residual, ``wo``, the MLP and its dropout run on
-    that row. Both dropout draws take what the full block's would, so row 0
-    and every later draw see the same uniforms."""
+    that row. Each dropout mask is row 0 of the full block's draw, so row 0
+    and every later draw see the uniforms of the full block."""
     tokens = x.shape[1]
     h = layer_norm(x, p[f"{prefix}.ln1.gamma"], p[f"{prefix}.ln1.beta"])
     wqkv = concat([p[f"{prefix}.attn.w{proj}"] for proj in "qkv"], axis=1)

@@ -26,12 +26,10 @@ softmax normalisation and 1/(1 - rate) act on (R, dh) operands, and the
 backward pass takes its row term from the output, D = rowsum(dO * O). A
 row's shift cancels in its normalisation, so the scores are shifted by
 each head's largest, or by each row's should a row sum fall below 1e-250,
-and the row sums are products with ones. Its dropout mask equals the R
-computed rows of one ``rng.random((B*heads, M, M))`` draw; with R = 1 each
-head draws its row 0 and skips the rest with ``bit_generator.advance``, as
-``dropout`` does for class rows. Dropout is on exactly when an op is given
-an rng, which must be one whose ``advance`` skips single draws: PCG64
-(``np.random.default_rng``'s) or PCG64DXSM.
+and the row sums are products with ones. Its dropout mask is the R
+computed rows of one ``rng.random((B*heads, M, M))`` draw: with R = 1, as
+for ``dropout``'s class rows, the mask is row 0 of the full draw. Dropout
+is on exactly when an op is given an rng, any numpy ``Generator``.
 """
 
 from __future__ import annotations
@@ -64,18 +62,16 @@ __all__ = [
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
-# Bytes of (heads, R, M) float64 scores in one attention block. It fits a
-# 2 MB per-core L2 with the block's other buffers; at the paper shape
-# (8 heads, 81 tokens) a block of all rows is one batch element of 420 KB,
-# and one block of class rows (R = 1) holds up to 101 elements.
+# Bytes of (heads, R, M) float64 scores, or of the (heads, M, M) dropout
+# uniforms drawn, in one attention block. It fits a 2 MB per-core L2 with
+# the block's other buffers; at the paper shape (8 heads, 81 tokens) a block
+# of all rows is one batch element of 420 KB, and one block of class rows
+# (R = 1) without dropout holds up to 101 elements.
 ATTENTION_BLOCK_BYTES = 512 * 1024
 
 # A row sum of exp(scores - head max) below this sends ``attention`` back
 # to shifting each row by its own maximum, before exp nears subnormals.
 _MIN_ROW_SUM = 1e-250
-
-# Bit generators whose ``advance(n)`` skips exactly n float64 draws.
-_SKIPPING = (np.random.PCG64, np.random.PCG64DXSM)
 
 
 class ShapeError(ValueError):
@@ -328,39 +324,12 @@ def gelu(x: Tensor) -> Tensor:
 def _keep_scale(rate: float,
                 rng: Optional[np.random.Generator]) -> Optional[float]:
     """Survivor scale 1/(1-rate), or None when dropout is off (no rng, or
-    rate 0); checks the rate, and the rng when it is to draw."""
+    rate 0); checks the rate."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if rng is None or rate == 0.0:
         return None
-    if not isinstance(rng.bit_generator, _SKIPPING):
-        raise ValueError(
-            "dropout requires a PCG64 or PCG64DXSM generator, whose "
-            "advance skips single draws; got "
-            f"{type(rng.bit_generator).__name__}")
     return 1.0 / (1.0 - rate)
-
-
-def _first_rows(rng: np.random.Generator, out: np.ndarray, rows: int) -> None:
-    """Fill ``out``, (N, ...), with row 0 of each (rows, ...) block of one
-    ``rng.random((N, rows, ...))`` draw, leaving the generator where that
-    draw would. With ``rows == 1`` that is ``rng.random(out=out)``; above
-    it, each of the N rows draws its uniforms and skips those of the
-    (rows - 1) rows that follow."""
-    if rows == 1:
-        rng.random(out=out)
-        return
-    bit_generator = rng.bit_generator
-    before = bit_generator.state
-    out = out.reshape(len(out), -1)
-    skip = (rows - 1) * out.shape[1]
-    for row in out:
-        rng.random(out=row)
-        bit_generator.advance(skip)
-    # advance drops a buffered 32-bit half-word; random() never reads one.
-    if before["has_uint32"]:
-        bit_generator.state = dict(bit_generator.state, has_uint32=1,
-                                   uinteger=before["uinteger"])
 
 
 def dropout(x: Tensor, rate: float,
@@ -368,18 +337,15 @@ def dropout(x: Tensor, rate: float,
             rows: int = 1) -> Tensor:
     """Inverted dropout, survivors scaled by 1/(1-rate); no rng: identity.
 
-    With ``rows == 1``, the default, the mask compares one
-    ``rng.random(x.shape)`` draw. With ``rows > 1``, ``x`` is (B, ...), the
-    class rows of a (B, rows, ...) tensor: the mask is row 0 of a draw of
-    that whole shape, so row 0 gets the uniforms the full draw gives it,
-    and the generator ends where the full draw leaves it; the other rows'
-    uniforms are skipped, not drawn."""
+    ``x`` is (B, ...), with ``rows > 1`` the class rows of a (B, rows, ...)
+    tensor: the mask is row 0 of the full draw ``rng.random((B, rows,
+    ...))``, and the generator ends where that draw leaves it. With ``rows
+    == 1``, the default, that is ``rng.random(x.shape)``."""
     scale = _keep_scale(rate, rng)
     if scale is None:
         return x
-    keep = np.empty(x.shape)
-    _first_rows(rng, keep, rows)
-    np.multiply(keep >= rate, scale, out=keep)
+    draw = rng.random(x.shape[:1] + (rows,) + x.shape[1:])[:, 0]
+    keep = np.multiply(draw >= rate, scale)
     out = x.data * keep
 
     def back(g):
@@ -400,23 +366,22 @@ def attention(qkv: Tensor, heads: int, rate: float,
     all M keys and values: (heads, R, M) scores per batch element.
 
     The batch is processed in blocks of as many elements as fit
-    ``ATTENTION_BLOCK_BYTES`` of (heads, R, M) scores (at least one). A
-    block's scores are the scaled queries times the keys; in place they
-    become ``e = exp(s - headmax)``, shifted by the largest score of each
-    head's (R, M) block, and are never normalised. Their row sums are
-    ``e @ ones``. Should a row sum fall below ``_MIN_ROW_SUM`` (1e-250),
-    that row's largest score lies about 575 below its head's, and the
-    block's scores are computed again and shifted by each row's own
-    maximum. ``e`` times the bool keep-mask, times v, is the (R, dh)
-    context up to the row factor ``c = 1/((1 - rate) * rowsum(e))``, which
-    absorbs either shift; it is applied as the context is written into the
-    output. The keep-mask compares the uniforms that one
-    ``rng.random((B*heads, M, M))`` draw gives the R computed rows, drawn
-    block by block; with R = 1 each head draws its row 0 and skips the
-    rest with ``bit_generator.advance`` (``_first_rows``), so the generator
-    ends where the whole draw leaves it. A taped op keeps ``e`` for the
-    whole batch, the keep-mask (one byte per score) and ``c``; an untaped
-    one reuses one block of each, with the same output bits.
+    ``ATTENTION_BLOCK_BYTES`` of (heads, R, M) scores, or under dropout of
+    (heads, M, M) uniforms (at least one). A block's scores are the scaled
+    queries times the keys; in place they become ``e = exp(s - headmax)``,
+    shifted by the largest score of each head's (R, M) block, and are never
+    normalised. Their row sums are ``e @ ones``. Should a row sum fall below
+    ``_MIN_ROW_SUM`` (1e-250), that row's largest score lies about 575 below
+    its head's, and the block's scores are computed again and shifted by
+    each row's own maximum. ``e`` times the bool keep-mask, times v, is the
+    (R, dh) context up to the row factor ``c = 1/((1 - rate) * rowsum(e))``,
+    which absorbs either shift; it is applied as the context is written into
+    the output. The keep-mask compares the R computed rows of one
+    ``rng.random((B*heads, M, M))`` draw, each block drawing its (n, heads,
+    M, M) uniforms whole: with R = 1 the mask is row 0 of the full draw. A
+    taped op keeps ``e`` for the whole batch, the keep-mask (one byte per
+    score) and ``c``; an untaped one reuses one block of each, with the same
+    output bits.
 
     The backward pass takes the softmax's row term, rowsum(dP * P), as
     FlashAttention's D = rowsum(dO * O) over the output, which its closure
@@ -438,13 +403,14 @@ def attention(qkv: Tensor, heads: int, rate: float,
     q, k, v = qkv.data.reshape(B, M, 3, heads, dh).transpose(2, 0, 3, 1, 4)
     q = q[:, :, :R]
     kt = k.transpose(0, 1, 3, 2)
-    step = max(1, ATTENTION_BLOCK_BYTES // (heads * R * M * 8))
+    drawn = R if keep_scale is None else M
+    step = max(1, ATTENTION_BLOCK_BYTES // (heads * drawn * M * 8))
     blocks = [slice(b, min(b + step, B)) for b in range(0, B, step)]
     block_shape = (min(step, B), heads, R, M)
     taped = qkv.requires_grad and _active_tape() is not None
     exps = np.empty((B,) + block_shape[1:] if taped else block_shape)
     mask = None if keep_scale is None else np.empty(exps.shape, dtype=bool)
-    draws = None if mask is None else np.empty(block_shape)
+    draws = None if mask is None else np.empty(block_shape[:2] + (M, M))
     row_scale = np.empty((B, heads, R, 1))
     ones = np.ones((M, 1))
     out = np.empty((B, R, heads, dh))
@@ -465,8 +431,7 @@ def attention(qkv: Tensor, heads: int, rate: float,
         c = np.divide(keep_scale or 1.0, sums, out=row_scale[blk])
         w = e
         if mask is not None:
-            u = draws[:n]
-            _first_rows(rng, u.reshape(n * heads, -1), M if class_row else 1)
+            u = rng.random(out=draws[:n])[:, :, :R]
             np.greater_equal(u, rate, out=mask[kept])
             w = np.multiply(e, mask[kept], out=u)
         np.multiply(w @ v[blk], c, out=ctx[blk])

@@ -1594,6 +1594,53 @@ def test_eval_roc_svg_into_a_directory_not_yet_there(dataset, tmp_path):
         svg.read_bytes()).hexdigest()
 
 
+# Each file output of select and eval, by the name cli gives it, and its
+# path under tmp_path / "out".
+FILE_OUTPUTS = {
+    ("select", "--out"): "instances.csv",
+    ("select", "run manifest"): "instances.csv.manifest.json",
+    ("eval", "--out"): "m.json", ("eval", "ROC table"): "m_roc.csv",
+    ("eval", "run manifest"): "m.json.manifest.json",
+    ("eval", "--roc-svg"): "roc.svg"}
+
+
+@pytest.mark.parametrize("command,what", [
+    ("synth", "--out"), ("train", "--out"), ("cv", "--out"), ("tune", "--out"),
+    *FILE_OUTPUTS])
+def test_output_that_cannot_be_written_exits_1(dataset, tmp_path, capsys,
+                                               command, what):
+    """An output path that cannot be written, a regular file as the --out
+    directory or a directory as an output file, exits 1 naming the output
+    and the path, and nothing is written: select and eval check every file
+    they write, their run manifests among them, before they write any."""
+    out = tmp_path / "out"
+    if command == "synth":
+        argv = ["synth", "--out", str(out), "--subjects", "4"]
+    elif command != "eval":
+        argv = _argv_with_manifest(dataset, tmp_path, command,
+                                   dataset / "data" / "manifest.jsonl")
+    else:
+        argv = _eval_argv(dataset, _init_model_dir(tmp_path / "model",
+                                                   _snapshot()),
+                          dataset / "data" / "manifest.jsonl", out / "m.json")
+        argv += ["--roc-svg", str(out / "roc.svg")]
+    if command in ("synth", "train", "cv", "tune"):
+        bad, strerror = out, "File exists"
+        out.write_text("")
+    else:
+        bad, strerror = out / FILE_OUTPUTS[command, what], "Is a directory"
+        bad.mkdir(parents=True)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {what} {bad} cannot be written: "
+                            f"{strerror}\n"), captured.err
+    assert captured.out == ""
+    if out.is_dir():
+        assert list(out.rglob("*")) == [bad]
+    else:
+        assert out.read_text() == ""
+
+
 @pytest.mark.parametrize("command", ["synth", "train", "cv", "tune"])
 def test_negative_seed_exits_2(dataset, tmp_path, capsys, command):
     if command == "synth":

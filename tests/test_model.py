@@ -316,24 +316,30 @@ def test_shape_audit_table_config():
 
 
 def test_paper_training_forward_records_its_ops_only():
-    """A paper-config training forward and its loss record one node per op,
-    62 in all; the 60 parameters are the nodes' leaf parents, not nodes."""
+    """A paper-config training forward and its loss record one node per op:
+    62 on volumes of independent channels, and 63 on crops, whose one
+    stored plane adds the ``channel_sum`` of the folded tubelet weight. The
+    60 parameters are the nodes' leaf parents, not nodes."""
     cfg = ModelConfig()
     params = init_params(cfg, 0)
     rng = np.random.default_rng(0)
-    with Tape() as tape:
-        probs = forward_batch(cfg, params, rng.random((2, 4)),
-                              [rng.random((2, 25, 32, 32, 3))], True,
-                              np.random.default_rng(1))
-        T.nll(probs, [0, 1])
-    assert Counter(node.op for node in tape.nodes) == {
-        "linear": 20, "add": 10, "layer_norm": 9, "concat": 6, "gelu": 5,
-        "dropout": 5, "attention": 4, "first_token": 1, "softmax": 1,
-        "nll": 1}
-    assert len(tape.nodes) == 62
-    leaves = {id(p) for node in tape.nodes for p in node.parents
-              if isinstance(p, Tensor)}
-    assert leaves == {id(p) for p in params.values()}
+    crops = [np.broadcast_to(rng.random((25, 32, 32, 1)), (25, 32, 32, 3))
+             for _ in range(2)]  # as data.scale_volume makes them
+    ops = {"linear": 20, "add": 10, "layer_norm": 9, "concat": 6, "gelu": 5,
+           "dropout": 5, "attention": 4, "first_token": 1, "softmax": 1,
+           "nll": 1}
+    for volumes, folded in ((rng.random((2, 25, 32, 32, 3)), 0), (crops, 1)):
+        with Tape() as tape:
+            probs = forward_batch(cfg, params, rng.random((2, 4)), [volumes],
+                                  True, np.random.default_rng(1))
+            T.nll(probs, [0, 1])
+        # Counters compare a missing op as a count of 0.
+        assert Counter(node.op for node in tape.nodes) == Counter(
+            ops, channel_sum=folded)
+        assert len(tape.nodes) == 62 + folded
+        leaves = {id(p) for node in tape.nodes for p in node.parents
+                  if isinstance(p, Tensor)}
+        assert leaves == {id(p) for p in params.values()}
 
 
 def test_config_validation_errors():

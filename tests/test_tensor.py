@@ -289,13 +289,41 @@ _DROPOUT_OPS = {
     (1.0, np.random.default_rng(0), r"dropout rate must be in \[0, 1\), got 1.0"),
     (-0.1, np.random.default_rng(0), r"dropout rate must be in \[0, 1\), got -0.1"),
     (1.0, None, r"dropout rate must be in \[0, 1\), got 1.0"),
-    (0.2, np.random.Generator(np.random.MT19937(0)),
-     "requires a PCG64 or PCG64DXSM generator, whose advance skips single "
-     "draws; got MT19937"),
-], ids=["rate_one", "rate_negative", "rate_one_no_rng", "mt19937"])
+], ids=["rate_one", "rate_negative", "rate_one_no_rng"])
 def test_dropout_checks_are_shared_by_attention(op, rate, rng, message):
     with pytest.raises(ValueError, match=message):
         _DROPOUT_OPS[op](rate, rng)
+
+
+@pytest.mark.parametrize("op", ["attention", "dropout"])
+@pytest.mark.parametrize("bit_generator", [
+    np.random.MT19937, np.random.SFC64, np.random.Philox,
+    np.random.PCG64DXSM], ids=lambda g: g.__name__.lower())
+def test_dropout_with_any_generator_is_row_zero_of_the_full_draw(
+        op, bit_generator):
+    """Class-row dropout keeps row 0 of the full draw, bit for bit, and
+    leaves any generator where that draw would. With zero scores and one-hot
+    values, the class-row context of each of 2 heads over 4 keys is its
+    head's mask row times the survivor scale over 4."""
+    B, heads, M, rate = 3, 2, 4, 0.4
+    rng, ref_rng = (np.random.Generator(bit_generator(5)) for _ in range(2))
+    if op == "dropout":
+        x = np.random.default_rng(6).normal(size=(B, 4))
+        out = dropout(Tensor(x), rate, rng, rows=M).data
+        full = (B, M, 4)
+        expected = x * np.multiply(ref_rng.random(full)[:, 0] >= rate,
+                                   1.0 / (1.0 - rate))
+    else:
+        qkv = np.zeros((B, M, 3, heads, M))
+        qkv[:, :, 2] = np.eye(M)[:, None]
+        out = attention(Tensor(qkv.reshape(B, M, -1)), heads, rate, rng,
+                        class_row=True).data
+        full = (B * heads, M, M)
+        keep = ref_rng.random(full)[:, 0] >= rate
+        expected = (keep * ((1.0 / (1.0 - rate)) / M)).reshape(B, -1)
+    assert out.tobytes() == expected.tobytes()
+    np.testing.assert_equal(rng.bit_generator.state,
+                            ref_rng.bit_generator.state)
 
 
 def test_concat_vectors():
@@ -534,10 +562,12 @@ def test_attention_matches_unfused_reference(rate):
     np.testing.assert_allclose(out.data, ref, rtol=0, atol=1e-12)
 
 
-def _blocks_of_two(monkeypatch, heads, R, M):
-    """Budget attention blocks of R query rows at two batch elements
-    each."""
-    monkeypatch.setattr(T, "ATTENTION_BLOCK_BYTES", 2 * heads * R * M * 8)
+def _blocks_of_two(monkeypatch, heads, M, class_row=False, drops=False):
+    """Budget attention blocks at two batch elements each, by the rows of M
+    scores a block holds per head: the R query rows it computes, or all M
+    when it draws dropout uniforms, which it draws whole."""
+    rows = 1 if class_row and not drops else M
+    monkeypatch.setattr(T, "ATTENTION_BLOCK_BYTES", 2 * heads * rows * M * 8)
 
 
 def _drop_rng(with_rng: bool, seed: int = 1):
@@ -551,7 +581,7 @@ def _drop_rng(with_rng: bool, seed: int = 1):
 def test_attention_matches_unfused_reference_across_blocks(rate, with_rng,
                                                            monkeypatch):
     # B=5 in blocks of 2: two full blocks and a ragged last one.
-    _blocks_of_two(monkeypatch, 4, 5, 5)
+    _blocks_of_two(monkeypatch, 4, 5)
     qkv = np.random.default_rng(8).normal(size=(5, 5, 24))
     out = attention(Tensor(qkv), 4, rate, _drop_rng(with_rng))
     ref = _attention_reference(qkv, 4, rate if with_rng else 0.0,
@@ -559,17 +589,30 @@ def test_attention_matches_unfused_reference_across_blocks(rate, with_rng,
     np.testing.assert_allclose(out.data, ref, rtol=0, atol=1e-12)
 
 
+class _CountingRng:
+    """A generator that counts its ``random`` calls, one per block drawn."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def random(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.random(*args, **kwargs)
+
+
 @pytest.mark.parametrize("blocks", ["one", "ragged"])
 def test_attention_leaves_rng_where_one_draw_would(blocks, monkeypatch):
     B, M, heads = 5, 6, 2
     for class_row in (False, True):
         if blocks == "ragged":
-            _blocks_of_two(monkeypatch, heads, 1 if class_row else M, M)
-        rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+            _blocks_of_two(monkeypatch, heads, M, class_row, drops=True)
+        rng = _CountingRng(np.random.default_rng(4))
+        ref = np.random.default_rng(4)
         attention(Tensor(np.ones((B, M, 6 * heads))), heads, 0.3, rng,
                   class_row)
+        assert rng.calls == (3 if blocks == "ragged" else 1)
         ref.random((B * heads, M, M))
-        np.testing.assert_array_equal(rng.random(3), ref.random(3))
+        np.testing.assert_array_equal(rng.rng.random(3), ref.random(3))
 
 
 @pytest.mark.parametrize("blocks", ["one", "ragged"])
@@ -578,7 +621,7 @@ def test_attention_leaves_rng_where_one_draw_would(blocks, monkeypatch):
 def test_attention_class_row_is_row_zero_of_unfused_reference(
         blocks, rate, with_rng, monkeypatch):
     if blocks == "ragged":
-        _blocks_of_two(monkeypatch, 4, 1, 5)
+        _blocks_of_two(monkeypatch, 4, 5, True, rate > 0 and with_rng)
     qkv = np.random.default_rng(8).normal(size=(5, 5, 24))
     rng, ref_rng = np.random.default_rng(1), np.random.default_rng(1)
     out = attention(Tensor(qkv), 4, rate, rng if with_rng else None,
@@ -594,10 +637,10 @@ def test_attention_class_row_is_row_zero_of_unfused_reference(
 def test_attention_output_does_not_depend_on_the_tape(blocks, class_row,
                                                       monkeypatch):
     # Untaped, the op keeps one block of scores and mask; taped, all of them.
-    if blocks == "ragged":
-        _blocks_of_two(monkeypatch, 4, 1 if class_row else 5, 5)
     qkv = np.random.default_rng(8).normal(size=(5, 5, 24))
     for rate, with_rng in ((0.0, False), (0.3, True)):
+        if blocks == "ragged":
+            _blocks_of_two(monkeypatch, 4, 5, class_row, with_rng)
         bare = attention(Tensor(qkv), 4, rate, _drop_rng(with_rng), class_row)
         with Tape():
             taped = attention(Tensor(qkv, requires_grad=True), 4, rate,
@@ -624,7 +667,7 @@ def test_attention_backward_matches_the_score_form(blocks, class_row, rate,
     """The backward with its row terms on the (R, dh) side gives the
     gradient that the score form dS = P * (dP - rowsum(dP * P)) gives."""
     if blocks == "ragged":
-        _blocks_of_two(monkeypatch, 4, 1 if class_row else 5, 5)
+        _blocks_of_two(monkeypatch, 4, 5, class_row, rate > 0 and with_rng)
     rng = np.random.default_rng(8)
     qkv = rng.normal(size=(5, 5, 24))
     g = rng.normal(size=(5, 8) if class_row else (5, 5, 8))
@@ -660,7 +703,7 @@ def test_attention_rows_far_below_their_head_max(blocks, class_row, rate,
     by their own, and give the reference output and gradient, all finite
     and without a warning."""
     if blocks == "ragged":
-        _blocks_of_two(monkeypatch, 4, 1 if class_row else 5, 5)
+        _blocks_of_two(monkeypatch, 4, 5, class_row, with_rng)
     qkv = _far_row_qkv()
     q, k = qkv[:, :, 0:2], qkv[:, :, 8:10]
     s = q @ k.transpose(0, 2, 1) / math.sqrt(2.0)
@@ -698,7 +741,7 @@ def test_dropout_one_row_is_one_draw_of_the_input_shape(shape):
 
 def test_skipped_draws_keep_a_buffered_half_word():
     """A 32-bit draw leaves half a 64-bit output buffered, which a full
-    draw of doubles keeps; skipping rows must keep it too."""
+    draw of doubles keeps; class rows, row 0 of that draw, keep it too."""
     x = np.random.default_rng(6).normal(size=(3, 4))
     rng, ref_rng = np.random.default_rng(2), np.random.default_rng(2)
     for r in (rng, ref_rng):
@@ -731,9 +774,10 @@ def test_grad_check_attention_class_row(monkeypatch):
     qkv = rng.normal(size=(5, 4, 12))
     w = rng.normal(size=(5, 4))
     for blocks in ("one", "ragged"):
-        if blocks == "ragged":
-            _blocks_of_two(monkeypatch, 2, 1, 4)
         for rate, with_rng in ((0.0, False), (0.3, True)):
+            if blocks == "ragged":
+                _blocks_of_two(monkeypatch, 2, 4, True, with_rng)
+
             def f(x):
                 out = attention(x, 2, rate, _drop_rng(with_rng, 99),
                                 class_row=True)
@@ -743,7 +787,7 @@ def test_grad_check_attention_class_row(monkeypatch):
 
 
 def test_grad_check_attention_across_blocks(monkeypatch):
-    _blocks_of_two(monkeypatch, 2, 4, 4)
+    _blocks_of_two(monkeypatch, 2, 4)
     rng = np.random.default_rng(3)
     qkv = rng.normal(size=(5, 4, 12))
     w = rng.normal(size=(5, 4, 4))
