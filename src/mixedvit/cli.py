@@ -69,7 +69,17 @@ alone: malformed or not 3-D, they exit 1 with its ``FormatError``.
 that cannot be written exits 1, "<what> <path> cannot be written: ...".
 
 Exit codes: 0 success, 1 runtime/I-O failure, 2 usage/config error.
-Every run writes a manifest with a config snapshot and output checksums.
+``main`` writes every run manifest, from what each command but ``compare``
+returns: its manifest path, config snapshot, outputs and summary line. It
+adds the command, ``--seed`` (null without one), each output's SHA-256, the
+wall time, and as inputs the paths given to ``--config``, ``--space``,
+``--model``, ``--manifest`` and ``--instances``, in that order, each when
+given; then it prints the summary line.
+
+The same inputs, config and seed give the same bits on the same numpy/BLAS
+build at the same BLAS thread count, and ``cv --jobs`` never changes them.
+Another BLAS thread count may change a gradient's last bits, and so any
+number after it; no thread count is set here.
 """
 
 from __future__ import annotations
@@ -163,6 +173,10 @@ def load_config(path) -> dict:
     if not isinstance(config, dict):
         raise UsageError(f"config file {path} does not hold a JSON object")
     return config
+
+
+# The flags whose paths a run manifest lists as its inputs, in this order.
+INPUT_FLAGS = ("config", "space", "model", "manifest", "instances")
 
 
 def write_run_manifest(path: Path, command: str, config: dict, seed,
@@ -262,28 +276,23 @@ def synth_config(args) -> D.SynthConfig:
         raise UsageError(str(exc)) from exc
 
 
-def cmd_synth(args) -> int:
-    started = time.time()
+def cmd_synth(args) -> tuple:
     cfg = synth_config(args)
     out, = _outputs({"--out": args.out}, directory=True)
     records = D.synth_generate(cfg, args.seed, out)
     outputs = [out / "manifest.jsonl"] + [
         p for r in records for p in (r.volume_path, *r.roi_masks.values())]
-    write_run_manifest(out / "run_manifest.json", "synth",
-                       dataclasses.asdict(cfg), args.seed, [], outputs,
-                       started)
     n_cn = sum(1 for r in records if D.cdr_to_label(r.cdr) == D.CN)
-    print(f"wrote {len(records)} subjects ({n_cn} CN / "
-          f"{len(records) - n_cn} AD) to {out}")
-    return EXIT_OK
+    return (out / "run_manifest.json", dataclasses.asdict(cfg), outputs,
+            f"wrote {len(records)} subjects ({n_cn} CN / "
+            f"{len(records) - n_cn} AD) to {out}")
 
 
 # ---------------------------------------------------------------------------
 # select
 
 
-def cmd_select(args) -> int:
-    started = time.time()
+def cmd_select(args) -> tuple:
     if args.slices < 1:
         raise UsageError(f"--slices must be >= 1, got {args.slices}")
     rois = _parse_rois(args.roi)
@@ -298,11 +307,8 @@ def cmd_select(args) -> int:
     out, manifest = _outputs({"--out": out, "run manifest": out.with_suffix(
         out.suffix + ".manifest.json")})
     D.save_instances(instances, out)
-    write_run_manifest(manifest, "select",
-                       {"roi": rois, "slices": args.slices}, None,
-                       [args.manifest], [out], started)
-    print(f"wrote {len(instances)} instances to {out}")
-    return EXIT_OK
+    return (manifest, {"roi": rois, "slices": args.slices}, [out],
+            f"wrote {len(instances)} instances to {out}")
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +339,7 @@ def _dataset_for(args, rois):
     return usable, instances
 
 
-def cmd_train(args) -> int:
-    started = time.time()
+def cmd_train(args) -> tuple:
     rois = _parse_rois(args.rois)
     model_cfg, train_cfg = build_configs(load_config(args.config), args.mode,
                                          len(rois), args.seed)
@@ -353,15 +358,11 @@ def cmd_train(args) -> int:
     _write_json(out / "config.json", snapshot)
     outputs = [out / n for n in ("checkpoint.npz", "history.csv",
                                  "metrics.json", "roc.csv", "config.json")]
-    write_run_manifest(out / "run_manifest.json", "train", snapshot,
-                       args.seed, [args.manifest, args.instances], outputs,
-                       started)
-    print(f"test accuracy {report.accuracy:.4f}, auc {report.auc:.4f}")
-    return EXIT_OK
+    return (out / "run_manifest.json", snapshot, outputs,
+            f"test accuracy {report.accuracy:.4f}, auc {report.auc:.4f}")
 
 
-def cmd_cv(args) -> int:
-    started = time.time()
+def cmd_cv(args) -> tuple:
     if args.jobs < 1:
         raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
     rois = _parse_rois(args.rois)
@@ -382,10 +383,8 @@ def cmd_cv(args) -> int:
                 "holdout_test": not args.no_holdout_test}
     outputs = [out / "metrics.json"] + \
         [out / f"roc_fold{r.fold_index}.csv" for r in reports]
-    write_run_manifest(out / "run_manifest.json", "cv", snapshot, args.seed,
-                       [args.manifest, args.instances], outputs, started)
-    print(ME.summary_line(summary))
-    return EXIT_OK
+    return (out / "run_manifest.json", snapshot, outputs,
+            ME.summary_line(summary))
 
 
 # ---------------------------------------------------------------------------
@@ -407,8 +406,7 @@ def _check_space(space: dict, cfg: dict, mode: str, num_branches: int):
             build_configs({**cfg, name: value}, mode, num_branches, 0)
 
 
-def cmd_tune(args) -> int:
-    started = time.time()
+def cmd_tune(args) -> tuple:
     rois = _parse_rois(args.rois)
     try:
         space = TU.parse_space(D.parse_json(_load(_bytes, args.space,
@@ -445,19 +443,17 @@ def cmd_tune(args) -> int:
         return max(h.val_accuracy for h in history)
 
     best, log = TU.hyperband_run(trials, objective)
-    TU.save_trial_log(log, out / "trials.csv")
+    TR.save_rows(log, TU.TrialResult, out / "trials.csv")
     _write_json(out / "best_config.json",
                 {"config": best.config, "score": best.score,
                  "trial_id": best.trial_id, "resource": best.resource})
-    write_run_manifest(out / "run_manifest.json", "tune",
-                       {"base_config": base, "rois": rois, "mode": args.mode,
-                        "space": str(args.space),
-                        "max_resource": args.max_resource, "eta": args.eta},
-                       args.seed, [args.space, args.manifest, args.instances],
-                       [out / "trials.csv", out / "best_config.json"], started)
-    print(f"best trial {best.trial_id}: score {best.score:.4f}, "
-          f"config {json.dumps(best.config, sort_keys=True)}")
-    return EXIT_OK
+    return (out / "run_manifest.json",
+            {"base_config": base, "rois": rois, "mode": args.mode,
+             "space": str(args.space), "max_resource": args.max_resource,
+             "eta": args.eta},
+            [out / "trials.csv", out / "best_config.json"],
+            f"best trial {best.trial_id}: score {best.score:.4f}, "
+            f"config {json.dumps(best.config, sort_keys=True)}")
 
 
 # ---------------------------------------------------------------------------
@@ -482,8 +478,7 @@ def _roc_svg(points, auc_value: float) -> str:
         f"</svg>\n")
 
 
-def cmd_eval(args) -> int:
-    started = time.time()
+def cmd_eval(args) -> tuple:
     model_dir = Path(args.model)
     path = model_dir / "config.json"
     params = _load(MO.load_checkpoint, model_dir / "checkpoint.npz",
@@ -522,18 +517,15 @@ def cmd_eval(args) -> int:
     TR.save_rows(report.roc, ME.RocPoint, roc_path)
     if svg:
         svg[0].write_text(_roc_svg(report.roc, report.auc), encoding="utf-8")
-    write_run_manifest(manifest, "eval", {"model": str(model_dir)}, None,
-                       [args.manifest, args.instances], [out, roc_path, *svg],
-                       started)
-    print(f"accuracy {report.accuracy:.4f}, auc {report.auc:.4f}")
-    return EXIT_OK
+    return (manifest, {"model": str(model_dir)}, [out, roc_path, *svg],
+            f"accuracy {report.accuracy:.4f}, auc {report.auc:.4f}")
 
 
 # ---------------------------------------------------------------------------
 # compare
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args) -> None:
     n = len(args.metrics)
     if n < 2 or (args.test == "ttest" and n > 2):
         need = "exactly" if args.test == "ttest" else "at least"
@@ -550,9 +542,7 @@ def cmd_compare(args) -> int:
             print(f"F={f:.6f} df=({dfb},{dfw}) p={p:.6f}")
     except ME.DegenerateVarianceError as exc:
         raise RuntimeFailure(str(exc)) from exc
-    verdict = "reject H0 at 0.05" if p < 0.05 else "fail to reject H0 at 0.05"
-    print(verdict)
-    return EXIT_OK
+    print("reject H0 at 0.05" if p < 0.05 else "fail to reject H0 at 0.05")
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +559,10 @@ def _seed(text: str) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mixedvit",
-        description="Mixed tabular + 3D-image transformer pipeline")
+        description="Mixed tabular + 3D-image transformer pipeline",
+        epilog="The same inputs, config and seed give the same bits on the "
+               "same numpy/BLAS build at the same BLAS thread count; cv "
+               "--jobs never changes them.")
     sub = parser.add_subparsers(dest="command", required=True)
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument("--seed", type=_seed, default=0,
@@ -650,10 +643,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    started = time.time()
     try:
-        return args.func(args)
+        run = args.func(args)
+        if run is not None:
+            manifest, config, outputs, summary = run
+            inputs = [getattr(args, flag) for flag in INPUT_FLAGS
+                      if getattr(args, flag, None) is not None]
+            write_run_manifest(manifest, args.command, config,
+                               getattr(args, "seed", None), inputs,
+                               outputs=outputs, started=started)
+            print(summary)
+        return EXIT_OK
     except (UsageError, MO.ConfigError, D.PlanError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

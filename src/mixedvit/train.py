@@ -34,6 +34,8 @@ configurations that tests and ``tune`` could reach.
 
 from __future__ import annotations
 
+import csv
+import json
 from dataclasses import astuple, dataclass, field, fields
 from typing import ClassVar, Optional, Sequence
 
@@ -382,8 +384,10 @@ def fit(model_cfg: ModelConfig, train_cfg: TrainConfig, plan: FitPlan,
 
 
 def save_rows(rows: Sequence, row_type: type, path) -> None:
-    """CSV of ``row_type``'s field names, then each row's values by repr."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(f.name for f in fields(row_type)) + "\n")
-        fh.writelines(",".join(map(repr, astuple(row))) + "\n"
-                      for row in rows)
+    """CSV of ``row_type``'s field names, then each row's values: a dict as
+    JSON with sorted keys, any other value by repr. Lines end in "\\n"."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(f.name for f in fields(row_type))
+        writer.writerows([json.dumps(v, sort_keys=True) if isinstance(v, dict)
+                          else repr(v) for v in astuple(row)] for row in rows)

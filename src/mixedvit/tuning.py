@@ -18,10 +18,8 @@ and 1 at 1, 2, 5 and 10. A budget whose brackets plan more than
 
 from __future__ import annotations
 
-import csv
-import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -230,11 +228,3 @@ def hyperband_run(plan: list, objective: Callable[[dict, int], float]):
         next_id += len(configs)
     return min(log, key=_rank), log
 
-
-def save_trial_log(log: Sequence[TrialResult], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f.name for f in fields(TrialResult)])
-        for t in log:
-            writer.writerow([t.trial_id, t.bracket, t.round, t.resource,
-                             repr(t.score), json.dumps(t.config, sort_keys=True)])

@@ -324,6 +324,33 @@ def test_cv_jobs_matches_serial(dataset, tmp_path, rois, jobs, extra):
         (outs[1] / "metrics.json").read_bytes()
 
 
+def test_cv_jobs_keeps_the_bits_at_the_paper_shape(tmp_path):
+    """The bit contract at the paper's model config, where BLAS may split a
+    product between its threads: cv --jobs 2 writes every byte that
+    --jobs 1 writes."""
+    data = tmp_path / "data"
+    assert main(["synth", "--out", str(data), "--subjects", "24",
+                 "--seed", "3", "--dims", "33,40,40"]) == 0
+    assert main(["select", "--manifest", str(data / "manifest.jsonl"),
+                 "--roi", "hippocampus_left",
+                 "--out", str(tmp_path / "instances.csv")]) == 0
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"epochs": 2}))
+    written = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["cv", "--instances", str(tmp_path / "instances.csv"),
+                     "--manifest", str(data / "manifest.jsonl"),
+                     "--config", str(config), "--rois", "hippocampus_left",
+                     "--folds", "3", "--jobs", jobs, "--out", str(out)]) == 0
+        outputs = json.loads((out / "run_manifest.json").read_text())[
+            "outputs"]
+        written.append({name: (out / name).read_bytes() for name in outputs})
+    assert sorted(written[0]) == ["metrics.json", "roc_fold0.csv",
+                                  "roc_fold1.csv", "roc_fold2.csv"]
+    assert written[0] == written[1]
+
+
 def _cv_auc(root: Path, seed: int, separability: float, mode: str,
             slices: int = 8, config: dict | None = None) -> float:
     """Mean fold AUC of a 4-fold cv in ``mode`` over 40 synthetic subjects
@@ -807,7 +834,8 @@ def test_tune_train_objective(dataset, tmp_path):
     assert 0.0 <= best["score"] <= 1.0
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert manifest["inputs"] == [
-        str(space), str(dataset / "data" / "manifest.jsonl"),
+        str(dataset / "config.json"), str(space),
+        str(dataset / "data" / "manifest.jsonl"),
         str(dataset / "instances.csv")]
     config = manifest["config"]
     assert config["rois"] == ["hippocampus_left"] and config["mode"] == "mixed"
@@ -1093,6 +1121,25 @@ def _command_argv(dataset, tmp_path, command, config):
     if command == "cv":
         argv = ["cv"] + argv[1:] + ["--folds", "3", "--no-holdout-test"]
     return argv
+
+
+@pytest.mark.parametrize("command", ["train", "cv", "eval"])
+def test_run_manifest_inputs_name_each_file_read(dataset, tmp_path, command):
+    """A run manifest's inputs are the paths given to --config, --space,
+    --model, --manifest and --instances, in that order: train and cv list
+    the config file they read, eval the model directory."""
+    data = dataset / "data" / "manifest.jsonl"
+    if command == "eval":
+        first = _init_model_dir(tmp_path / "model", _snapshot())
+        argv = _eval_argv(dataset, first, data, tmp_path / "m.json")
+        manifest = tmp_path / "m.json.manifest.json"
+    else:
+        first = dataset / "config.json"
+        argv = _command_argv(dataset, tmp_path, command, first)
+        manifest = tmp_path / "out" / "run_manifest.json"
+    assert main(argv) == 0
+    assert json.loads(manifest.read_text())["inputs"] == [
+        str(first), str(data), str(dataset / "instances.csv")]
 
 
 @pytest.mark.parametrize("command, flag", [

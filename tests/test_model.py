@@ -10,6 +10,7 @@ import pytest
 
 from mixedvit import model as M
 from mixedvit import tensor as T
+from mixedvit.train import batch_loss
 from mixedvit.tensor import Tape, Tensor, backward
 from mixedvit.model import (
     ConfigError,
@@ -582,6 +583,49 @@ def test_trunc_normal_equals_whole_array_redraw(shape, seed):
     assert got.tobytes() == want.tobytes()
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
     assert np.abs(got).max() <= 0.04
+
+
+# Two ROI branches and the tabular branch, at a width where each reaches the
+# logits through initial weights.
+WIRED = dataclasses.replace(TINY, num_branches=2)
+BRANCHES = ["tabular", "branch0", "branch1"]
+
+
+def _wired_batch(batch: int = 4):
+    rng = np.random.default_rng(22)
+    return rng.random((batch, 4)), [rng.random((batch,) + WIRED.image_dims)
+                                    for _ in range(WIRED.num_branches)]
+
+
+@pytest.mark.parametrize("branch", BRANCHES)
+def test_permuting_one_branch_across_the_batch_changes_the_probabilities(
+        branch):
+    """Each branch is wired in: rolling one branch's inputs by one sample,
+    the others kept, changes every sample's eval-mode probabilities."""
+    params = init_params(WIRED, 6)
+    tabular, volumes = _wired_batch()
+    before = forward_batch(WIRED, params, tabular, volumes).data
+    if branch == "tabular":
+        tabular = np.roll(tabular, 1, axis=0)
+    else:
+        i = BRANCHES.index(branch) - 1
+        volumes[i] = np.roll(volumes[i], 1, axis=0)
+    after = forward_batch(WIRED, params, tabular, volumes).data
+    assert np.all(np.abs(after - before).max(axis=1) > 1e-9)
+
+
+def test_each_branch_input_weight_gets_a_gradient():
+    """A training step's loss reaches each ROI branch's tubelet weight and
+    the tabular branch's first layer."""
+    params = init_params(WIRED, 6)
+    with Tape():
+        probs = forward_batch(WIRED, params, *_wired_batch(), True,
+                              np.random.default_rng(3))
+        backward(batch_loss(probs, np.array([0, 1, 0, 1])))
+    for name in ("tabular.layer0.weight", "branch0.tubelet.weight",
+                 "branch1.tubelet.weight"):
+        grad = params[name].grad
+        assert grad is not None and np.any(grad != 0), name
 
 
 def test_image_only_equals_mixed_with_zeroed_tabular_head_rows():

@@ -12,6 +12,7 @@ from helpers import (
 )
 
 from mixedvit import tuning as TU
+from mixedvit.train import save_rows
 from mixedvit.tuning import (
     Bracket,
     LogUniform,
@@ -23,7 +24,6 @@ from mixedvit.tuning import (
     hyperband_run,
     parse_space,
     sample_config,
-    save_trial_log,
     successive_halving,
 )
 
@@ -323,7 +323,8 @@ def test_trial_log_csv(tmp_path):
     log = [TrialResult(0, 4, 0, 1, 0.25, {"initial_lr": 1e-4, "batch_size": 6}),
            TrialResult(1, 4, 0, 1, 0.75, {"initial_lr": 3e-4, "batch_size": 4})]
     path = tmp_path / "trials.csv"
-    save_trial_log(log, path)
+    save_rows(log, TrialResult, path)
+    assert b"\r" not in path.read_bytes()
     lines = path.read_text().splitlines()
     assert lines[0] == "trial_id,bracket,round,resource,score,config"
     assert len(lines) == 3
